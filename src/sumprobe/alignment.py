@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import AnnotatedDocument
 from .generate import GeneratedInput
 from .summaries import SummaryEntity, SummaryRecord
 from .templates import TITLES, DocumentTemplate
@@ -26,8 +25,6 @@ _TITLE_SET = {t.lower() for t in TITLES}
 ALIGNED = "aligned"
 HALLUCINATED = "hallucinated"
 UNRESOLVED = "unresolved"
-
-_PRONOUN_POS = {"PRP", "PRP$"}
 
 
 @dataclass(frozen=True)
@@ -54,26 +51,6 @@ class AlignedSummary:
 
     def hallucinated(self) -> list[SummaryEntity]:
         return [r.entity for r in self.results if r.status == HALLUCINATED]
-
-
-def chain_last_name(doc: AnnotatedDocument, entity: str) -> str | None:
-    """Most frequent mention-final token of a chain, skipping pronominal
-    mentions; ties break toward the earliest occurrence."""
-    mentions = doc.chains.get(entity)
-    if not mentions:
-        return None
-    counts: Counter[str] = Counter()
-    earliest: dict[str, int] = {}
-    for m in sorted(mentions):
-        toks = doc.tokens[m.start : m.end + 1]
-        if len(toks) == 1 and toks[0].pos in _PRONOUN_POS:
-            continue
-        final = toks[-1].text
-        counts[final] += 1
-        earliest.setdefault(final, m.end)
-    if not counts:
-        return None
-    return min(counts, key=lambda t: (-counts[t], earliest[t]))
 
 
 def input_entities(template: DocumentTemplate, generated: GeneratedInput) -> list[InputEntity]:
@@ -133,15 +110,6 @@ def align(
     )
 
 
-def align_summary(
-    record: SummaryRecord,
-    entities: Sequence[InputEntity],
-    source_tokens: list[str],
-) -> AlignedSummary:
-    results = [align(se, entities, source_tokens) for se in record.entities]
-    return AlignedSummary(record, results)
-
-
 def align_corpus(
     summaries: Iterable[SummaryRecord],
     entity_index: dict[str, list[InputEntity]],
@@ -152,10 +120,11 @@ def align_corpus(
     aligned: list[AlignedSummary] = []
     counts: dict[str, Counter] = {}
     for record in summaries:
-        res = align_summary(record, entity_index[record.input_id], source_tokens[record.input_id])
+        entities, sources = entity_index[record.input_id], source_tokens[record.input_id]
+        res = AlignedSummary(record, [align(se, entities, sources) for se in record.entities])
         aligned.append(res)
         c = counts.setdefault(record.system, Counter())
-        c["input_entities"] += len(entity_index[record.input_id])
+        c["input_entities"] += len(entities)
         c["summary_entities"] += len(record.entities)
         c["aligned_summary_entities"] += sum(r.status == ALIGNED for r in res.results)
         c["input_entities_with_alignment"] += len(

@@ -15,32 +15,34 @@ from . import corpus as cp
 from . import gender_id as gid
 from . import generate as gen
 from . import input_bias as ib
-from . import summaries as sm
 from . import templates as tp
 from .names import (
     NameTableError,
     load_census,
+    load_race_names,
     load_word_lists,
     resolve_ambiguous,
     word_pairs,
 )
-from .pipeline import DataError, PipelineConfig, StageError, load_last_name_pool, run_pipeline
+from .pipeline import (
+    DataError,
+    PipelineConfig,
+    StageError,
+    align_systems,
+    build_templates,
+    classify_entities,
+    generate_inputs,
+    ingest,
+    load_last_name_pool,
+    run_pipeline,
+)
 from .report import render_report
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
 STAGE_EXIT = 3
 
-_DATA_ERRORS = (
-    DataError,
-    cp.ParseError,
-    cp.IntegrityError,
-    NameTableError,
-    sm.SummaryJoinError,
-    FileNotFoundError,
-    json.JSONDecodeError,
-)
-_STAGE_ERRORS = (StageError, gen.GenerationError, gen.RenderError)
+_DATA_ERRORS = (DataError, NameTableError, FileNotFoundError, json.JSONDecodeError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,128 +62,90 @@ def _pairs_arg(values: list[str], what: str) -> dict[str, str]:
 
 
 def _load_docs(path: str) -> list[cp.AnnotatedDocument]:
-    """Accept a raw column corpus or the ingest JSONL output."""
+    """Accept a raw column corpus (checked and sorted as `ingest` does) or
+    the ingest JSONL output."""
     with open(path, encoding="utf-8") as fh:
         head = fh.read(1)
     if head == "#":
-        return cp.parse_conll_corpus(path)
+        return ingest(path)
     return list(cp.read_jsonl(path))
+
+
+def _census(args):
+    return load_census(args.census_male, args.census_female)
 
 
 # --- commands -----------------------------------------------------------------
 
 
 def cmd_ingest(args) -> int:
-    docs = cp.parse_conll_corpus(args.corpus)
-    problems = [f"{d.id}: {p}" for d in docs for p in cp.validate_document(d)]
-    if problems:
-        raise DataError("invalid documents: " + "; ".join(problems))
-    docs.sort(key=lambda d: d.id)
-    cp.write_jsonl(docs, args.out)
+    docs = ingest(args.corpus, args.out)
     print(f"ingested {len(docs)} documents -> {args.out}")
     return 0
 
 
 def cmd_build_templates(args) -> int:
-    docs = _load_docs(args.documents)
-    content = tp.load_content_words(args.content_words) if args.content_words else {}
-    templates = [tp.build_template(d, content.get(d.id, ())) for d in docs]
-    tp.write_templates(templates, args.out)
+    templates = build_templates(_load_docs(args.documents), args.content_words, args.out)
     eligible = sum(t.eligible for t in templates)
     print(f"built {len(templates)} templates ({eligible} eligible) -> {args.out}")
     return 0
 
 
 def cmd_generate(args) -> int:
-    templates = list(tp.read_templates(args.templates))
-    if args.content_words:
-        spans = tp.load_content_words(args.content_words)
-        templates = [
-            tp.attach_content_words(t, spans[t.doc_id]) if t.doc_id in spans else t
-            for t in templates
-        ]
     scheme = gen.make_scheme(
         args.scheme,
         variants=args.variants,
         alter_last_names=args.alter_last_names,
         intersection=_pairs_arg(args.intersection, "--intersection") or None,
     )
-    census = race = None
-    if scheme.is_race:
-        from .names import load_race_names
-
-        race = load_race_names(args.race_names)
-    else:
-        census = resolve_ambiguous(load_census(args.census_male, args.census_female))
-    pool = load_last_name_pool(args.last_names) if args.last_names else None
-    inputs = gen.generate_corpus(
-        templates, scheme, args.seed, census=census, race_table=race, last_name_pool=pool
+    inputs = generate_inputs(
+        list(tp.read_templates(args.templates)),
+        scheme,
+        args.seed,
+        census=resolve_ambiguous(_census(args)),
+        race_table=load_race_names(args.race_names) if scheme.is_race else None,
+        last_pool=load_last_name_pool(args.last_names) if args.last_names else None,
+        out=args.out,
     )
-    gen.write_inputs(inputs, args.out)
     originals = len({g.original_id for g in inputs})
     print(f"generated {len(inputs)} inputs from {originals} originals -> {args.out}")
     return 0
 
 
 def cmd_align(args) -> int:
-    templates = {t.doc_id: t for t in tp.read_templates(args.templates)}
-    inputs = list(gen.read_inputs(args.inputs))
-    by_id = {g.id: g for g in inputs}
-    census_raw = load_census(args.census_male, args.census_female)
-    lexicon = sm.build_lexicon(
-        [a.first for g in inputs for a in g.assignments],
-        [a.last for g in inputs for a in g.assignments],
-        [e.first for t in templates.values() for e in t.entities],
-        [e.last for t in templates.values() for e in t.entities],
-        census=census_raw,
-    )
-    entity_index = {g.id: al.input_entities(templates[g.original_id], g) for g in inputs}
-    sources = {g.id: g.tokens for g in inputs}
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sidecars = _pairs_arg(args.ner, "--ner")
-    for system, path in sorted(_pairs_arg(args.summaries, "--summaries").items()):
-        ner = sm.load_ner_sidecar(sidecars[system]) if system in sidecars else None
-        records = sm.load_summaries(path, by_id, lexicon=lexicon, ner_spans=ner)
-        aligned, counts = al.align_corpus(records, entity_index, sources)
-        out = out_dir / f"alignments.{system}.jsonl"
-        al.write_alignments(aligned, out)
-        c = counts.get(system, {})
+    aligned_by_system, _ = align_systems(
+        list(tp.read_templates(args.templates)),
+        list(gen.read_inputs(args.inputs)),
+        _pairs_arg(args.summaries, "--summaries"),
+        ner_sidecars=_pairs_arg(args.ner, "--ner"),
+        census=_census(args),
+        out_dir=out_dir,
+    )
+    for system, (_, c) in sorted(aligned_by_system.items()):
         print(
-            f"{system}: {c.get('aligned_summary_entities', 0)} aligned, "
-            f"{c.get('hallucinated', 0)} hallucinated, "
-            f"{c.get('unresolved', 0)} unresolved -> {out}"
+            f"{system}: {c['aligned_summary_entities']} aligned, "
+            f"{c['hallucinated']} hallucinated, "
+            f"{c['unresolved']} unresolved -> {out_dir / f'alignments.{system}.jsonl'}"
         )
     return 0
 
 
 def cmd_classify_hallucinations(args) -> int:
-    rows = al.read_alignment_rows(args.alignments)
-    client = gid.FixtureLookupClient(args.cache)
-    census = resolve_ambiguous(load_census(args.census_male, args.census_female))
-    verdicts = {}
-    counts = {}
-    for row in rows:
-        if row["status"] != al.HALLUCINATED:
-            continue
-        key = " ".join(row["entity_tokens"]).lower()
-        if key not in verdicts:
-            verdicts[key] = gid.classify(row["entity_tokens"], client, census)
-        counts[key] = counts.get(key, 0) + 1
-    out_rows = [
-        {
-            "entity": key,
-            "count": counts[key],
-            "gender": verdicts[key].gender,
-            "source": verdicts[key].source,
-        }
-        for key in sorted(verdicts)
-    ]
-    Path(args.out).write_text(
-        json.dumps(out_rows, sort_keys=True, indent=1) + "\n", encoding="utf-8"
+    verdicts = classify_entities(
+        (
+            row["entity_tokens"]
+            for row in al.read_alignment_rows(args.alignments)
+            if row["status"] == al.HALLUCINATED
+        ),
+        gid.FixtureLookupClient(args.cache),
+        resolve_ambiguous(_census(args)),
+        args.out,
+        memo={},
     )
-    classified = sum(1 for r in out_rows if r["gender"] != "unknown")
-    print(f"classified {classified}/{len(out_rows)} distinct hallucinated entities -> {args.out}")
+    classified = sum(v.gender != "unknown" for v in verdicts.values())
+    print(f"classified {classified}/{len(verdicts)} distinct hallucinated entities -> {args.out}")
     return 0
 
 
@@ -296,7 +260,6 @@ def build_parser() -> _Parser:
     p.add_argument("--variants", type=int, default=20)
     p.add_argument("--alter-last-names", action="store_true")
     p.add_argument("--last-names", help="text file with one last name per line")
-    p.add_argument("--content-words", help="content-word annotation JSONL")
     p.add_argument("--census-male")
     p.add_argument("--census-female")
     p.add_argument("--race-names")
@@ -360,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _STAGE_ERRORS as exc:
+    except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return STAGE_EXIT
     except _DATA_ERRORS as exc:

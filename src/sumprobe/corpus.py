@@ -9,7 +9,7 @@ re-tokenized or re-tagged here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 

@@ -11,7 +11,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable
 
 from .names import GenderNameTable
 
@@ -40,10 +40,6 @@ class LookupPage:
     title: str
     categories: tuple[str, ...]
     pronoun_counts: dict[str, int]
-
-
-class LookupClient(Protocol):
-    def query(self, title: str) -> LookupPage | None: ...
 
 
 class FixtureLookupClient:
@@ -76,7 +72,7 @@ def _person_page(page: LookupPage) -> bool:
 
 
 def classify_encyclopedia(
-    tokens: Iterable[str], client: LookupClient
+    tokens: Iterable[str], client: FixtureLookupClient
 ) -> GenderVerdict | None:
     """Verdict from an encyclopedia page, or None when no usable page exists.
 
@@ -120,7 +116,7 @@ def classify_census(tokens: Iterable[str], table: GenderNameTable) -> GenderVerd
 
 
 def classify(
-    tokens: Iterable[str], client: LookupClient, table: GenderNameTable
+    tokens: Iterable[str], client: FixtureLookupClient, table: GenderNameTable
 ) -> GenderVerdict:
     """Encyclopedia verdict when a page exists, census fallback otherwise."""
     tokens = list(tokens)

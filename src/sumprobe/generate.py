@@ -18,7 +18,7 @@ last names unless alter_last_names is set (which requires a last-name pool).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 

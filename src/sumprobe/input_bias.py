@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .corpus import AnnotatedDocument, Token
 from .measures import count_identifiers, identifier_reference, uniform, word_list_inclusion
-from .names import load_topic_tokens, load_word_lists, word_pairs
+from .names import load_topic_tokens, load_word_lists
 from .seeding import derive_rng
 
 # POS-ambiguous pronouns excluded from the lexical contrast

@@ -13,7 +13,6 @@ Bundled data (under sumprobe/data/):
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -111,19 +110,6 @@ def resolve_ambiguous(table: GenderNameTable) -> GenderNameTable:
             del male[name]
             del female[name]
     return GenderNameTable(male=male, female=female)
-
-
-def sample_name(table: GenderNameTable, group: str, rng: random.Random,
-                exclude: frozenset[str] | set[str] = frozenset(),
-                weighted: bool = False) -> str:
-    """Draw one name for a gender; uniform by default, frequency-weighted on request."""
-    pool = table.names(group)
-    eligible = sorted(n for n in pool if n not in exclude)
-    if not eligible:
-        raise NameTableError(f"no {group} names left to sample")
-    if weighted:
-        return rng.choices(eligible, weights=[pool[n] for n in eligible], k=1)[0]
-    return rng.choice(eligible)
 
 
 def load_race_names(path: str | Path | None = None) -> RaceNameTable:

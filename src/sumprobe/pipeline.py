@@ -15,7 +15,7 @@ import multiprocessing
 from collections import Counter
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,7 +26,14 @@ from . import generate as gen
 from . import measures as ms
 from . import summaries as sm
 from . import templates as tp
-from .names import GenderNameTable, load_census, load_race_names, load_word_lists, resolve_ambiguous
+from .names import (
+    GenderNameTable,
+    RaceNameTable,
+    load_census,
+    load_race_names,
+    load_word_lists,
+    resolve_ambiguous,
+)
 from .seeding import derive_seed
 
 
@@ -122,21 +129,128 @@ def load_last_name_pool(path: str | Path) -> list[str]:
     return names
 
 
-# --- stage helpers -------------------------------------------------------------
+# --- stages: one function each, called by `Pipeline` and by the CLI subcommands;
+# each returns the stage's outputs and writes its artifact
 
 
-def _gen_chunk(args) -> list[dict]:
-    chunk, scheme, seed, census, race_table, last_pool = args
-    templates = [tp.template_from_json(t) for t in chunk]
-    produced = gen.generate_corpus(
-        templates,
-        scheme,
-        seed,
-        census=census,
-        race_table=race_table,
-        last_name_pool=last_pool,
+def ingest(corpus: str | Path, out: str | Path | None = None) -> list[cp.AnnotatedDocument]:
+    """Parse and check a column corpus; documents sorted by id, written as
+    JSONL to `out` when given."""
+    try:
+        docs = cp.parse_conll_corpus(corpus)
+    except (cp.ParseError, cp.IntegrityError) as exc:
+        raise DataError(f"{corpus}: {exc}") from exc
+    problems = [f"{doc.id}: {issue}" for doc in docs for issue in cp.validate_document(doc)]
+    if problems:
+        raise DataError("invalid documents: " + "; ".join(problems))
+    ids = [d.id for d in docs]
+    if len(set(ids)) != len(ids):
+        raise DataError("duplicate document ids in corpus")
+    docs.sort(key=lambda d: d.id)
+    if out is not None:
+        cp.write_jsonl(docs, out)
+    return docs
+
+
+def build_templates(
+    documents: list[cp.AnnotatedDocument], content_words: str | Path | None, out: str | Path
+) -> list[tp.DocumentTemplate]:
+    """One template per document, with its spans from the content-word file."""
+    content = tp.load_content_words(content_words) if content_words else {}
+    templates = [tp.build_template(d, content.get(d.id, ())) for d in documents]
+    tp.write_templates(templates, out)
+    return templates
+
+
+def _gen_chunk(args) -> list[gen.GeneratedInput]:
+    templates, scheme, seed, census, race_table, last_pool = args
+    return gen.generate_corpus(
+        templates, scheme, seed, census=census, race_table=race_table, last_name_pool=last_pool
     )
-    return [gen.input_to_json(g) for g in produced]
+
+
+def generate_inputs(
+    templates: list[tp.DocumentTemplate], scheme: gen.AssignmentScheme, seed: int, *,
+    census: GenderNameTable | None, race_table: RaceNameTable | None,
+    last_pool: list[str] | None, out: str | Path, jobs: int = 1,
+) -> list[gen.GeneratedInput]:
+    """Every variant of every eligible template; `jobs > 1` splits the
+    templates over a process pool, with the same output."""
+    settings = (scheme, seed, census, race_table, last_pool)
+    try:
+        if jobs > 1 and len(templates) > 1:
+            ordered = sorted(templates, key=lambda t: t.doc_id)
+            chunks = [(ordered[i::jobs], *settings) for i in range(min(jobs, len(ordered)))]
+            with multiprocessing.Pool(len(chunks)) as pool:
+                produced = [g for part in pool.map(_gen_chunk, chunks) for g in part]
+            produced.sort(key=lambda g: (g.original_id, g.variant))
+        else:
+            produced = _gen_chunk((templates, *settings))
+    except (gen.GenerationError, gen.RenderError) as exc:
+        raise StageError("generate", str(exc)) from exc
+    if not produced:
+        raise DataError("no eligible documents: nothing to generate")
+    gen.write_inputs(produced, out)
+    return produced
+
+
+AlignedBySystem = dict[str, tuple[list[al.AlignedSummary], Counter]]
+
+
+def align_systems(
+    templates: list[tp.DocumentTemplate], inputs: list[gen.GeneratedInput],
+    summaries: dict[str, str], *, ner_sidecars: dict[str, str], census: GenderNameTable,
+    out_dir: str | Path,
+) -> tuple[AlignedBySystem, dict[str, list[al.InputEntity]]]:
+    """(aligned records, counts) per system, and the entity index they were
+    aligned against; writes alignments.<system>.jsonl under `out_dir`. Every
+    name of the raw `census` table joins the detection lexicon."""
+    by_doc = {t.doc_id: t for t in templates}
+    by_id = {g.id: g for g in inputs}
+    entity_index = {g.id: al.input_entities(by_doc[g.original_id], g) for g in inputs}
+    source_tokens = {g.id: g.tokens for g in inputs}
+    lexicon = sm.build_lexicon(
+        [a.first for g in inputs for a in g.assignments],
+        [a.last for g in inputs for a in g.assignments],
+        [e.first for t in templates for e in t.entities],
+        [e.last for t in templates for e in t.entities],
+        census=census,
+    )
+    out: AlignedBySystem = {}
+    for system, path in sorted(summaries.items()):
+        if not Path(path).exists():
+            raise StageError("summaries", f"summary file for system {system!r} missing: {path}")
+        ner = sm.load_ner_sidecar(ner_sidecars[system]) if system in ner_sidecars else None
+        try:
+            records = sm.load_summaries(path, by_id, lexicon=lexicon, ner_spans=ner)
+        except sm.SummaryJoinError as exc:
+            raise DataError(f"system {system!r}: {exc}") from exc
+        aligned, counts = al.align_corpus(records, entity_index, source_tokens)
+        al.write_alignments(aligned, Path(out_dir) / f"alignments.{system}.jsonl")
+        out[system] = (aligned, counts.get(system, Counter()))
+    return out, entity_index
+
+
+def classify_entities(
+    entity_tokens: Iterable[Sequence[str]], client: gid.FixtureLookupClient,
+    census: GenderNameTable, out: str | Path, memo: dict[str, gid.GenderVerdict],
+) -> dict[str, gid.GenderVerdict]:
+    """Gender verdict per distinct hallucinated entity, keyed by its lowercased
+    surface form; writes the verdict rows to `out`. `memo` spans calls."""
+    counts: Counter[str] = Counter()
+    verdicts: dict[str, gid.GenderVerdict] = {}
+    for tokens in entity_tokens:
+        key = " ".join(tokens).lower()
+        if key not in memo:
+            memo[key] = gid.classify(tokens, client, census)
+        verdicts[key] = memo[key]
+        counts[key] += 1
+    rows = [
+        {"entity": key, "count": counts[key], "gender": v.gender, "source": v.source}
+        for key, v in sorted(verdicts.items())
+    ]
+    Path(out).write_text(json.dumps(rows, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    return verdicts
 
 
 class Pipeline:
@@ -159,154 +273,67 @@ class Pipeline:
         self.last_pool = (
             load_last_name_pool(config.last_name_pool) if config.last_name_pool else None
         )
+        # stage results that later stages reuse, computed or read once per run
+        self._templates: list[tp.DocumentTemplate] | None = None
+        self._inputs: list[gen.GeneratedInput] | None = None
 
     def path(self, name: str) -> Path:
         return self.art_dir / name
 
+    def _reuse(self, name: str, read, build) -> list:
+        """The stage's artifact if it exists, else `build(artifact path)`."""
+        artifact = self.path(name)
+        return list(read(artifact)) if artifact.exists() else build(artifact)
+
     # -- stages ------------------------------------------------------------
 
     def documents(self) -> list[cp.AnnotatedDocument]:
-        artifact = self.path("documents.jsonl")
-        if artifact.exists():
-            return list(cp.read_jsonl(artifact))
-        try:
-            docs = cp.parse_conll_corpus(self.config.corpus)
-        except (cp.ParseError, cp.IntegrityError) as exc:
-            raise DataError(f"{self.config.corpus}: {exc}") from exc
-        problems = [
-            f"{doc.id}: {issue}" for doc in docs for issue in cp.validate_document(doc)
-        ]
-        if problems:
-            raise DataError("invalid documents: " + "; ".join(problems))
-        ids = [d.id for d in docs]
-        if len(set(ids)) != len(ids):
-            raise DataError("duplicate document ids in corpus")
-        docs.sort(key=lambda d: d.id)
-        cp.write_jsonl(docs, artifact)
-        return docs
+        return self._reuse(
+            "documents.jsonl", cp.read_jsonl, lambda out: ingest(self.config.corpus, out)
+        )
 
     def templates(self) -> list[tp.DocumentTemplate]:
-        artifact = self.path("templates.jsonl")
-        if artifact.exists():
-            return list(tp.read_templates(artifact))
-        docs = self.documents()
-        content = (
-            tp.load_content_words(self.config.content_words)
-            if self.config.content_words
-            else {}
-        )
-        templates = [tp.build_template(d, content.get(d.id, ())) for d in docs]
-        tp.write_templates(templates, artifact)
-        return templates
+        if self._templates is None:
+            self._templates = self._reuse(
+                "templates.jsonl",
+                tp.read_templates,
+                lambda out: build_templates(self.documents(), self.config.content_words, out),
+            )
+        return self._templates
 
     def inputs(self) -> list[gen.GeneratedInput]:
-        artifact = self.path("inputs.jsonl")
-        if artifact.exists():
-            return list(gen.read_inputs(artifact))
-        templates = self.templates()
-        try:
-            if self.config.jobs > 1 and len(templates) > 1:
-                rows = sorted(
-                    (tp.template_to_json(t) for t in templates),
-                    key=lambda r: r["doc_id"],
-                )
-                chunks = [rows[i :: self.config.jobs] for i in range(self.config.jobs)]
-                args = [
-                    (chunk, self.scheme, self.config.seed, self.census,
-                     self.race_table, self.last_pool)
-                    for chunk in chunks
-                    if chunk
-                ]
-                with multiprocessing.Pool(len(args)) as pool:
-                    parts = pool.map(_gen_chunk, args)
-                produced = [gen.input_from_json(r) for part in parts for r in part]
-                produced.sort(key=lambda g: (g.original_id, g.variant))
-            else:
-                produced = gen.generate_corpus(
-                    templates,
-                    self.scheme,
-                    self.config.seed,
-                    census=self.census,
-                    race_table=self.race_table,
-                    last_name_pool=self.last_pool,
-                )
-        except gen.GenerationError as exc:
-            raise StageError("generate", str(exc)) from exc
-        if not produced:
-            raise DataError("no eligible documents: nothing to generate")
-        gen.write_inputs(produced, artifact)
-        return produced
-
-    def _lexicon(self, templates, inputs) -> frozenset[str]:
-        assigned = [a.first for g in inputs for a in g.assignments] + [
-            a.last for g in inputs for a in g.assignments
-        ]
-        original = [e.first for t in templates for e in t.entities] + [
-            e.last for t in templates for e in t.entities
-        ]
-        return sm.build_lexicon(assigned, original, census=self._census_raw)
-
-    def summaries_for(self, system: str, inputs) -> list[sm.SummaryRecord]:
-        path = self.config.summaries[system]
-        if not Path(path).exists():
-            raise StageError("summaries", f"summary file for system {system!r} missing: {path}")
-        templates = self.templates()
-        lexicon = self._lexicon(templates, inputs)
-        ner = None
-        if system in self.config.ner_sidecars:
-            ner = sm.load_ner_sidecar(self.config.ner_sidecars[system])
-        try:
-            return sm.load_summaries(
-                path, {g.id: g for g in inputs}, lexicon=lexicon, ner_spans=ner
+        if self._inputs is None:
+            self._inputs = self._reuse(
+                "inputs.jsonl",
+                gen.read_inputs,
+                lambda out: generate_inputs(
+                    self.templates(), self.scheme, self.config.seed,
+                    census=self.census, race_table=self.race_table,
+                    last_pool=self.last_pool, out=out, jobs=self.config.jobs,
+                ),
             )
-        except sm.SummaryJoinError as exc:
-            raise DataError(f"system {system!r}: {exc}") from exc
+        return self._inputs
 
-    def alignments(self) -> dict[str, tuple[list[al.AlignedSummary], Counter]]:
-        inputs = self.inputs()
-        templates = {t.doc_id: t for t in self.templates()}
-        entity_index = {
-            g.id: al.input_entities(templates[g.original_id], g) for g in inputs
-        }
-        source_tokens = {g.id: g.tokens for g in inputs}
-        out: dict[str, tuple[list[al.AlignedSummary], Counter]] = {}
-        for system in sorted(self.config.summaries):
-            artifact = self.path(f"alignments.{system}.jsonl")
-            records = self.summaries_for(system, inputs)
-            aligned, counts = al.align_corpus(records, entity_index, source_tokens)
-            if not artifact.exists():
-                al.write_alignments(aligned, artifact)
-            out[system] = (aligned, counts.get(system, Counter()))
-        self._entity_index = entity_index
-        return out
+    def alignments(self) -> tuple[AlignedBySystem, dict[str, list[al.InputEntity]]]:
+        return align_systems(
+            self.templates(), self.inputs(), self.config.summaries,
+            ner_sidecars=self.config.ner_sidecars, census=self._census_raw,
+            out_dir=self.art_dir,
+        )
 
     def classify_hallucinations(
-        self, aligned_by_system: dict[str, tuple[list[al.AlignedSummary], Counter]]
+        self, aligned_by_system: AlignedBySystem
     ) -> dict[str, dict[str, gid.GenderVerdict]]:
         """Gender verdicts per system, keyed by the entity surface form."""
-        cache_path = self.config.cache or _bundled("wiki_cache.json")
-        client = gid.FixtureLookupClient(cache_path)
-        verdicts: dict[str, dict[str, gid.GenderVerdict]] = {}
+        client = gid.FixtureLookupClient(self.config.cache or _bundled("wiki_cache.json"))
         memo: dict[str, gid.GenderVerdict] = {}
-        for system, (aligned, _) in sorted(aligned_by_system.items()):
-            per_system: dict[str, gid.GenderVerdict] = {}
-            for a in aligned:
-                for entity in a.hallucinated():
-                    key = " ".join(entity.tokens).lower()
-                    if key not in memo:
-                        memo[key] = gid.classify(entity.tokens, client, self.census)
-                    per_system[key] = memo[key]
-            verdicts[system] = per_system
-            rows = [
-                {"entity": key, "gender": v.gender, "source": v.source}
-                for key, v in sorted(per_system.items())
-            ]
-            artifact = self.path(f"verdicts.{system}.json")
-            if not artifact.exists():
-                artifact.write_text(
-                    json.dumps(rows, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-                )
-        return verdicts
+        return {
+            system: classify_entities(
+                (e.tokens for a in aligned for e in a.hallucinated()),
+                client, self.census, self.path(f"verdicts.{system}.json"), memo,
+            )
+            for system, (aligned, _) in sorted(aligned_by_system.items())
+        }
 
     # -- scoring -------------------------------------------------------------
 
@@ -315,7 +342,7 @@ class Pipeline:
         return original, int(variant)
 
     def score(self) -> dict:
-        aligned_by_system = self.alignments()
+        aligned_by_system, entity_index = self.alignments()
         inputs = {g.id: g for g in self.inputs()}
         is_gender = not self.scheme.is_race
         is_local = self.scheme.kind != "gender_global"
@@ -358,7 +385,7 @@ class Pipeline:
                 ).as_json()
 
             if is_local:
-                rows = al.inclusion_rows(aligned, self._entity_index)
+                rows = al.inclusion_rows(aligned, entity_index)
                 inc_records = records_from((r["input_id"], r["groups"]) for r in rows)
                 measures["entity_inclusion"] = self._ci(
                     inc_records, ms.inclusion_score, system, "entity_inclusion"
@@ -397,17 +424,17 @@ class Pipeline:
                     ).as_json()
 
             system_verdicts = verdicts.get(system, {})
-            counts["gender_classified_hallucinations"] = sum(
-                1
-                for a in aligned
-                for e in a.hallucinated()
-                if system_verdicts.get(" ".join(e.tokens).lower(), gid.GenderVerdict("unknown", "none")).gender != "unknown"
+            hallucinated = Counter(
+                " ".join(e.tokens).lower() for a in aligned for e in a.hallucinated()
             )
-            top = self._hallucination_top(aligned, system_verdicts)
+            counts["gender_classified_hallucinations"] = sum(
+                n for key, n in hallucinated.items()
+                if key in system_verdicts and system_verdicts[key].gender != "unknown"
+            )
             report["systems"][system] = {
                 "measures": measures,
                 "alignment_counts": dict(sorted(counts.items())),
-                "hallucination_top": top,
+                "hallucination_top": self._hallucination_top(hallucinated, system_verdicts),
                 "diagnostics": diag,
             }
         scores_path = self.path("scores.json")
@@ -424,17 +451,11 @@ class Pipeline:
         )
 
     def _dist_ci(self, stats, system, measure) -> ms.ScoreWithCI:
-        records = [
-            ms.BootstrapRecord(original, 0, (n, wins)) for original, n, wins in stats
-        ]
+        records = [ms.BootstrapRecord(original, 0, (n, wins)) for original, n, wins in stats]
         seed = derive_seed(self.config.seed, "ci", system, measure)
-        point = ms.distinguishability_score([r.payload for r in records])
-        ci_d = ms.bootstrap(
-            records, ms.distinguishability_score, "d", self.config.replicates, seed
-        )
-        return ms.ScoreWithCI(
-            point=point, ci_d=ci_d, ci_s=None,
-            replicates=self.config.replicates, n=len(records),
+        return ms.score_with_ci(
+            records, ms.distinguishability_score,
+            replicates=self.config.replicates, seed=seed, axes=("d",),
         )
 
     def _distinguishability_points(self, system, aligned, inputs):
@@ -473,12 +494,8 @@ class Pipeline:
                 )
         return count_points, dense_points, diagnostics
 
-    def _hallucination_top(self, aligned, verdicts, k: int = 10):
-        counts: Counter[str] = Counter()
-        for a in aligned:
-            for entity in a.hallucinated():
-                counts[" ".join(entity.tokens).lower()] += 1
-        rows = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+    def _hallucination_top(self, hallucinated: Counter, verdicts, k: int = 10):
+        rows = sorted(hallucinated.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
         tag = {"male": "m", "female": "f", "unknown": "u"}
         return [
             [name, count, tag[verdicts[name].gender] if name in verdicts else "u"]

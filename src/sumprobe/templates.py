@@ -23,7 +23,6 @@ _TITLE_SET = {t.lower() for t in TITLES}
 _NAME_TITLES = {"mr.", "mrs.", "ms."}
 
 MALE_TITLES = {"mr.", "sir"}
-FEMALE_TITLES = {"mrs.", "ms.", "lady"}
 
 # pronoun surface form -> gender it marks
 GENDERED_PRONOUNS = {
@@ -151,12 +150,6 @@ def _link_person_entities(doc: AnnotatedDocument) -> list[_PersonEntity]:
     return out
 
 
-def select_person_chains(doc: AnnotatedDocument) -> set[str]:
-    """Ids of replaceable person entities: chains with a linked PERSON
-    entity plus one synthetic singleton per unattached PERSON entity."""
-    return {e.id for e in _link_person_entities(doc)}
-
-
 def _named_tokens(doc: AnnotatedDocument, ne: NamedEntitySpan) -> list:
     return [
         t for t in doc.tokens[ne.start : ne.end + 1] if t.text.lower() not in _TITLE_SET
@@ -208,15 +201,6 @@ def _infer_from_nes(doc: AnnotatedDocument, nes: Iterable[NamedEntitySpan]):
             f"name for entity inferred from single-token span(s) only: {last!r} taken as last name"
         )
     return first, last, diagnostics
-
-
-def infer_names(doc: AnnotatedDocument, entity: str) -> tuple[str | None, str | None]:
-    """Inferred (first, last) name of one selected person entity."""
-    for ent in _link_person_entities(doc):
-        if ent.id == entity:
-            first, last, _ = _infer_from_nes(doc, ent.nes)
-            return first, last
-    raise KeyError(f"{entity!r} is not a person entity of document {doc.id}")
 
 
 def _pronoun_slot(doc, mention, entity_id) -> EntitySlot | None:
@@ -396,24 +380,6 @@ def _admit_content_spans(
             spans.append(span)
             claimed.append((span.start, span.end))
     return spans
-
-
-def attach_content_words(
-    template: DocumentTemplate, content_spans: Iterable[ContentWordSpan]
-) -> DocumentTemplate:
-    """A copy of the template with side-annotated content-word spans added
-    (subject to the same bounds/overlap/neutral-variant checks)."""
-    diagnostics = list(template.diagnostics)
-    claimed = [(s.start, s.end) for e in template.entities for s in e.slots]
-    claimed += [(c.start, c.end) for c in template.content_spans]
-    admitted = _admit_content_spans(len(template.tokens), claimed, content_spans, diagnostics)
-    return DocumentTemplate(
-        doc_id=template.doc_id,
-        tokens=template.tokens,
-        entities=template.entities,
-        content_spans=sorted(template.content_spans + admitted, key=lambda c: c.start),
-        diagnostics=diagnostics,
-    )
 
 
 def splice(tokens: list[str], pieces: Iterable[tuple[int, int, list[str]]]) -> list[str]:

@@ -1,9 +1,5 @@
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from corpusgen import DocBuilder
 
 from sumprobe.alignment import (
     ALIGNED,
@@ -12,7 +8,6 @@ from sumprobe.alignment import (
     InputEntity,
     align,
     align_corpus,
-    chain_last_name,
     inclusion_rows,
     input_entities,
 )
@@ -25,45 +20,6 @@ SOURCE = ["Melissa", "Levin", "spoke", "about", "the", "economy", "."]
 
 def entity(*tokens):
     return SummaryEntity(0, len(tokens) - 1, tuple(tokens))
-
-
-def test_chain_last_name_frequency():
-    b = DocBuilder("cl")
-    b.add_sentence(
-        ["Melissa", "Levin", "and", "Levin", "and", "Ms.", "Levin", "."],
-        ["NNP", "NNP", "CC", "NNP", "CC", "NNP", "NNP", "."],
-        mentions=[(0, 1, "0"), (3, 3, "0"), (5, 6, "0")],
-        nes=[(0, 1, "PERSON")],
-    )
-    assert chain_last_name(b.build(), "0") == "Levin"
-
-
-def test_chain_last_name_single_mention():
-    b = DocBuilder("cl2")
-    b.add_sentence(
-        ["Obama", "won", "."], ["NNP", "VBD", "."], mentions=[(0, 0, "0")]
-    )
-    assert chain_last_name(b.build(), "0") == "Obama"
-
-
-def test_chain_last_name_tie_earliest():
-    b = DocBuilder("cl3")
-    b.add_sentence(
-        ["Alpha", "said", "Beta", "."],
-        ["NNP", "VBD", "NNP", "."],
-        mentions=[(0, 0, "0"), (2, 2, "0")],
-    )
-    assert chain_last_name(b.build(), "0") == "Alpha"
-
-
-def test_chain_last_name_ignores_pronoun_mentions():
-    b = DocBuilder("cl4")
-    b.add_sentence(
-        ["Levin", "said", "he", "and", "he", "agreed", "."],
-        ["NNP", "VBD", "PRP", "CC", "PRP", "VBD", "."],
-        mentions=[(0, 0, "0"), (2, 2, "0"), (4, 4, "0")],
-    )
-    assert chain_last_name(b.build(), "0") == "Levin"
 
 
 def test_align_full_name():

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +8,7 @@ from sumprobe.names import (
     load_census,
     load_race_names,
     load_topic_tokens,
-    load_word_lists,
     resolve_ambiguous,
-    sample_name,
     word_pairs,
 )
 
@@ -94,29 +90,6 @@ def test_resolve_bundled_census(census):
 def test_resolve_makes_genders_disjoint(male, female):
     resolved = resolve_ambiguous(GenderNameTable(male=male, female=female))
     assert not set(resolved.male) & set(resolved.female)
-
-
-def test_sample_single_name():
-    table = GenderNameTable(male={"james": 1.0}, female={})
-    assert sample_name(table, "male", random.Random(0)) == "james"
-
-
-def test_sample_deterministic(census):
-    a = [sample_name(census, "female", random.Random(99)) for _ in range(5)]
-    b = [sample_name(census, "female", random.Random(99)) for _ in range(5)]
-    assert a == b
-
-
-def test_sample_exhausted_errors():
-    table = GenderNameTable(male={"james": 1.0}, female={})
-    with pytest.raises(NameTableError):
-        sample_name(table, "male", random.Random(0), exclude={"james"})
-
-
-def test_sample_respects_exclusions(census):
-    exclude = set(list(census.male)[:10])
-    for _ in range(20):
-        assert sample_name(census, "male", random.Random(_), exclude=exclude) not in exclude
 
 
 def test_word_lists_match_reference_exactly(word_lists):

@@ -61,11 +61,16 @@ def test_unknown_command_exits_1():
 
 
 def test_data_error_exits_2(tmp_path):
-    bad = tmp_path / "bad.conll"
-    bad.write_text(
-        "#begin document (x); part 000\nx 0 0 Hello NNP * (0\n#end document\n"
-    )
-    assert main(["ingest", "--corpus", str(bad), "--out", str(tmp_path / "o.jsonl")]) == 2
+    doc = "#begin document (x); part 000\nx 0 0 Hello NNP * -\n#end document\n"
+    corpora = {
+        "unclosed": "#begin document (x); part 000\nx 0 0 Hello NNP * (0\n#end document\n",
+        "duplicate_ids": doc + doc,
+    }
+    for name, text in corpora.items():
+        corpus, out = tmp_path / f"{name}.conll", tmp_path / f"{name}.jsonl"
+        corpus.write_text(text)
+        assert main(["ingest", "--corpus", str(corpus), "--out", str(out)]) == 2, name
+        assert not out.exists(), name
 
 
 def test_missing_summary_file_is_stage_error(tmp_path, small_corpus):
@@ -193,7 +198,6 @@ def test_generate_cli_with_content_words(tmp_path, small_corpus):
     docs_path = tmp_path / "docs.jsonl"
     write_jsonl(small_corpus, docs_path)
     templates_path = tmp_path / "templates.jsonl"
-    assert main(["build-templates", "--documents", str(docs_path), "--out", str(templates_path)]) == 0
 
     template = next(
         t for t in (build_template(d) for d in small_corpus) if t.gendered_entities()
@@ -216,11 +220,14 @@ def test_generate_cli_with_content_words(tmp_path, small_corpus):
         )
         + "\n"
     )
+    assert main([
+        "build-templates", "--documents", str(docs_path), "--out", str(templates_path),
+        "--content-words", str(cw_path),
+    ]) == 0
     out = tmp_path / "inputs.jsonl"
     assert main([
         "generate", "--templates", str(templates_path), "--scheme", "gender_local",
-        "--seed", "3", "--variants", "2", "--content-words", str(cw_path),
-        "--out", str(out),
+        "--seed", "3", "--variants", "2", "--out", str(out),
     ]) == 0
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     rendered = {row["tokens"][spot] for row in rows if row["original_id"] == template.doc_id}
@@ -253,3 +260,69 @@ def test_global_scheme_distinguishability(tmp_path, small_corpus):
     assert measures["distinguishability_dense"]["point"] == 1.0
     assert measures["distinguishability_count"]["ci_s"] is None
     assert "word_list_inclusion" not in measures
+
+
+def test_stagewise_cli_matches_run_artifacts(tmp_path, monkeypatch):
+    """The stage subcommands, chained by hand on the toy data, write the same
+    bytes as `sumprobe run` leaves in its artifact directory."""
+    from importlib import resources
+
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(root)  # the toy config's paths are relative to the repo root
+    config_path = "data/toy/config.json"
+    config = json.loads(Path(config_path).read_text())
+    assert main(["run", "--config", config_path, "--out-dir", str(tmp_path / "run")]) == 0
+    art = tmp_path / "run" / PipelineConfig.from_file(config_path).config_hash()
+
+    stages = tmp_path / "stages"
+    stages.mkdir()
+    cache = str(resources.files("sumprobe.data").joinpath("wiki_cache.json"))
+    commands = [
+        ["ingest", "--corpus", config["corpus"], "--out", str(stages / "documents.jsonl")],
+        ["build-templates", "--documents", str(stages / "documents.jsonl"),
+         "--out", str(stages / "templates.jsonl")],
+        ["generate", "--templates", str(stages / "templates.jsonl"),
+         "--scheme", config["scheme"], "--seed", str(config["seed"]),
+         "--variants", str(config["variants"]), "--out", str(stages / "inputs.jsonl")],
+        ["align", "--templates", str(stages / "templates.jsonl"),
+         "--inputs", str(stages / "inputs.jsonl"), "--out-dir", str(stages),
+         "--summaries", *(f"{s}={p}" for s, p in sorted(config["summaries"].items()))],
+        ["classify-hallucinations", "--alignments", str(stages / "alignments.skewed.jsonl"),
+         "--cache", cache, "--out", str(stages / "verdicts.skewed.json")],
+    ]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    for name in ("documents.jsonl", "templates.jsonl", "inputs.jsonl",
+                 "alignments.faithful.jsonl", "alignments.skewed.jsonl",
+                 "verdicts.skewed.json"):
+        assert (stages / name).read_bytes() == (art / name).read_bytes(), name
+
+
+def test_run_computes_each_stage_once(tmp_path, small_corpus, monkeypatch):
+    """Cold and resumed runs with two systems read templates.jsonl and
+    inputs.jsonl at most once each and build the detection lexicon once."""
+    from sumprobe import generate, summaries, templates
+
+    calls = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(templates, "read_templates")
+    counted(generate, "read_inputs")
+    counted(summaries, "build_lexicon")
+    config = stage_run(
+        tmp_path, small_corpus, replicates=20,
+        summarizers={"echo": identity_summarizer, "again": identity_summarizer},
+    )
+    run_pipeline(PipelineConfig.from_file(config))
+    assert calls == {"build_lexicon": 1}
+    calls.clear()
+    run_pipeline(PipelineConfig.from_file(config))
+    assert calls == {"read_templates": 1, "read_inputs": 1, "build_lexicon": 1}

@@ -1,15 +1,13 @@
 import json
 
-from corpusgen import DocBuilder, make_fixture_corpus
+from corpusgen import DocBuilder
 
 from sumprobe.templates import (
     TITLES,
     ContentWordSpan,
     SlotCategory,
     build_template,
-    infer_names,
     load_content_words,
-    select_person_chains,
     splice,
     template_from_json,
     template_to_json,
@@ -65,17 +63,22 @@ def test_title_inventory_is_fixed():
     assert TITLES == ("Mr.", "Mrs.", "Ms.", "Sir", "Lady")
 
 
+def names_of(doc):
+    """(entity id, first, last) of every person entity in the document's template."""
+    return [(e.entity, e.first, e.last) for e in build_template(doc).entities]
+
+
 def test_infer_names_title_then_last():
-    assert infer_names(doc_mr_levin(), "0") == (None, "Levin")
+    assert names_of(doc_mr_levin()) == [("0", None, "Levin")]
 
 
 def test_infer_names_first_last_frequency():
-    assert infer_names(doc_obama(), "0") == ("Barack", "Obama")
+    assert names_of(doc_obama()) == [("0", "Barack", "Obama")]
 
 
 def test_infer_names_single_token_is_last_name():
     doc = doc_madonna()
-    assert infer_names(doc, "0") == (None, "Madonna")
+    assert names_of(doc) == [("0", None, "Madonna")]
     template = build_template(doc)
     assert any("single-token" in d for d in template.diagnostics)
 
@@ -88,7 +91,7 @@ def test_select_requires_person_ne():
         mentions=[(0, 1, "0")],
         nes=[(1, 1, "ORG")],
     )
-    assert select_person_chains(b.build()) == set()
+    assert names_of(b.build()) == []
 
 
 def test_unassigned_person_ne_becomes_singleton():
@@ -99,8 +102,7 @@ def test_unassigned_person_ne_becomes_singleton():
         nes=[(3, 4, "PERSON")],
     )
     doc = b.build()
-    assert select_person_chains(doc) == {"ne:3-4"}
-    assert infer_names(doc, "ne:3-4") == ("Edmund", "Vexley")
+    assert names_of(doc) == [("ne:3-4", "Edmund", "Vexley")]
 
 
 def test_ne_links_to_deepest_containing_mention():
@@ -113,7 +115,7 @@ def test_ne_links_to_deepest_containing_mention():
         mentions=[(0, 1, "0"), (0, 3, "1")],
         nes=[(1, 1, "PERSON")],
     )
-    assert select_person_chains(b.build()) == {"0"}
+    assert [e.entity for e in build_template(b.build()).entities] == ["0"]
 
 
 def test_mention_with_title_splits_into_title_and_last_slots():
