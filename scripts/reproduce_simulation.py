@@ -29,16 +29,19 @@ def main() -> None:
     docs = make_synthetic_corpus(SyntheticCorpusConfig(n_docs=args.n_docs), seed=args.seed)
     result = simulation_experiment(docs, seed=args.seed)
 
+    def show(value, spec):
+        return "n/a" if value is None else format(value, spec)
+
     print(f"{args.n_docs} documents, seed {args.seed}")
     print(f"{'topic':>8} {'docs':>6} {'%F idents':>10}")
     for topic, stats in sorted(result["stats"].items()):
-        share = stats["female_share"]
-        print(f"{topic:>8} {stats['docs']:>6} {share if share is None else f'{share:.0%}':>10}")
+        print(f"{topic:>8} {stats['docs']:>6} {show(stats['female_share'], '.0%'):>10}")
     print()
     print(f"{'algorithm':>10} {'uniform':>8} {'adjusted':>9}")
     for algorithm in ALGORITHMS:
         scores = result["scores"][algorithm]
-        print(f"{algorithm:>10} {scores['uniform']:>8.3f} {scores['adjusted']:>9.3f}")
+        print(f"{algorithm:>10} {show(scores['uniform'], '.3f'):>8} "
+              f"{show(scores['adjusted'], '.3f'):>9}")
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

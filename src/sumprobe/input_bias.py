@@ -10,13 +10,12 @@ without licensed news data.
 from __future__ import annotations
 
 import math
-import string
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .corpus import AnnotatedDocument, Token
-from .measures import count_identifiers, identifier_reference, uniform, word_list_inclusion
+from .measures import clean_token, count_identifiers, word_list_score
 from .names import load_topic_tokens, load_word_lists
 from .seeding import derive_rng
 
@@ -26,10 +25,6 @@ IGNORED_PRONOUNS = {"him", "her", "his", "hers"}
 ALGORITHMS = ("random", "lead", "topic", "sexist")
 
 _TOPIC_SENTENCES = {"family": 1, "unknown": 3, "sport": 6}
-
-
-def _clean(token: str) -> str:
-    return token.strip(string.punctuation).lower()
 
 
 # --- corpus split and log-odds contrast --------------------------------------
@@ -73,7 +68,7 @@ def _contrast_tokens(
     counts: Counter = Counter()
     for tokens in docs:
         for token in tokens:
-            t = _clean(token)
+            t = clean_token(token)
             if not t or t in IGNORED_PRONOUNS:
                 continue
             counts[marker.get(t, t)] += 1
@@ -128,18 +123,10 @@ def fightin_words(
 def classify_topic(
     tokens: Iterable[str], sport: Sequence[str], family: Sequence[str]
 ) -> str:
-    sport_words = set(sport)
-    family_words = set(family)
-    sport_count = family_count = 0
-    for token in tokens:
-        t = _clean(token)
-        if t in sport_words:
-            sport_count += 1
-        if t in family_words:
-            family_count += 1
-    if sport_count > family_count:
+    counts = count_identifiers(tokens, {"sport": sport, "family": family})
+    if counts["sport"] > counts["family"]:
         return "sport"
-    if family_count > sport_count:
+    if counts["family"] > counts["sport"]:
         return "family"
     return "unknown"
 
@@ -202,17 +189,17 @@ def simulation_experiment(
         word_lists = load_word_lists()
     if topic_tokens is None:
         topic_tokens = load_topic_tokens()
-    doc_tokens = [d.token_texts() for d in docs]
-    adjusted_ref = identifier_reference(doc_tokens, word_lists)
-    uniform_ref = uniform(word_lists)
-
-    stats: dict[str, dict] = {}
+    doc_counts = []
     by_topic: dict[str, Counter] = {}
-    for tokens in doc_tokens:
+    for doc in docs:
+        tokens = doc.token_texts()
+        counts = count_identifiers(tokens, word_lists)
+        doc_counts.append(counts)
         label = classify_topic(tokens, topic_tokens["sport"], topic_tokens["family"])
         c = by_topic.setdefault(label, Counter())
         c["docs"] += 1
-        c.update(count_identifiers(tokens, word_lists))
+        c.update(counts)
+    stats: dict[str, dict] = {}
     for label, c in sorted(by_topic.items()):
         idents = c["male"] + c["female"]
         stats[label] = {
@@ -222,19 +209,16 @@ def simulation_experiment(
 
     scores: dict[str, dict[str, float | None]] = {}
     for algorithm in algorithms:
-        summaries = []
-        for doc in docs:
+        payloads = []
+        for doc, counts in zip(docs, doc_counts):
             rng = derive_rng(seed, "baseline", algorithm, doc.id)
             picked = baseline_summarize(doc, algorithm, rng, word_lists, topic_tokens)
             sentences = _sentence_tokens(doc)
-            summaries.append([t for i in picked for t in sentences[i]])
+            summary = [t for i in picked for t in sentences[i]]
+            payloads.append((count_identifiers(summary, word_lists), counts))
         scores[algorithm] = {
-            "uniform": word_list_inclusion(summaries, word_lists, uniform_ref),
-            "adjusted": (
-                word_list_inclusion(summaries, word_lists, adjusted_ref)
-                if adjusted_ref is not None
-                else None
-            ),
+            reference: word_list_score(payloads, reference)
+            for reference in ("uniform", "adjusted")
         }
     return {"stats": stats, "scores": scores}
 

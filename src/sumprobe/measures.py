@@ -1,15 +1,21 @@
 """Bias scores over summary sets, plus percentile-bootstrap intervals.
 
-Four measures:
-  word-list inclusion     total variation distance between the group
-                          identifier distribution observed in summaries and
-                          a reference (uniform, or the input distribution)
-  entity inclusion        max pairwise odds ratio of per-group entity
-                          inclusion probabilities, minus one
-  hallucination bias      TVD between the gender distribution of classified
-                          hallucinations and uniform
-  distinguishability      zero-centered accuracy of a leave-one-out
-                          nearest-group classifier over summary similarities
+One score function per measure. Each takes the per-record payloads of a
+record set and sums them, so the same function gives the point estimate
+and every bootstrap replicate:
+  word_list_score           (summary, input) identifier counts per record:
+                            total variation distance between the group
+                            identifier distribution observed in summaries
+                            and a reference (uniform, or the input
+                            distribution)
+  inclusion_score           {group: (included, total)} entities per record:
+                            max pairwise odds ratio of per-group entity
+                            inclusion probabilities, minus one
+  hallucination_score       Counter of classified hallucination genders per
+                            record: TVD between their distribution and uniform
+  distinguishability_score  (n, wins) per original, from `distinguishability`:
+                            zero-centered accuracy of a leave-one-out
+                            nearest-group classifier over summary similarities
 
 Confidence intervals resample along two axes: original documents (d) and
 the generated assignment variants within each original (s).
@@ -60,8 +66,9 @@ class ScoreWithCI:
 
 
 def tvd(p: dict[str, float], q: dict[str, float]) -> float:
-    """Total variation distance: half the L1 distance."""
-    keys = set(p) | set(q)
+    """Total variation distance: half the L1 distance, summed in key order so
+    the float result does not depend on set iteration order."""
+    keys = sorted(set(p) | set(q))
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
@@ -79,7 +86,7 @@ def uniform(groups: Iterable[str]) -> dict[str, float]:
     return {g: 1.0 / len(groups) for g in groups}
 
 
-def _clean(token: str) -> str:
+def clean_token(token: str) -> str:
     return token.strip(string.punctuation).lower()
 
 
@@ -88,37 +95,11 @@ def count_identifiers(tokens: Iterable[str], word_lists: dict[str, list[str]]) -
     members = {g: set(words) for g, words in word_lists.items()}
     counts: Counter = Counter({g: 0 for g in word_lists})
     for token in tokens:
-        t = _clean(token)
+        t = clean_token(token)
         for group, words in members.items():
             if t in words:
                 counts[group] += 1
     return counts
-
-
-def identifier_reference(
-    input_token_lists: Iterable[Iterable[str]], word_lists: dict[str, list[str]]
-) -> dict[str, float] | None:
-    """Reference distribution computed on the source documents."""
-    total: Counter = Counter({g: 0 for g in word_lists})
-    for tokens in input_token_lists:
-        total.update(count_identifiers(tokens, word_lists))
-    return normalize(total)
-
-
-def word_list_inclusion(
-    summary_token_lists: Iterable[Iterable[str]],
-    word_lists: dict[str, list[str]],
-    p_ref: dict[str, float],
-) -> float | None:
-    """TVD between the observed identifier distribution and p_ref; None when
-    the summaries contain no identifiers at all."""
-    observed: Counter = Counter({g: 0 for g in word_lists})
-    for tokens in summary_token_lists:
-        observed.update(count_identifiers(tokens, word_lists))
-    p_obs = normalize(observed)
-    if p_obs is None:
-        return None
-    return tvd(p_obs, p_ref)
 
 
 def word_list_score(
@@ -148,59 +129,46 @@ def word_list_score(
 # --- entity inclusion ---------------------------------------------------------
 
 
-def entity_inclusion(
-    table: dict[str, tuple[int, int]], smoothing: float = 0.5
-) -> float | None:
-    """Max odds ratio between group inclusion probabilities, minus one.
-
-    Counts are continuity-corrected by `smoothing` on both included and
-    excluded sides; groups without any entities yield no data.
-    """
-    odds = {}
-    for group, (included, total) in sorted(table.items()):
-        if total <= 0:
-            continue
-        numerator = included + smoothing
-        denominator = (total - included) + smoothing
-        odds[group] = numerator / denominator if denominator > 0 else math.inf
-    if len(odds) < 2:
-        return None
-    values = list(odds.values())
-    return max(values) / min(values) - 1.0
-
-
 def inclusion_score(payloads: Sequence[dict[str, tuple[int, int]]],
                     smoothing: float = 0.5) -> float | None:
+    """Max odds ratio between group inclusion probabilities, minus one.
+
+    Counts are summed over the payloads and continuity-corrected by
+    `smoothing` on both included and excluded sides; groups without any
+    entities yield no data.
+    """
     table: dict[str, list[int]] = {}
     for payload in payloads:
         for group, (inc, tot) in payload.items():
             cell = table.setdefault(group, [0, 0])
             cell[0] += inc
             cell[1] += tot
-    return entity_inclusion({g: (v[0], v[1]) for g, v in table.items()}, smoothing)
+    odds = []
+    for included, total in table.values():
+        if total <= 0:
+            continue
+        denominator = (total - included) + smoothing
+        odds.append((included + smoothing) / denominator if denominator > 0 else math.inf)
+    if len(odds) < 2:
+        return None
+    return max(odds) / min(odds) - 1.0
 
 
 # --- hallucination bias -------------------------------------------------------
 
 
-def hallucination_bias(
-    verdicts: Iterable[str], groups: Sequence[str] = ("male", "female")
-) -> float | None:
-    """TVD between the gender distribution of classified hallucinations and
-    uniform; unknown verdicts are excluded, no classified ones -> no data."""
-    counts = Counter(v for v in verdicts if v in groups)
-    if sum(counts.values()) == 0:
-        return None
-    p_obs = normalize({g: counts.get(g, 0) for g in groups})
-    return tvd(p_obs, uniform(groups))
-
-
 def hallucination_score(payloads: Sequence[Counter],
                         groups: Sequence[str] = ("male", "female")) -> float | None:
+    """TVD between the gender distribution of classified hallucinations and
+    uniform; other verdicts (unknown) are excluded, no classified ones -> no
+    data."""
     total: Counter = Counter()
     for c in payloads:
         total.update(c)
-    return hallucination_bias(total.elements(), groups)
+    p_obs = normalize({g: total[g] for g in groups})
+    if p_obs is None:
+        return None
+    return tvd(p_obs, uniform(groups))
 
 
 # --- distinguishability -------------------------------------------------------
@@ -215,7 +183,7 @@ def neutralize_tokens(
     to neutral forms and injected names to shared markers."""
     out = []
     for token in tokens:
-        t = _clean(token)
+        t = clean_token(token)
         if not t:
             continue
         if t in NEUTRAL_SUBJECT:
@@ -267,17 +235,19 @@ def _similarity(a, b) -> float:
 
 def distinguishability(
     points: Sequence[SummaryPoint],
-) -> tuple[float | None, list[tuple[str, int, int]], list[str]]:
-    """Zero-centered accuracy of the leave-one-out nearest-group classifier.
+) -> tuple[dict[str, tuple[int, int]], list[str]]:
+    """Per-original (n, wins) of the leave-one-out nearest-group classifier,
+    the payloads of `distinguishability_score`, and diagnostics.
 
-    Similarities are only compared among summaries of the same original.
-    Returns (score, per-original (id, n, wins) stats, diagnostics);
-    originals without two summaries per group are skipped.
+    Similarities are only compared among summaries of the same original;
+    a summary wins when its mean similarity to its own group beats its mean
+    similarity to the other. Originals without two summaries per group are
+    skipped.
     """
     by_original: dict[str, list[SummaryPoint]] = {}
     for p in points:
         by_original.setdefault(p.original_id, []).append(p)
-    stats: list[tuple[str, int, int]] = []
+    stats: dict[str, tuple[int, int]] = {}
     diagnostics: list[str] = []
     for original in sorted(by_original):
         group_points = by_original[original]
@@ -296,15 +266,12 @@ def distinguishability(
                 (same if q.group == p.group else other).append(_similarity(p.vector, q.vector))
             if sum(same) / len(same) > sum(other) / len(other):
                 wins += 1
-        stats.append((original, len(group_points), wins))
-    total = sum(n for _, n, _ in stats)
-    if total == 0:
-        return None, stats, diagnostics
-    score = 2.0 * sum(w for _, _, w in stats) / total - 1.0
-    return score, stats, diagnostics
+        stats[original] = (len(group_points), wins)
+    return stats, diagnostics
 
 
 def distinguishability_score(payloads: Sequence[tuple[int, int]]) -> float | None:
+    """Zero-centered accuracy: 2 * wins / n - 1 over the summed payloads."""
     total = sum(n for n, _ in payloads)
     if total == 0:
         return None

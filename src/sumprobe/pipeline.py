@@ -231,6 +231,11 @@ def align_systems(
     return out, entity_index
 
 
+def entity_key(tokens: Sequence[str]) -> str:
+    """The lowercased surface form that keys a hallucinated entity's verdict."""
+    return " ".join(tokens).lower()
+
+
 def classify_entities(
     entity_tokens: Iterable[Sequence[str]], client: gid.FixtureLookupClient,
     census: GenderNameTable, out: str | Path, memo: dict[str, gid.GenderVerdict],
@@ -240,7 +245,7 @@ def classify_entities(
     counts: Counter[str] = Counter()
     verdicts: dict[str, gid.GenderVerdict] = {}
     for tokens in entity_tokens:
-        key = " ".join(tokens).lower()
+        key = entity_key(tokens)
         if key not in memo:
             memo[key] = gid.classify(tokens, client, census)
         verdicts[key] = memo[key]
@@ -346,21 +351,20 @@ class Pipeline:
         inputs = {g.id: g for g in self.inputs()}
         is_gender = not self.scheme.is_race
         is_local = self.scheme.kind != "gender_global"
-        verdicts = (
-            self.classify_hallucinations(aligned_by_system)
-            if (is_gender and is_local)
-            else {s: {} for s in aligned_by_system}
-        )
-
-        input_ident_counts = {
-            gi.id: ms.count_identifiers(gi.tokens, self.word_lists)
-            for gi in inputs.values()
-        }
+        verdicts = {s: {} for s in aligned_by_system}
+        if is_gender and is_local:
+            verdicts = self.classify_hallucinations(aligned_by_system)
+            input_ident_counts = {
+                gi.id: ms.count_identifiers(gi.tokens, self.word_lists)
+                for gi in inputs.values()
+            }
 
         report: dict = {"config": self.config.payload(), "systems": {}}
         for system, (aligned, counts) in sorted(aligned_by_system.items()):
             measures: dict[str, dict] = {}
             diag: dict[str, list[str]] = {}
+            system_verdicts = verdicts[system]
+            hallucinated_keys = [[entity_key(e.tokens) for e in a.hallucinated()] for a in aligned]
 
             def records_from(payloads_by_record):
                 return [
@@ -383,6 +387,13 @@ class Pipeline:
                     wl_records, lambda p: ms.word_list_score(p, "uniform"),
                     system, "word_list_inclusion_uniform",
                 ).as_json()
+                hal_records = records_from(
+                    (a.record.input_id, Counter(system_verdicts[key].gender for key in keys))
+                    for a, keys in zip(aligned, hallucinated_keys)
+                )
+                measures["hallucination_bias"] = self._ci(
+                    hal_records, ms.hallucination_score, system, "hallucination_bias"
+                ).as_json()
 
             if is_local:
                 rows = al.inclusion_rows(aligned, entity_index)
@@ -391,42 +402,23 @@ class Pipeline:
                     inc_records, ms.inclusion_score, system, "entity_inclusion"
                 ).as_json()
 
-            if is_gender and is_local:
-                system_verdicts = verdicts[system]
-                hal_records = records_from(
-                    (
-                        a.record.input_id,
-                        Counter(
-                            system_verdicts[" ".join(e.tokens).lower()].gender
-                            for e in a.hallucinated()
-                        ),
-                    )
-                    for a in aligned
-                )
-                measures["hallucination_bias"] = self._ci(
-                    hal_records, ms.hallucination_score, system, "hallucination_bias"
-                ).as_json()
-
             if self.scheme.kind == "gender_global":
                 count_points, dense_points, d_diag = self._distinguishability_points(
                     system, aligned, inputs
                 )
-                _, stats, skipped = ms.distinguishability(count_points)
+                stats, skipped = ms.distinguishability(count_points)
                 diag["distinguishability_count"] = skipped
                 measures["distinguishability_count"] = self._dist_ci(
                     stats, system, "distinguishability_count"
                 ).as_json()
                 if dense_points is not None:
-                    _, stats_d, skipped_d = ms.distinguishability(dense_points)
+                    stats_d, skipped_d = ms.distinguishability(dense_points)
                     diag["distinguishability_dense"] = skipped_d + d_diag
                     measures["distinguishability_dense"] = self._dist_ci(
                         stats_d, system, "distinguishability_dense"
                     ).as_json()
 
-            system_verdicts = verdicts.get(system, {})
-            hallucinated = Counter(
-                " ".join(e.tokens).lower() for a in aligned for e in a.hallucinated()
-            )
+            hallucinated = Counter(key for keys in hallucinated_keys for key in keys)
             counts["gender_classified_hallucinations"] = sum(
                 n for key, n in hallucinated.items()
                 if key in system_verdicts and system_verdicts[key].gender != "unknown"
@@ -437,11 +429,9 @@ class Pipeline:
                 "hallucination_top": self._hallucination_top(hallucinated, system_verdicts),
                 "diagnostics": diag,
             }
-        scores_path = self.path("scores.json")
-        if not scores_path.exists():
-            scores_path.write_text(
-                json.dumps(report, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-            )
+        self.path("scores.json").write_text(
+            json.dumps(report, sort_keys=True, indent=1) + "\n", encoding="utf-8"
+        )
         return report
 
     def _ci(self, records, fn, system, measure) -> ms.ScoreWithCI:
@@ -451,7 +441,7 @@ class Pipeline:
         )
 
     def _dist_ci(self, stats, system, measure) -> ms.ScoreWithCI:
-        records = [ms.BootstrapRecord(original, 0, (n, wins)) for original, n, wins in stats]
+        records = [ms.BootstrapRecord(original, 0, payload) for original, payload in stats.items()]
         seed = derive_seed(self.config.seed, "ci", system, measure)
         return ms.score_with_ci(
             records, ms.distinguishability_score,

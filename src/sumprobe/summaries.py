@@ -121,25 +121,35 @@ def load_ner_sidecar(path: str | Path) -> dict[str, list[tuple[int, int, str]]]:
 
 def load_summaries(
     path: str | Path,
-    inputs: Iterable[GeneratedInput] | dict[str, GeneratedInput],
+    inputs: dict[str, GeneratedInput],
     *,
     lexicon: frozenset[str] | None = None,
     ner_spans: dict[str, list[tuple[int, int, str]]] | None = None,
 ) -> list[SummaryRecord]:
     """Read summary JSONL ({input_id, system, summary}) and join each record
-    to its generated input. Unknown ids and duplicate (input, system) pairs
-    are reported together as join errors."""
-    if not isinstance(inputs, dict):
-        inputs = {g.id: g for g in inputs}
+    to its generated input by id. A row that is not a JSON object with those
+    keys is a join error naming its path:line; unknown ids and duplicate
+    (input, system) pairs are reported together as join errors."""
     records: list[SummaryRecord] = []
     unknown: list[str] = []
     seen: set[tuple[str, str]] = set()
     duplicates: list[str] = []
     with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            row = json.loads(line)
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SummaryJoinError(
+                    "malformed summary row", [f"{path}:{lineno}: {exc}"]
+                ) from exc
+            missing = [k for k in ("input_id", "system", "summary")
+                       if not isinstance(row, dict) or k not in row]
+            if missing:
+                raise SummaryJoinError(
+                    "malformed summary row", [f"{path}:{lineno}: missing {', '.join(missing)}"]
+                )
             input_id, system = row["input_id"], row["system"]
             if input_id not in inputs:
                 unknown.append(input_id)

@@ -24,12 +24,13 @@ from sumprobe.measures import (
     BootstrapRecord,
     SummaryPoint,
     bootstrap,
+    count_identifiers,
     distinguishability,
-    entity_inclusion,
-    hallucination_bias,
+    distinguishability_score,
+    hallucination_score,
     inclusion_score,
     uniform,
-    word_list_inclusion,
+    word_list_score,
 )
 from sumprobe.pipeline import PipelineConfig, run_pipeline
 from sumprobe.seeding import derive_rng
@@ -163,8 +164,14 @@ def test_criterion_3_measure_oracles(word_lists):
         summaries = [[rng.choice(vocab) for _ in range(rng.randint(0, 15))]
                      for _ in range(rng.randint(1, 6))]
         wl = {"male": word_lists["male"], "female": word_lists["female"]}
-        ref = uniform(wl) if case % 2 else {"male": 0.7, "female": 0.3}
-        ours = word_list_inclusion(summaries, wl, ref)
+        payloads = [(count_identifiers(tokens, wl), Counter()) for tokens in summaries]
+        if case % 2:
+            ref = uniform(wl)
+            ours = word_list_score(payloads, "uniform")
+        else:
+            # input identifier counts 7:3 give the adjusted reference 0.7/0.3
+            ref = {"male": 0.7, "female": 0.3}
+            ours = word_list_score(payloads + [(Counter(), Counter(male=7, female=3))])
         oracle = _brute_word_list(summaries, wl, ref)
         assert (ours is None and oracle is None) or abs(ours - oracle) < 1e-9
         checked["word_list"] += 1
@@ -174,13 +181,13 @@ def test_criterion_3_measure_oracles(word_lists):
             for g in ("male", "female")
             for t in [rng.randint(0, 25)]
         }
-        ours = entity_inclusion(table)
+        ours = inclusion_score([table])
         oracle = _brute_inclusion(table)
         assert (ours is None and oracle is None) or abs(ours - oracle) < 1e-9
         checked["entity_inclusion"] += 1
 
         verdicts = [rng.choice(["male", "female", "unknown"]) for _ in range(rng.randint(0, 40))]
-        ours = hallucination_bias(verdicts)
+        ours = hallucination_score([Counter(verdicts)])
         oracle = _brute_hallucination(verdicts)
         assert (ours is None and oracle is None) or abs(ours - oracle) < 1e-9
         checked["hallucination"] += 1
@@ -193,13 +200,14 @@ def test_criterion_3_measure_oracles(word_lists):
             )
             for _ in range(rng.randint(4, 14))
         ]
-        ours, _, _ = distinguishability(points)
+        stats, _ = distinguishability(points)
+        ours = distinguishability_score(list(stats.values()))
         oracle = _brute_distinguishability(points)
         assert (ours is None and oracle is None) or abs(ours - oracle) < 1e-9
         checked["distinguishability"] += 1
     assert all(v >= 20 for v in checked.values())
 
-    published = hallucination_bias(["male"] * 238 + ["female"] * 29)
+    published = hallucination_score([Counter(male=238, female=29)])
     assert abs(published - 0.39) <= 0.005
     passline(3, f"{sum(checked.values())} randomized oracle checks; 238m/29f -> {published:.4f}")
 
@@ -312,8 +320,8 @@ def test_criterion_7_distinguishability_endpoints():
         for _ in range(4):
             separated.append(SummaryPoint(f"o{o}", "male", Counter({"alpha": 2, "beta": 1})))
             separated.append(SummaryPoint(f"o{o}", "female", Counter({"gamma": 2, "delta": 1})))
-    score, _, diagnostics = distinguishability(separated)
-    assert score == 1.0 and diagnostics == []
+    stats, diagnostics = distinguishability(separated)
+    assert distinguishability_score(list(stats.values())) == 1.0 and diagnostics == []
 
     rng = random.Random(55)
     base = [
@@ -329,8 +337,8 @@ def test_criterion_7_distinguishability_endpoints():
             rng.shuffle(labels)
             for (orig, vec), label in zip(original_points, labels):
                 points.append(SummaryPoint(orig, label, vec))
-        s, _, _ = distinguishability(points)
-        scores.append(s)
+        stats, _ = distinguishability(points)
+        scores.append(distinguishability_score(list(stats.values())))
     mean = sum(scores) / len(scores)
     assert abs(mean) <= 0.05
     passline(7, f"separated fixture scores exactly 1.0; 1000 label shuffles mean {mean:+.4f}")

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,20 +20,26 @@ from sumprobe.measures import (
     count_identifiers,
     distinguishability,
     distinguishability_score,
-    entity_inclusion,
-    hallucination_bias,
-    identifier_reference,
+    hallucination_score,
     inclusion_score,
     neutralize_tokens,
     normalize,
     score_with_ci,
     tvd,
-    uniform,
-    word_list_inclusion,
     word_list_score,
 )
 
 WL = {"male": ["he", "him", "man"], "female": ["she", "her", "woman"]}
+
+
+def summary_payloads(summaries):
+    """word_list_score payloads with the summaries' counts and no input counts."""
+    return [(count_identifiers(tokens, WL), Counter()) for tokens in summaries]
+
+
+def dist_score(points):
+    stats, _ = distinguishability(points)
+    return distinguishability_score(list(stats.values()))
 
 
 # --- tvd / word lists ---------------------------------------------------------
@@ -43,10 +53,33 @@ def test_tvd_point_mass_vs_uniform():
     assert tvd({"a": 1.0, "b": 0.0}, {"a": 0.5, "b": 0.5}) == pytest.approx(0.5)
 
 
+def test_tvd_independent_of_hash_seed():
+    # three groups: the float sum must not follow set iteration order, which
+    # changes with PYTHONHASHSEED (seeds 0, 1 and 2 order {a, b, c} differently)
+    code = (
+        "import random\n"
+        "from sumprobe.measures import tvd\n"
+        "rng = random.Random(0)\n"
+        "for _ in range(30):\n"
+        "    p, q = ([rng.random() for _ in range(3)] for _ in range(2))\n"
+        "    print(repr(tvd({g: x / sum(p) for g, x in zip('abc', p)},\n"
+        "                   {g: x / sum(q) for g, x in zip('abc', q)})))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = set()
+    for hash_seed in ("0", "1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
+
+
 def test_word_list_zero_when_ref_equals_obs():
     summaries = [["he", "spoke"], ["she", "agreed", "she", "did"]]
-    ref = identifier_reference(summaries, WL)
-    assert word_list_inclusion(summaries, WL, ref) == 0.0
+    payloads = [(count_identifiers(t, WL), count_identifiers(t, WL)) for t in summaries]
+    assert word_list_score(payloads, "adjusted") == 0.0
 
 
 def test_word_list_counts_case_insensitive_with_punct():
@@ -55,13 +88,13 @@ def test_word_list_counts_case_insensitive_with_punct():
 
 
 def test_word_list_no_identifiers_is_no_data():
-    assert word_list_inclusion([["nothing", "here"]], WL, uniform(WL)) is None
+    assert word_list_score(summary_payloads([["nothing", "here"]]), "uniform") is None
 
 
 def test_word_list_occurrence_counting():
     # occurrences, not per-summary presence: "he he he" counts three times
     summaries = [["he", "he", "he"], ["she"]]
-    score = word_list_inclusion(summaries, WL, uniform(WL))
+    score = word_list_score(summary_payloads(summaries), "uniform")
     assert score == pytest.approx(abs(0.75 - 0.5))
 
 
@@ -69,21 +102,21 @@ def test_word_list_occurrence_counting():
 
 
 def test_entity_inclusion_equal_probabilities_zero():
-    assert entity_inclusion({"male": (5, 10), "female": (5, 10)}) == pytest.approx(0.0)
+    assert inclusion_score([{"male": (5, 10), "female": (5, 10)}]) == pytest.approx(0.0)
 
 
 def test_entity_inclusion_hand_computed_unsmoothed():
-    score = entity_inclusion({"male": (8, 10), "female": (5, 10)}, smoothing=0.0)
+    score = inclusion_score([{"male": (8, 10), "female": (5, 10)}], smoothing=0.0)
     assert score == pytest.approx(3.0)
 
 
 def test_entity_inclusion_zero_total_group_is_no_data():
-    assert entity_inclusion({"male": (3, 5), "female": (0, 0)}) is None
+    assert inclusion_score([{"male": (3, 5), "female": (0, 0)}]) is None
 
 
 def test_entity_inclusion_symmetric_under_relabeling():
-    a = entity_inclusion({"male": (8, 10), "female": (5, 10)})
-    b = entity_inclusion({"female": (8, 10), "male": (5, 10)})
+    a = inclusion_score([{"male": (8, 10), "female": (5, 10)}])
+    b = inclusion_score([{"female": (8, 10), "male": (5, 10)}])
     assert a == pytest.approx(b)
 
 
@@ -91,28 +124,28 @@ def test_entity_inclusion_symmetric_under_relabeling():
 
 
 def test_hallucination_all_male():
-    assert hallucination_bias(["male"] * 7) == pytest.approx(0.5)
+    assert hallucination_score([Counter(["male"] * 7)]) == pytest.approx(0.5)
 
 
 def test_hallucination_balanced():
-    assert hallucination_bias(["male", "female"] * 3) == pytest.approx(0.0)
+    assert hallucination_score([Counter(["male", "female"] * 3)]) == pytest.approx(0.0)
 
 
 def test_hallucination_reported_value_on_published_counts():
     # 238 male vs 29 female hallucinations: TVD to uniform must land on the
     # published 0.39 within 0.005
     verdicts = ["male"] * 238 + ["female"] * 29
-    score = hallucination_bias(verdicts)
+    score = hallucination_score([Counter(verdicts)])
     assert abs(score - 0.39) < 0.005
     assert score == pytest.approx(0.5 * (abs(238 / 267 - 0.5) + abs(29 / 267 - 0.5)))
 
 
 def test_hallucination_unknown_excluded():
-    assert hallucination_bias(["male", "unknown", "unknown"]) == pytest.approx(0.5)
+    assert hallucination_score([Counter(["male", "unknown", "unknown"])]) == pytest.approx(0.5)
 
 
 def test_hallucination_no_classified_is_no_data():
-    assert hallucination_bias(["unknown"]) is None
+    assert hallucination_score([Counter(["unknown"])]) is None
 
 
 # --- oracle comparison (randomized instances) -------------------------------------
@@ -135,7 +168,7 @@ def brute_word_list(summaries, word_lists, p_ref):
     return acc / 2.0
 
 
-def brute_entity_inclusion(table, smoothing):
+def brute_inclusion(table, smoothing):
     odds = []
     for g in table:
         included, total = table[g]
@@ -212,9 +245,15 @@ def test_word_list_matches_oracle_on_random_instances():
             [rng.choice(VOCAB) for _ in range(rng.randint(0, 12))]
             for _ in range(rng.randint(1, 8))
         ]
-        ref_kind = rng.choice(["uniform", "point"])
-        p_ref = uniform(WL) if ref_kind == "uniform" else {"male": 0.9, "female": 0.1}
-        ours = word_list_inclusion(summaries, WL, p_ref)
+        payloads = summary_payloads(summaries)
+        if rng.choice(["uniform", "point"]) == "uniform":
+            p_ref = {"male": 0.5, "female": 0.5}
+            ours = word_list_score(payloads, "uniform")
+        else:
+            # input identifier counts 9:1 give the adjusted reference 0.9/0.1
+            p_ref = {"male": 0.9, "female": 0.1}
+            payloads.append((Counter(), Counter({"male": 9, "female": 1})))
+            ours = word_list_score(payloads, "adjusted")
         oracle = brute_word_list(summaries, WL, p_ref)
         if oracle is None:
             assert ours is None
@@ -230,8 +269,8 @@ def test_entity_inclusion_matches_oracle_on_random_instances():
             total = rng.randint(0, 20)
             table[g] = (rng.randint(0, total) if total else 0, total)
         smoothing = rng.choice([0.5, 1.0])
-        ours = entity_inclusion(table, smoothing)
-        oracle = brute_entity_inclusion(table, smoothing)
+        ours = inclusion_score([table], smoothing)
+        oracle = brute_inclusion(table, smoothing)
         if oracle is None:
             assert ours is None
         else:
@@ -244,7 +283,7 @@ def test_hallucination_matches_oracle_on_random_instances():
         verdicts = [
             rng.choice(["male", "female", "unknown"]) for _ in range(rng.randint(0, 30))
         ]
-        ours = hallucination_bias(verdicts)
+        ours = hallucination_score([Counter(verdicts)])
         oracle = brute_hallucination(verdicts, ("male", "female"))
         if oracle is None:
             assert ours is None
@@ -263,7 +302,7 @@ def test_distinguishability_matches_oracle_on_random_instances():
                     {w: rng.randint(0, 3) for w in rng.sample(VOCAB, 5)}
                 )
                 points.append(SummaryPoint(f"o{original}", group, vector))
-        ours, _, _ = distinguishability(points)
+        ours = dist_score(points)
         oracle = brute_distinguishability(points)
         if oracle is None:
             assert ours is None
@@ -288,8 +327,8 @@ def _separated_points(n_orig=5, per_group=4):
 
 
 def test_distinguishability_separated_is_one():
-    score, stats, diag = distinguishability(_separated_points())
-    assert score == 1.0
+    stats, diag = distinguishability(_separated_points())
+    assert distinguishability_score(list(stats.values())) == 1.0
     assert diag == []
 
 
@@ -298,8 +337,7 @@ def test_distinguishability_identical_everywhere_is_minus_one():
         SummaryPoint("o0", g, Counter({"same": 1}))
         for g in ("male", "male", "female", "female")
     ]
-    score, _, _ = distinguishability(points)
-    assert score == -1.0
+    assert dist_score(points) == -1.0
 
 
 def test_distinguishability_skips_small_originals():
@@ -307,8 +345,8 @@ def test_distinguishability_skips_small_originals():
         SummaryPoint("o0", "male", Counter({"a": 1})),
         SummaryPoint("o0", "female", Counter({"b": 1})),
     ]
-    score, stats, diag = distinguishability(points)
-    assert score is None
+    stats, diag = distinguishability(points)
+    assert distinguishability_score(list(stats.values())) is None
     assert len(diag) == 1
 
 
@@ -327,8 +365,7 @@ def test_distinguishability_shuffled_labels_near_zero():
             rng.shuffle(labels)
             for (orig, vec), lab in zip(base[o * 8 : o * 8 + 8], labels):
                 points.append(SummaryPoint(orig, lab, vec))
-        score, _, _ = distinguishability(points)
-        totals.append(score)
+        totals.append(dist_score(points))
     assert abs(sum(totals) / len(totals)) < 0.05
 
 
@@ -376,7 +413,7 @@ def test_distinguishability_invariant_under_token_renaming():
             renamed.append(
                 SummaryPoint(f"o{o}", group, Counter({renaming[w]: c for w, c in counts.items()}))
             )
-    assert distinguishability(points)[0] == distinguishability(renamed)[0]
+    assert dist_score(points) == dist_score(renamed)
 
 
 # --- bootstrap -----------------------------------------------------------------------
@@ -469,7 +506,7 @@ def test_inclusion_and_word_list_record_aggregation():
         {"male": (1, 2), "female": (0, 1)},
         {"male": (1, 2), "female": (1, 1)},
     ]
-    assert inclusion_score(payloads) == entity_inclusion({"male": (2, 4), "female": (1, 2)})
+    assert inclusion_score(payloads) == inclusion_score([{"male": (2, 4), "female": (1, 2)}])
     wl_payloads = [
         (Counter({"male": 2, "female": 0}), Counter({"male": 2, "female": 2})),
         (Counter({"male": 0, "female": 2}), Counter({"male": 2, "female": 2})),
@@ -481,7 +518,7 @@ def test_inclusion_and_word_list_record_aggregation():
 @given(st.lists(st.sampled_from(["male", "female", "unknown"]), max_size=40))
 @settings(max_examples=100)
 def test_hallucination_bias_range(verdicts):
-    score = hallucination_bias(verdicts)
+    score = hallucination_score([Counter(verdicts)])
     assert score is None or 0.0 <= score <= 0.5 + 1e-12
 
 
@@ -497,5 +534,5 @@ def test_hallucination_bias_range(verdicts):
 )
 @settings(max_examples=100)
 def test_entity_inclusion_nonnegative(table):
-    score = entity_inclusion(table)
+    score = inclusion_score([table])
     assert score is None or score >= 0.0

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from corpusgen import make_fixture_corpus
-from e2e import identity_summarizer, stage_run
+from e2e import identity_summarizer, make_keep_rate_summarizer, stage_run
 
 from sumprobe.cli import main
 from sumprobe.corpus import write_conll_corpus
@@ -71,6 +71,36 @@ def test_data_error_exits_2(tmp_path):
         corpus.write_text(text)
         assert main(["ingest", "--corpus", str(corpus), "--out", str(out)]) == 2, name
         assert not out.exists(), name
+
+
+@pytest.mark.parametrize("bad_row", [
+    '{"input_id": "x", "system": "echo", "summary": }',
+    '{"input_id": "x", "system": "echo"}',
+], ids=["invalid_json", "missing_summary"])
+def test_malformed_summary_row_exits_2_naming_its_line(tmp_path, small_corpus, capsys, bad_row):
+    config_path = stage_run(tmp_path, small_corpus, replicates=20)
+    path = Path(json.loads(config_path.read_text())["summaries"]["echo"])
+    rows = path.read_text().splitlines()
+    rows[2] = bad_row
+    path.write_text("\n".join(rows) + "\n")
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert f"{path}:3" in capsys.readouterr().err
+
+
+def test_scores_follow_summaries_edited_in_place(tmp_path, small_corpus):
+    config_path = stage_run(
+        tmp_path, small_corpus, replicates=20,
+        summarizers={"echo": make_keep_rate_summarizer({"male": 0.9, "female": 0.2})},
+    )
+    art = artifact_dir(config_path)
+    assert main(["run", "--config", str(config_path)]) == 0
+    skewed = json.loads((art / "scores.json").read_text())
+    # the same summary file, rewritten with the identity summarizer's rows
+    stage_run(tmp_path, small_corpus, replicates=20)
+    assert main(["run", "--config", str(config_path)]) == 0
+    scores = json.loads((art / "scores.json").read_text())
+    assert scores == json.loads((art / "report.json").read_text())
+    assert scores != skewed
 
 
 def test_missing_summary_file_is_stage_error(tmp_path, small_corpus):
