@@ -10,13 +10,13 @@ inclusion nor hallucination.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .generate import GeneratedInput
+from .jsonio import write_rows
 from .summaries import SummaryEntity, SummaryRecord
 from .templates import TITLES, DocumentTemplate
 
@@ -162,31 +162,17 @@ def inclusion_rows(
 
 
 def write_alignments(aligned: Iterable[AlignedSummary], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for a in aligned:
-            for r in a.results:
-                fh.write(
-                    json.dumps(
-                        {
-                            "input_id": a.record.input_id,
-                            "system": a.record.system,
-                            "entity_tokens": list(r.entity.tokens),
-                            "start": r.entity.start,
-                            "end": r.entity.end,
-                            "status": r.status,
-                            "matched_entity": r.matched,
-                            "reason": r.reason,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-
-
-def read_alignment_rows(path: str | Path) -> list[dict]:
-    rows = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append(json.loads(line))
-    return rows
+    write_rows(path, (
+        {
+            "input_id": a.record.input_id,
+            "system": a.record.system,
+            "entity_tokens": list(r.entity.tokens),
+            "start": r.entity.start,
+            "end": r.entity.end,
+            "status": r.status,
+            "matched_entity": r.matched,
+            "reason": r.reason,
+        }
+        for a in aligned
+        for r in a.results
+    ))

@@ -16,6 +16,7 @@ from . import gender_id as gid
 from . import generate as gen
 from . import input_bias as ib
 from . import templates as tp
+from .jsonio import read_rows, write_json, write_text
 from .names import (
     NameTableError,
     load_census,
@@ -26,6 +27,7 @@ from .names import (
 )
 from .pipeline import (
     DataError,
+    Pipeline,
     PipelineConfig,
     StageError,
     align_systems,
@@ -34,7 +36,6 @@ from .pipeline import (
     generate_inputs,
     ingest,
     load_last_name_pool,
-    run_pipeline,
 )
 from .report import render_report
 
@@ -136,7 +137,7 @@ def cmd_classify_hallucinations(args) -> int:
     verdicts = classify_entities(
         (
             row["entity_tokens"]
-            for row in al.read_alignment_rows(args.alignments)
+            for row in read_rows(args.alignments, {"status": str, "entity_tokens": list})
             if row["status"] == al.HALLUCINATED
         ),
         gid.FixtureLookupClient(args.cache),
@@ -164,13 +165,10 @@ def cmd_analyze_input_bias(args) -> int:
         "female_associated": [[t, round(z, 4)] for t, z in result.top("b", 25)],
     }
     out = Path(args.out)
-    out.with_suffix(".json").write_text(
-        json.dumps(summary, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
-    with out.with_suffix(".csv").open("w", encoding="utf-8") as fh:
-        fh.write("token,zscore\n")
-        for token, z in sorted(result.zscores.items(), key=lambda kv: (-kv[1], kv[0])):
-            fh.write(f"{token},{z!r}\n")
+    write_json(out.with_suffix(".json"), summary)
+    ranked = sorted(result.zscores.items(), key=lambda kv: (-kv[1], kv[0]))
+    lines = ["token,zscore\n", *(f"{token},{z!r}\n" for token, z in ranked)]
+    write_text(out.with_suffix(".csv"), "".join(lines))
     print(
         f"{result.docs_a} male-majority vs {result.docs_b} female-majority docs -> "
         f"{out.with_suffix('.json')}, {out.with_suffix('.csv')}"
@@ -183,54 +181,50 @@ def cmd_simulate_baselines(args) -> int:
     word_lists = load_word_lists(args.word_lists)
     result = ib.simulation_experiment(docs, word_lists, seed=args.seed)
     out = Path(args.out)
-    out.with_suffix(".json").write_text(
-        json.dumps(result, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
-    with out.with_suffix(".csv").open("w", encoding="utf-8") as fh:
-        fh.write("algorithm,uniform,adjusted\n")
-        for algorithm in ib.ALGORITHMS:
-            scores = result["scores"][algorithm]
-            fh.write(f"{algorithm},{scores['uniform']!r},{scores['adjusted']!r}\n")
+    write_json(out.with_suffix(".json"), result)
+    scores = result["scores"]
+    lines = ["algorithm,uniform,adjusted\n", *(
+        f"{a},{scores[a]['uniform']!r},{scores[a]['adjusted']!r}\n" for a in ib.ALGORITHMS)]
+    write_text(out.with_suffix(".csv"), "".join(lines))
+
     def show(value):
         return "n/a" if value is None else f"{value:.3f}"
 
-    for algorithm in ib.ALGORITHMS:
-        scores = result["scores"][algorithm]
-        print(f"{algorithm:>7}: uniform={show(scores['uniform'])} adjusted={show(scores['adjusted'])}")
+    for a in ib.ALGORITHMS:
+        print(f"{a:>7}: uniform={show(scores[a]['uniform'])} adjusted={show(scores[a]['adjusted'])}")
     return 0
 
 
-def _config_from_args(args) -> PipelineConfig:
+def _pipeline_from_args(args) -> Pipeline:
     overrides = {
         "out_dir": args.out_dir,
         "seed": args.seed,
         "jobs": args.jobs,
     }
-    return PipelineConfig.from_file(args.config, **overrides)
+    return Pipeline(PipelineConfig.from_file(args.config, **overrides))
 
 
 def cmd_score(args) -> int:
-    config = _config_from_args(args)
-    run_pipeline(config)
-    print(Path(config.out_dir) / config.config_hash() / "scores.json")
+    pipeline = _pipeline_from_args(args)
+    pipeline.score()
+    print(pipeline.path("scores.json"))
     return 0
 
 
 def cmd_report(args) -> int:
     with open(args.scores, encoding="utf-8") as fh:
         report = json.load(fh)
-    Path(args.out).write_text(render_report(report, args.format), encoding="utf-8")
+    write_text(args.out, render_report(report, args.format))
     print(args.out)
     return 0
 
 
 def cmd_run(args) -> int:
-    config = _config_from_args(args)
-    report = run_pipeline(config)
-    art_dir = Path(config.out_dir) / config.config_hash()
+    pipeline = _pipeline_from_args(args)
+    report = pipeline.score()
     for fmt, name in (("markdown", "report.md"), ("csv", "report.csv"), ("json", "report.json")):
-        (art_dir / name).write_text(render_report(report, fmt), encoding="utf-8")
-    print(art_dir)
+        write_text(pipeline.path(name), render_report(report, fmt))
+    print(pipeline.art_dir)
     return 0
 
 

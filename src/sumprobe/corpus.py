@@ -8,10 +8,11 @@ re-tokenized or re-tagged here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
+
+from .jsonio import read_rows, write_rows
 
 
 class ParseError(ValueError):
@@ -337,13 +338,8 @@ def from_json(data: dict) -> AnnotatedDocument:
 
 
 def write_jsonl(docs: Iterable[AnnotatedDocument], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(json.dumps(to_json(doc), sort_keys=True) + "\n")
+    write_rows(path, map(to_json, docs))
 
 
 def read_jsonl(path: str | Path) -> Iterator[AnnotatedDocument]:
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield from_json(json.loads(line))
+    return map(from_json, read_rows(path))

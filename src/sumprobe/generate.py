@@ -17,11 +17,11 @@ last names unless alter_last_names is set (which requires a last-name pool).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from .jsonio import read_rows, write_rows
 from .names import GenderNameTable, RaceNameTable, load_census, resolve_ambiguous
 from .seeding import derive_rng
 from .templates import (
@@ -472,50 +472,18 @@ def generate_corpus(
 
 
 def input_to_json(g: GeneratedInput) -> dict:
-    return {
-        "id": g.id,
-        "original_id": g.original_id,
-        "variant": g.variant,
-        "pair_id": g.pair_id,
-        "assignments": [
-            {
-                "entity": a.entity,
-                "group": a.group,
-                "gender": a.gender,
-                "first": a.first,
-                "last": a.last,
-            }
-            for a in g.assignments
-        ],
-        "tokens": g.tokens,
-        "text": g.text,
-        "seed": g.seed,
-    }
+    return {**vars(g), "assignments": [vars(a) for a in g.assignments], "text": g.text}
 
 
 def input_from_json(data: dict) -> GeneratedInput:
-    return GeneratedInput(
-        id=data["id"],
-        original_id=data["original_id"],
-        variant=data["variant"],
-        pair_id=data["pair_id"],
-        assignments=[
-            EntityAssignment(a["entity"], a["group"], a["gender"], a["first"], a["last"])
-            for a in data["assignments"]
-        ],
-        tokens=data["tokens"],
-        seed=data["seed"],
-    )
+    fields = dict(data, assignments=[EntityAssignment(**a) for a in data["assignments"]])
+    del fields["text"]
+    return GeneratedInput(**fields)
 
 
 def write_inputs(inputs: Iterable[GeneratedInput], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for g in inputs:
-            fh.write(json.dumps(input_to_json(g), sort_keys=True) + "\n")
+    write_rows(path, map(input_to_json, inputs))
 
 
 def read_inputs(path: str | Path) -> Iterator[GeneratedInput]:
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield input_from_json(json.loads(line))
+    return map(input_from_json, read_rows(path))

@@ -136,29 +136,21 @@ def _sentence_tokens(doc: AnnotatedDocument) -> list[list[str]]:
 
 
 def baseline_summarize(
-    doc: AnnotatedDocument,
+    sentences: Sequence[Sequence[str]],
     algorithm: str,
     rng,
-    word_lists: dict[str, list[str]] | None = None,
-    topic_tokens: dict[str, list[str]] | None = None,
+    label: str,
+    word_lists: dict[str, list[str]],
 ) -> list[int]:
-    """Sentence indices (document order) selected by one baseline."""
+    """Sentence indices (document order) selected by one baseline from a
+    document's sentence tokens; `label` is the document's `classify_topic`."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown baseline {algorithm!r}")
-    sentences = _sentence_tokens(doc)
     n = len(sentences)
     if algorithm == "lead":
         return list(range(min(3, n)))
     if algorithm == "random":
         return sorted(rng.sample(range(n), min(3, n)))
-
-    if word_lists is None:
-        word_lists = load_word_lists()
-    if topic_tokens is None:
-        topic_tokens = load_topic_tokens()
-    label = classify_topic(
-        doc.token_texts(), topic_tokens["sport"], topic_tokens["family"]
-    )
     if algorithm == "topic":
         want = _TOPIC_SENTENCES[label]
         return sorted(rng.sample(range(n), min(want, n)))
@@ -189,16 +181,21 @@ def simulation_experiment(
         word_lists = load_word_lists()
     if topic_tokens is None:
         topic_tokens = load_topic_tokens()
-    doc_counts = []
+    payloads: dict[str, list] = {algorithm: [] for algorithm in algorithms}
     by_topic: dict[str, Counter] = {}
     for doc in docs:
         tokens = doc.token_texts()
         counts = count_identifiers(tokens, word_lists)
-        doc_counts.append(counts)
         label = classify_topic(tokens, topic_tokens["sport"], topic_tokens["family"])
         c = by_topic.setdefault(label, Counter())
         c["docs"] += 1
         c.update(counts)
+        sentences = _sentence_tokens(doc)
+        for algorithm in algorithms:
+            rng = derive_rng(seed, "baseline", algorithm, doc.id)
+            picked = baseline_summarize(sentences, algorithm, rng, label, word_lists)
+            summary = [t for i in picked for t in sentences[i]]
+            payloads[algorithm].append((count_identifiers(summary, word_lists), counts))
     stats: dict[str, dict] = {}
     for label, c in sorted(by_topic.items()):
         idents = c["male"] + c["female"]
@@ -207,19 +204,13 @@ def simulation_experiment(
             "female_share": (c["female"] / idents) if idents else None,
         }
 
-    scores: dict[str, dict[str, float | None]] = {}
-    for algorithm in algorithms:
-        payloads = []
-        for doc, counts in zip(docs, doc_counts):
-            rng = derive_rng(seed, "baseline", algorithm, doc.id)
-            picked = baseline_summarize(doc, algorithm, rng, word_lists, topic_tokens)
-            sentences = _sentence_tokens(doc)
-            summary = [t for i in picked for t in sentences[i]]
-            payloads.append((count_identifiers(summary, word_lists), counts))
-        scores[algorithm] = {
-            reference: word_list_score(payloads, reference)
+    scores = {
+        algorithm: {
+            reference: word_list_score(payloads[algorithm], reference)
             for reference in ("uniform", "adjusted")
         }
+        for algorithm in algorithms
+    }
     return {"stats": stats, "scores": scores}
 
 

@@ -1,0 +1,76 @@
+"""JSONL framing and artifact writes for the whole toolkit.
+
+Every JSONL row is read through `read_rows`, so a bad row is always reported
+as a `DataError` naming `path:line`. Every file is written through
+`_atomic_open`: to a temporary file beside the target, then moved into place
+with `os.replace`, so an interrupted write never leaves a partial file.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterable, Iterator, Mapping
+
+
+class DataError(ValueError):
+    """Bad input data; maps to exit code 2."""
+
+
+def read_rows(path: str | Path, required: Mapping[str, type] = {}) -> Iterator[dict]:
+    """The JSON object on each non-blank line; `required` maps each key the
+    row must hold to the type its value must have."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                problem = str(exc)
+            else:
+                problem = _row_problem(row, required)
+            if problem:
+                raise DataError(f"{path}:{lineno}: malformed row: {problem}")
+            yield row
+
+
+def _row_problem(row, required: Mapping[str, type]) -> str | None:
+    if not isinstance(row, dict):
+        return "not a JSON object"
+    missing = [k for k in required if k not in row]
+    if missing:
+        return "missing " + ", ".join(missing)
+    wrong = [k for k, kind in required.items() if not isinstance(row[k], kind)]
+    return "wrong type of " + ", ".join(wrong) if wrong else None
+
+
+@contextmanager
+def _atomic_open(path: str | Path) -> Iterator:
+    """A text handle on a temporary file that replaces `path` once the block
+    completes; if the block raises, the temporary file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_rows(path: str | Path, rows: Iterable[dict]) -> None:
+    with _atomic_open(path) as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def write_json(path: str | Path, data) -> None:
+    write_text(path, json.dumps(data, sort_keys=True, indent=1) + "\n")
+
+
+def write_text(path: str | Path, text: str) -> None:
+    with _atomic_open(path) as fh:
+        fh.write(text)

@@ -1,8 +1,9 @@
 """End-to-end orchestration: ingest -> templates -> generate -> align ->
 classify -> score, with resumable intermediate artifacts.
 
-Every artifact lives under <out_dir>/<config-hash>/ so a resumed run can
-never mix artifacts from different configurations. All randomness flows
+Every artifact lives under <out_dir>/<config-hash>/, a hash of the
+parameters and the input file contents, so a resumed run can never mix
+artifacts from different configurations or inputs. All randomness flows
 from the single config seed through named derivation; nothing reads the
 clock or the network.
 """
@@ -26,6 +27,7 @@ from . import generate as gen
 from . import measures as ms
 from . import summaries as sm
 from . import templates as tp
+from .jsonio import DataError, read_rows, write_json
 from .names import (
     GenderNameTable,
     RaceNameTable,
@@ -35,10 +37,6 @@ from .names import (
     resolve_ambiguous,
 )
 from .seeding import derive_seed
-
-
-class DataError(ValueError):
-    """Bad input data; maps to exit code 2."""
 
 
 class StageError(RuntimeError):
@@ -92,21 +90,26 @@ class PipelineConfig:
         data.pop("jobs")
         return data
 
+    def input_paths(self) -> list[str]:
+        """Every input file except the summaries, which every run rereads and
+        nothing reused is built from."""
+        optional = (self.word_lists, self.census_male, self.census_female,
+                    self.race_names, self.last_name_pool, self.content_words, self.cache)
+        return [self.corpus, *filter(None, optional),
+                *self.ner_sidecars.values(), *self.dense_vectors.values()]
+
     def config_hash(self) -> str:
-        canonical = json.dumps(self.payload(), sort_keys=True)
+        """Names the artifact directory: the parameters and the content of
+        every input file, so an input edited in place gets a fresh directory."""
+        digests = {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in self.input_paths()}
+        canonical = json.dumps([self.payload(), digests], sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
     def check_paths(self) -> None:
         for system, path in sorted(self.summaries.items()):
             if not Path(path).exists():
                 raise StageError("summaries", f"summary file for system {system!r} missing: {path}")
-        paths = [self.corpus]
-        for opt in (self.word_lists, self.census_male, self.census_female,
-                    self.race_names, self.last_name_pool, self.content_words, self.cache):
-            if opt:
-                paths.append(opt)
-        paths += list(self.ner_sidecars.values()) + list(self.dense_vectors.values())
-        missing = [p for p in paths if not Path(p).exists()]
+        missing = [p for p in self.input_paths() if not Path(p).exists()]
         if missing:
             raise DataError(f"missing input file(s): {missing}")
 
@@ -254,13 +257,14 @@ def classify_entities(
         {"entity": key, "count": counts[key], "gender": v.gender, "source": v.source}
         for key, v in sorted(verdicts.items())
     ]
-    Path(out).write_text(json.dumps(rows, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    write_json(out, rows)
     return verdicts
 
 
 class Pipeline:
     def __init__(self, config: PipelineConfig):
         self.config = config
+        config.check_paths()
         self.art_dir = Path(config.out_dir) / config.config_hash()
         self.art_dir.mkdir(parents=True, exist_ok=True)
         self.scheme = gen.make_scheme(
@@ -429,9 +433,7 @@ class Pipeline:
                 "hallucination_top": self._hallucination_top(hallucinated, system_verdicts),
                 "diagnostics": diag,
             }
-        self.path("scores.json").write_text(
-            json.dumps(report, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
+        write_json(self.path("scores.json"), report)
         return report
 
     def _ci(self, records, fn, system, measure) -> ms.ScoreWithCI:
@@ -466,12 +468,11 @@ class Pipeline:
         dense_points = None
         diagnostics: list[str] = []
         if system in self.config.dense_vectors:
-            vectors: dict[str, np.ndarray] = {}
-            with open(self.config.dense_vectors[system], encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        row = json.loads(line)
-                        vectors[row["input_id"]] = np.asarray(row["vector"], dtype=float)
+            vectors = {
+                row["input_id"]: np.asarray(row["vector"], dtype=float)
+                for row in read_rows(self.config.dense_vectors[system],
+                                     {"input_id": str, "vector": list})
+            }
             dense_points = []
             for a in aligned:
                 gi = inputs[a.record.input_id]
@@ -492,9 +493,3 @@ class Pipeline:
             for name, count in rows
         ]
 
-
-def run_pipeline(config: PipelineConfig) -> dict:
-    """Full run through scoring; returns the report dict (also persisted as
-    scores.json in the artifact directory)."""
-    config.check_paths()
-    return Pipeline(config).score()

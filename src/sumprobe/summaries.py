@@ -7,13 +7,13 @@ detected entity spans can replace it (docs/formats.md).
 
 from __future__ import annotations
 
-import json
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 from .generate import GeneratedInput
+from .jsonio import read_rows
 from .names import GenderNameTable
 from .templates import TITLES
 
@@ -109,14 +109,10 @@ def detect_entities(tokens: list[str], lexicon: frozenset[str]) -> list[SummaryE
 
 def load_ner_sidecar(path: str | Path) -> dict[str, list[tuple[int, int, str]]]:
     """Optional externally produced entity spans per input id."""
-    spans: dict[str, list[tuple[int, int, str]]] = {}
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            spans[row["input_id"]] = [(s, e, label) for s, e, label in row["entities"]]
-    return spans
+    return {
+        row["input_id"]: [(s, e, label) for s, e, label in row["entities"]]
+        for row in read_rows(path, {"input_id": str, "entities": list})
+    }
 
 
 def load_summaries(
@@ -126,48 +122,24 @@ def load_summaries(
     lexicon: frozenset[str] | None = None,
     ner_spans: dict[str, list[tuple[int, int, str]]] | None = None,
 ) -> list[SummaryRecord]:
-    """Read summary JSONL ({input_id, system, summary}) and join each record
-    to its generated input by id. A row that is not a JSON object with those
-    keys is a join error naming its path:line; unknown ids and duplicate
+    """Read summary JSONL ({input_id, system, summary}, all strings) and join
+    each record to its generated input by id. Unknown ids and duplicate
     (input, system) pairs are reported together as join errors."""
     records: list[SummaryRecord] = []
     unknown: list[str] = []
     seen: set[tuple[str, str]] = set()
     duplicates: list[str] = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SummaryJoinError(
-                    "malformed summary row", [f"{path}:{lineno}: {exc}"]
-                ) from exc
-            missing = [k for k in ("input_id", "system", "summary")
-                       if not isinstance(row, dict) or k not in row]
-            if missing:
-                raise SummaryJoinError(
-                    "malformed summary row", [f"{path}:{lineno}: missing {', '.join(missing)}"]
-                )
-            input_id, system = row["input_id"], row["system"]
-            if input_id not in inputs:
-                unknown.append(input_id)
-                continue
-            key = (input_id, system)
-            if key in seen:
-                duplicates.append(f"{input_id}/{system}")
-                continue
-            seen.add(key)
-            tokens = tokenize_summary(row["summary"])
-            records.append(
-                SummaryRecord(
-                    input_id=input_id,
-                    system=system,
-                    text=row["summary"],
-                    tokens=tokens,
-                )
-            )
+    for row in read_rows(path, {"input_id": str, "system": str, "summary": str}):
+        input_id, system, text = row["input_id"], row["system"], row["summary"]
+        if input_id not in inputs:
+            unknown.append(input_id)
+            continue
+        key = (input_id, system)
+        if key in seen:
+            duplicates.append(f"{input_id}/{system}")
+            continue
+        seen.add(key)
+        records.append(SummaryRecord(input_id, system, text, tokenize_summary(text)))
     if unknown:
         raise SummaryJoinError("summaries reference unknown input ids", sorted(set(unknown)))
     if duplicates:

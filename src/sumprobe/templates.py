@@ -8,7 +8,6 @@ original text reproduces the document exactly.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -16,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .corpus import AnnotatedDocument, MentionSpan, NamedEntitySpan
+from .jsonio import read_rows, write_rows
 
 TITLES = ("Mr.", "Mrs.", "Ms.", "Sir", "Lady")
 _TITLE_SET = {t.lower() for t in TITLES}
@@ -472,33 +472,28 @@ def template_from_json(data: dict) -> DocumentTemplate:
 
 
 def write_templates(templates: Iterable[DocumentTemplate], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for t in templates:
-            fh.write(json.dumps(template_to_json(t), sort_keys=True) + "\n")
+    write_rows(path, map(template_to_json, templates))
 
 
 def read_templates(path: str | Path) -> Iterator[DocumentTemplate]:
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield template_from_json(json.loads(line))
+    return map(template_from_json, read_rows(path))
+
+
+_CONTENT_WORD_KEYS = {"doc_id": str, "start": int, "end": int, "entities": list,
+                      "male": str, "female": str}
 
 
 def load_content_words(path: str | Path) -> dict[str, list[ContentWordSpan]]:
     """Side annotations: JSONL rows keyed by doc_id (see docs/formats.md)."""
     by_doc: dict[str, list[ContentWordSpan]] = {}
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            span = ContentWordSpan(
-                start=row["start"],
-                end=row["end"],
-                entities=tuple(row["entities"]),
-                male=row["male"],
-                female=row["female"],
-                neutral=row.get("neutral"),
-            )
-            by_doc.setdefault(row["doc_id"], []).append(span)
+    for row in read_rows(path, _CONTENT_WORD_KEYS):
+        span = ContentWordSpan(
+            start=row["start"],
+            end=row["end"],
+            entities=tuple(row["entities"]),
+            male=row["male"],
+            female=row["female"],
+            neutral=row.get("neutral"),
+        )
+        by_doc.setdefault(row["doc_id"], []).append(span)
     return by_doc

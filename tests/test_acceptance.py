@@ -32,7 +32,7 @@ from sumprobe.measures import (
     uniform,
     word_list_score,
 )
-from sumprobe.pipeline import PipelineConfig, run_pipeline
+from sumprobe.pipeline import Pipeline, PipelineConfig
 from sumprobe.seeding import derive_rng
 from sumprobe.summaries import SummaryRecord, build_lexicon, detect_entities, tokenize_summary
 from sumprobe.templates import build_template
@@ -219,7 +219,7 @@ def test_criterion_4_identity_summarizer_null(tmp_path, fixture_corpus):
     config_path = stage_run(
         tmp_path, fixture_corpus, variants=4, replicates=100, seed=31
     )
-    report = run_pipeline(PipelineConfig.from_file(config_path))
+    report = Pipeline(PipelineConfig.from_file(config_path)).score()
     measures = report["systems"]["echo"]["measures"]
     assert measures["word_list_inclusion"]["point"] == 0.0
     assert 0.0 <= measures["entity_inclusion"]["point"] <= 0.05

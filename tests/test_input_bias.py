@@ -148,61 +148,65 @@ def doc_with_sentences(sentences, doc_id="bl_0#0"):
     return AnnotatedDocument(doc_id, tokens, {}, [])
 
 
+TOPICS = load_topic_tokens()
+
+
+def summarize(sentences, algorithm, rng):
+    """One baseline's selection, given the topic label `simulation_experiment`
+    computes for the document."""
+    label = classify_topic([w for s in sentences for w in s], TOPICS["sport"], TOPICS["family"])
+    return baseline_summarize(sentences, algorithm, rng, label, WL)
+
+
 def test_lead_takes_first_three():
-    doc = doc_with_sentences([["a"], ["b"], ["c"], ["d"], ["e"]])
-    assert baseline_summarize(doc, "lead", derive_rng(0)) == [0, 1, 2]
+    assert summarize([["a"], ["b"], ["c"], ["d"], ["e"]], "lead", derive_rng(0)) == [0, 1, 2]
 
 
 def test_lead_short_document():
-    doc = doc_with_sentences([["a"], ["b"]])
-    assert baseline_summarize(doc, "lead", derive_rng(0)) == [0, 1]
+    assert summarize([["a"], ["b"]], "lead", derive_rng(0)) == [0, 1]
 
 
 def test_random_three_distinct():
-    doc = doc_with_sentences([["w"] for _ in range(10)])
-    picked = baseline_summarize(doc, "random", derive_rng(1))
+    picked = summarize([["w"] for _ in range(10)], "random", derive_rng(1))
     assert len(picked) == 3 and len(set(picked)) == 3
     assert picked == sorted(picked)
 
 
 def test_topic_sentence_budgets():
-    sport_doc = doc_with_sentences([["game", "team"]] + [["x"]] * 9)
-    family_doc = doc_with_sentences([["family", "baby"]] + [["x"]] * 9)
-    plain_doc = doc_with_sentences([["x"]] * 9)
-    assert len(baseline_summarize(sport_doc, "topic", derive_rng(2))) == 6
-    assert len(baseline_summarize(family_doc, "topic", derive_rng(2))) == 1
-    assert len(baseline_summarize(plain_doc, "topic", derive_rng(2))) == 3
+    sport_doc = [["game", "team"]] + [["x"]] * 9
+    family_doc = [["family", "baby"]] + [["x"]] * 9
+    plain_doc = [["x"]] * 9
+    assert len(summarize(sport_doc, "topic", derive_rng(2))) == 6
+    assert len(summarize(family_doc, "topic", derive_rng(2))) == 1
+    assert len(summarize(plain_doc, "topic", derive_rng(2))) == 3
 
 
 def test_sexist_maximizes_target_identifiers():
     # sentence 4 holds all the male identifiers of this sport document
     sentences = [["game", "plan"], ["vote"], ["city"], ["plan"], ["he", "him", "man", "game"]]
-    doc = doc_with_sentences(sentences)
     for seed in range(5):
-        picked = baseline_summarize(doc, "sexist", derive_rng(seed), WL)
+        picked = summarize(sentences, "sexist", derive_rng(seed))
         assert 4 in picked
         assert len(picked) == 3
 
 
 def test_sexist_family_targets_female():
     sentences = [["family", "baby"], ["she", "her", "woman"], ["he", "him"], ["plan"]]
-    doc = doc_with_sentences(sentences)
-    picked = baseline_summarize(doc, "sexist", derive_rng(3), WL)
+    picked = summarize(sentences, "sexist", derive_rng(3))
     assert 1 in picked
 
 
 def test_sexist_unknown_topic_acts_randomly():
-    doc = doc_with_sentences([["plan"], ["vote"], ["city"], ["market"], ["he", "she"]])
+    sentences = [["plan"], ["vote"], ["city"], ["market"], ["he", "she"]]
     seen = set()
     for seed in range(30):
-        seen.add(tuple(baseline_summarize(doc, "sexist", derive_rng(seed), WL)))
+        seen.add(tuple(summarize(sentences, "sexist", derive_rng(seed))))
     assert len(seen) > 3
 
 
 def test_unknown_algorithm_rejected():
-    doc = doc_with_sentences([["a"]])
     with pytest.raises(ValueError):
-        baseline_summarize(doc, "fancy", derive_rng(0))
+        summarize([["a"]], "fancy", derive_rng(0))
 
 
 # --- simulation ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ from e2e import identity_summarizer, make_keep_rate_summarizer, stage_run
 
 from sumprobe.cli import main
 from sumprobe.corpus import write_conll_corpus
-from sumprobe.pipeline import PipelineConfig, run_pipeline
+from sumprobe.pipeline import Pipeline, PipelineConfig
 from sumprobe.report import render_report
 
 
@@ -73,18 +73,122 @@ def test_data_error_exits_2(tmp_path):
         assert not out.exists(), name
 
 
-@pytest.mark.parametrize("bad_row", [
-    '{"input_id": "x", "system": "echo", "summary": }',
-    '{"input_id": "x", "system": "echo"}',
-], ids=["invalid_json", "missing_summary"])
-def test_malformed_summary_row_exits_2_naming_its_line(tmp_path, small_corpus, capsys, bad_row):
-    config_path = stage_run(tmp_path, small_corpus, replicates=20)
-    path = Path(json.loads(config_path.read_text())["summaries"]["echo"])
+def replace_line_3(path, bad_row):
     rows = path.read_text().splitlines()
     rows[2] = bad_row
     path.write_text("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("bad_row", [
+    '{"input_id": "x", "system": "echo", "summary": }',
+    '{"input_id": "x", "system": "echo"}',
+    '{"input_id": "x", "system": "echo", "summary": null}',
+    '{"input_id": ["x"], "system": "echo", "summary": "x"}',
+], ids=["invalid_json", "missing_summary", "null_summary", "list_input_id"])
+def test_malformed_summary_row_exits_2_naming_its_line(tmp_path, small_corpus, capsys, bad_row):
+    config_path = stage_run(tmp_path, small_corpus, replicates=20)
+    path = Path(json.loads(config_path.read_text())["summaries"]["echo"])
+    replace_line_3(path, bad_row)
     assert main(["run", "--config", str(config_path)]) == 2
     assert f"{path}:3" in capsys.readouterr().err
+
+
+def run_with_side_file(tmp_path, docs, key, rows, per_system=True, **stage):
+    """`run` argv for a staged config whose `key` names a JSONL file of
+    `rows` (for the echo system when `per_system`), and that file's path."""
+    config_path = stage_run(tmp_path, docs, replicates=20, **stage)
+    config = json.loads(config_path.read_text())
+    path = tmp_path / f"{key}.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    config[key] = {"echo": str(path)} if per_system else str(path)
+    config_path.write_text(json.dumps(config))
+    return ["run", "--config", str(config_path)], path
+
+
+def ner_sidecar(tmp_path, docs):
+    return run_with_side_file(tmp_path, docs, "ner_sidecars",
+                              [{"input_id": f"fix_{i:04d}#0::00", "entities": []} for i in range(3)])
+
+
+def dense_vectors(tmp_path, docs):
+    return run_with_side_file(tmp_path, docs, "dense_vectors",
+                              [{"input_id": f"fix_{i:04d}#0::00", "vector": [1.0]} for i in range(3)],
+                              scheme="gender_global")
+
+
+def content_words(tmp_path, docs):
+    row = {"doc_id": "none#0", "start": 0, "end": 0, "entities": ["0"],
+           "male": "chairman", "female": "chairwoman"}
+    return run_with_side_file(tmp_path, docs, "content_words", [row] * 3, per_system=False)
+
+
+def alignments(tmp_path, docs):
+    from importlib import resources
+
+    row = {"input_id": "x", "system": "echo", "entity_tokens": ["Boris", "Yeltsin"],
+           "start": 0, "end": 1, "status": "hallucinated", "matched_entity": None, "reason": ""}
+    path = tmp_path / "alignments.echo.jsonl"
+    path.write_text((json.dumps(row) + "\n") * 3)
+    cache = str(resources.files("sumprobe.data").joinpath("wiki_cache.json"))
+    return ["classify-hallucinations", "--alignments", str(path), "--cache", cache,
+            "--out", str(tmp_path / "verdicts.json")], path
+
+
+@pytest.mark.parametrize("case", ["invalid_json", "missing_key"])
+@pytest.mark.parametrize("stage, missing_key_row", [
+    (ner_sidecar, '{"input_id": "fix_0002#0::00"}'),
+    (dense_vectors, '{"input_id": "fix_0002#0::00"}'),
+    (content_words, '{"doc_id": "none#0"}'),
+    (alignments, '{"status": "hallucinated"}'),
+], ids=["ner_sidecar", "dense_vectors", "content_words", "alignments"])
+def test_malformed_input_row_exits_2_naming_its_line(
+    tmp_path, small_corpus, capsys, stage, missing_key_row, case
+):
+    argv, path = stage(tmp_path, small_corpus)
+    replace_line_3(path, '{"input_id": }' if case == "invalid_json" else missing_key_row)
+    assert main(argv) == 2
+    assert f"{path}:3" in capsys.readouterr().err
+
+
+def test_interrupted_write_leaves_no_artifact(tmp_path, small_corpus, monkeypatch):
+    from sumprobe import generate
+
+    config_path = stage_run(tmp_path, small_corpus, replicates=20)
+    art = artifact_dir(config_path)
+    original, written = generate.input_to_json, []
+
+    def fail_on_third(g):
+        written.append(g.id)
+        if len(written) == 3:
+            raise RuntimeError("interrupted")
+        return original(g)
+
+    monkeypatch.setattr(generate, "input_to_json", fail_on_third)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        main(["run", "--config", str(config_path)])
+    assert sorted(p.name for p in art.iterdir()) == ["documents.jsonl", "templates.jsonl"]
+    monkeypatch.undo()
+    clean = tmp_path / "clean"
+    assert main(["run", "--config", str(config_path)]) == 0
+    assert main(["run", "--config", str(config_path), "--out-dir", str(clean)]) == 0
+    assert (art / "scores.json").read_bytes() == (clean / art.name / "scores.json").read_bytes()
+
+
+def test_corpus_edited_in_place_is_reingested(tmp_path, small_corpus):
+    config_path = stage_run(tmp_path, small_corpus, replicates=20)
+    assert main(["run", "--config", str(config_path)]) == 0
+    corpus = Path(json.loads(config_path.read_text())["corpus"])
+    lines = corpus.read_text().splitlines()
+    # the first plain word: lowercase, outside every entity and mention
+    for i, line in enumerate(lines):
+        cols = line.split()
+        if len(cols) == 7 and cols[3].isalpha() and cols[3].islower() and cols[5:] == ["*", "-"]:
+            break
+    lines[i] = " ".join(cols[:3] + ["edited"] + cols[4:])
+    corpus.write_text("\n".join(lines) + "\n")
+    assert main(["run", "--config", str(config_path)]) == 0
+    rows = (artifact_dir(config_path) / "documents.jsonl").read_text().splitlines()
+    assert "edited" in {t for row in rows for t in json.loads(row)["tokens"]}
 
 
 def test_scores_follow_summaries_edited_in_place(tmp_path, small_corpus):
@@ -188,7 +292,7 @@ def test_hallucination_top_sorted_and_capped(tmp_path, small_corpus):
     config = stage_run(
         tmp_path, small_corpus, replicates=40, summarizers={"noisy": noisy}
     )
-    run_pipeline(PipelineConfig.from_file(config))
+    Pipeline(PipelineConfig.from_file(config)).score()
     scores = json.loads((artifact_dir(config) / "scores.json").read_text())
     top = scores["systems"]["noisy"]["hallucination_top"]
     assert len(top) <= 10
@@ -351,8 +455,8 @@ def test_run_computes_each_stage_once(tmp_path, small_corpus, monkeypatch):
         tmp_path, small_corpus, replicates=20,
         summarizers={"echo": identity_summarizer, "again": identity_summarizer},
     )
-    run_pipeline(PipelineConfig.from_file(config))
+    Pipeline(PipelineConfig.from_file(config)).score()
     assert calls == {"build_lexicon": 1}
     calls.clear()
-    run_pipeline(PipelineConfig.from_file(config))
+    Pipeline(PipelineConfig.from_file(config)).score()
     assert calls == {"read_templates": 1, "read_inputs": 1, "build_lexicon": 1}
