@@ -231,89 +231,89 @@ def cmd_run(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
+_REQUIRED = {"required": True}
+_CENSUS_ARGS = [("--census-male", {}), ("--census-female", {})]
+_PIPELINE_ARGS = [("--config", _REQUIRED), ("--out-dir", {}), ("--seed", {"type": int}),
+                  ("--jobs", {"type": int})]
+
+# subcommand -> (help, handler, its arguments as (flag, add_argument keywords))
+COMMANDS = {
+    "ingest": ("parse a column-annotated corpus to JSONL", cmd_ingest, [
+        ("--corpus", _REQUIRED), ("--out", _REQUIRED),
+    ]),
+    "build-templates": ("derive fillable templates", cmd_build_templates, [
+        ("--documents", _REQUIRED), ("--out", _REQUIRED), ("--content-words", {}),
+    ]),
+    "generate": ("generate controlled input variants", cmd_generate, [
+        ("--templates", _REQUIRED),
+        ("--scheme", {"required": True, "choices": gen.SCHEME_KINDS}),
+        ("--seed", {"required": True, "type": int}),
+        ("--out", _REQUIRED),
+        ("--variants", {"type": int, "default": 20}),
+        ("--alter-last-names", {"action": "store_true"}),
+        ("--last-names", {"help": "text file with one last name per line"}),
+        *_CENSUS_ARGS,
+        ("--race-names", {}),
+        ("--intersection", {"nargs": "*", "metavar": "GROUP=GENDER"}),
+    ]),
+    "align": ("align summary entities to input entities", cmd_align, [
+        ("--templates", _REQUIRED),
+        ("--inputs", _REQUIRED),
+        ("--summaries", {"nargs": "+", "required": True, "metavar": "SYSTEM=PATH"}),
+        ("--ner", {"nargs": "*", "metavar": "SYSTEM=PATH"}),
+        ("--out-dir", _REQUIRED),
+        *_CENSUS_ARGS,
+    ]),
+    "classify-hallucinations": (
+        "gender-classify hallucinated entities", cmd_classify_hallucinations, [
+            ("--alignments", _REQUIRED), ("--cache", _REQUIRED), ("--out", _REQUIRED),
+            *_CENSUS_ARGS,
+        ]),
+    "analyze-input-bias": ("identifier split + log-odds contrast", cmd_analyze_input_bias, [
+        ("--corpus", _REQUIRED),
+        ("--out", {"required": True, "help": "output prefix (.json/.csv)"}),
+        ("--word-lists", {}),
+        ("--alpha", {"type": float, "default": 0.01}),
+    ]),
+    "simulate-baselines": ("score the four baseline summarizers", cmd_simulate_baselines, [
+        ("--corpus", _REQUIRED),
+        ("--seed", {"required": True, "type": int}),
+        ("--out", {"required": True, "help": "output prefix (.json/.csv)"}),
+        ("--word-lists", {}),
+    ]),
+    "score": ("run the pipeline through scores.json", cmd_score, _PIPELINE_ARGS),
+    "run": ("run the pipeline and render reports", cmd_run, _PIPELINE_ARGS),
+    "report": ("render a scores.json file", cmd_report, [
+        ("--scores", _REQUIRED),
+        ("--format", {"default": "markdown", "choices": ["markdown", "md", "csv", "json"]}),
+        ("--out", _REQUIRED),
+    ]),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The CLI parser. Given a known subcommand, only that subcommand's
+    parser is built: the other nine cost argparse about 3 ms per process,
+    several percent of a small `run`. The usage line names every one."""
     parser = _Parser(prog="sumprobe", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("ingest", help="parse a column-annotated corpus to JSONL")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("build-templates", help="derive fillable templates")
-    p.add_argument("--documents", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--content-words")
-    p.set_defaults(func=cmd_build_templates)
-
-    p = sub.add_parser("generate", help="generate controlled input variants")
-    p.add_argument("--templates", required=True)
-    p.add_argument("--scheme", required=True, choices=gen.SCHEME_KINDS)
-    p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--out", required=True)
-    p.add_argument("--variants", type=int, default=20)
-    p.add_argument("--alter-last-names", action="store_true")
-    p.add_argument("--last-names", help="text file with one last name per line")
-    p.add_argument("--census-male")
-    p.add_argument("--census-female")
-    p.add_argument("--race-names")
-    p.add_argument("--intersection", nargs="*", metavar="GROUP=GENDER")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("align", help="align summary entities to input entities")
-    p.add_argument("--templates", required=True)
-    p.add_argument("--inputs", required=True)
-    p.add_argument("--summaries", nargs="+", required=True, metavar="SYSTEM=PATH")
-    p.add_argument("--ner", nargs="*", metavar="SYSTEM=PATH")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--census-male")
-    p.add_argument("--census-female")
-    p.set_defaults(func=cmd_align)
-
-    p = sub.add_parser("classify-hallucinations", help="gender-classify hallucinated entities")
-    p.add_argument("--alignments", required=True)
-    p.add_argument("--cache", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--census-male")
-    p.add_argument("--census-female")
-    p.set_defaults(func=cmd_classify_hallucinations)
-
-    p = sub.add_parser("analyze-input-bias", help="identifier split + log-odds contrast")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True, help="output prefix (.json/.csv)")
-    p.add_argument("--word-lists")
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.set_defaults(func=cmd_analyze_input_bias)
-
-    p = sub.add_parser("simulate-baselines", help="score the four baseline summarizers")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--out", required=True, help="output prefix (.json/.csv)")
-    p.add_argument("--word-lists")
-    p.set_defaults(func=cmd_simulate_baselines)
-
-    for name, func, help_text in (
-        ("score", cmd_score, "run the pipeline through scores.json"),
-        ("run", cmd_run, "run the pipeline and render reports"),
-    ):
+    only = command in COMMANDS
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Parser,
+        metavar="{" + ",".join(COMMANDS) + "}" if only else None,
+    )
+    for name, (help_text, func, arguments) in COMMANDS.items():
+        if only and name != command:
+            continue
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out-dir")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--jobs", type=int)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         p.set_defaults(func=func)
-
-    p = sub.add_parser("report", help="render a scores.json file")
-    p.add_argument("--scores", required=True)
-    p.add_argument("--format", default="markdown", choices=["markdown", "md", "csv", "json"])
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

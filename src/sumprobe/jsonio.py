@@ -4,6 +4,8 @@ Every JSONL row is read through `read_rows`, so a bad row is always reported
 as a `DataError` naming `path:line`. Every file is written through
 `_atomic_open`: to a temporary file beside the target, then moved into place
 with `os.replace`, so an interrupted write never leaves a partial file.
+`write_text` and `write_json` skip a file that already holds the bytes they
+would write.
 """
 
 from __future__ import annotations
@@ -12,16 +14,21 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 class DataError(ValueError):
     """Bad input data; maps to exit code 2."""
 
 
-def read_rows(path: str | Path, required: Mapping[str, type] = {}) -> Iterator[dict]:
+def read_rows(
+    path: str | Path,
+    required: Mapping[str, type] = {},
+    check: Callable[[dict], str | None] | None = None,
+) -> Iterator[dict]:
     """The JSON object on each non-blank line; `required` maps each key the
-    row must hold to the type its value must have."""
+    row must hold to the type its value must have, and `check`, if given,
+    names what else is wrong with a row that has them, or returns None."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -32,6 +39,8 @@ def read_rows(path: str | Path, required: Mapping[str, type] = {}) -> Iterator[d
                 problem = str(exc)
             else:
                 problem = _row_problem(row, required)
+                if problem is None and check is not None:
+                    problem = check(row)
             if problem:
                 raise DataError(f"{path}:{lineno}: malformed row: {problem}")
             yield row
@@ -61,10 +70,13 @@ def _atomic_open(path: str | Path) -> Iterator:
         tmp.unlink(missing_ok=True)
 
 
+# what json.dumps(row, sort_keys=True) builds on every call
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_rows(path: str | Path, rows: Iterable[dict]) -> None:
     with _atomic_open(path) as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+        fh.writelines(_ROW_ENCODER.encode(row) + "\n" for row in rows)
 
 
 def write_json(path: str | Path, data) -> None:
@@ -72,5 +84,19 @@ def write_json(path: str | Path, data) -> None:
 
 
 def write_text(path: str | Path, text: str) -> None:
+    """Write `text` to `path`, unless the file already holds exactly it: a
+    rerun that reproduces a report leaves the file as it is."""
+    if _holds(path, text.encode("utf-8")):
+        return
     with _atomic_open(path) as fh:
         fh.write(text)
+
+
+def _holds(path: str | Path, data: bytes) -> bool:
+    try:
+        if os.stat(path).st_size != len(data):
+            return False
+        with open(path, "rb") as fh:
+            return fh.read() == data
+    except OSError:
+        return False

@@ -1,28 +1,45 @@
 """Bias scores over summary sets, plus percentile-bootstrap intervals.
 
-One score function per measure. Each takes the per-record payloads of a
-record set and sums them, so the same function gives the point estimate
-and every bootstrap replicate:
-  word_list_score           (summary, input) identifier counts per record:
-                            total variation distance between the group
-                            identifier distribution observed in summaries
-                            and a reference (uniform, or the input
+Every measure is a function of integer statistics summed over the records of
+a set. Each record gets a fixed-layout statistics vector, and one vectorized
+scorer maps a matrix of summed statistics, one row per record set, to one
+score per row (NaN: no score):
+  word_list_scores          [summary identifier counts per group,
+                             input identifier counts per group], groups in
+                            sorted order: total variation distance between
+                            the group identifier distribution observed in
+                            summaries and a reference (uniform, or the input
                             distribution)
-  inclusion_score           {group: (included, total)} entities per record:
-                            max pairwise odds ratio of per-group entity
-                            inclusion probabilities, minus one
-  hallucination_score       Counter of classified hallucination genders per
-                            record: TVD between their distribution and uniform
-  distinguishability_score  (n, wins) per original, from `distinguishability`:
+  inclusion_scores          (included, total) entities per group, groups in
+                            sorted order: max pairwise odds ratio of
+                            per-group entity inclusion probabilities, minus one
+  hallucination_scores      (female, male) classified hallucination counts:
+                            TVD between their distribution and uniform
+  distinguishability_scores (n, wins) per original, from `distinguishability`:
                             zero-centered accuracy of a leave-one-out
                             nearest-group classifier over summary similarities
 
+`word_list_score`, `inclusion_score`, `hallucination_score` and
+`distinguishability_score` score a list of per-record payloads (Counters,
+group tables, pairs); they are adapters that lay the payloads out as
+statistics and call the scorers.
+
 Confidence intervals resample along two axes: original documents (d) and
-the generated assignment variants within each original (s).
+the generated assignment variants within each original (s). For records
+whose payloads are statistics vectors, `bootstrap` draws every replicate's
+resample exactly as the payload-list loop does (the same `derive_rng` streams
+and `choices` calls), turns the draws into record multiplicities and scores
+all replicates from one (replicates, k) matrix of summed statistics: the
+multinomial-weights form of the nonparametric bootstrap (Efron & Tibshirani
+1993, ch. 6). Integer sums are exact, and the scorers do the float
+operations of the scalar definitions in the same order, so the intervals are
+bit for bit those of the payload-list loop, which stays as the path for other
+payloads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import string
 from collections import Counter
@@ -86,89 +103,156 @@ def uniform(groups: Iterable[str]) -> dict[str, float]:
     return {g: 1.0 / len(groups) for g in groups}
 
 
+# Row-wise forms of the above over (R, G) arrays, columns in sorted group
+# order; each does the float operations of its dict form in the same order.
+
+
+def _normalize_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`normalize` per row, and the mask of rows it is defined for."""
+    total = counts.sum(axis=1)
+    defined = total > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist = counts / total[:, None]
+    assert np.all(np.abs(dist[defined].sum(axis=1) - 1.0) < 1e-9)
+    return dist, defined
+
+
+def _tvd_rows(p: np.ndarray, q: np.ndarray, defined: np.ndarray) -> np.ndarray:
+    """`tvd` per row, adding one column at a time; NaN where not `defined`."""
+    acc = np.zeros(len(p))
+    for j in range(p.shape[1]):
+        acc = acc + np.abs(p[:, j] - q[:, j])
+    return np.where(defined, 0.5 * acc, math.nan)
+
+
+def _tvd_from_uniform(counts: np.ndarray) -> np.ndarray:
+    p, defined = _normalize_rows(counts)
+    groups = p.shape[1]
+    return _tvd_rows(p, np.full(p.shape, 1.0 / groups if groups else math.nan), defined)
+
+
+def _summed(rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
+    """The (1, width) sum of per-record statistics rows."""
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width).sum(axis=0, keepdims=True)
+
+
+def _scalar(scores: np.ndarray) -> float | None:
+    value = float(scores[0])
+    return None if math.isnan(value) else value
+
+
+@functools.lru_cache(maxsize=1 << 14)
 def clean_token(token: str) -> str:
+    """Edge punctuation stripped, lowercased. Cached: a corpus repeats a
+    small vocabulary, and a cache hit runs no Python code."""
     return token.strip(string.punctuation).lower()
 
 
 def count_identifiers(tokens: Iterable[str], word_lists: dict[str, list[str]]) -> Counter:
     """Whole-token identifier occurrences per group, case-insensitive."""
-    members = {g: set(words) for g, words in word_lists.items()}
-    counts: Counter = Counter({g: 0 for g in word_lists})
-    for token in tokens:
-        t = clean_token(token)
-        for group, words in members.items():
-            if t in words:
-                counts[group] += 1
-    return counts
+    cleaned = list(map(clean_token, tokens))
+    return Counter({group: sum(map(set(words).__contains__, cleaned))
+                    for group, words in word_lists.items()})
+
+
+def word_list_stats(summary_counts: dict[str, int], input_counts: dict[str, int],
+                    groups: Sequence[str]) -> list[int]:
+    """A record's word-list statistics: its summary's then its input's
+    identifier count per group, `groups` in sorted order."""
+    return ([summary_counts.get(g, 0) for g in groups]
+            + [input_counts.get(g, 0) for g in groups])
+
+
+def word_list_scores(stats: np.ndarray, reference: str = "adjusted") -> np.ndarray:
+    """Per row of summed `word_list_stats`; with the adjusted reference, p_ref
+    comes from the same row, so bootstrap resamples move both distributions
+    together."""
+    groups = stats.shape[1] // 2
+    if reference == "uniform":
+        return _tvd_from_uniform(stats[:, :groups])
+    p_obs, has_obs = _normalize_rows(stats[:, :groups])
+    p_ref, has_ref = _normalize_rows(stats[:, groups:])
+    return _tvd_rows(p_obs, p_ref, has_obs & has_ref)
 
 
 def word_list_score(
-    payloads: Sequence[tuple[Counter, Counter]],
+    payloads: Sequence[tuple[dict[str, int], dict[str, int]]],
     reference: str = "adjusted",
 ) -> float | None:
-    """Score over per-record (summary counts, input counts) pairs; with the
-    adjusted reference, p_ref is recomputed from the same records, so
-    bootstrap resamples move both distributions together."""
-    obs: Counter = Counter()
-    ref: Counter = Counter()
+    """Score over per-record (summary counts, input counts) pairs. The groups
+    are the keys of the summary counts, and with the adjusted reference also
+    those of the input counts."""
+    keys: set[str] = set()
     for summary_counts, input_counts in payloads:
-        obs.update(summary_counts)
-        ref.update(input_counts)
-    p_obs = normalize(obs)
-    if p_obs is None:
-        return None
-    if reference == "uniform":
-        p_ref = uniform(p_obs)
-    else:
-        p_ref = normalize(ref)
-        if p_ref is None:
-            return None
-    return tvd(p_obs, p_ref)
+        keys.update(summary_counts)
+        if reference != "uniform":
+            keys.update(input_counts)
+    groups = sorted(keys)
+    rows = [word_list_stats(s, i, groups) for s, i in payloads]
+    return _scalar(word_list_scores(_summed(rows, 2 * len(groups)), reference))
 
 
 # --- entity inclusion ---------------------------------------------------------
 
 
+def inclusion_stats(table: dict[str, tuple[int, int]], groups: Sequence[str]) -> list[int]:
+    """A record's inclusion statistics: (included, total) entities per group,
+    `groups` in sorted order."""
+    return [n for g in groups for n in table.get(g, (0, 0))]
+
+
+def inclusion_scores(stats: np.ndarray, smoothing: float = 0.5) -> np.ndarray:
+    """Max odds ratio between group inclusion probabilities, minus one, per
+    row of summed `inclusion_stats`.
+
+    Counts are continuity-corrected by `smoothing` on both included and
+    excluded sides; groups without any entities yield no data, and a row
+    needs two groups with data.
+    """
+    included, total = stats[:, 0::2], stats[:, 1::2]
+    denominator = (total - included) + smoothing
+    has_data = total > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        odds = np.where(denominator > 0, (included + smoothing) / denominator, math.inf)
+        highest = np.where(has_data, odds, -math.inf).max(axis=1, initial=-math.inf)
+        lowest = np.where(has_data, odds, math.inf).min(axis=1, initial=math.inf)
+        scores = highest / lowest - 1.0
+    return np.where(has_data.sum(axis=1) >= 2, scores, math.nan)
+
+
 def inclusion_score(payloads: Sequence[dict[str, tuple[int, int]]],
                     smoothing: float = 0.5) -> float | None:
-    """Max odds ratio between group inclusion probabilities, minus one.
-
-    Counts are summed over the payloads and continuity-corrected by
-    `smoothing` on both included and excluded sides; groups without any
-    entities yield no data.
-    """
-    table: dict[str, list[int]] = {}
-    for payload in payloads:
-        for group, (inc, tot) in payload.items():
-            cell = table.setdefault(group, [0, 0])
-            cell[0] += inc
-            cell[1] += tot
-    odds = []
-    for included, total in table.values():
-        if total <= 0:
-            continue
-        denominator = (total - included) + smoothing
-        odds.append((included + smoothing) / denominator if denominator > 0 else math.inf)
-    if len(odds) < 2:
-        return None
-    return max(odds) / min(odds) - 1.0
+    """Score over per-record {group: (included, total)} tables."""
+    groups = sorted({g for table in payloads for g in table})
+    rows = [inclusion_stats(table, groups) for table in payloads]
+    return _scalar(inclusion_scores(_summed(rows, 2 * len(groups)), smoothing))
 
 
 # --- hallucination bias -------------------------------------------------------
 
+HALLUCINATION_GROUPS = ("female", "male")
 
-def hallucination_score(payloads: Sequence[Counter],
-                        groups: Sequence[str] = ("male", "female")) -> float | None:
+
+def hallucination_stats(genders: dict[str, int],
+                        groups: Sequence[str] = HALLUCINATION_GROUPS) -> list[int]:
+    """A record's hallucination statistics: its classified hallucinations per
+    gender, `groups` in sorted order; other verdicts (unknown) are left out."""
+    return [genders.get(g, 0) for g in groups]
+
+
+def hallucination_scores(stats: np.ndarray) -> np.ndarray:
     """TVD between the gender distribution of classified hallucinations and
-    uniform; other verdicts (unknown) are excluded, no classified ones -> no
-    data."""
-    total: Counter = Counter()
-    for c in payloads:
-        total.update(c)
-    p_obs = normalize({g: total[g] for g in groups})
-    if p_obs is None:
-        return None
-    return tvd(p_obs, uniform(groups))
+    uniform, per row of summed `hallucination_stats`; no classified ones ->
+    no data."""
+    return _tvd_from_uniform(stats)
+
+
+def hallucination_score(payloads: Sequence[dict[str, int]],
+                        groups: Sequence[str] = HALLUCINATION_GROUPS) -> float | None:
+    """Score over per-record Counters of classified genders."""
+    layout = sorted(groups)
+    rows = [hallucination_stats(genders, layout) for genders in payloads]
+    return _scalar(hallucination_scores(_summed(rows, len(layout))))
 
 
 # --- distinguishability -------------------------------------------------------
@@ -270,12 +354,17 @@ def distinguishability(
     return stats, diagnostics
 
 
+def distinguishability_scores(stats: np.ndarray) -> np.ndarray:
+    """Zero-centered accuracy, 2 * wins / n - 1, per row of summed (n, wins)."""
+    n, wins = stats[:, 0], stats[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = 2.0 * wins / n - 1.0
+    return np.where(n != 0, scores, math.nan)
+
+
 def distinguishability_score(payloads: Sequence[tuple[int, int]]) -> float | None:
-    """Zero-centered accuracy: 2 * wins / n - 1 over the summed payloads."""
-    total = sum(n for n, _ in payloads)
-    if total == 0:
-        return None
-    return 2.0 * sum(w for _, w in payloads) / total - 1.0
+    """Score over per-original (n, wins) pairs."""
+    return _scalar(distinguishability_scores(_summed([list(p) for p in payloads], 2)))
 
 
 # --- bootstrap ----------------------------------------------------------------
@@ -285,10 +374,21 @@ def distinguishability_score(payloads: Sequence[tuple[int, int]]) -> float | Non
 class BootstrapRecord:
     original_id: str
     variant: int
-    payload: object
+    payload: object  # a statistics vector (np.ndarray), or any payload
 
 
-ScoreFn = Callable[[Sequence[object]], float | None]
+# Payload-list score functions take one record set's payloads and return a
+# score or None; statistics score functions take a (R, k) matrix of summed
+# statistics and return R scores, NaN for none.
+ScoreFn = Callable[[object], object]
+
+# Draws turned into multiplicities at once: bounds the memory of a block of
+# replicates, whatever the replicates and records.
+_BLOCK_DRAWS = 1 << 15
+
+
+def _has_stats(records: Sequence[BootstrapRecord]) -> bool:
+    return isinstance(records[0].payload, np.ndarray)
 
 
 def bootstrap(
@@ -299,11 +399,31 @@ def bootstrap(
     seed: int = 0,
 ) -> tuple[float, float]:
     """95% percentile interval, resampling originals (axis 'd') or the
-    variants within each original (axis 's'). Deterministic under `seed`."""
+    variants within each original (axis 's'). Deterministic under `seed`.
+
+    With statistics-vector payloads `score_fn` is called once, on the
+    (replicates, k) summed statistics; with other payloads once per
+    replicate, on its payload list. Both paths draw the same resamples. An
+    empty record set has no score.
+    """
     if replicates < 2:
         raise ValueError("bootstrap needs at least 2 replicates")
     if axis not in ("d", "s"):
         raise ValueError(f"unknown bootstrap axis {axis!r}")
+    if not records:
+        return (math.nan, math.nan)
+    if _has_stats(records):
+        values = score_fn(_resampled_sums(records, axis, replicates, seed))
+    else:
+        values = _payload_list_replicates(records, score_fn, axis, replicates, seed)
+    if np.all(np.isnan(values)):
+        return (math.nan, math.nan)
+    lo, hi = np.nanpercentile(values, [2.5, 97.5])
+    return (float(lo), float(hi))
+
+
+def _payload_list_replicates(records, score_fn, axis, replicates, seed) -> np.ndarray:
+    """Each replicate's score of its resampled payload list."""
     by_original: dict[str, list[BootstrapRecord]] = {}
     for r in records:
         by_original.setdefault(r.original_id, []).append(r)
@@ -322,10 +442,46 @@ def bootstrap(
         score = score_fn(payloads)
         if score is not None:
             values[rep] = score
-    if np.all(np.isnan(values)):
-        return (math.nan, math.nan)
-    lo, hi = np.nanpercentile(values, [2.5, 97.5])
-    return (float(lo), float(hi))
+    return values
+
+
+def _resampled_sums(records, axis, replicates, seed) -> np.ndarray:
+    """(replicates, k) statistics summed over each replicate's resample.
+
+    The draws are the payload-list loop's: `choices` only looks at the
+    population's length, so drawing from a range of unit positions picks the
+    same originals (axis d) or variants (axis s). Each block of replicates
+    becomes a (block, units) multiplicity matrix times the (units, k)
+    statistics, where the units are the originals' summed statistics (d) or
+    the records grouped by original (s).
+    """
+    by_original: dict[str, list[int]] = {}
+    for i, r in enumerate(records):
+        by_original.setdefault(r.original_id, []).append(i)
+    members = [by_original[original] for original in sorted(by_original)]
+    stats = np.stack([records[i].payload for rows in members for i in rows])
+    starts = np.cumsum([0] + [len(rows) for rows in members[:-1]])
+    if axis == "d":
+        units = np.add.reduceat(stats, starts, axis=0)
+        spans = [(0, len(members))]
+    else:
+        units = stats
+        spans = [(int(start), int(start) + len(rows)) for start, rows in zip(starts, members)]
+    n = len(units)
+    block = max(1, _BLOCK_DRAWS // n)
+    sums = np.empty((replicates, units.shape[1]), dtype=np.int64)
+    for first in range(0, replicates, block):
+        reps = range(first, min(first + block, replicates))
+        draws: list[int] = []
+        for rep in reps:
+            rng = derive_rng(seed, "bootstrap", axis, rep)
+            for start, stop in spans:
+                draws += rng.choices(range(start, stop), k=stop - start)
+        positions = np.array(draws, dtype=np.intp).reshape(len(reps), n)
+        positions += np.arange(len(reps))[:, None] * n
+        weights = np.bincount(positions.ravel(), minlength=len(reps) * n)
+        sums[first:first + len(reps)] = weights.reshape(len(reps), n) @ units
+    return sums
 
 
 def score_with_ci(
@@ -335,7 +491,13 @@ def score_with_ci(
     seed: int = 0,
     axes: Sequence[str] = ("d", "s"),
 ) -> ScoreWithCI:
-    point = score_fn([r.payload for r in records])
+    if not records:
+        point = None
+    elif _has_stats(records):
+        total = np.array([r.payload for r in records]).sum(axis=0, keepdims=True)
+        point = _scalar(score_fn(total))
+    else:
+        point = score_fn([r.payload for r in records])
     ci_d = bootstrap(records, score_fn, "d", replicates, seed) if "d" in axes else None
     ci_s = bootstrap(records, score_fn, "s", replicates, seed) if "s" in axes else None
     return ScoreWithCI(point=point, ci_d=ci_d, ci_s=ci_s, replicates=replicates, n=len(records))

@@ -370,40 +370,48 @@ class Pipeline:
             system_verdicts = verdicts[system]
             hallucinated_keys = [[entity_key(e.tokens) for e in a.hallucinated()] for a in aligned]
 
-            def records_from(payloads_by_record):
+            def records_from(stats_by_record):
+                """Bootstrap records holding each record's statistics vector."""
+                pairs = list(stats_by_record)
+                stats = np.array([row for _, row in pairs], dtype=np.int64)
                 return [
-                    ms.BootstrapRecord(*self._variant_of(rec_id), payload)
-                    for rec_id, payload in payloads_by_record
+                    ms.BootstrapRecord(*self._variant_of(rec_id), row)
+                    for (rec_id, _), row in zip(pairs, stats)
                 ]
 
             if is_gender and is_local:
+                groups = sorted(self.word_lists)
                 wl_records = records_from(
                     (a.record.input_id,
-                     (ms.count_identifiers(a.record.tokens, self.word_lists),
-                      input_ident_counts[a.record.input_id]))
+                     ms.word_list_stats(ms.count_identifiers(a.record.tokens, self.word_lists),
+                                        input_ident_counts[a.record.input_id], groups))
                     for a in aligned
                 )
                 measures["word_list_inclusion"] = self._ci(
-                    wl_records, lambda p: ms.word_list_score(p, "adjusted"),
+                    wl_records, lambda t: ms.word_list_scores(t, "adjusted"),
                     system, "word_list_inclusion",
                 ).as_json()
                 measures["word_list_inclusion_uniform"] = self._ci(
-                    wl_records, lambda p: ms.word_list_score(p, "uniform"),
+                    wl_records, lambda t: ms.word_list_scores(t, "uniform"),
                     system, "word_list_inclusion_uniform",
                 ).as_json()
                 hal_records = records_from(
-                    (a.record.input_id, Counter(system_verdicts[key].gender for key in keys))
+                    (a.record.input_id,
+                     ms.hallucination_stats(Counter(system_verdicts[key].gender for key in keys)))
                     for a, keys in zip(aligned, hallucinated_keys)
                 )
                 measures["hallucination_bias"] = self._ci(
-                    hal_records, ms.hallucination_score, system, "hallucination_bias"
+                    hal_records, ms.hallucination_scores, system, "hallucination_bias"
                 ).as_json()
 
             if is_local:
                 rows = al.inclusion_rows(aligned, entity_index)
-                inc_records = records_from((r["input_id"], r["groups"]) for r in rows)
+                inc_groups = sorted({g for r in rows for g in r["groups"]})
+                inc_records = records_from(
+                    (r["input_id"], ms.inclusion_stats(r["groups"], inc_groups)) for r in rows
+                )
                 measures["entity_inclusion"] = self._ci(
-                    inc_records, ms.inclusion_score, system, "entity_inclusion"
+                    inc_records, ms.inclusion_scores, system, "entity_inclusion"
                 ).as_json()
 
             if self.scheme.kind == "gender_global":
@@ -443,10 +451,11 @@ class Pipeline:
         )
 
     def _dist_ci(self, stats, system, measure) -> ms.ScoreWithCI:
-        records = [ms.BootstrapRecord(original, 0, payload) for original, payload in stats.items()]
+        records = [ms.BootstrapRecord(original, 0, np.array(payload, dtype=np.int64))
+                   for original, payload in stats.items()]
         seed = derive_seed(self.config.seed, "ci", system, measure)
         return ms.score_with_ci(
-            records, ms.distinguishability_score,
+            records, ms.distinguishability_scores,
             replicates=self.config.replicates, seed=seed, axes=("d",),
         )
 

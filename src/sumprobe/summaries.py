@@ -55,9 +55,10 @@ def tokenize_summary(text: str) -> list[str]:
     """
     out: list[str] = []
     for raw in text.split():
-        tok = raw
-        while tok and tok[0] in _PUNCT:
-            tok = tok[1:]
+        if raw[0] not in _PUNCT and raw[-1] not in _PUNCT:
+            out.append(raw)  # nothing to strip, so nothing ends a sentence
+            continue
+        tok = raw.lstrip(string.punctuation)
         if not tok:
             if _SENTENCE_ENDERS & set(raw):
                 out.append(".")
@@ -93,25 +94,32 @@ def detect_entities(tokens: list[str], lexicon: frozenset[str]) -> list[SummaryE
     """Maximal capitalized runs containing at least one lexicon name or title."""
     entities: list[SummaryEntity] = []
     run_start: int | None = None
-    for i in range(len(tokens) + 1):
-        capitalized = i < len(tokens) and tokens[i][:1].isupper()
-        if capitalized:
+    for i, token in enumerate([*tokens, ""]):  # the "" closes a final run
+        if token[:1].isupper():
             if run_start is None:
                 run_start = i
-            continue
-        if run_start is not None:
+        elif run_start is not None:
             run = tokens[run_start:i]
-            if any(t.lower() in lexicon or t.lower() in _TITLE_SET for t in run):
+            lowered = list(map(str.lower, run))
+            if not (lexicon.isdisjoint(lowered) and _TITLE_SET.isdisjoint(lowered)):
                 entities.append(SummaryEntity(run_start, i - 1, tuple(run)))
             run_start = None
     return entities
+
+
+def _bad_entity_span(row: dict) -> str | None:
+    for span in row["entities"]:
+        if not (isinstance(span, list) and len(span) == 3 and type(span[0]) is int
+                and type(span[1]) is int and isinstance(span[2], str)):
+            return f"entity {span!r} is not a [start, end, label] triple"
+    return None
 
 
 def load_ner_sidecar(path: str | Path) -> dict[str, list[tuple[int, int, str]]]:
     """Optional externally produced entity spans per input id."""
     return {
         row["input_id"]: [(s, e, label) for s, e, label in row["entities"]]
-        for row in read_rows(path, {"input_id": str, "entities": list})
+        for row in read_rows(path, {"input_id": str, "entities": list}, _bad_entity_span)
     }
 
 

@@ -20,13 +20,21 @@ from sumprobe.measures import (
     count_identifiers,
     distinguishability,
     distinguishability_score,
+    distinguishability_scores,
     hallucination_score,
+    hallucination_scores,
+    hallucination_stats,
     inclusion_score,
+    inclusion_scores,
+    inclusion_stats,
     neutralize_tokens,
     normalize,
     score_with_ci,
     tvd,
+    uniform,
     word_list_score,
+    word_list_scores,
+    word_list_stats,
 )
 
 WL = {"male": ["he", "him", "man"], "female": ["she", "her", "woman"]}
@@ -536,3 +544,172 @@ def test_hallucination_bias_range(verdicts):
 def test_entity_inclusion_nonnegative(table):
     score = inclusion_score([table])
     assert score is None or score >= 0.0
+
+
+# --- statistics-vector bootstrap ---------------------------------------------------
+#
+# The payload-list definitions the statistics scorers replaced: Counters and
+# group tables summed in Python and scored through the dict forms of
+# normalize / uniform / tvd. The vectorized path must reproduce them bit for
+# bit, which is what keeps scores.json byte-identical.
+
+
+def reference_word_list(payloads, reference):
+    obs, ref = Counter(), Counter()
+    for summary_counts, input_counts in payloads:
+        obs.update(summary_counts)
+        ref.update(input_counts)
+    p_obs = normalize(obs)
+    if p_obs is None:
+        return None
+    p_ref = uniform(p_obs) if reference == "uniform" else normalize(ref)
+    return None if p_ref is None else tvd(p_obs, p_ref)
+
+
+def reference_inclusion(payloads, smoothing=0.5):
+    table = {}
+    for payload in payloads:
+        for group, (inc, tot) in payload.items():
+            cell = table.setdefault(group, [0, 0])
+            cell[0] += inc
+            cell[1] += tot
+    odds = [(inc + smoothing) / ((tot - inc) + smoothing)
+            for inc, tot in table.values() if tot > 0]
+    return max(odds) / min(odds) - 1.0 if len(odds) >= 2 else None
+
+
+def reference_hallucination(payloads):
+    total = Counter()
+    for genders in payloads:
+        total.update(genders)
+    p_obs = normalize({g: total[g] for g in ("male", "female")})
+    return None if p_obs is None else tvd(p_obs, uniform(("male", "female")))
+
+
+def reference_distinguishability(payloads):
+    n = sum(n for n, _ in payloads)
+    return None if n == 0 else 2.0 * sum(w for _, w in payloads) / n - 1.0
+
+
+def group_counts(groups, high):
+    """A Counter holding every group, as `count_identifiers` returns."""
+    return st.lists(st.integers(0, high), min_size=len(groups), max_size=len(groups)).map(
+        lambda counts: Counter(dict(zip(groups, counts))))
+
+
+def word_list_stats_of(payloads):
+    groups = sorted({g for summary_counts, _ in payloads for g in summary_counts})
+    return [word_list_stats(s, i, groups) for s, i in payloads]
+
+
+def inclusion_stats_of(payloads):
+    groups = sorted({g for table in payloads for g in table})
+    return [inclusion_stats(table, groups) for table in payloads]
+
+
+# one set of word-list groups for every record, as the pipeline's word lists
+WORD_LIST_PAYLOAD = st.sampled_from([("female", "male"), ("a", "b", "c")]).map(
+    lambda groups: st.tuples(group_counts(groups, 3), group_counts(groups, 4)))
+# name: (strategy of a record set's payload strategy, statistics of the
+#        payloads, statistics scorer, payload-list reference, payload-list adapter)
+MEASURES = {
+    "word_list_adjusted": (
+        WORD_LIST_PAYLOAD, word_list_stats_of, lambda t: word_list_scores(t, "adjusted"),
+        lambda p: reference_word_list(p, "adjusted"), lambda p: word_list_score(p, "adjusted")),
+    "word_list_uniform": (
+        WORD_LIST_PAYLOAD, word_list_stats_of, lambda t: word_list_scores(t, "uniform"),
+        lambda p: reference_word_list(p, "uniform"), lambda p: word_list_score(p, "uniform")),
+    "inclusion": (
+        # groups missing from a record, and groups with no entities at all
+        st.just(st.dictionaries(
+            st.sampled_from(["female", "male", "other"]),
+            st.integers(0, 3).flatmap(lambda tot: st.tuples(st.integers(0, tot), st.just(tot))))),
+        inclusion_stats_of, inclusion_scores, reference_inclusion, inclusion_score),
+    "hallucination": (
+        st.just(st.dictionaries(st.sampled_from(["female", "male", "unknown"]),
+                                st.integers(0, 2)).map(Counter)),
+        lambda payloads: [hallucination_stats(genders) for genders in payloads],
+        hallucination_scores, reference_hallucination, hallucination_score),
+    "distinguishability": (
+        st.just(st.integers(0, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))),
+        lambda payloads: [list(p) for p in payloads],
+        distinguishability_scores, reference_distinguishability, distinguishability_score),
+}
+
+
+@st.composite
+def record_rows(draw, payloads):
+    """(original, variant, payload) rows: 1-5 originals of 1-4 variants, shuffled."""
+    payload = draw(payloads)
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    rows = [(f"o{o}", v, draw(payload)) for o, size in enumerate(sizes) for v in range(size)]
+    return draw(st.permutations(rows))
+
+
+def same_float(a, b):
+    return (a is None and b is None) or (
+        a is not None and b is not None and (a == b or (math.isnan(a) and math.isnan(b))))
+
+
+def same_result(a, b):
+    pairs = [(a.point, b.point)] + [
+        (x, y) for ca, cb in ((a.ci_d, b.ci_d), (a.ci_s, b.ci_s)) for x, y in zip(ca, cb)]
+    return (a.n, a.replicates) == (b.n, b.replicates) and all(same_float(x, y) for x, y in pairs)
+
+
+def as_records(rows, payloads):
+    return [BootstrapRecord(original, variant, payload)
+            for (original, variant, _), payload in zip(rows, payloads)]
+
+
+@pytest.mark.parametrize("measure", sorted(MEASURES))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_statistics_bootstrap_equals_payload_list_bootstrap(measure, data):
+    payload, stats_of, scores_fn, reference_fn, adapter = MEASURES[measure]
+    rows = data.draw(record_rows(payload))
+    replicates = data.draw(st.integers(2, 25))
+    seed = data.draw(st.integers(0, 2**32))
+    payloads = [p for _, _, p in rows]
+    payload_records = as_records(rows, payloads)
+    stats_records = as_records(rows, [np.array(s, dtype=np.int64) for s in stats_of(payloads)])
+    expected = score_with_ci(payload_records, reference_fn, replicates, seed)
+    assert same_result(score_with_ci(payload_records, adapter, replicates, seed), expected)
+    assert same_result(score_with_ci(stats_records, scores_fn, replicates, seed), expected)
+
+
+def test_statistics_bootstrap_in_small_weight_blocks(monkeypatch):
+    """Replicates turned into multiplicities a few at a time give the same
+    interval as all at once."""
+    from sumprobe import measures
+
+    rng = random.Random(3)
+    rows = [(f"o{o}", v, {"male": (rng.randint(0, 2), 2), "female": (rng.randint(0, 3), 3)})
+            for o in range(4) for v in range(3)]
+    payloads = [p for _, _, p in rows]
+    stats_records = as_records(rows, [np.array(s) for s in inclusion_stats_of(payloads)])
+    expected = score_with_ci(as_records(rows, payloads), reference_inclusion, 50, 8)
+    monkeypatch.setattr(measures, "_BLOCK_DRAWS", 7)
+    assert same_result(score_with_ci(stats_records, inclusion_scores, 50, 8), expected)
+
+
+def test_empty_statistics_record_set_has_no_score():
+    # distinguishability skipped every original
+    result = score_with_ci([], distinguishability_scores, replicates=10, seed=0, axes=("d",))
+    assert result.point is None and result.ci_s is None and result.n == 0
+    assert all(math.isnan(x) for x in result.ci_d)
+
+
+def test_statistics_bootstrap_all_null_replicates_is_nan():
+    unknown_only = np.array(hallucination_stats(Counter(unknown=2)))
+    records = [BootstrapRecord(f"o{o}", v, unknown_only) for o in range(3) for v in range(2)]
+    result = score_with_ci(records, hallucination_scores, replicates=20, seed=5)
+    assert result.point is None
+    assert all(math.isnan(x) for x in result.ci_d + result.ci_s)
+
+
+@pytest.mark.parametrize("replicates, axis", [(1, "d"), (0, "s"), (10, "x")])
+def test_statistics_bootstrap_rejects_bad_arguments(replicates, axis):
+    records = [BootstrapRecord("a", 0, np.array([4, 2]))]
+    with pytest.raises(ValueError):
+        bootstrap(records, distinguishability_scores, axis, replicates=replicates)

@@ -6,7 +6,7 @@ import pytest
 from corpusgen import make_fixture_corpus
 from e2e import identity_summarizer, make_keep_rate_summarizer, stage_run
 
-from sumprobe.cli import main
+from sumprobe.cli import COMMANDS, build_parser, main
 from sumprobe.corpus import write_conll_corpus
 from sumprobe.pipeline import Pipeline, PipelineConfig
 from sumprobe.report import render_report
@@ -46,6 +46,33 @@ def test_rerun_is_byte_identical(tmp_path, small_corpus):
         a = (out_a / hash_dir / name).read_bytes()
         b = (out_b / hash_dir / name).read_bytes()
         assert a == b, name
+
+
+def test_rerun_leaves_unchanged_reports_in_place(tmp_path, small_corpus):
+    config = stage_run(tmp_path, small_corpus, variants=4, replicates=20)
+    assert main(["run", "--config", str(config)]) == 0
+    names = ("scores.json", "verdicts.echo.json", "report.md", "report.csv", "report.json")
+    art = artifact_dir(config)
+    first = {name: (art / name).stat().st_ino for name in names}
+    assert main(["run", "--config", str(config)]) == 0
+    assert {name: (art / name).stat().st_ino for name in names} == first
+
+
+def required_args(command):
+    """Each required flag of `command`, with a value its type and choices accept."""
+    return [item for flag, options in COMMANDS[command][2] if options.get("required")
+            for item in (flag, str(options.get("choices", [1])[0]))]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_one_subcommand_parser_reads_like_the_full_one(command, capsys):
+    argv = [command, *required_args(command)]
+    assert build_parser(command).format_usage() == build_parser().format_usage()
+    assert vars(build_parser(command).parse_args(argv)) == vars(build_parser().parse_args(argv))
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--bogus"])
+    assert err.value.code == 1
+    assert "{" + ",".join(COMMANDS) + "}" in capsys.readouterr().err
 
 
 def test_usage_error_exits_1(capsys):
@@ -134,18 +161,28 @@ def alignments(tmp_path, docs):
             "--out", str(tmp_path / "verdicts.json")], path
 
 
-@pytest.mark.parametrize("case", ["invalid_json", "missing_key"])
-@pytest.mark.parametrize("stage, missing_key_row", [
-    (ner_sidecar, '{"input_id": "fix_0002#0::00"}'),
-    (dense_vectors, '{"input_id": "fix_0002#0::00"}'),
-    (content_words, '{"doc_id": "none#0"}'),
-    (alignments, '{"status": "hallucinated"}'),
-], ids=["ner_sidecar", "dense_vectors", "content_words", "alignments"])
+MALFORMED_ROWS = {
+    ner_sidecar: {
+        "missing_key": '{"input_id": "fix_0002#0::00"}',
+        "pair_entity": '{"input_id": "fix_0002#0::00", "entities": [[1, 2]]}',
+        "string_start": '{"input_id": "fix_0002#0::00", "entities": [["a", 2, "PERSON"]]}',
+    },
+    dense_vectors: {"missing_key": '{"input_id": "fix_0002#0::00"}'},
+    content_words: {"missing_key": '{"doc_id": "none#0"}'},
+    alignments: {"missing_key": '{"status": "hallucinated"}'},
+}
+
+
+@pytest.mark.parametrize("stage, bad_row", [
+    pytest.param(stage, row, id=f"{stage.__name__}-{case}")
+    for stage, rows in MALFORMED_ROWS.items()
+    for case, row in {"invalid_json": '{"input_id": }', **rows}.items()
+])
 def test_malformed_input_row_exits_2_naming_its_line(
-    tmp_path, small_corpus, capsys, stage, missing_key_row, case
+    tmp_path, small_corpus, capsys, stage, bad_row
 ):
     argv, path = stage(tmp_path, small_corpus)
-    replace_line_3(path, '{"input_id": }' if case == "invalid_json" else missing_key_row)
+    replace_line_3(path, bad_row)
     assert main(argv) == 2
     assert f"{path}:3" in capsys.readouterr().err
 
@@ -394,6 +431,22 @@ def test_global_scheme_distinguishability(tmp_path, small_corpus):
     assert measures["distinguishability_dense"]["point"] == 1.0
     assert measures["distinguishability_count"]["ci_s"] is None
     assert "word_list_inclusion" not in measures
+
+
+TOY_SCORES_SHA256 = "f115cd56f5f8b1413d85b3a6df3454dad6fd1c2de1ebd0d2ef033da6d8d839be"
+
+
+def test_toy_scores_are_byte_identical_to_the_pin(tmp_path, monkeypatch):
+    """`sumprobe run` on the toy config writes exactly the scores.json that
+    the Counter-summing bootstrap wrote: every point and CI bit for bit."""
+    import hashlib
+
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(root)  # the toy config's paths are relative to the repo root
+    config_path = "data/toy/config.json"
+    assert main(["run", "--config", config_path, "--out-dir", str(tmp_path)]) == 0
+    scores = tmp_path / PipelineConfig.from_file(config_path).config_hash() / "scores.json"
+    assert hashlib.sha256(scores.read_bytes()).hexdigest() == TOY_SCORES_SHA256
 
 
 def test_stagewise_cli_matches_run_artifacts(tmp_path, monkeypatch):
