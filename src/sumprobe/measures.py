@@ -44,6 +44,7 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -286,6 +287,8 @@ def neutralize_tokens(
 
 
 def cosine_counts(a: Counter, b: Counter) -> float:
+    """Cosine similarity of two bags of words: the scalar definition that
+    `_count_similarities` computes for every pair at once."""
     norm_a = math.sqrt(sum(v * v for v in a.values()))
     norm_b = math.sqrt(sum(v * v for v in b.values()))
     if norm_a == 0 or norm_b == 0:
@@ -295,6 +298,8 @@ def cosine_counts(a: Counter, b: Counter) -> float:
 
 
 def cosine_dense(a, b) -> float:
+    """Cosine similarity of two dense vectors: the scalar definition that
+    `_dense_similarities` computes for every pair at once."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     na = np.linalg.norm(a)
@@ -304,6 +309,43 @@ def cosine_dense(a, b) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
+def _cosines(dots: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """dots[i, j] / (norms[i] * norms[j]), and 0.0 where either norm is 0."""
+    outer = norms[:, None] * norms[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosines = dots / outer
+    return np.where((norms[:, None] == 0) | (norms[None, :] == 0), 0.0, cosines)
+
+
+def _count_similarities(vectors: Sequence[Counter]) -> np.ndarray:
+    """The (m, m) matrix of `cosine_counts` over integer-count bags of words,
+    bit for bit, from one Gram matrix: its dots and squared norms are exact
+    integers, and the divisions are the scalar ones."""
+    tokens = list(chain.from_iterable(vectors))
+    column = dict(zip(dict.fromkeys(tokens), range(len(tokens))))
+    rows = np.repeat(np.arange(len(vectors)), [len(v) for v in vectors])
+    cols = np.fromiter(map(column.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+    counts = np.zeros((len(vectors), len(column)), dtype=np.int64)
+    counts[rows, cols] = np.fromiter(chain.from_iterable(v.values() for v in vectors),
+                                     dtype=np.int64, count=len(tokens))
+    gram = counts @ counts.T
+    return _cosines(gram, np.sqrt(np.diag(gram).astype(np.float64)))
+
+
+def _dense_similarities(vectors: Sequence[object]) -> np.ndarray:
+    """The (m, m) matrix of `cosine_dense`, bit for bit: each norm once, and
+    one `np.dot` per unordered pair (the dot product is bitwise symmetric; a
+    BLAS matrix product may sum in another order). `ndarray.dot` is `np.dot`
+    without its dispatch overhead."""
+    arrays = [np.asarray(v, dtype=float) for v in vectors]
+    norms = np.array([np.linalg.norm(a) for a in arrays])
+    dots = np.zeros((len(arrays), len(arrays)))
+    for i, a in enumerate(arrays):
+        for j in range(i + 1, len(arrays)):
+            dots[i, j] = dots[j, i] = a.dot(arrays[j])
+    return _cosines(dots, norms)
+
+
 @dataclass(frozen=True)
 class SummaryPoint:
     original_id: str
@@ -311,10 +353,22 @@ class SummaryPoint:
     vector: object  # Counter (bag of words) or array-like (dense)
 
 
-def _similarity(a, b) -> float:
-    if isinstance(a, Counter):
-        return cosine_counts(a, b)
-    return cosine_dense(a, b)
+def _wins(similarities: np.ndarray, groups: Sequence[str]) -> int:
+    """How many summaries' mean similarity to the rest of their own group
+    beats their mean similarity to the other groups. Each row's sums add one
+    column at a time, in column order (`np.add.accumulate` over the columns),
+    as a left-to-right sum of the row's similarity list does; a masked-out
+    entry adds an exact 0.0. Not starting from 0 can only change the sign of
+    a zero sum, which no comparison sees."""
+    labels = np.array(groups)
+    same = labels[:, None] == labels[None, :]
+    own = same & ~np.eye(len(labels), dtype=bool)
+    columns = np.stack([np.where(own, similarities, 0.0).T,
+                        np.where(same, 0.0, similarities).T], axis=1)
+    same_sum, other_sum = np.add.accumulate(columns, axis=0)[-1]
+    same_n = own.sum(axis=1)
+    other_n = len(labels) - same_n - 1
+    return int(np.count_nonzero(same_sum / same_n > other_sum / other_n))
 
 
 def distinguishability(
@@ -326,7 +380,8 @@ def distinguishability(
     Similarities are only compared among summaries of the same original;
     a summary wins when its mean similarity to its own group beats its mean
     similarity to the other. Originals without two summaries per group are
-    skipped.
+    skipped. An original's points are all bags of words (Counter) or all
+    dense vectors.
     """
     by_original: dict[str, list[SummaryPoint]] = {}
     for p in points:
@@ -341,16 +396,10 @@ def distinguishability(
                 f"original {original}: needs >=2 summaries per group, got {dict(sizes)}; skipped"
             )
             continue
-        wins = 0
-        for i, p in enumerate(group_points):
-            same, other = [], []
-            for j, q in enumerate(group_points):
-                if i == j:
-                    continue
-                (same if q.group == p.group else other).append(_similarity(p.vector, q.vector))
-            if sum(same) / len(same) > sum(other) / len(other):
-                wins += 1
-        stats[original] = (len(group_points), wins)
+        vectors = [p.vector for p in group_points]
+        similarities = (_count_similarities if isinstance(vectors[0], Counter)
+                        else _dense_similarities)(vectors)
+        stats[original] = (len(group_points), _wins(similarities, [p.group for p in group_points]))
     return stats, diagnostics
 
 

@@ -72,14 +72,24 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "PipelineConfig":
         with Path(path).open(encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise DataError(f"{path}: a config must be a JSON object, got {type(data).__name__}")
         data.update({k: v for k, v in overrides.items() if v is not None})
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
-            raise DataError(f"unknown config key(s): {sorted(unknown)}")
+            raise DataError(f"{path}: unknown config key(s): {sorted(unknown)}")
         missing = [k for k in ("corpus", "scheme", "seed", "out_dir") if k not in data]
         if missing:
-            raise DataError(f"config missing required key(s): {missing}")
+            raise DataError(f"{path}: config missing required key(s): {missing}")
+        for key, least in (("replicates", 2), ("variants", 1)):
+            value = data.get(key, cls.__dataclass_fields__[key].default)
+            if type(value) is not int or value < least:
+                raise DataError(f"{path}: config key {key!r} must be an integer >= {least}, "
+                                f"got {value!r}")
         return cls(**data)
 
     def payload(self) -> dict:
@@ -362,6 +372,10 @@ class Pipeline:
                 gi.id: ms.count_identifiers(gi.tokens, self.word_lists)
                 for gi in inputs.values()
             }
+        if self.scheme.kind == "gender_global":
+            assignments = [a for gi in inputs.values() for a in gi.assignments]
+            first_names = {a.first.lower() for a in assignments if a.first}
+            last_names = {a.last.lower() for a in assignments if a.last}
 
         report: dict = {"config": self.config.payload(), "systems": {}}
         for system, (aligned, counts) in sorted(aligned_by_system.items()):
@@ -416,7 +430,7 @@ class Pipeline:
 
             if self.scheme.kind == "gender_global":
                 count_points, dense_points, d_diag = self._distinguishability_points(
-                    system, aligned, inputs
+                    system, aligned, inputs, first_names, last_names
                 )
                 stats, skipped = ms.distinguishability(count_points)
                 diag["distinguishability_count"] = skipped
@@ -459,13 +473,9 @@ class Pipeline:
             replicates=self.config.replicates, seed=seed, axes=("d",),
         )
 
-    def _distinguishability_points(self, system, aligned, inputs):
-        first_names = {
-            a.first.lower() for gi in inputs.values() for a in gi.assignments if a.first
-        }
-        last_names = {
-            a.last.lower() for gi in inputs.values() for a in gi.assignments if a.last
-        }
+    def _distinguishability_points(self, system, aligned, inputs, first_names, last_names):
+        """Count points and, with a dense sidecar, dense points of `system`'s
+        summaries; the count points mark every name assigned to any input."""
         count_points = []
         for a in aligned:
             gi = inputs[a.record.input_id]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumprobe.measures import (
@@ -422,6 +422,137 @@ def test_distinguishability_invariant_under_token_renaming():
                 SummaryPoint(f"o{o}", group, Counter({renaming[w]: c for w, c in counts.items()}))
             )
     assert dist_score(points) == dist_score(renamed)
+
+
+# --- distinguishability kernel vs the pairwise loop -----------------------------------
+
+
+def _left_sum(values):
+    """`sum` of floats as CPython before 3.12 adds them: left to right from 0."""
+    total = 0
+    for value in values:
+        total = total + value
+    return total
+
+
+def pairwise_distinguishability(points):
+    """The scalar definition: every cosine computed twice, pair by pair, and
+    each summary's similarity lists averaged. The oracle of the Gram-matrix
+    kernel, which must agree with it exactly, ties included."""
+    by_original = {}
+    for p in points:
+        by_original.setdefault(p.original_id, []).append(p)
+    stats, diagnostics = {}, []
+    for original in sorted(by_original):
+        group_points = by_original[original]
+        sizes = Counter(p.group for p in group_points)
+        if len(sizes) < 2 or min(sizes.values()) < 2:
+            diagnostics.append(
+                f"original {original}: needs >=2 summaries per group, got {dict(sizes)}; skipped"
+            )
+            continue
+        wins = 0
+        for i, p in enumerate(group_points):
+            same, other = [], []
+            for j, q in enumerate(group_points):
+                if i == j:
+                    continue
+                cosine = cosine_counts if isinstance(p.vector, Counter) else cosine_dense
+                (same if q.group == p.group else other).append(cosine(p.vector, q.vector))
+            if _left_sum(same) / len(same) > _left_sum(other) / len(other):
+                wins += 1
+        stats[original] = (len(group_points), wins)
+    return stats, diagnostics
+
+
+@st.composite
+def summary_points(draw):
+    """1-4 originals of 1-20 summaries in up to three groups, all bags of
+    words or all dense vectors. Vectors repeat from a small pool that holds
+    a zero vector, so exact ties and zero norms are common."""
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 40))
+        vector = st.lists(st.integers(-300, 300).map(lambda k: k / 10), min_size=dim,
+                          max_size=dim).map(np.array)
+        zero = np.zeros(dim)
+    else:
+        vector = st.dictionaries(st.sampled_from(VOCAB[:4]), st.integers(0, 3)).map(Counter)
+        zero = Counter()
+    pool = draw(st.lists(vector, min_size=1, max_size=2)) + [zero]
+    groups = draw(st.sampled_from([("female", "male"), ("female", "male", "other")]))
+    points = [
+        SummaryPoint(f"o{o}", draw(st.sampled_from(groups)),
+                     draw(st.one_of(st.sampled_from(pool), st.sampled_from(pool), vector)))
+        for o in range(draw(st.integers(1, 4)))
+        for _ in range(draw(st.integers(1, 20)))
+    ]
+    return draw(st.permutations(points))
+
+
+def _points(original, groups, vectors):
+    return [SummaryPoint(original, g, v) for g, v in zip(groups, vectors)]
+
+
+# identical vectors: cosines of exactly 1.0 tie every comparison; cosines of
+# 0.9999999999999998 average to different last bits over two and three terms
+TIED = _points("tied", ["male", "female"] * 3, [Counter({"plan": 1})] * 6)
+IDENTICAL = Counter({"plan": 2, "vote": 1})
+ROUNDED = _points("rounded", ["male", "female"] * 3, [IDENTICAL] * 6)
+ZERO_NORMS = (_points("empty", ["male", "male", "female", "female"],
+                      [Counter(), Counter({"city": 1}), Counter(), Counter({"game": 2})])
+              + _points("dense", ["male", "male", "female", "female"],
+                        [np.zeros(3), np.ones(3), np.array([1.0, 0.0, 2.0]), np.zeros(3)]))
+THREE_GROUPS = _points("three", ["male", "female", "other"] * 2,
+                       [Counter({w: k}) for k, w in enumerate(VOCAB[:6], 1)])
+# 11 sums of the same few cosines: adding them in another order than column
+# order changes a last bit that decides a comparison
+A3, A3D3 = Counter({"a": 3}), Counter({"a": 3, "d": 3})
+ORDERED = _points("ordered", ["male", "female", "female", "female", "male", "male", "male",
+                              "female", "female", "female", "male"],
+                  [A3D3, A3, A3D3, A3D3, A3D3, A3D3, A3, A3D3, A3, A3D3, A3D3])
+# dot products of 21-dimensional vectors, which a BLAS matrix product can sum
+# in another order than np.dot does, flipping comparisons
+U = np.array([4.3, 4.9, -19.4, -3.9, 14.5, -7.1, 8.6, -8.9, -1.5, 26.5, 6.7, 13.2, -0.5,
+              -15.3, -14.5, 8.3, 3.0, 14.6, -4.8, 3.6, -7.0])
+V = np.array([6.6, -20.8, 0.4, -8.9, -1.3, 10.1, 3.9, 6.3, -7.9, -26.7, -11.3, 2.6, -11.7,
+              3.7, -18.4, -1.6, 13.3, 5.0, -8.5, 6.8, -1.3])
+DOTTED = _points("dotted", ["female", "male", "male", "female", "female"], [U, U, V, U, U])
+SKIPPED = (_points("one_group", ["male"] * 3, [IDENTICAL] * 3)
+           + _points("singleton", ["male", "male", "female"], [IDENTICAL] * 3))
+
+
+@given(points=summary_points())
+@example(points=TIED)
+@example(points=ROUNDED)
+@example(points=[p for p in ZERO_NORMS if isinstance(p.vector, Counter)])
+@example(points=[p for p in ZERO_NORMS if not isinstance(p.vector, Counter)])
+@example(points=THREE_GROUPS)
+@example(points=ORDERED)
+@example(points=DOTTED)
+@example(points=SKIPPED)
+@example(points=TIED + THREE_GROUPS + SKIPPED + _separated_points(3, 2))
+@settings(max_examples=150, deadline=None)
+def test_distinguishability_equals_the_pairwise_loop(points):
+    assert distinguishability(points) == pairwise_distinguishability(points)
+
+
+def test_pairwise_oracle_sees_ties_and_skips():
+    """The explicit examples above do reach ties, rounding, zero norms and skips."""
+    assert cosine_counts(IDENTICAL, IDENTICAL) < 1.0
+    assert pairwise_distinguishability(TIED) == ({"tied": (6, 0)}, [])
+    assert pairwise_distinguishability(ROUNDED) == ({"rounded": (6, 6)}, [])
+    assert pairwise_distinguishability(ORDERED) == ({"ordered": (11, 4)}, [])
+    stats, diagnostics = pairwise_distinguishability(SKIPPED)
+    assert stats == {} and len(diagnostics) == 2
+    assert set(pairwise_distinguishability(ZERO_NORMS)[0]) == {"dense", "empty"}
+
+
+def test_dense_dot_products_are_bitwise_symmetric():
+    """The kernel takes np.dot once per unordered pair and uses it for both."""
+    rng = np.random.default_rng(5)
+    for dim in (1, 3, 16, 64, 257):
+        a, b = rng.normal(size=(2, dim)) * 10.0 ** rng.integers(-3, 4, size=(2, dim))
+        assert np.dot(a, b).tobytes() == np.dot(b, a).tobytes()
 
 
 # --- bootstrap -----------------------------------------------------------------------

@@ -449,6 +449,55 @@ def test_toy_scores_are_byte_identical_to_the_pin(tmp_path, monkeypatch):
     assert hashlib.sha256(scores.read_bytes()).hexdigest() == TOY_SCORES_SHA256
 
 
+TOY_GLOBAL_SCORES_SHA256 = "47b7c41452245a227e94130df2646276fca2f41135cd38d5384e0bd6a3230ade"
+
+
+def test_toy_global_scores_are_byte_identical_to_the_pin(tmp_path, monkeypatch):
+    """The toy config under `gender_global` writes exactly the scores.json of
+    the pairwise-cosine distinguishability: every (n, wins), ties included."""
+    import hashlib
+
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(root)  # the toy config's paths are relative to the repo root
+    config = json.loads(Path("data/toy/config.json").read_text())
+    config["scheme"] = "gender_global"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_path), "--out-dir", str(tmp_path / "out")]) == 0
+    scores = tmp_path / "out" / PipelineConfig.from_file(config_path).config_hash() / "scores.json"
+    assert "distinguishability_count" in json.loads(scores.read_text())["systems"]["skewed"]["measures"]
+    assert hashlib.sha256(scores.read_bytes()).hexdigest() == TOY_GLOBAL_SCORES_SHA256
+
+
+def toy_config_with(tmp_path, text):
+    """A config file holding `text`; a dict instead changes those keys of the
+    toy config, whose outputs then go to tmp_path/out."""
+    config_path = tmp_path / "config.json"
+    if isinstance(text, dict):
+        root = Path(__file__).resolve().parent.parent
+        config = json.loads((root / "data/toy/config.json").read_text())
+        config["corpus"] = str(root / config["corpus"])
+        config["summaries"] = {s: str(root / v) for s, v in config["summaries"].items()}
+        text = json.dumps({**config, **text, "out_dir": str(tmp_path / "out")})
+    config_path.write_text(text)
+    return config_path
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("[1, 2]", "must be a JSON object, got list"),
+    ('{"corpus": "x.conll"\n"scheme": "gender_local"}', "Expecting ',' delimiter: line 2"),
+    ({"replicates": 1}, "'replicates' must be an integer >= 2, got 1"),
+    ({"variants": 0}, "'variants' must be an integer >= 1, got 0"),
+    ({"replicates": "500"}, "'replicates' must be an integer >= 2, got '500'"),
+], ids=["not_an_object", "invalid_json", "one_replicate", "no_variants", "string_replicates"])
+def test_bad_config_exits_2_naming_the_file(tmp_path, capsys, text, problem):
+    config_path = toy_config_with(tmp_path, text)
+    assert main(["run", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{config_path}: " in err and problem in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_stagewise_cli_matches_run_artifacts(tmp_path, monkeypatch):
     """The stage subcommands, chained by hand on the toy data, write the same
     bytes as `sumprobe run` leaves in its artifact directory."""
