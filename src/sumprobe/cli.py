@@ -30,7 +30,8 @@ from .pipeline import (
     Pipeline,
     PipelineConfig,
     StageError,
-    align_systems,
+    align_system,
+    alignment_context,
     build_templates,
     classify_entities,
     generate_inputs,
@@ -93,12 +94,15 @@ def cmd_build_templates(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    scheme = gen.make_scheme(
-        args.scheme,
-        variants=args.variants,
-        alter_last_names=args.alter_last_names,
-        intersection=_pairs_arg(args.intersection, "--intersection") or None,
-    )
+    try:
+        scheme = gen.make_scheme(
+            args.scheme,
+            variants=args.variants,
+            alter_last_names=args.alter_last_names,
+            intersection=_pairs_arg(args.intersection, "--intersection") or None,
+        )
+    except ValueError as exc:
+        raise DataError(f"scheme {args.scheme!r}: {exc}") from exc
     inputs = generate_inputs(
         list(tp.read_templates(args.templates)),
         scheme,
@@ -116,15 +120,14 @@ def cmd_generate(args) -> int:
 def cmd_align(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    aligned_by_system, _ = align_systems(
-        list(tp.read_templates(args.templates)),
-        list(gen.read_inputs(args.inputs)),
-        _pairs_arg(args.summaries, "--summaries"),
-        ner_sidecars=_pairs_arg(args.ner, "--ner"),
-        census=_census(args),
-        out_dir=out_dir,
+    context = alignment_context(
+        list(tp.read_templates(args.templates)), list(gen.read_inputs(args.inputs)), _census(args)
     )
-    for system, (_, c) in sorted(aligned_by_system.items()):
+    ner_sidecars = _pairs_arg(args.ner, "--ner")
+    for system, path in sorted(_pairs_arg(args.summaries, "--summaries").items()):
+        _, c = align_system(
+            context, system, path, ner_sidecar=ner_sidecars.get(system), out_dir=out_dir
+        )
         print(
             f"{system}: {c['aligned_summary_entities']} aligned, "
             f"{c['hallucinated']} hallucinated, "

@@ -38,6 +38,8 @@ SCHEME_KINDS = (
     "race_random_gender",
     "race_intersectional",
 )
+# schemes that split each original's variants evenly between the two genders
+PAIRED_SCHEME_KINDS = ("gender_local", "gender_global")
 
 GENDERS = ("male", "female")
 
@@ -68,10 +70,8 @@ class AssignmentScheme:
                 raise ValueError(f"intersection maps to unknown gender(s) {bad}")
         elif self.intersection is not None:
             raise ValueError(f"{self.kind} does not take an intersection mapping")
-        if self.kind == "gender_local" and self.variants_per_original % 2:
-            raise ValueError("gender_local pairs variants; variants_per_original must be even")
-        if self.kind == "gender_global" and self.variants_per_original % 2:
-            raise ValueError("gender_global balances variants; variants_per_original must be even")
+        if self.kind in PAIRED_SCHEME_KINDS and self.variants_per_original % 2:
+            raise ValueError(f"{self.kind} pairs variants; variants_per_original must be even")
         if self.is_race and not self.alter_last_names:
             raise ValueError("race schemes substitute last names; alter_last_names must be true")
 

@@ -45,6 +45,33 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage!r}: {message}")
         self.stage = stage
+        self.message = message
+
+    def __reduce__(self):
+        # rebuilt from its fields, so it survives the trip back from a pool worker
+        return type(self), (self.stage, self.message)
+
+
+def _integer(least: int | None = None):
+    return lambda value: type(value) is int and (least is None or value >= least)
+
+
+def _paths_by_name(value) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(s, str) for item in value.items() for s in item)
+
+
+# (config key, what its value must be, the check); a key the file leaves out
+# takes its default, which passes
+_CONFIG_RULES = (
+    ("scheme", "one of " + ", ".join(gen.SCHEME_KINDS), lambda value: value in gen.SCHEME_KINDS),
+    ("seed", "an integer", _integer()),
+    ("variants", "an integer >= 1", _integer(1)),
+    ("replicates", "an integer >= 2", _integer(2)),
+    ("jobs", "an integer >= 1", _integer(1)),
+    *((key, "an object mapping names to path strings", _paths_by_name)
+      for key in ("summaries", "ner_sidecars", "dense_vectors")),
+)
 
 
 @dataclass
@@ -85,11 +112,12 @@ class PipelineConfig:
         missing = [k for k in ("corpus", "scheme", "seed", "out_dir") if k not in data]
         if missing:
             raise DataError(f"{path}: config missing required key(s): {missing}")
-        for key, least in (("replicates", 2), ("variants", 1)):
-            value = data.get(key, cls.__dataclass_fields__[key].default)
-            if type(value) is not int or value < least:
-                raise DataError(f"{path}: config key {key!r} must be an integer >= {least}, "
-                                f"got {value!r}")
+        for key, rule, ok in _CONFIG_RULES:
+            if key in data and not ok(data[key]):
+                raise DataError(f"{path}: config key {key!r} must be {rule}, got {data[key]!r}")
+        if data["scheme"] in gen.PAIRED_SCHEME_KINDS and data.get("variants", 20) % 2:
+            raise DataError(f"{path}: config key 'variants' must be even under scheme "
+                            f"{data['scheme']!r}, got {data['variants']!r}")
         return cls(**data)
 
     def payload(self) -> dict:
@@ -210,38 +238,55 @@ def generate_inputs(
 AlignedBySystem = dict[str, tuple[list[al.AlignedSummary], Counter]]
 
 
-def align_systems(
+@dataclass(frozen=True)
+class AlignmentContext:
+    """What every system's summaries are aligned against: the generated
+    inputs by id, each input's entity table and source tokens, and the
+    detection lexicon."""
+
+    inputs: dict[str, gen.GeneratedInput]
+    entity_index: dict[str, list[al.InputEntity]]
+    source_tokens: dict[str, list[str]]
+    lexicon: frozenset[str]
+
+
+def alignment_context(
     templates: list[tp.DocumentTemplate], inputs: list[gen.GeneratedInput],
-    summaries: dict[str, str], *, ner_sidecars: dict[str, str], census: GenderNameTable,
-    out_dir: str | Path,
-) -> tuple[AlignedBySystem, dict[str, list[al.InputEntity]]]:
-    """(aligned records, counts) per system, and the entity index they were
-    aligned against; writes alignments.<system>.jsonl under `out_dir`. Every
-    name of the raw `census` table joins the detection lexicon."""
+    census: GenderNameTable,
+) -> AlignmentContext:
+    """The alignment set-up that all systems share; every name of the raw
+    `census` table joins the detection lexicon."""
     by_doc = {t.doc_id: t for t in templates}
-    by_id = {g.id: g for g in inputs}
-    entity_index = {g.id: al.input_entities(by_doc[g.original_id], g) for g in inputs}
-    source_tokens = {g.id: g.tokens for g in inputs}
-    lexicon = sm.build_lexicon(
-        [a.first for g in inputs for a in g.assignments],
-        [a.last for g in inputs for a in g.assignments],
-        [e.first for t in templates for e in t.entities],
-        [e.last for t in templates for e in t.entities],
-        census=census,
+    return AlignmentContext(
+        inputs={g.id: g for g in inputs},
+        entity_index={g.id: al.input_entities(by_doc[g.original_id], g) for g in inputs},
+        source_tokens={g.id: g.tokens for g in inputs},
+        lexicon=sm.build_lexicon(
+            [a.first for g in inputs for a in g.assignments],
+            [a.last for g in inputs for a in g.assignments],
+            [e.first for t in templates for e in t.entities],
+            [e.last for t in templates for e in t.entities],
+            census=census,
+        ),
     )
-    out: AlignedBySystem = {}
-    for system, path in sorted(summaries.items()):
-        if not Path(path).exists():
-            raise StageError("summaries", f"summary file for system {system!r} missing: {path}")
-        ner = sm.load_ner_sidecar(ner_sidecars[system]) if system in ner_sidecars else None
-        try:
-            records = sm.load_summaries(path, by_id, lexicon=lexicon, ner_spans=ner)
-        except sm.SummaryJoinError as exc:
-            raise DataError(f"system {system!r}: {exc}") from exc
-        aligned, counts = al.align_corpus(records, entity_index, source_tokens)
-        al.write_alignments(aligned, Path(out_dir) / f"alignments.{system}.jsonl")
-        out[system] = (aligned, counts.get(system, Counter()))
-    return out, entity_index
+
+
+def align_system(
+    context: AlignmentContext, system: str, path: str | Path, *,
+    ner_sidecar: str | None, out_dir: str | Path,
+) -> tuple[list[al.AlignedSummary], Counter]:
+    """`system`'s aligned summary records and alignment counts; writes
+    alignments.<system>.jsonl under `out_dir`."""
+    if not Path(path).exists():
+        raise StageError("summaries", f"summary file for system {system!r} missing: {path}")
+    ner = sm.load_ner_sidecar(ner_sidecar) if ner_sidecar is not None else None
+    try:
+        records = sm.load_summaries(path, context.inputs, lexicon=context.lexicon, ner_spans=ner)
+    except sm.SummaryJoinError as exc:
+        raise DataError(f"system {system!r}: {exc}") from exc
+    aligned, counts = al.align_corpus(records, context.entity_index, context.source_tokens)
+    al.write_alignments(aligned, Path(out_dir) / f"alignments.{system}.jsonl")
+    return aligned, counts.get(system, Counter())
 
 
 def entity_key(tokens: Sequence[str]) -> str:
@@ -269,6 +314,17 @@ def classify_entities(
     ]
     write_json(out, rows)
     return verdicts
+
+
+@dataclass(frozen=True)
+class _SharedScoring:
+    """What every system's scoring reads, built once per `Pipeline.score`."""
+
+    context: AlignmentContext
+    client: gid.FixtureLookupClient | None  # only where the scheme classifies
+    memo: dict[str, gid.GenderVerdict]  # verdicts so far, across systems in one process
+    input_ident_counts: dict[str, Counter]  # word-list identifiers per input, where classified
+    names: tuple[set[str], set[str]] | None  # first and last names assigned (gender_global)
 
 
 class Pipeline:
@@ -333,23 +389,22 @@ class Pipeline:
             )
         return self._inputs
 
-    def alignments(self) -> tuple[AlignedBySystem, dict[str, list[al.InputEntity]]]:
-        return align_systems(
-            self.templates(), self.inputs(), self.config.summaries,
-            ner_sidecars=self.config.ner_sidecars, census=self._census_raw,
-            out_dir=self.art_dir,
+    def alignments(
+        self, system: str, context: AlignmentContext
+    ) -> tuple[list[al.AlignedSummary], Counter]:
+        return align_system(
+            context, system, self.config.summaries[system],
+            ner_sidecar=self.config.ner_sidecars.get(system), out_dir=self.art_dir,
         )
 
     def classify_hallucinations(
-        self, aligned_by_system: AlignedBySystem
+        self, aligned_by_system: AlignedBySystem, shared: _SharedScoring
     ) -> dict[str, dict[str, gid.GenderVerdict]]:
         """Gender verdicts per system, keyed by the entity surface form."""
-        client = gid.FixtureLookupClient(self.config.cache or _bundled("wiki_cache.json"))
-        memo: dict[str, gid.GenderVerdict] = {}
         return {
             system: classify_entities(
                 (e.tokens for a in aligned for e in a.hallucinated()),
-                client, self.census, self.path(f"verdicts.{system}.json"), memo,
+                shared.client, self.census, self.path(f"verdicts.{system}.json"), shared.memo,
             )
             for system, (aligned, _) in sorted(aligned_by_system.items())
         }
@@ -360,103 +415,133 @@ class Pipeline:
         original, variant = input_id.rsplit("::", 1)
         return original, int(variant)
 
+    def _classifies(self) -> bool:
+        """Whether the scheme scores word lists and hallucinations."""
+        return self.scheme.kind == "gender_local"
+
     def score(self) -> dict:
-        aligned_by_system, entity_index = self.alignments()
-        inputs = {g.id: g for g in self.inputs()}
-        is_gender = not self.scheme.is_race
-        is_local = self.scheme.kind != "gender_global"
-        verdicts = {s: {} for s in aligned_by_system}
-        if is_gender and is_local:
-            verdicts = self.classify_hallucinations(aligned_by_system)
-            input_ident_counts = {
-                gi.id: ms.count_identifiers(gi.tokens, self.word_lists)
-                for gi in inputs.values()
-            }
+        """Write scores.json: one block per system, in sorted system order.
+        With `jobs > 1` and several systems, forked workers compute the
+        blocks, one system each, from the state built here once."""
+        inputs = self.inputs()
+        classifies = self._classifies()
+        names = None
         if self.scheme.kind == "gender_global":
-            assignments = [a for gi in inputs.values() for a in gi.assignments]
-            first_names = {a.first.lower() for a in assignments if a.first}
-            last_names = {a.last.lower() for a in assignments if a.last}
-
-        report: dict = {"config": self.config.payload(), "systems": {}}
-        for system, (aligned, counts) in sorted(aligned_by_system.items()):
-            measures: dict[str, dict] = {}
-            diag: dict[str, list[str]] = {}
-            system_verdicts = verdicts[system]
-            hallucinated_keys = [[entity_key(e.tokens) for e in a.hallucinated()] for a in aligned]
-
-            def records_from(stats_by_record):
-                """Bootstrap records holding each record's statistics vector."""
-                pairs = list(stats_by_record)
-                stats = np.array([row for _, row in pairs], dtype=np.int64)
-                return [
-                    ms.BootstrapRecord(*self._variant_of(rec_id), row)
-                    for (rec_id, _), row in zip(pairs, stats)
-                ]
-
-            if is_gender and is_local:
-                groups = sorted(self.word_lists)
-                wl_records = records_from(
-                    (a.record.input_id,
-                     ms.word_list_stats(ms.count_identifiers(a.record.tokens, self.word_lists),
-                                        input_ident_counts[a.record.input_id], groups))
-                    for a in aligned
-                )
-                measures["word_list_inclusion"] = self._ci(
-                    wl_records, lambda t: ms.word_list_scores(t, "adjusted"),
-                    system, "word_list_inclusion",
-                ).as_json()
-                measures["word_list_inclusion_uniform"] = self._ci(
-                    wl_records, lambda t: ms.word_list_scores(t, "uniform"),
-                    system, "word_list_inclusion_uniform",
-                ).as_json()
-                hal_records = records_from(
-                    (a.record.input_id,
-                     ms.hallucination_stats(Counter(system_verdicts[key].gender for key in keys)))
-                    for a, keys in zip(aligned, hallucinated_keys)
-                )
-                measures["hallucination_bias"] = self._ci(
-                    hal_records, ms.hallucination_scores, system, "hallucination_bias"
-                ).as_json()
-
-            if is_local:
-                rows = al.inclusion_rows(aligned, entity_index)
-                inc_groups = sorted({g for r in rows for g in r["groups"]})
-                inc_records = records_from(
-                    (r["input_id"], ms.inclusion_stats(r["groups"], inc_groups)) for r in rows
-                )
-                measures["entity_inclusion"] = self._ci(
-                    inc_records, ms.inclusion_scores, system, "entity_inclusion"
-                ).as_json()
-
-            if self.scheme.kind == "gender_global":
-                count_points, dense_points, d_diag = self._distinguishability_points(
-                    system, aligned, inputs, first_names, last_names
-                )
-                stats, skipped = ms.distinguishability(count_points)
-                diag["distinguishability_count"] = skipped
-                measures["distinguishability_count"] = self._dist_ci(
-                    stats, system, "distinguishability_count"
-                ).as_json()
-                if dense_points is not None:
-                    stats_d, skipped_d = ms.distinguishability(dense_points)
-                    diag["distinguishability_dense"] = skipped_d + d_diag
-                    measures["distinguishability_dense"] = self._dist_ci(
-                        stats_d, system, "distinguishability_dense"
-                    ).as_json()
-
-            hallucinated = Counter(key for keys in hallucinated_keys for key in keys)
-            counts["gender_classified_hallucinations"] = sum(
-                n for key, n in hallucinated.items()
-                if key in system_verdicts and system_verdicts[key].gender != "unknown"
-            )
-            report["systems"][system] = {
-                "measures": measures,
-                "alignment_counts": dict(sorted(counts.items())),
-                "hallucination_top": self._hallucination_top(hallucinated, system_verdicts),
-                "diagnostics": diag,
-            }
+            assignments = [a for gi in inputs for a in gi.assignments]
+            names = ({a.first.lower() for a in assignments if a.first},
+                     {a.last.lower() for a in assignments if a.last})
+        shared = _SharedScoring(
+            context=alignment_context(self.templates(), inputs, self._census_raw),
+            client=(gid.FixtureLookupClient(self.config.cache or _bundled("wiki_cache.json"))
+                    if classifies else None),
+            memo={},
+            input_ident_counts=(
+                {gi.id: ms.count_identifiers(gi.tokens, self.word_lists) for gi in inputs}
+                if classifies else {}),
+            names=names,
+        )
+        systems = sorted(self.config.summaries)
+        workers = min(self.config.jobs, len(systems))
+        if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+            # fork hands every worker this pipeline and `shared` as they are;
+            # only system names and blocks cross the pipes
+            with multiprocessing.get_context("fork").Pool(
+                workers, _start_worker, (self, shared)
+            ) as pool:
+                blocks = list(pool.imap(_score_in_worker, systems))
+        else:
+            blocks = [self._score_system(system, shared) for system in systems]
+        report = {"config": self.config.payload(), "systems": dict(zip(systems, blocks))}
         write_json(self.path("scores.json"), report)
         return report
+
+    def _score_system(self, system: str, shared: _SharedScoring) -> dict:
+        """`system`'s block of scores.json: its summaries aligned, their
+        hallucinations classified, every measure with its CIs. Writes
+        alignments.<system>.jsonl, and verdicts.<system>.json where the
+        scheme classifies."""
+        aligned, counts = self.alignments(system, shared.context)
+        classifies = self._classifies()
+        is_local = self.scheme.kind != "gender_global"
+        system_verdicts = {}
+        if classifies:
+            by_system = {system: (aligned, counts)}
+            system_verdicts = self.classify_hallucinations(by_system, shared)[system]
+        measures: dict[str, dict] = {}
+        diag: dict[str, list[str]] = {}
+        hallucinated_keys = [[entity_key(e.tokens) for e in a.hallucinated()] for a in aligned]
+
+        def records_from(stats_by_record):
+            """Bootstrap records holding each record's statistics vector."""
+            pairs = list(stats_by_record)
+            stats = np.array([row for _, row in pairs], dtype=np.int64)
+            return [
+                ms.BootstrapRecord(*self._variant_of(rec_id), row)
+                for (rec_id, _), row in zip(pairs, stats)
+            ]
+
+        if classifies:
+            groups = sorted(self.word_lists)
+            wl_records = records_from(
+                (a.record.input_id,
+                 ms.word_list_stats(ms.count_identifiers(a.record.tokens, self.word_lists),
+                                    shared.input_ident_counts[a.record.input_id], groups))
+                for a in aligned
+            )
+            measures["word_list_inclusion"] = self._ci(
+                wl_records, lambda t: ms.word_list_scores(t, "adjusted"),
+                system, "word_list_inclusion",
+            ).as_json()
+            measures["word_list_inclusion_uniform"] = self._ci(
+                wl_records, lambda t: ms.word_list_scores(t, "uniform"),
+                system, "word_list_inclusion_uniform",
+            ).as_json()
+            hal_records = records_from(
+                (a.record.input_id,
+                 ms.hallucination_stats(Counter(system_verdicts[key].gender for key in keys)))
+                for a, keys in zip(aligned, hallucinated_keys)
+            )
+            measures["hallucination_bias"] = self._ci(
+                hal_records, ms.hallucination_scores, system, "hallucination_bias"
+            ).as_json()
+
+        if is_local:
+            rows = al.inclusion_rows(aligned, shared.context.entity_index)
+            inc_groups = sorted({g for r in rows for g in r["groups"]})
+            inc_records = records_from(
+                (r["input_id"], ms.inclusion_stats(r["groups"], inc_groups)) for r in rows
+            )
+            measures["entity_inclusion"] = self._ci(
+                inc_records, ms.inclusion_scores, system, "entity_inclusion"
+            ).as_json()
+
+        if not is_local:
+            count_points, dense_points, d_diag = self._distinguishability_points(
+                system, aligned, shared.context.inputs, *shared.names
+            )
+            stats, skipped = ms.distinguishability(count_points)
+            diag["distinguishability_count"] = skipped
+            measures["distinguishability_count"] = self._dist_ci(
+                stats, system, "distinguishability_count"
+            ).as_json()
+            if dense_points is not None:
+                stats_d, skipped_d = ms.distinguishability(dense_points)
+                diag["distinguishability_dense"] = skipped_d + d_diag
+                measures["distinguishability_dense"] = self._dist_ci(
+                    stats_d, system, "distinguishability_dense"
+                ).as_json()
+
+        hallucinated = Counter(key for keys in hallucinated_keys for key in keys)
+        counts["gender_classified_hallucinations"] = sum(
+            n for key, n in hallucinated.items()
+            if key in system_verdicts and system_verdicts[key].gender != "unknown"
+        )
+        return {
+            "measures": measures,
+            "alignment_counts": dict(sorted(counts.items())),
+            "hallucination_top": self._hallucination_top(hallucinated, system_verdicts),
+            "diagnostics": diag,
+        }
 
     def _ci(self, records, fn, system, measure) -> ms.ScoreWithCI:
         seed = derive_seed(self.config.seed, "ci", system, measure)
@@ -512,3 +597,17 @@ class Pipeline:
             for name, count in rows
         ]
 
+
+# the (pipeline, shared state) a scoring worker inherited from its parent
+_worker_state: tuple[Pipeline, _SharedScoring] | None = None
+
+
+def _start_worker(pipeline: Pipeline, shared: _SharedScoring) -> None:
+    """Pool initializer: under fork its arguments are inherited, not pickled."""
+    global _worker_state
+    _worker_state = (pipeline, shared)
+
+
+def _score_in_worker(system: str) -> dict:
+    pipeline, shared = _worker_state
+    return pipeline._score_system(system, shared)

@@ -24,7 +24,12 @@ _PUNCT = set(string.punctuation)
 class SummaryJoinError(ValueError):
     def __init__(self, message: str, offenders: list[str]):
         super().__init__(f"{message}: {', '.join(offenders)}")
+        self.message = message
         self.offenders = offenders
+
+    def __reduce__(self):
+        # rebuilt from its fields, so it survives the trip back from a pool worker
+        return type(self), (self.message, self.offenders)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ from e2e import identity_summarizer, make_keep_rate_summarizer, stage_run
 
 from sumprobe.cli import COMMANDS, build_parser, main
 from sumprobe.corpus import write_conll_corpus
-from sumprobe.pipeline import Pipeline, PipelineConfig
+from sumprobe.pipeline import Pipeline, PipelineConfig, StageError
 from sumprobe.report import render_report
+from sumprobe.summaries import SummaryJoinError
 
 
 @pytest.fixture(scope="module")
@@ -483,19 +484,119 @@ def toy_config_with(tmp_path, text):
     return config_path
 
 
-@pytest.mark.parametrize("text, problem", [
-    ("[1, 2]", "must be a JSON object, got list"),
-    ('{"corpus": "x.conll"\n"scheme": "gender_local"}', "Expecting ',' delimiter: line 2"),
-    ({"replicates": 1}, "'replicates' must be an integer >= 2, got 1"),
-    ({"variants": 0}, "'variants' must be an integer >= 1, got 0"),
-    ({"replicates": "500"}, "'replicates' must be an integer >= 2, got '500'"),
-], ids=["not_an_object", "invalid_json", "one_replicate", "no_variants", "string_replicates"])
-def test_bad_config_exits_2_naming_the_file(tmp_path, capsys, text, problem):
+@pytest.mark.parametrize("text, flags, problem", [
+    ("[1, 2]", [], "must be a JSON object, got list"),
+    ('{"corpus": "x.conll"\n"scheme": "gender_local"}', [], "Expecting ',' delimiter: line 2"),
+    ({"replicates": 1}, [], "'replicates' must be an integer >= 2, got 1"),
+    ({"variants": 0}, [], "'variants' must be an integer >= 1, got 0"),
+    ({"replicates": "500"}, [], "'replicates' must be an integer >= 2, got '500'"),
+    ({"scheme": "bogus"}, [], "'scheme' must be one of gender_local, gender_global, "),
+    ({"summaries": ["x"]}, [], "'summaries' must be an object mapping names to path strings"),
+    ({"ner_sidecars": {"skewed": 3}}, [], "'ner_sidecars' must be an object mapping"),
+    ({"dense_vectors": "vectors.jsonl"}, [], "'dense_vectors' must be an object mapping"),
+    ({"variants": 3}, [], "'variants' must be even under scheme 'gender_local', got 3"),
+    ({"scheme": "gender_global", "variants": 5}, [], "'variants' must be even under scheme "
+                                                     "'gender_global', got 5"),
+    ({"seed": "42"}, [], "'seed' must be an integer, got '42'"),
+    ({"seed": 4.2}, [], "'seed' must be an integer, got 4.2"),
+    ({"jobs": 0}, [], "'jobs' must be an integer >= 1, got 0"),
+    ({"jobs": True}, [], "'jobs' must be an integer >= 1, got True"),
+    ({}, ["--jobs", "0"], "'jobs' must be an integer >= 1, got 0"),
+], ids=["not_an_object", "invalid_json", "one_replicate", "no_variants", "string_replicates",
+        "unknown_scheme", "list_summaries", "int_ner_path", "string_dense_vectors",
+        "odd_local_variants", "odd_global_variants", "string_seed", "float_seed", "no_jobs",
+        "bool_jobs", "no_jobs_flag"])
+def test_bad_config_exits_2_naming_the_file(tmp_path, capsys, text, flags, problem):
     config_path = toy_config_with(tmp_path, text)
-    assert main(["run", "--config", str(config_path)]) == 2
+    assert main(["run", "--config", str(config_path), *flags]) == 2
     err = capsys.readouterr().err
     assert f"{config_path}: " in err and problem in err
     assert not (tmp_path / "out").exists()
+
+
+def test_generate_with_odd_variants_exits_2(tmp_path, capsys):
+    argv = ["generate", "--templates", str(tmp_path / "templates.jsonl"), "--scheme",
+            "gender_global", "--seed", "1", "--variants", "3", "--out", str(tmp_path / "inputs.jsonl")]
+    assert main(argv) == 2
+    assert "variants_per_original must be even" in capsys.readouterr().err
+
+
+def hallucinating(gi, rng):
+    """Keeps each assigned entity by a coin flip and sometimes invents a
+    person, so that verdict files hold rows."""
+    kept = [f"{a.first} {a.last} spoke ." for a in gi.assignments if rng.random() < 0.6]
+    invented = rng.choice(["", "Boris Yeltsin agreed .", "Pat Nixon was there .",
+                           "Mr. Quorvel objected ."])
+    return " ".join([*kept, invented])
+
+
+@pytest.mark.parametrize("scheme", ["gender_local", "gender_global"])
+def test_every_artifact_is_byte_identical_at_any_jobs(tmp_path, scheme):
+    """Two systems scored serially (--jobs 1) and in forked per-system
+    workers (--jobs 2 and 3) leave the same files with the same bytes,
+    alignments and verdicts included."""
+    docs = make_fixture_corpus(10, seed=5)
+    vectors = {"faithful": lambda gi: [float(len(gi.tokens)), float(len(gi.assignments)), 1.0]}
+    config = stage_run(
+        tmp_path, docs, scheme=scheme, variants=4, replicates=30,
+        summarizers={"faithful": identity_summarizer, "inventive": hallucinating},
+        dense_vectors=vectors if scheme == "gender_global" else None,
+    )
+    produced = {}  # jobs -> {file name: bytes} of the artifact directory
+    for jobs in (1, 2, 3):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", "--config", str(config), "--out-dir", str(out),
+                     "--jobs", str(jobs)]) == 0
+        art = out / artifact_dir(config).name
+        produced[jobs] = {p.name: p.read_bytes() for p in art.iterdir()}
+    expected = {"alignments.faithful.jsonl", "alignments.inventive.jsonl", "scores.json"}
+    if scheme == "gender_local":
+        expected |= {"verdicts.faithful.json", "verdicts.inventive.json"}
+        assert json.loads(produced[1]["verdicts.inventive.json"])
+    else:
+        measures = json.loads(produced[1]["scores.json"])["systems"]["faithful"]["measures"]
+        assert "distinguishability_dense" in measures
+    assert expected <= set(produced[1])
+    assert produced[1] == produced[2] == produced[3]
+
+
+def test_worker_data_error_exits_2_without_hanging(tmp_path, small_corpus):
+    """A summary file of the second system naming an unknown input fails
+    in its scoring worker; the run still exits 2 with the join error."""
+    import os
+    import subprocess
+    import sys
+
+    config = stage_run(
+        tmp_path, small_corpus, replicates=20,
+        summarizers={"a": identity_summarizer, "b": identity_summarizer},
+    )
+    path = Path(json.loads(config.read_text())["summaries"]["b"])
+    with path.open("a") as fh:
+        fh.write(json.dumps({"input_id": "nowhere::0", "system": "b", "summary": "x"}) + "\n")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sumprobe.cli", "run", "--config", str(config), "--jobs", "2"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "system 'b': summaries reference unknown input ids: nowhere::0" in proc.stderr
+
+
+@pytest.mark.parametrize("error", [
+    StageError("summaries", "summary file missing"),
+    SummaryJoinError("summaries reference unknown input ids", ["x::0", "y::1"]),
+], ids=["stage_error", "summary_join_error"])
+def test_errors_survive_pickling(error):
+    """A pool worker's error reaches the parent pickled; one that fails to
+    unpickle there leaves the parent waiting forever."""
+    import pickle
+
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error) and str(copy) == str(error)
+    assert vars(copy) == vars(error)
 
 
 def test_stagewise_cli_matches_run_artifacts(tmp_path, monkeypatch):
