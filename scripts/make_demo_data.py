@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Stage a small self-contained demo run: a toy annotated corpus, two toy
 summarizers' outputs (one faithful, one that drops female entities and
-hallucinates), and a ready-to-run pipeline config.
+hallucinates), and a ready-to-run pipeline config. The toy corpus comes
+from `make_fixture_corpus`, a deterministic builder of annotated documents
+that the test suite imports as well.
 
     python scripts/make_demo_data.py --dir demo
     sumprobe run --config demo/config.json
@@ -9,18 +11,168 @@ hallucinates), and a ready-to-run pipeline config.
 
 import argparse
 import json
-import sys
+import random
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from sumprobe.corpus import (
+    AnnotatedDocument,
+    MentionSpan,
+    NamedEntitySpan,
+    Token,
+    write_conll_corpus,
+)
+from sumprobe.generate import generate_corpus, make_scheme
+from sumprobe.names import load_census, resolve_ambiguous
+from sumprobe.seeding import derive_rng
+from sumprobe.templates import build_template
 
-from corpusgen import make_fixture_corpus  # noqa: E402
+# fixture names deliberately absent from the bundled census sample
+LAST_NAMES = [
+    "Ashford", "Brackley", "Cobbleton", "Dunmore", "Eastwick", "Fairholm",
+    "Graystone", "Hollowell", "Ironfield", "Jessop", "Kestrel", "Lockridge",
+    "Marwick", "Northgate", "Oakhurst", "Pemberly", "Ravenscroft",
+    "Stonebridge", "Thornbury", "Underhill", "Vexley", "Wyndham", "Yarrow",
+]
+MALE_FIRST = [
+    "Edmund", "Rupert", "Oswald", "Barnaby", "Clement", "Ambrose", "Leopold",
+    "Thaddeus", "Percival", "Ignatius",
+]
+FEMALE_FIRST = [
+    "Rosalind", "Winifred", "Harriet", "Clementine", "Beatrix", "Araminta",
+    "Eulalia", "Theodora", "Philippa", "Gwendolyn",
+]
 
-from sumprobe.corpus import write_conll_corpus  # noqa: E402
-from sumprobe.generate import generate_corpus, make_scheme  # noqa: E402
-from sumprobe.names import load_census, resolve_ambiguous  # noqa: E402
-from sumprobe.seeding import derive_rng  # noqa: E402
-from sumprobe.templates import build_template  # noqa: E402
+FILLER_SENTENCES = [
+    "The council approved the budget yesterday .",
+    "Officials described the plan as ambitious .",
+    "The market reacted calmly to the report .",
+    "A new bridge will open next spring .",
+]
+
+
+class DocBuilder:
+    def __init__(self, name: str, part: int = 0):
+        self.name = name
+        self.part = part
+        self.tokens: list[Token] = []
+        self.sentence = 0
+        self.mentions: list[MentionSpan] = []
+        self.entities: list[NamedEntitySpan] = []
+
+    def add_sentence(self, words, pos, mentions=(), nes=()):
+        """Indices in mentions/nes are sentence-local."""
+        assert len(words) == len(pos)
+        offset = len(self.tokens)
+        for i, (w, p) in enumerate(zip(words, pos)):
+            self.tokens.append(Token(offset + i, w, self.sentence, p))
+        for start, end, chain in mentions:
+            self.mentions.append(MentionSpan(offset + start, offset + end, chain))
+        for start, end, label in nes:
+            self.entities.append(NamedEntitySpan(offset + start, offset + end, label))
+        self.sentence += 1
+
+    def filler(self, text: str):
+        words = text.split()
+        self.add_sentence(words, ["XX"] * len(words))
+
+    def build(self) -> AnnotatedDocument:
+        chains: dict[str, list[MentionSpan]] = {}
+        for m in sorted(self.mentions):
+            chains.setdefault(m.chain, []).append(m)
+        return AnnotatedDocument(
+            id=f"{self.name}#{self.part}",
+            tokens=self.tokens,
+            chains=chains,
+            entities=sorted(self.entities),
+        )
+
+
+def _titled_entity(b: DocBuilder, chain: str, gender: str, last: str):
+    title = "Mr." if gender == "male" else "Ms."
+    b.add_sentence(
+        [title, last, "announced", "the", "results", "."],
+        ["NNP", "NNP", "VBD", "DT", "NNS", "."],
+        mentions=[(0, 1, chain)],
+        nes=[(1, 1, "PERSON")],
+    )
+    subj, poss = ("He", "his") if gender == "male" else ("She", "her")
+    b.add_sentence(
+        [subj, "defended", poss, "record", "."],
+        ["PRP", "VBD", "PRP$", "NN", "."],
+        mentions=[(0, 0, chain), (2, 2, chain)],
+    )
+
+
+def _fullname_entity(b: DocBuilder, chain: str, gender: str, first: str, last: str):
+    b.add_sentence(
+        [first, last, "joined", "the", "board", "."],
+        ["NNP", "NNP", "VBD", "DT", "NN", "."],
+        mentions=[(0, 1, chain)],
+        nes=[(0, 1, "PERSON")],
+    )
+    obj, refl = ("him", "himself") if gender == "male" else ("her", "herself")
+    b.add_sentence(
+        ["Colleagues", "praised", obj, "and", last, "thanked", refl, "."],
+        ["NNS", "VBD", "PRP", "CC", "NNP", "VBD", "PRP", "."],
+        mentions=[(2, 2, chain), (4, 4, chain), (6, 6, chain)],
+        nes=[(4, 4, "PERSON")],
+    )
+
+
+def _bare_entity(b: DocBuilder, chain: str, last: str):
+    b.add_sentence(
+        [last, "declined", "to", "comment", "."],
+        ["NNP", "VBD", "TO", "VB", "."],
+        mentions=[(0, 0, chain)],
+        nes=[(0, 0, "PERSON")],
+    )
+
+
+def _singleton_entity(b: DocBuilder, first: str, last: str):
+    b.add_sentence(
+        ["The", "report", "cited", first, last, "."],
+        ["DT", "NN", "VBD", "NNP", "NNP", "."],
+        nes=[(3, 4, "PERSON")],
+    )
+
+
+def make_fixture_doc(index: int, rng: random.Random) -> AnnotatedDocument:
+    b = DocBuilder(f"fix_{index:04d}")
+    lasts = rng.sample(LAST_NAMES, 6)
+    male_firsts = rng.sample(MALE_FIRST, 4)
+    female_firsts = rng.sample(FEMALE_FIRST, 4)
+    n_entities = rng.choice([1, 2, 2, 3, 4])
+    kinds = [
+        rng.choice(["titled", "titled", "fullname", "fullname", "bare"])
+        for _ in range(n_entities)
+    ]
+    if index % 10 == 9:
+        kinds = ["bare"]  # ineligible document
+    chain_no = 0
+    used_first = iter(zip(male_firsts, female_firsts))
+    for kind in kinds:
+        gender = rng.choice(["male", "female"])
+        last = lasts[chain_no]
+        if kind == "titled":
+            _titled_entity(b, str(chain_no), gender, last)
+        elif kind == "fullname":
+            males, females = next(used_first)
+            first = males if gender == "male" else females
+            _fullname_entity(b, str(chain_no), gender, first, last)
+        else:
+            _bare_entity(b, str(chain_no), last)
+        chain_no += 1
+        if rng.random() < 0.4:
+            b.filler(rng.choice(FILLER_SENTENCES))
+    if rng.random() < 0.25:
+        _singleton_entity(b, rng.choice(MALE_FIRST), lasts[5])
+    b.filler(rng.choice(FILLER_SENTENCES))
+    return b.build()
+
+
+def make_fixture_corpus(n_docs: int = 50, seed: int = 7) -> list[AnnotatedDocument]:
+    rng = random.Random(seed)
+    return [make_fixture_doc(i, rng) for i in range(n_docs)]
 
 
 def main() -> None:

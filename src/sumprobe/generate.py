@@ -220,20 +220,6 @@ def render(
     return splice(template.tokens, pieces)
 
 
-def identity_assignments(template: DocumentTemplate) -> dict[str, EntityAssignment]:
-    """Assignments that keep every entity's original name and gender."""
-    out = {}
-    for e in template.entities:
-        out[e.entity] = EntityAssignment(
-            entity=e.entity,
-            group=e.original_gender or "unknown",
-            gender=e.original_gender or "male",
-            first=e.first or "",
-            last=e.last,
-        )
-    return out
-
-
 # --- assignment --------------------------------------------------------------
 
 

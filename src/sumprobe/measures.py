@@ -27,29 +27,32 @@ statistics and call the scorers.
 Confidence intervals resample along two axes: original documents (d) and
 the generated assignment variants within each original (s). For records
 whose payloads are statistics vectors, `bootstrap` draws every replicate's
-resample exactly as the payload-list loop does (the same `derive_rng` streams
-and `choices` calls), turns the draws into record multiplicities and scores
-all replicates from one (replicates, k) matrix of summed statistics: the
-multinomial-weights form of the nonparametric bootstrap (Efron & Tibshirani
-1993, ch. 6). Integer sums are exact, and the scorers do the float
-operations of the scalar definitions in the same order, so the intervals are
-bit for bit those of the payload-list loop, which stays as the path for other
-payloads.
+resample exactly as the payload-list loop does: one Mersenne Twister,
+reseeded per replicate with that loop's `derive_rng` seed, draws the
+uniforms its `choices` calls would, and numpy turns them into positions the
+way `choices` does. It turns the positions into record multiplicities and
+scores all replicates from one (replicates, k) matrix of summed statistics:
+the multinomial-weights form of the nonparametric bootstrap (Efron &
+Tibshirani 1993, ch. 6). Integer sums are exact, and the scorers do the
+float operations of the scalar definitions in the same order, so the
+intervals are bit for bit those of the payload-list loop, which stays as the
+path for other payloads.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import random
 import string
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat, starmap
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .seeding import derive_rng
+from .seeding import derive_rng, seed_stream
 
 NEUTRAL_SUBJECT = {"he", "she"}
 NEUTRAL_OBJECT = {"him", "her", "his", "hers"}
@@ -494,15 +497,41 @@ def _payload_list_replicates(records, score_fn, axis, replicates, seed) -> np.nd
     return values
 
 
+def _resampled_positions(seed, axis, replicates, starts, lengths):
+    """Each block of replicates' draws, as (first replicate, (block, n)
+    positions): row r holds the positions that replicate first + r picks in
+    each span [start, start + length), the spans laid end to end.
+
+    The draws are the payload-list loop's. `choices(population, k)` takes
+    `population[floor(random() * float(len(population)))]` for each of `k`
+    draws, and reseeding a `Random` with an int gives it the state of
+    `Random(int)`. So one `Random`, reseeded per replicate with its
+    `derive_rng` seed, draws the same uniforms, one per position in span
+    order, and each uniform times its span's length, truncated, plus the
+    span's start, is the position `choices` picks.
+    """
+    sizes = np.repeat(lengths, lengths).astype(np.float64)
+    offsets = np.repeat(starts, lengths)
+    n = len(sizes)
+    block = max(1, _BLOCK_DRAWS // n)
+    seed_for = seed_stream(seed, "bootstrap", axis)
+    rng = random.Random()
+    uniforms = np.empty((block, n))
+    for first in range(0, replicates, block):
+        count = min(block, replicates - first)
+        for row in range(count):
+            rng.seed(seed_for(first + row))
+            uniforms[row] = np.fromiter(starmap(rng.random, repeat((), n)), np.float64, n)
+        yield first, (uniforms[:count] * sizes).astype(np.intp) + offsets
+
+
 def _resampled_sums(records, axis, replicates, seed) -> np.ndarray:
     """(replicates, k) statistics summed over each replicate's resample.
 
-    The draws are the payload-list loop's: `choices` only looks at the
-    population's length, so drawing from a range of unit positions picks the
-    same originals (axis d) or variants (axis s). Each block of replicates
-    becomes a (block, units) multiplicity matrix times the (units, k)
-    statistics, where the units are the originals' summed statistics (d) or
-    the records grouped by original (s).
+    The units are the originals' summed statistics (axis d: one span over
+    them) or the records grouped by original (axis s: one span per
+    original). Each block of drawn unit positions becomes a (block, units)
+    multiplicity matrix times the (units, k) statistics.
     """
     by_original: dict[str, list[int]] = {}
     for i, r in enumerate(records):
@@ -512,24 +541,17 @@ def _resampled_sums(records, axis, replicates, seed) -> np.ndarray:
     starts = np.cumsum([0] + [len(rows) for rows in members[:-1]])
     if axis == "d":
         units = np.add.reduceat(stats, starts, axis=0)
-        spans = [(0, len(members))]
+        starts, lengths = np.zeros(1, dtype=np.intp), np.array([len(members)])
     else:
         units = stats
-        spans = [(int(start), int(start) + len(rows)) for start, rows in zip(starts, members)]
+        lengths = np.array([len(rows) for rows in members])
     n = len(units)
-    block = max(1, _BLOCK_DRAWS // n)
     sums = np.empty((replicates, units.shape[1]), dtype=np.int64)
-    for first in range(0, replicates, block):
-        reps = range(first, min(first + block, replicates))
-        draws: list[int] = []
-        for rep in reps:
-            rng = derive_rng(seed, "bootstrap", axis, rep)
-            for start, stop in spans:
-                draws += rng.choices(range(start, stop), k=stop - start)
-        positions = np.array(draws, dtype=np.intp).reshape(len(reps), n)
-        positions += np.arange(len(reps))[:, None] * n
-        weights = np.bincount(positions.ravel(), minlength=len(reps) * n)
-        sums[first:first + len(reps)] = weights.reshape(len(reps), n) @ units
+    for first, positions in _resampled_positions(seed, axis, replicates, starts, lengths):
+        count = len(positions)
+        positions += np.arange(count)[:, None] * n
+        weights = np.bincount(positions.ravel(), minlength=count * n)
+        sums[first:first + count] = weights.reshape(count, n) @ units
     return sums
 
 

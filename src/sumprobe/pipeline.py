@@ -203,30 +203,16 @@ def build_templates(
     return templates
 
 
-def _gen_chunk(args) -> list[gen.GeneratedInput]:
-    templates, scheme, seed, census, race_table, last_pool = args
-    return gen.generate_corpus(
-        templates, scheme, seed, census=census, race_table=race_table, last_name_pool=last_pool
-    )
-
-
 def generate_inputs(
     templates: list[tp.DocumentTemplate], scheme: gen.AssignmentScheme, seed: int, *,
     census: GenderNameTable | None, race_table: RaceNameTable | None,
-    last_pool: list[str] | None, out: str | Path, jobs: int = 1,
+    last_pool: list[str] | None, out: str | Path,
 ) -> list[gen.GeneratedInput]:
-    """Every variant of every eligible template; `jobs > 1` splits the
-    templates over a process pool, with the same output."""
-    settings = (scheme, seed, census, race_table, last_pool)
+    """Every variant of every eligible template."""
     try:
-        if jobs > 1 and len(templates) > 1:
-            ordered = sorted(templates, key=lambda t: t.doc_id)
-            chunks = [(ordered[i::jobs], *settings) for i in range(min(jobs, len(ordered)))]
-            with multiprocessing.Pool(len(chunks)) as pool:
-                produced = [g for part in pool.map(_gen_chunk, chunks) for g in part]
-            produced.sort(key=lambda g: (g.original_id, g.variant))
-        else:
-            produced = _gen_chunk((templates, *settings))
+        produced = gen.generate_corpus(
+            templates, scheme, seed, census=census, race_table=race_table, last_name_pool=last_pool
+        )
     except (gen.GenerationError, gen.RenderError) as exc:
         raise StageError("generate", str(exc)) from exc
     if not produced:
@@ -384,7 +370,7 @@ class Pipeline:
                 lambda out: generate_inputs(
                     self.templates(), self.scheme, self.config.seed,
                     census=self.census, race_table=self.race_table,
-                    last_pool=self.last_pool, out=out, jobs=self.config.jobs,
+                    last_pool=self.last_pool, out=out,
                 ),
             )
         return self._inputs

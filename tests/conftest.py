@@ -4,8 +4,10 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# the fixture corpus is the demo script's toy corpus
+sys.path.insert(0, str(Path(__file__).parent.parent / "scripts"))
 
-from corpusgen import make_fixture_corpus  # noqa: E402
+from make_demo_data import make_fixture_corpus  # noqa: E402
 
 from sumprobe.names import load_census, load_word_lists, resolve_ambiguous  # noqa: E402
 from sumprobe.templates import build_template  # noqa: E402

@@ -1,0 +1,18 @@
+"""Helpers that only tests need."""
+
+from sumprobe.generate import EntityAssignment
+from sumprobe.templates import DocumentTemplate
+
+
+def identity_assignments(template: DocumentTemplate) -> dict[str, EntityAssignment]:
+    """Assignments that keep every entity's original name and gender."""
+    out = {}
+    for e in template.entities:
+        out[e.entity] = EntityAssignment(
+            entity=e.entity,
+            group=e.original_gender or "unknown",
+            gender=e.original_gender or "male",
+            first=e.first or "",
+            last=e.last,
+        )
+    return out

@@ -13,12 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from corpusgen import make_fixture_corpus
 from e2e import make_keep_rate_summarizer, stage_run
+from helpers import identity_assignments
+from make_demo_data import make_fixture_corpus
 
 from sumprobe.alignment import ALIGNED, HALLUCINATED, align_corpus, inclusion_rows, input_entities
 from sumprobe.cli import main
-from sumprobe.generate import generate_corpus, identity_assignments, make_scheme, render
+from sumprobe.generate import generate_corpus, make_scheme, render
 from sumprobe.input_bias import SyntheticCorpusConfig, make_synthetic_corpus, simulation_experiment
 from sumprobe.measures import (
     BootstrapRecord,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusgen import make_fixture_corpus
+from make_demo_data import make_fixture_corpus
 
 from sumprobe.corpus import (
     AnnotatedDocument,

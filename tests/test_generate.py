@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusgen import DocBuilder, make_fixture_corpus
+from helpers import identity_assignments
+from make_demo_data import DocBuilder, make_fixture_corpus
 
 from sumprobe.generate import (
     AssignmentScheme,
@@ -15,7 +16,6 @@ from sumprobe.generate import (
     assign_gender_pair,
     assign_groups,
     generate_corpus,
-    identity_assignments,
     input_from_json,
     input_to_json,
     make_scheme,

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from corpusgen import DocBuilder
+from make_demo_data import DocBuilder
 
 from sumprobe.corpus import AnnotatedDocument, Token
 from sumprobe.input_bias import (

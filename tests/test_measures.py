@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -36,6 +37,7 @@ from sumprobe.measures import (
     word_list_scores,
     word_list_stats,
 )
+from sumprobe.seeding import derive_rng, derive_seed, seed_stream
 
 WL = {"male": ["he", "him", "man"], "female": ["she", "her", "woman"]}
 
@@ -822,6 +824,103 @@ def test_statistics_bootstrap_in_small_weight_blocks(monkeypatch):
     expected = score_with_ci(as_records(rows, payloads), reference_inclusion, 50, 8)
     monkeypatch.setattr(measures, "_BLOCK_DRAWS", 7)
     assert same_result(score_with_ci(stats_records, inclusion_scores, 50, 8), expected)
+
+
+# --- bulk bootstrap draws ----------------------------------------------------------
+#
+# `_resampled_positions` reproduces `derive_rng(...).choices` with one reseeded
+# `Random` and a numpy multiply-and-truncate. That rests on two CPython
+# details: unweighted `choices` is `population[floor(random() * float(n))]`,
+# and `Random.seed(int)` gives the state `Random(int)` starts in. If a future
+# Python changes either, these tests fail before any score moves.
+
+SPAN_LENGTHS = [1, 2, 7, 20, 160]
+# the same lengths laid end to end, as axis s lays out uneven originals
+END_TO_END = [(int(a), int(b)) for a, b in zip(np.cumsum([0] + SPAN_LENGTHS[:-1]),
+                                               np.cumsum(SPAN_LENGTHS))]
+SPAN_SETS = {**{f"span_{m}": [(0, m)] for m in SPAN_LENGTHS}, "end_to_end": END_TO_END}
+# 0, below 2**32 (one 32-bit seed word) and at or above it (two words), in
+# an order that reseeds from longer keys to shorter ones and back
+DERIVED_SEEDS = [2**63 + 12345, 0, 2**64 - 1, 1, 2**32, 2**32 - 1, 99991, 2**40 + 7]
+
+
+def choices_positions(seeds, spans):
+    """Per seed, the positions `Random(seed).choices` picks in each span."""
+    rows = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        rows.append([p for start, stop in spans
+                     for p in rng.choices(range(start, stop), k=stop - start)])
+    return np.array(rows)
+
+
+def drawn_positions(seed, axis, replicates, spans):
+    from sumprobe import measures
+
+    starts = np.array([start for start, _ in spans])
+    lengths = np.array([stop - start for start, stop in spans])
+    blocks = list(measures._resampled_positions(seed, axis, replicates, starts, lengths))
+    assert [first for first, _ in blocks] == list(
+        np.cumsum([0] + [len(positions) for _, positions in blocks[:-1]]))
+    return np.concatenate([positions for _, positions in blocks])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5])
+@pytest.mark.parametrize("axis", ["d", "s"])
+@pytest.mark.parametrize("spans", SPAN_SETS.values(), ids=SPAN_SETS.keys())
+def test_bulk_draws_are_derive_rng_choices(monkeypatch, seed, axis, spans):
+    from sumprobe import measures
+
+    monkeypatch.setattr(measures, "_BLOCK_DRAWS", 500)  # several blocks per call
+    replicates = 40
+    expected = choices_positions(
+        [derive_seed(seed, "bootstrap", axis, rep) for rep in range(replicates)], spans)
+    assert np.array_equal(drawn_positions(seed, axis, replicates, spans), expected)
+
+
+@pytest.mark.parametrize("spans", SPAN_SETS.values(), ids=SPAN_SETS.keys())
+def test_bulk_draws_reseed_to_any_derived_seed(monkeypatch, spans):
+    from sumprobe import measures
+
+    monkeypatch.setattr(measures, "seed_stream", lambda *_: DERIVED_SEEDS.__getitem__)
+    expected = choices_positions(DERIVED_SEEDS, spans)
+    assert np.array_equal(drawn_positions(0, "s", len(DERIVED_SEEDS), spans), expected)
+
+
+def test_derived_seeds_are_sha256_of_the_path():
+    def sha256_seed(key):
+        return int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big")
+
+    for master in (0, 7, 2**40):
+        seed_for = seed_stream(master, "bootstrap", "s")
+        for rep in (0, 1, 999):
+            expected = sha256_seed(f"{master}:bootstrap:s:{rep}")
+            assert seed_for(rep) == derive_seed(master, "bootstrap", "s", rep) == expected
+
+
+@pytest.mark.parametrize("axis", ["d", "s"])
+def test_resampled_sums_count_derive_rng_choices_over_uneven_originals(axis):
+    """One-hot payloads: each replicate's sums are its record multiplicities."""
+    from sumprobe import measures
+
+    sizes = {"o3": 5, "o0": 1, "o2": 7, "o1": 2}
+    rows = [(original, v) for original, size in sizes.items() for v in range(size)]
+    rows = [rows[i] for i in random.Random(4).sample(range(len(rows)), len(rows))]
+    onehot = np.eye(len(rows), dtype=np.int64)
+    records = [BootstrapRecord(original, v, onehot[i]) for i, (original, v) in enumerate(rows)]
+    by_original = {o: [i for i, (original, _) in enumerate(rows) if original == o]
+                   for o in sorted(sizes)}
+    replicates, seed = 30, 11
+    expected = np.zeros((replicates, len(rows)), dtype=np.int64)
+    for rep in range(replicates):
+        rng = derive_rng(seed, "bootstrap", axis, rep)
+        if axis == "d":
+            picked = [i for o in rng.choices(sorted(sizes), k=len(sizes)) for i in by_original[o]]
+        else:
+            picked = [i for members in by_original.values()
+                      for i in rng.choices(members, k=len(members))]
+        np.add.at(expected[rep], picked, 1)
+    assert np.array_equal(measures._resampled_sums(records, axis, replicates, seed), expected)
 
 
 def test_empty_statistics_record_set_has_no_score():

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from corpusgen import make_fixture_corpus
+from make_demo_data import make_fixture_corpus
 from e2e import identity_summarizer, make_keep_rate_summarizer, stage_run
 
 from sumprobe.cli import COMMANDS, build_parser, main

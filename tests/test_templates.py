@@ -1,6 +1,6 @@
 import json
 
-from corpusgen import DocBuilder
+from make_demo_data import DocBuilder
 
 from sumprobe.templates import (
     TITLES,
