@@ -18,9 +18,7 @@ from typing import Iterable, Sequence
 from .generate import GeneratedInput
 from .jsonio import write_rows
 from .summaries import SummaryEntity, SummaryRecord
-from .templates import TITLES, DocumentTemplate
-
-_TITLE_SET = {t.lower() for t in TITLES}
+from .templates import TITLE_SET, DocumentTemplate
 
 ALIGNED = "aligned"
 HALLUCINATED = "hallucinated"
@@ -80,7 +78,7 @@ def align(
             continue
         others = [t for t in tokens_lower if t != ie.last.lower()]
         first_lower = ie.first.lower() if ie.first else None
-        if all(t == first_lower or t in _TITLE_SET for t in others):
+        if all(t == first_lower or t in TITLE_SET for t in others):
             corroborated = 0 if (first_lower and first_lower in tokens_lower) else 1
             matches.append((corroborated, position, ie))
     if matches:

@@ -47,7 +47,7 @@ class RaceNameTable:
         return list(self.groups[group]["last"])
 
 
-def _data_path(filename: str):
+def data_path(filename: str):
     return resources.files("sumprobe.data").joinpath(filename)
 
 
@@ -83,9 +83,9 @@ def load_census(male_path: str | Path | None = None,
     use resolve_ambiguous() to deduplicate.
     """
     if male_path is None:
-        male_path = _data_path("census_male.txt")
+        male_path = data_path("census_male.txt")
     if female_path is None:
-        female_path = _data_path("census_female.txt")
+        female_path = data_path("census_female.txt")
     return GenderNameTable(
         male=_load_census_file(male_path),
         female=_load_census_file(female_path),
@@ -114,7 +114,7 @@ def resolve_ambiguous(table: GenderNameTable) -> GenderNameTable:
 
 def load_race_names(path: str | Path | None = None) -> RaceNameTable:
     if path is None:
-        path = _data_path("race_names.json")
+        path = data_path("race_names.json")
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     for group, entry in data.items():
@@ -129,7 +129,7 @@ def load_race_names(path: str | Path | None = None) -> RaceNameTable:
 def load_word_lists(path: str | Path | None = None) -> dict[str, list[str]]:
     """Group-identifier word lists; male/female lists must be disjoint and lowercase."""
     if path is None:
-        path = _data_path("word_lists.json")
+        path = data_path("word_lists.json")
     with open(path, encoding="utf-8") as fh:
         lists = json.load(fh)
     for group, words in lists.items():
@@ -153,6 +153,6 @@ def word_pairs(lists: dict[str, list[str]]) -> list[tuple[str, str]]:
 
 def load_topic_tokens(path: str | Path | None = None) -> dict[str, list[str]]:
     if path is None:
-        path = _data_path("topic_tokens.json")
+        path = data_path("topic_tokens.json")
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)

@@ -10,6 +10,7 @@ clock or the network.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -31,6 +32,7 @@ from .jsonio import DataError, read_rows, write_json
 from .names import (
     GenderNameTable,
     RaceNameTable,
+    data_path,
     load_census,
     load_race_names,
     load_word_lists,
@@ -56,7 +58,7 @@ def _integer(least: int | None = None):
     return lambda value: type(value) is int and (least is None or value >= least)
 
 
-def _paths_by_name(value) -> bool:
+def _strings_by_string(value) -> bool:
     return isinstance(value, dict) and all(
         isinstance(s, str) for item in value.items() for s in item)
 
@@ -69,7 +71,10 @@ _CONFIG_RULES = (
     ("variants", "an integer >= 1", _integer(1)),
     ("replicates", "an integer >= 2", _integer(2)),
     ("jobs", "an integer >= 1", _integer(1)),
-    *((key, "an object mapping names to path strings", _paths_by_name)
+    ("alter_last_names", "a boolean", lambda value: type(value) is bool),
+    ("intersection", "null or an object mapping race groups to gender strings",
+     lambda value: value is None or _strings_by_string(value)),
+    *((key, "an object mapping names to path strings", _strings_by_string)
       for key in ("summaries", "ner_sidecars", "dense_vectors")),
 )
 
@@ -118,7 +123,21 @@ class PipelineConfig:
         if data["scheme"] in gen.PAIRED_SCHEME_KINDS and data.get("variants", 20) % 2:
             raise DataError(f"{path}: config key 'variants' must be even under scheme "
                             f"{data['scheme']!r}, got {data['variants']!r}")
-        return cls(**data)
+        config = cls(**data)
+        try:
+            scheme = config.assignment_scheme()
+        except ValueError as exc:
+            raise DataError(f"{path}: scheme {config.scheme!r}: {exc}") from exc
+        if scheme.alter_last_names and not scheme.is_race and not config.last_name_pool:
+            raise DataError(f"{path}: config key 'alter_last_names' is true under scheme "
+                            f"{scheme.kind!r}, which then needs 'last_name_pool'")
+        return config
+
+    def assignment_scheme(self) -> gen.AssignmentScheme:
+        """The generation scheme; ValueError when the scheme settings conflict."""
+        return gen.make_scheme(self.scheme, variants=self.variants,
+                               alter_last_names=self.alter_last_names,
+                               intersection=self.intersection)
 
     def payload(self) -> dict:
         """The experiment-defining parameters: everything except where the
@@ -150,12 +169,6 @@ class PipelineConfig:
         missing = [p for p in self.input_paths() if not Path(p).exists()]
         if missing:
             raise DataError(f"missing input file(s): {missing}")
-
-
-def _bundled(name: str) -> str:
-    from importlib import resources
-
-    return str(resources.files("sumprobe.data").joinpath(name))
 
 
 def load_last_name_pool(path: str | Path) -> list[str]:
@@ -319,12 +332,7 @@ class Pipeline:
         config.check_paths()
         self.art_dir = Path(config.out_dir) / config.config_hash()
         self.art_dir.mkdir(parents=True, exist_ok=True)
-        self.scheme = gen.make_scheme(
-            config.scheme,
-            variants=config.variants,
-            alter_last_names=config.alter_last_names,
-            intersection=config.intersection,
-        )
+        self.scheme = config.assignment_scheme()
         self.word_lists = load_word_lists(config.word_lists)
         self._census_raw = load_census(config.census_male, config.census_female)
         self.census = resolve_ambiguous(self._census_raw)
@@ -397,10 +405,6 @@ class Pipeline:
 
     # -- scoring -------------------------------------------------------------
 
-    def _variant_of(self, input_id: str) -> tuple[str, int]:
-        original, variant = input_id.rsplit("::", 1)
-        return original, int(variant)
-
     def _classifies(self) -> bool:
         """Whether the scheme scores word lists and hallucinations."""
         return self.scheme.kind == "gender_local"
@@ -418,7 +422,7 @@ class Pipeline:
                      {a.last.lower() for a in assignments if a.last})
         shared = _SharedScoring(
             context=alignment_context(self.templates(), inputs, self._census_raw),
-            client=(gid.FixtureLookupClient(self.config.cache or _bundled("wiki_cache.json"))
+            client=(gid.FixtureLookupClient(self.config.cache or data_path("wiki_cache.json"))
                     if classifies else None),
             memo={},
             input_ident_counts=(
@@ -447,85 +451,58 @@ class Pipeline:
         alignments.<system>.jsonl, and verdicts.<system>.json where the
         scheme classifies."""
         aligned, counts = self.alignments(system, shared.context)
-        classifies = self._classifies()
-        is_local = self.scheme.kind != "gender_global"
-        system_verdicts = {}
-        if classifies:
-            by_system = {system: (aligned, counts)}
-            system_verdicts = self.classify_hallucinations(by_system, shared)[system]
-        measures: dict[str, dict] = {}
-        diag: dict[str, list[str]] = {}
+        inputs = [shared.context.inputs[a.record.input_id] for a in aligned]
         hallucinated_keys = [[entity_key(e.tokens) for e in a.hallucinated()] for a in aligned]
 
-        def records_from(stats_by_record):
-            """Bootstrap records holding each record's statistics vector."""
-            pairs = list(stats_by_record)
-            stats = np.array([row for _, row in pairs], dtype=np.int64)
-            return [
-                ms.BootstrapRecord(*self._variant_of(rec_id), row)
-                for (rec_id, _), row in zip(pairs, stats)
-            ]
+        def records(stats_rows):
+            """Bootstrap records of `aligned`, in order, one statistics row each."""
+            stats = np.array(list(stats_rows), dtype=np.int64)
+            return [ms.BootstrapRecord(gi.original_id, gi.variant, row)
+                    for gi, row in zip(inputs, stats)]
 
-        if classifies:
+        measures: dict[str, dict] = {}
+        diag: dict[str, list[str]] = {}
+        verdicts = {}
+        if self._classifies():
+            verdicts = self.classify_hallucinations({system: (aligned, counts)}, shared)[system]
             groups = sorted(self.word_lists)
-            wl_records = records_from(
-                (a.record.input_id,
-                 ms.word_list_stats(ms.count_identifiers(a.record.tokens, self.word_lists),
-                                    shared.input_ident_counts[a.record.input_id], groups))
-                for a in aligned
-            )
-            measures["word_list_inclusion"] = self._ci(
-                wl_records, lambda t: ms.word_list_scores(t, "adjusted"),
-                system, "word_list_inclusion",
-            ).as_json()
-            measures["word_list_inclusion_uniform"] = self._ci(
-                wl_records, lambda t: ms.word_list_scores(t, "uniform"),
-                system, "word_list_inclusion_uniform",
-            ).as_json()
-            hal_records = records_from(
-                (a.record.input_id,
-                 ms.hallucination_stats(Counter(system_verdicts[key].gender for key in keys)))
-                for a, keys in zip(aligned, hallucinated_keys)
-            )
+            wl_records = records(
+                ms.word_list_stats(ms.count_identifiers(a.record.tokens, self.word_lists),
+                                   shared.input_ident_counts[gi.id], groups)
+                for a, gi in zip(aligned, inputs))
+            for measure, reference in (("word_list_inclusion", "adjusted"),
+                                       ("word_list_inclusion_uniform", "uniform")):
+                measures[measure] = self._ci(
+                    wl_records, functools.partial(ms.word_list_scores, reference=reference),
+                    system, measure).as_json()
+            hal_records = records(
+                ms.hallucination_stats(Counter(verdicts[key].gender for key in keys))
+                for keys in hallucinated_keys)
             measures["hallucination_bias"] = self._ci(
-                hal_records, ms.hallucination_scores, system, "hallucination_bias"
-            ).as_json()
+                hal_records, ms.hallucination_scores, system, "hallucination_bias").as_json()
 
-        if is_local:
+        if self.scheme.kind != "gender_global":
             rows = al.inclusion_rows(aligned, shared.context.entity_index)
             inc_groups = sorted({g for r in rows for g in r["groups"]})
-            inc_records = records_from(
-                (r["input_id"], ms.inclusion_stats(r["groups"], inc_groups)) for r in rows
-            )
+            inc_records = records(ms.inclusion_stats(r["groups"], inc_groups) for r in rows)
             measures["entity_inclusion"] = self._ci(
-                inc_records, ms.inclusion_scores, system, "entity_inclusion"
-            ).as_json()
-
-        if not is_local:
-            count_points, dense_points, d_diag = self._distinguishability_points(
-                system, aligned, shared.context.inputs, *shared.names
-            )
-            stats, skipped = ms.distinguishability(count_points)
-            diag["distinguishability_count"] = skipped
-            measures["distinguishability_count"] = self._dist_ci(
-                stats, system, "distinguishability_count"
-            ).as_json()
-            if dense_points is not None:
-                stats_d, skipped_d = ms.distinguishability(dense_points)
-                diag["distinguishability_dense"] = skipped_d + d_diag
-                measures["distinguishability_dense"] = self._dist_ci(
-                    stats_d, system, "distinguishability_dense"
-                ).as_json()
+                inc_records, ms.inclusion_scores, system, "entity_inclusion").as_json()
+        else:
+            for measure, (points, missing) in self._distinguishability_points(
+                    system, aligned, inputs, *shared.names).items():
+                stats, skipped = ms.distinguishability(points)
+                diag[measure] = skipped + missing
+                measures[measure] = self._dist_ci(stats, system, measure).as_json()
 
         hallucinated = Counter(key for keys in hallucinated_keys for key in keys)
         counts["gender_classified_hallucinations"] = sum(
             n for key, n in hallucinated.items()
-            if key in system_verdicts and system_verdicts[key].gender != "unknown"
+            if key in verdicts and verdicts[key].gender != "unknown"
         )
         return {
             "measures": measures,
             "alignment_counts": dict(sorted(counts.items())),
-            "hallucination_top": self._hallucination_top(hallucinated, system_verdicts),
+            "hallucination_top": self._hallucination_top(hallucinated, verdicts),
             "diagnostics": diag,
         }
 
@@ -545,35 +522,33 @@ class Pipeline:
         )
 
     def _distinguishability_points(self, system, aligned, inputs, first_names, last_names):
-        """Count points and, with a dense sidecar, dense points of `system`'s
-        summaries; the count points mark every name assigned to any input."""
-        count_points = []
-        for a in aligned:
-            gi = inputs[a.record.input_id]
-            group = gi.assignments[0].gender if gi.assignments else "unknown"
-            neutral = ms.neutralize_tokens(a.record.tokens, first_names, last_names)
-            count_points.append(
-                ms.SummaryPoint(gi.original_id, group, Counter(neutral))
-            )
-        dense_points = None
-        diagnostics: list[str] = []
+        """Per distinguishability measure, `system`'s summary points and the
+        inputs left out of them; `inputs[i]` is the input `aligned[i]`
+        summarizes. Count points are bags of neutralized words, every name
+        assigned to any input marked; dense points, from the system's
+        sidecar if it has one, skip the inputs the sidecar lacks."""
+        vectors = None
         if system in self.config.dense_vectors:
             vectors = {
                 row["input_id"]: np.asarray(row["vector"], dtype=float)
                 for row in read_rows(self.config.dense_vectors[system],
                                      {"input_id": str, "vector": list})
             }
-            dense_points = []
-            for a in aligned:
-                gi = inputs[a.record.input_id]
-                if gi.id not in vectors:
-                    diagnostics.append(f"no dense vector for input {gi.id}")
-                    continue
-                group = gi.assignments[0].gender if gi.assignments else "unknown"
-                dense_points.append(
-                    ms.SummaryPoint(gi.original_id, group, vectors[gi.id])
-                )
-        return count_points, dense_points, diagnostics
+        count_points, dense_points, missing = [], [], []
+        for a, gi in zip(aligned, inputs):
+            group = gi.assignments[0].gender if gi.assignments else "unknown"
+            neutral = ms.neutralize_tokens(a.record.tokens, first_names, last_names)
+            count_points.append(ms.SummaryPoint(gi.original_id, group, Counter(neutral)))
+            if vectors is None:
+                continue
+            if gi.id in vectors:
+                dense_points.append(ms.SummaryPoint(gi.original_id, group, vectors[gi.id]))
+            else:
+                missing.append(f"no dense vector for input {gi.id}")
+        points = {"distinguishability_count": (count_points, [])}
+        if vectors is not None:
+            points["distinguishability_dense"] = (dense_points, missing)
+        return points
 
     def _hallucination_top(self, hallucinated: Counter, verdicts, k: int = 10):
         rows = sorted(hallucinated.items(), key=lambda kv: (-kv[1], kv[0]))[:k]

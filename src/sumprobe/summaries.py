@@ -15,9 +15,8 @@ from typing import Iterable
 from .generate import GeneratedInput
 from .jsonio import read_rows
 from .names import GenderNameTable
-from .templates import TITLES
+from .templates import TITLE_SET
 
-_TITLE_SET = {t.lower() for t in TITLES}
 _PUNCT = set(string.punctuation)
 
 
@@ -69,12 +68,12 @@ def tokenize_summary(text: str) -> list[str]:
                 out.append(".")
             continue
         trailing = ""
-        while tok and tok[-1] in _PUNCT and tok.lower() not in _TITLE_SET:
+        while tok and tok[-1] in _PUNCT and tok.lower() not in TITLE_SET:
             trailing = tok[-1] + trailing
             tok = tok[:-1]
         if tok:
             out.append(tok)
-        if tok.lower() not in _TITLE_SET and _SENTENCE_ENDERS & set(trailing):
+        if tok.lower() not in TITLE_SET and _SENTENCE_ENDERS & set(trailing):
             out.append(".")
     return out
 
@@ -106,7 +105,7 @@ def detect_entities(tokens: list[str], lexicon: frozenset[str]) -> list[SummaryE
         elif run_start is not None:
             run = tokens[run_start:i]
             lowered = list(map(str.lower, run))
-            if not (lexicon.isdisjoint(lowered) and _TITLE_SET.isdisjoint(lowered)):
+            if not (lexicon.isdisjoint(lowered) and TITLE_SET.isdisjoint(lowered)):
                 entities.append(SummaryEntity(run_start, i - 1, tuple(run)))
             run_start = None
     return entities

@@ -18,7 +18,7 @@ from .corpus import AnnotatedDocument, MentionSpan, NamedEntitySpan
 from .jsonio import read_rows, write_rows
 
 TITLES = ("Mr.", "Mrs.", "Ms.", "Sir", "Lady")
-_TITLE_SET = {t.lower() for t in TITLES}
+TITLE_SET = frozenset(t.lower() for t in TITLES)
 # titles that are conventionally followed by a last name
 _NAME_TITLES = {"mr.", "mrs.", "ms."}
 
@@ -152,7 +152,7 @@ def _link_person_entities(doc: AnnotatedDocument) -> list[_PersonEntity]:
 
 def _named_tokens(doc: AnnotatedDocument, ne: NamedEntitySpan) -> list:
     return [
-        t for t in doc.tokens[ne.start : ne.end + 1] if t.text.lower() not in _TITLE_SET
+        t for t in doc.tokens[ne.start : ne.end + 1] if t.text.lower() not in TITLE_SET
     ]
 
 
@@ -252,7 +252,7 @@ def _mention_slots(
         i = mention.start
         while i <= mention.end:
             text = doc.tokens[i].text
-            if text.lower() in _TITLE_SET:
+            if text.lower() in TITLE_SET:
                 add(i, i, SlotCategory.TITLE, title_text=text)
             elif (
                 first

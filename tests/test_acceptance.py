@@ -266,10 +266,8 @@ def test_criterion_5_induced_bias_detection(census):
         )
     aligned, _ = align_corpus(records, index, sources)
     rows = inclusion_rows(aligned, index)
-    boot_records = [
-        BootstrapRecord(r["input_id"].rsplit("::", 1)[0],
-                        int(r["input_id"].rsplit("::", 1)[1]), r["groups"])
-        for r in rows
+    boot_records = [  # one row per input, in input order
+        BootstrapRecord(gi.original_id, gi.variant, r["groups"]) for gi, r in zip(inputs, rows)
     ]
     point = inclusion_score([r.payload for r in boot_records])
     lo, hi = bootstrap(boot_records, inclusion_score, "d", replicates=1000, seed=12)

@@ -450,6 +450,17 @@ def test_toy_scores_are_byte_identical_to_the_pin(tmp_path, monkeypatch):
     assert hashlib.sha256(scores.read_bytes()).hexdigest() == TOY_SCORES_SHA256
 
 
+def toy_scores_under(tmp_path, monkeypatch, **changes) -> Path:
+    """scores.json of a `sumprobe run` on the toy config with `changes`."""
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(root)  # the toy config's paths are relative to the repo root
+    config = {**json.loads(Path("data/toy/config.json").read_text()), **changes}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_path), "--out-dir", str(tmp_path / "out")]) == 0
+    return tmp_path / "out" / PipelineConfig.from_file(config_path).config_hash() / "scores.json"
+
+
 TOY_GLOBAL_SCORES_SHA256 = "47b7c41452245a227e94130df2646276fca2f41135cd38d5384e0bd6a3230ade"
 
 
@@ -458,16 +469,47 @@ def test_toy_global_scores_are_byte_identical_to_the_pin(tmp_path, monkeypatch):
     the pairwise-cosine distinguishability: every (n, wins), ties included."""
     import hashlib
 
-    root = Path(__file__).resolve().parent.parent
-    monkeypatch.chdir(root)  # the toy config's paths are relative to the repo root
-    config = json.loads(Path("data/toy/config.json").read_text())
-    config["scheme"] = "gender_global"
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config))
-    assert main(["run", "--config", str(config_path), "--out-dir", str(tmp_path / "out")]) == 0
-    scores = tmp_path / "out" / PipelineConfig.from_file(config_path).config_hash() / "scores.json"
+    scores = toy_scores_under(tmp_path, monkeypatch, scheme="gender_global")
     assert "distinguishability_count" in json.loads(scores.read_text())["systems"]["skewed"]["measures"]
     assert hashlib.sha256(scores.read_bytes()).hexdigest() == TOY_GLOBAL_SCORES_SHA256
+
+
+@pytest.mark.parametrize("changes, expected_sha256", [
+    ({"scheme": "race_random_gender"}, "5435e946999d4f44a52da301a31ca9877c800a05561719c891c29231849d98d8"),
+    ({"scheme": "race_intersectional", "intersection": {"black": "female", "white": "male"}},
+     "169d13ded6dde851e622eddbb601e76804db1f711820c8751dc3fdb9a5bf954b"),
+], ids=["race_random_gender", "race_intersectional"])
+def test_toy_race_scores_are_byte_identical_to_the_pin(tmp_path, monkeypatch, changes,
+                                                       expected_sha256):
+    """The toy config under each race scheme writes exactly the pinned
+    scores.json: every entity-inclusion point and CI bit for bit."""
+    import hashlib
+
+    scores = toy_scores_under(tmp_path, monkeypatch, **changes)
+    measures = json.loads(scores.read_text())["systems"]["skewed"]["measures"]
+    assert set(measures) == {"entity_inclusion"}
+    assert hashlib.sha256(scores.read_bytes()).hexdigest() == expected_sha256
+
+
+def test_missing_dense_vectors_are_listed_in_input_order(tmp_path, small_corpus):
+    """A dense sidecar that lacks some inputs scores the others, and the
+    dense diagnostics end with one line per missing input, in input order."""
+    config = stage_run(
+        tmp_path, small_corpus, scheme="gender_global", variants=4, replicates=20,
+        dense_vectors={"echo": lambda gi: [float(len(gi.tokens)), float(len(gi.assignments))]},
+    )
+    vectors = Path(json.loads(config.read_text())["dense_vectors"]["echo"])
+    lines = vectors.read_text().splitlines()
+    kept = [line for i, line in enumerate(lines) if i % 3 != 1]
+    vectors.write_text("".join(line + "\n" for line in kept))
+    missing = [json.loads(line)["input_id"] for i, line in enumerate(lines) if i % 3 == 1]
+    assert len(missing) >= 2
+    assert main(["run", "--config", str(config)]) == 0
+    scores = json.loads((artifact_dir(config) / "scores.json").read_text())
+    dense = scores["systems"]["echo"]["diagnostics"]["distinguishability_dense"]
+    assert dense[-len(missing):] == [f"no dense vector for input {i}" for i in missing]
+    assert not any(line.startswith("no dense vector") for line in dense[:-len(missing)])
+    assert "distinguishability_dense" in scores["systems"]["echo"]["measures"]
 
 
 def toy_config_with(tmp_path, text):
@@ -502,10 +544,23 @@ def toy_config_with(tmp_path, text):
     ({"jobs": 0}, [], "'jobs' must be an integer >= 1, got 0"),
     ({"jobs": True}, [], "'jobs' must be an integer >= 1, got True"),
     ({}, ["--jobs", "0"], "'jobs' must be an integer >= 1, got 0"),
+    ({"scheme": "race_intersectional"}, [], "race_intersectional requires an intersection mapping"),
+    ({"intersection": {"black": "male"}}, [], "gender_local does not take an intersection mapping"),
+    ({"scheme": "race_intersectional", "intersection": {"black": "robot"}}, [],
+     "intersection maps to unknown gender(s) ['robot']"),
+    ({"intersection": "x"}, [], "'intersection' must be null or an object mapping race groups"),
+    ({"alter_last_names": "no"}, [], "'alter_last_names' must be a boolean, got 'no'"),
+    ({"alter_last_names": True}, [], "'alter_last_names' is true under scheme 'gender_local', "
+                                     "which then needs 'last_name_pool'"),
+    ({"scheme": "gender_global", "alter_last_names": True}, [],
+     "'alter_last_names' is true under scheme 'gender_global', which then needs 'last_name_pool'"),
 ], ids=["not_an_object", "invalid_json", "one_replicate", "no_variants", "string_replicates",
         "unknown_scheme", "list_summaries", "int_ner_path", "string_dense_vectors",
         "odd_local_variants", "odd_global_variants", "string_seed", "float_seed", "no_jobs",
-        "bool_jobs", "no_jobs_flag"])
+        "bool_jobs", "no_jobs_flag", "intersectional_without_intersection",
+        "intersection_under_gender_local", "intersection_unknown_gender", "string_intersection",
+        "string_alter_last_names", "local_last_names_without_pool",
+        "global_last_names_without_pool"])
 def test_bad_config_exits_2_naming_the_file(tmp_path, capsys, text, flags, problem):
     config_path = toy_config_with(tmp_path, text)
     assert main(["run", "--config", str(config_path), *flags]) == 2
@@ -530,7 +585,7 @@ def hallucinating(gi, rng):
     return " ".join([*kept, invented])
 
 
-@pytest.mark.parametrize("scheme", ["gender_local", "gender_global"])
+@pytest.mark.parametrize("scheme", ["gender_local", "gender_global", "race_random_gender"])
 def test_every_artifact_is_byte_identical_at_any_jobs(tmp_path, scheme):
     """Two systems scored serially (--jobs 1) and in forked per-system
     workers (--jobs 2 and 3) leave the same files with the same bytes,
@@ -553,7 +608,7 @@ def test_every_artifact_is_byte_identical_at_any_jobs(tmp_path, scheme):
     if scheme == "gender_local":
         expected |= {"verdicts.faithful.json", "verdicts.inventive.json"}
         assert json.loads(produced[1]["verdicts.inventive.json"])
-    else:
+    elif scheme == "gender_global":
         measures = json.loads(produced[1]["scores.json"])["systems"]["faithful"]["measures"]
         assert "distinguishability_dense" in measures
     assert expected <= set(produced[1])
