@@ -57,11 +57,11 @@ def input_entities(template: DocumentTemplate, generated: GeneratedInput) -> lis
     assigned = generated.assignment_map()
     out = []
     for e in template.entities:
-        a = assigned.get(e.entity)
+        a = assigned.get(e.id)
         if a is not None:
-            out.append(InputEntity(e.entity, a.first, a.last, a.group, a.gender))
+            out.append(InputEntity(e.id, a.first, a.last, a.group, a.gender))
         else:
-            out.append(InputEntity(e.entity, e.first, e.last, None, e.original_gender))
+            out.append(InputEntity(e.id, e.first, e.last, None, e.original_gender))
     return out
 
 

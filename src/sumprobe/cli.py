@@ -103,6 +103,8 @@ def cmd_generate(args) -> int:
         )
     except ValueError as exc:
         raise DataError(f"scheme {args.scheme!r}: {exc}") from exc
+    if scheme.alter_last_names and not scheme.is_race and not args.last_names:
+        raise DataError(f"scheme {args.scheme!r}: --alter-last-names needs --last-names")
     inputs = generate_inputs(
         list(tp.read_templates(args.templates)),
         scheme,

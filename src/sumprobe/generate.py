@@ -175,10 +175,10 @@ def render(
     entities keep their original text."""
     if not isinstance(assignments, dict):
         assignments = {a.entity: a for a in assignments}
-    by_id = {e.entity: e for e in template.entities}
+    by_id = {e.id: e for e in template.entities}
     pieces: list[tuple[int, int, list[str]]] = []
     for ent in template.entities:
-        a = assignments.get(ent.entity)
+        a = assignments.get(ent.id)
         if a is None:
             continue
         preferred = ent.preferred_female_title()
@@ -285,7 +285,7 @@ def assign_gender_pair(
                 next_female += 1
             gender = "male" if male else "female"
             out.append(
-                EntityAssignment(ent.entity, gender, gender, _display_name(first), lasts[i])
+                EntityAssignment(ent.id, gender, gender, _display_name(first), lasts[i])
             )
         return out
 
@@ -304,7 +304,7 @@ def assign_global(
     names = _sample_distinct(rng, census.names(gender), len(ents), f"{gender} first names")
     lasts = _last_names_for(ents, scheme, rng, last_name_pool)
     return [
-        EntityAssignment(e.entity, gender, gender, _display_name(names[i]), lasts[i])
+        EntityAssignment(e.id, gender, gender, _display_name(names[i]), lasts[i])
         for i, e in enumerate(ents)
     ]
 
@@ -336,7 +336,7 @@ def assign_race(
         last = _sample_distinct(rng, last_pool, 1, f"{group} last names")[0]
         used_last[group].add(last)
         out.append(
-            EntityAssignment(ent.entity, group, gender, _display_name(first), _display_name(last))
+            EntityAssignment(ent.id, group, gender, _display_name(first), _display_name(last))
         )
     return out
 

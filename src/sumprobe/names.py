@@ -112,17 +112,29 @@ def resolve_ambiguous(table: GenderNameTable) -> GenderNameTable:
     return GenderNameTable(male=male, female=female)
 
 
+def _json_object(path) -> dict:
+    """The JSON object a table file holds; anything else names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise NameTableError(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise NameTableError(f"{path}: a table must be a JSON object, got {type(data).__name__}")
+    return data
+
+
 def load_race_names(path: str | Path | None = None) -> RaceNameTable:
     if path is None:
         path = data_path("race_names.json")
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _json_object(path)
     for group, entry in data.items():
         if not entry.get("last"):
-            raise NameTableError(f"race name group {group!r} has no last names")
+            raise NameTableError(f"{path}: race name group {group!r} has no last names")
         for gender in ("male", "female"):
             if not entry.get("first", {}).get(gender):
-                raise NameTableError(f"race name group {group!r} has no {gender} first names")
+                raise NameTableError(
+                    f"{path}: race name group {group!r} has no {gender} first names")
     return RaceNameTable(groups=data)
 
 
@@ -130,16 +142,15 @@ def load_word_lists(path: str | Path | None = None) -> dict[str, list[str]]:
     """Group-identifier word lists; male/female lists must be disjoint and lowercase."""
     if path is None:
         path = data_path("word_lists.json")
-    with open(path, encoding="utf-8") as fh:
-        lists = json.load(fh)
+    lists = _json_object(path)
     for group, words in lists.items():
         bad = [w for w in words if w != w.lower()]
         if bad:
-            raise NameTableError(f"word list {group!r} has non-lowercase entries: {bad}")
+            raise NameTableError(f"{path}: word list {group!r} has non-lowercase entries: {bad}")
     if "male" in lists and "female" in lists:
         overlap = set(lists["male"]) & set(lists["female"])
         if overlap:
-            raise NameTableError(f"male/female word lists overlap: {sorted(overlap)}")
+            raise NameTableError(f"{path}: male/female word lists overlap: {sorted(overlap)}")
     return lists
 
 
@@ -154,5 +165,4 @@ def word_pairs(lists: dict[str, list[str]]) -> list[tuple[str, str]]:
 def load_topic_tokens(path: str | Path | None = None) -> dict[str, list[str]]:
     if path is None:
         path = data_path("topic_tokens.json")
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    return _json_object(path)

@@ -171,6 +171,24 @@ class PipelineConfig:
             raise DataError(f"missing input file(s): {missing}")
 
 
+def _vector_check():
+    """A `read_rows` check for dense vector rows: every entry a real number,
+    every vector as long as the first row's."""
+    first: list[int] = []  # the first row's length
+
+    def problem(row: dict) -> str | None:
+        vector = row["vector"]
+        if not all(type(x) in (int, float) for x in vector):
+            return "vector entries must be numbers"
+        if not first:
+            first.append(len(vector))
+        if len(vector) != first[0]:
+            return f"vector has {len(vector)} entries, the first row's has {first[0]}"
+        return None
+
+    return problem
+
+
 def load_last_name_pool(path: str | Path) -> list[str]:
     names = []
     with Path(path).open(encoding="utf-8") as fh:
@@ -280,9 +298,10 @@ def align_system(
         raise StageError("summaries", f"summary file for system {system!r} missing: {path}")
     ner = sm.load_ner_sidecar(ner_sidecar) if ner_sidecar is not None else None
     try:
-        records = sm.load_summaries(path, context.inputs, lexicon=context.lexicon, ner_spans=ner)
+        records = sm.load_summaries(path, context.inputs, system=system,
+                                    lexicon=context.lexicon, ner_spans=ner)
     except sm.SummaryJoinError as exc:
-        raise DataError(f"system {system!r}: {exc}") from exc
+        raise DataError(f"{path}: system {system!r}: {exc}") from exc
     aligned, counts = al.align_corpus(records, context.entity_index, context.source_tokens)
     al.write_alignments(aligned, Path(out_dir) / f"alignments.{system}.jsonl")
     return aligned, counts.get(system, Counter())
@@ -330,8 +349,6 @@ class Pipeline:
     def __init__(self, config: PipelineConfig):
         self.config = config
         config.check_paths()
-        self.art_dir = Path(config.out_dir) / config.config_hash()
-        self.art_dir.mkdir(parents=True, exist_ok=True)
         self.scheme = config.assignment_scheme()
         self.word_lists = load_word_lists(config.word_lists)
         self._census_raw = load_census(config.census_male, config.census_female)
@@ -342,6 +359,9 @@ class Pipeline:
         self.last_pool = (
             load_last_name_pool(config.last_name_pool) if config.last_name_pool else None
         )
+        # made once every table has loaded, so a bad table leaves no directory behind
+        self.art_dir = Path(config.out_dir) / config.config_hash()
+        self.art_dir.mkdir(parents=True, exist_ok=True)
         # stage results that later stages reuse, computed or read once per run
         self._templates: list[tp.DocumentTemplate] | None = None
         self._inputs: list[gen.GeneratedInput] | None = None
@@ -532,7 +552,7 @@ class Pipeline:
             vectors = {
                 row["input_id"]: np.asarray(row["vector"], dtype=float)
                 for row in read_rows(self.config.dense_vectors[system],
-                                     {"input_id": str, "vector": list})
+                                     {"input_id": str, "vector": list}, _vector_check())
             }
         count_points, dense_points, missing = [], [], []
         for a, gi in zip(aligned, inputs):

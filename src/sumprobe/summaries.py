@@ -131,31 +131,40 @@ def load_summaries(
     path: str | Path,
     inputs: dict[str, GeneratedInput],
     *,
+    system: str,
     lexicon: frozenset[str] | None = None,
     ner_spans: dict[str, list[tuple[int, int, str]]] | None = None,
 ) -> list[SummaryRecord]:
-    """Read summary JSONL ({input_id, system, summary}, all strings) and join
-    each record to its generated input by id. Unknown ids and duplicate
-    (input, system) pairs are reported together as join errors."""
+    """Read `system`'s summary JSONL ({input_id, system, summary}, all
+    strings) and join each record to its generated input by id. Records come
+    in the order of `inputs`, whatever the order of the rows. Rows naming
+    another system, unknown ids and duplicate inputs are join errors."""
     records: list[SummaryRecord] = []
+    strays: list[str] = []
     unknown: list[str] = []
-    seen: set[tuple[str, str]] = set()
+    seen: set[str] = set()
     duplicates: list[str] = []
     for row in read_rows(path, {"input_id": str, "system": str, "summary": str}):
-        input_id, system, text = row["input_id"], row["system"], row["summary"]
+        input_id, text = row["input_id"], row["summary"]
+        if row["system"] != system:
+            strays.append(row["system"])
+            continue
         if input_id not in inputs:
             unknown.append(input_id)
             continue
-        key = (input_id, system)
-        if key in seen:
+        if input_id in seen:
             duplicates.append(f"{input_id}/{system}")
             continue
-        seen.add(key)
+        seen.add(input_id)
         records.append(SummaryRecord(input_id, system, text, tokenize_summary(text)))
+    if strays:
+        raise SummaryJoinError("rows name another system", sorted(set(strays)))
     if unknown:
         raise SummaryJoinError("summaries reference unknown input ids", sorted(set(unknown)))
     if duplicates:
         raise SummaryJoinError("duplicate (input, system) summaries", sorted(set(duplicates)))
+    position = {input_id: i for i, input_id in enumerate(inputs)}
+    records.sort(key=lambda rec: position[rec.input_id])
 
     for rec in records:
         if ner_spans is not None and rec.input_id in ner_spans:

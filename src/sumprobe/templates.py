@@ -46,7 +46,6 @@ class EntitySlot:
     start: int
     end: int  # inclusive
     category: SlotCategory
-    entity: str
     text: tuple[str, ...]  # original tokens in the hole
     title_text: str | None = None
     pos: str = ""  # POS of the pronoun token, for his/her disambiguation
@@ -54,11 +53,11 @@ class EntitySlot:
 
 @dataclass
 class EntityTemplate:
-    entity: str
+    id: str
     first: str | None
     last: str | None
     slots: list[EntitySlot]
-    is_gendered: bool
+    gendered: bool
     original_gender: str | None
 
     def preferred_female_title(self) -> str | None:
@@ -94,10 +93,10 @@ class DocumentTemplate:
 
     @property
     def eligible(self) -> bool:
-        return any(e.is_gendered for e in self.entities)
+        return any(e.gendered for e in self.entities)
 
     def gendered_entities(self) -> list[EntityTemplate]:
-        return [e for e in self.entities if e.is_gendered]
+        return [e for e in self.entities if e.gendered]
 
     def holes(self) -> list[tuple[int, int]]:
         spans = [(s.start, s.end) for e in self.entities for s in e.slots]
@@ -203,15 +202,13 @@ def _infer_from_nes(doc: AnnotatedDocument, nes: Iterable[NamedEntitySpan]):
     return first, last, diagnostics
 
 
-def _pronoun_slot(doc, mention, entity_id) -> EntitySlot | None:
+def _pronoun_slot(doc, mention) -> EntitySlot | None:
     tok = doc.tokens[mention.start]
     if tok.pos not in _PRONOUN_POS:
         return None
     if tok.text.lower() not in GENDERED_PRONOUNS:
         return None
-    return EntitySlot(
-        tok.index, tok.index, SlotCategory.PRONOUN, entity_id, (tok.text,), pos=tok.pos
-    )
+    return EntitySlot(tok.index, tok.index, SlotCategory.PRONOUN, (tok.text,), pos=tok.pos)
 
 
 def _mention_slots(
@@ -232,13 +229,13 @@ def _mention_slots(
         if overlaps(start, end):
             return
         text = tuple(t.text for t in doc.tokens[start : end + 1])
-        slots.append(EntitySlot(start, end, category, ent.id, text, title_text, pos))
+        slots.append(EntitySlot(start, end, category, text, title_text, pos))
 
     # outermost mentions first, so a full-name hole wins over a nested name
     for mention in sorted(set(ent.mentions), key=lambda m: (m.start, -m.end)):
         toks = doc.tokens[mention.start : mention.end + 1]
         if len(toks) == 1 and toks[0].pos in _PRONOUN_POS:
-            slot = _pronoun_slot(doc, mention, ent.id)
+            slot = _pronoun_slot(doc, mention)
             if slot is not None and not overlaps(slot.start, slot.end):
                 slots.append(slot)
             continue
@@ -337,11 +334,11 @@ def build_template(
         )
         entities.append(
             EntityTemplate(
-                entity=ent.id,
+                id=ent.id,
                 first=first,
                 last=last,
                 slots=kept,
-                is_gendered=gendered,
+                gendered=gendered,
                 original_gender=_original_gender(kept, diagnostics, ent.id),
             )
         )
@@ -394,81 +391,23 @@ def splice(tokens: list[str], pieces: Iterable[tuple[int, int, list[str]]]) -> l
 
 
 def template_to_json(t: DocumentTemplate) -> dict:
-    return {
-        "doc_id": t.doc_id,
-        "tokens": t.tokens,
-        "entities": [
-            {
-                "id": e.entity,
-                "first": e.first,
-                "last": e.last,
-                "gendered": e.is_gendered,
-                "original_gender": e.original_gender,
-                "slots": [
-                    {
-                        "start": s.start,
-                        "end": s.end,
-                        "category": s.category.value,
-                        "text": list(s.text),
-                        "title_text": s.title_text,
-                        "pos": s.pos,
-                    }
-                    for s in e.slots
-                ],
-            }
-            for e in t.entities
-        ],
-        "content_spans": [
-            {
-                "start": c.start,
-                "end": c.end,
-                "entities": list(c.entities),
-                "male": c.male,
-                "female": c.female,
-                "neutral": c.neutral,
-            }
-            for c in t.content_spans
-        ],
-        "diagnostics": t.diagnostics,
-    }
+    entities = [{**vars(e), "slots": [vars(s) for s in e.slots]} for e in t.entities]
+    return {**vars(t), "entities": entities, "content_spans": [vars(c) for c in t.content_spans]}
 
 
 def template_from_json(data: dict) -> DocumentTemplate:
+    """The template of one row; JSON has no enums or tuples, so those fields
+    are converted back."""
     entities = [
-        EntityTemplate(
-            entity=e["id"],
-            first=e["first"],
-            last=e["last"],
-            slots=[
-                EntitySlot(
-                    s["start"],
-                    s["end"],
-                    SlotCategory(s["category"]),
-                    e["id"],
-                    tuple(s["text"]),
-                    s["title_text"],
-                    s["pos"],
-                )
-                for s in e["slots"]
-            ],
-            is_gendered=e["gendered"],
-            original_gender=e["original_gender"],
-        )
+        EntityTemplate(**dict(e, slots=[
+            EntitySlot(**dict(s, category=SlotCategory(s["category"]), text=tuple(s["text"])))
+            for s in e["slots"]
+        ]))
         for e in data["entities"]
     ]
-    spans = [
-        ContentWordSpan(
-            c["start"], c["end"], tuple(c["entities"]), c["male"], c["female"], c["neutral"]
-        )
-        for c in data["content_spans"]
-    ]
-    return DocumentTemplate(
-        doc_id=data["doc_id"],
-        tokens=data["tokens"],
-        entities=entities,
-        content_spans=spans,
-        diagnostics=data.get("diagnostics", []),
-    )
+    spans = [ContentWordSpan(**dict(c, entities=tuple(c["entities"])))
+             for c in data["content_spans"]]
+    return DocumentTemplate(**dict(data, entities=entities, content_spans=spans))
 
 
 def write_templates(templates: Iterable[DocumentTemplate], path: str | Path) -> None:

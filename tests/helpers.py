@@ -8,8 +8,8 @@ def identity_assignments(template: DocumentTemplate) -> dict[str, EntityAssignme
     """Assignments that keep every entity's original name and gender."""
     out = {}
     for e in template.entities:
-        out[e.entity] = EntityAssignment(
-            entity=e.entity,
+        out[e.id] = EntityAssignment(
+            entity=e.id,
             group=e.original_gender or "unknown",
             gender=e.original_gender or "male",
             first=e.first or "",

@@ -236,13 +236,13 @@ def test_no_wrong_gender_pronoun_survives(census, fixture_templates):
         template = by_doc[gi.original_id]
         genders = {a.entity: a.gender for a in gi.assignments}
         for ent in template.entities:
-            if ent.entity not in genders:
+            if ent.id not in genders:
                 continue
             for slot in ent.slots:
                 if slot.category.value != "pronoun":
                     continue
                 rendered = gi.tokens[slot.start].lower()
-                forbidden = female_forms if genders[ent.entity] == "male" else male_forms
+                forbidden = female_forms if genders[ent.id] == "male" else male_forms
                 assert rendered not in forbidden
 
 

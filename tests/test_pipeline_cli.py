@@ -168,7 +168,12 @@ MALFORMED_ROWS = {
         "pair_entity": '{"input_id": "fix_0002#0::00", "entities": [[1, 2]]}',
         "string_start": '{"input_id": "fix_0002#0::00", "entities": [["a", 2, "PERSON"]]}',
     },
-    dense_vectors: {"missing_key": '{"input_id": "fix_0002#0::00"}'},
+    dense_vectors: {
+        "missing_key": '{"input_id": "fix_0002#0::00"}',
+        "mixed_lengths": '{"input_id": "fix_0002#0::00", "vector": [1.0, 2.0]}',
+        "string_entry": '{"input_id": "fix_0002#0::00", "vector": ["a"]}',
+        "bool_entry": '{"input_id": "fix_0002#0::00", "vector": [true]}',
+    },
     content_words: {"missing_key": '{"doc_id": "none#0"}'},
     alignments: {"missing_key": '{"status": "hallucinated"}'},
 }
@@ -374,7 +379,7 @@ def test_generate_cli_with_content_words(tmp_path, small_corpus):
     template = next(
         t for t in (build_template(d) for d in small_corpus) if t.gendered_entities()
     )
-    target = template.gendered_entities()[0].entity
+    target = template.gendered_entities()[0].id
     claimed = {i for s, e in template.holes() for i in range(s, e + 1)}
     spot = next(i for i in range(len(template.tokens)) if i not in claimed)
     cw_path = tmp_path / "cw.jsonl"
@@ -491,6 +496,83 @@ def test_toy_race_scores_are_byte_identical_to_the_pin(tmp_path, monkeypatch, ch
     assert hashlib.sha256(scores.read_bytes()).hexdigest() == expected_sha256
 
 
+# content words for the toy corpus: two admitted on fix_0000#0, one on
+# fix_0002#0; one overlaps a name slot and one governs two entities without
+# a neutral form, so both are dropped with a diagnostic
+TOY_CONTENT_WORDS = [
+    {"doc_id": "fix_0000#0", "start": 22, "end": 22, "entities": ["0", "1"],
+     "male": "Chairmen", "female": "Chairwomen", "neutral": "Chairs"},
+    {"doc_id": "fix_0000#0", "start": 9, "end": 9, "entities": ["0"],
+     "male": "statesmanship", "female": "stateswomanship"},
+    {"doc_id": "fix_0002#0", "start": 20, "end": 20, "entities": ["0"],
+     "male": "chairman", "female": "chairwoman"},
+    {"doc_id": "fix_0003#0", "start": 1, "end": 1, "entities": ["0"],
+     "male": "chairman", "female": "chairwoman"},
+    {"doc_id": "fix_0001#0", "start": 17, "end": 17, "entities": ["0", "1"],
+     "male": "brothers", "female": "sisters"},
+]
+
+
+@pytest.mark.parametrize("content_words, expected_sha256", [
+    (False, {"templates.jsonl": "8987e21739bb6f7da97fff6eee63ee298790d5687d117eef8ec9173a235153dc",
+             "inputs.jsonl": "2ea37aa62dc353b4714f8c83b4786e6ec0f016ab92679630df6b7fc66a56c999"}),
+    (True, {"templates.jsonl": "6465b9e43afc1a054081d487bf15bc8507681120335a6194b0813b225998ab59",
+            "inputs.jsonl": "531ecd358e436e04506d5b241c731c2493338e95dfadf6b33782512f39c2407b"}),
+], ids=["plain", "content_words"])
+def test_toy_templates_and_inputs_are_byte_identical_to_the_pin(
+    tmp_path, monkeypatch, content_words, expected_sha256
+):
+    """The toy config, with and without a content-word file, writes exactly
+    the pinned templates.jsonl and inputs.jsonl, so an artifact directory
+    that an earlier version wrote still resumes."""
+    import hashlib
+
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(root)  # the toy config's paths are relative to the repo root
+    config = json.loads(Path("data/toy/config.json").read_text())
+    if content_words:
+        config["content_words"] = str(tmp_path / "content_words.jsonl")
+        Path(config["content_words"]).write_text(
+            "".join(json.dumps(row) + "\n" for row in TOY_CONTENT_WORDS))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**config, "out_dir": str(tmp_path / "out")}))
+    pipeline = Pipeline(PipelineConfig.from_file(config_path))
+    pipeline.inputs()
+    assert sum(len(t.content_spans) for t in pipeline.templates()) == (3 if content_words else 0)
+    for name, digest in expected_sha256.items():
+        assert hashlib.sha256(pipeline.path(name).read_bytes()).hexdigest() == digest, name
+
+
+def test_summary_row_order_changes_no_artifact(tmp_path, monkeypatch):
+    """The toy run with its summary rows shuffled writes the same alignments,
+    verdicts, scores and reports: records are taken in input order, so the
+    s-axis bootstrap draws the same records whatever the file order."""
+    import random
+
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(root)  # the toy config's paths are relative to the repo root
+    config = json.loads(Path("data/toy/config.json").read_text())
+    rows = {}
+    for system, path in config["summaries"].items():
+        rows[system] = Path(path).read_text().splitlines(keepends=True)
+        config["summaries"][system] = str(tmp_path / Path(path).name)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    runs = []
+    for order in ("file", "shuffled"):
+        for system, lines in rows.items():
+            if order == "shuffled":
+                random.Random(3).shuffle(lines)
+            Path(config["summaries"][system]).write_text("".join(lines))
+        assert main(["run", "--config", str(config_path), "--out-dir", str(tmp_path / order)]) == 0
+        runs.append(tmp_path / order / PipelineConfig.from_file(config_path).config_hash())
+    names = sorted(p.name for p in runs[0].iterdir()
+                   if p.name.startswith(("alignments.", "verdicts.", "scores.", "report.")))
+    assert len(names) == 8, names
+    for name in names:
+        assert (runs[1] / name).read_bytes() == (runs[0] / name).read_bytes(), name
+
+
 def test_missing_dense_vectors_are_listed_in_input_order(tmp_path, small_corpus):
     """A dense sidecar that lacks some inputs scores the others, and the
     dense diagnostics end with one line per missing input, in input order."""
@@ -569,11 +651,46 @@ def test_bad_config_exits_2_naming_the_file(tmp_path, capsys, text, flags, probl
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, name, text, changes", [
+    ("word_lists", "word_lists.json", '{"male": ["He"], "female": ["she"]}', {}),
+    ("word_lists", "word_lists.json", '{"male": ', {}),
+    ("word_lists", "word_lists.json", '["he"]', {}),
+    ("census_male", "census_male.txt", "james x 1\n", {}),
+    ("census_female", "census_female.txt", "", {}),
+    ("race_names", "race_names.json",
+     '{"black": {"first": {"male": ["a"], "female": ["b"]}, "last": []}}',
+     {"scheme": "race_random_gender"}),
+    ("last_name_pool", "pool.txt", "\n", {"alter_last_names": True}),
+], ids=["uppercase_word", "invalid_json_word_lists", "list_word_lists", "bad_census_frequency",
+        "empty_census", "race_group_without_lasts", "empty_pool"])
+def test_bad_table_exits_2_naming_the_file(tmp_path, capsys, key, name, text, changes):
+    """A table that fails to load stops the run before it makes its
+    artifact directory."""
+    table = tmp_path / name
+    table.write_text(text)
+    config_path = toy_config_with(tmp_path, {key: str(table), **changes})
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert f"{table}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_generate_with_odd_variants_exits_2(tmp_path, capsys):
     argv = ["generate", "--templates", str(tmp_path / "templates.jsonl"), "--scheme",
             "gender_global", "--seed", "1", "--variants", "3", "--out", str(tmp_path / "inputs.jsonl")]
     assert main(argv) == 2
     assert "variants_per_original must be even" in capsys.readouterr().err
+
+
+def test_generate_altering_last_names_without_a_pool_exits_2(tmp_path, capsys):
+    root = Path(__file__).resolve().parent.parent
+    templates = tmp_path / "templates.jsonl"
+    assert main(["build-templates", "--documents", str(root / "data/toy/corpus.conll"),
+                 "--out", str(templates)]) == 0
+    argv = ["generate", "--templates", str(templates), "--scheme", "gender_local", "--seed", "1",
+            "--variants", "4", "--alter-last-names", "--out", str(tmp_path / "inputs.jsonl")]
+    assert main(argv) == 2
+    assert "--alter-last-names needs --last-names" in capsys.readouterr().err
+    assert not (tmp_path / "inputs.jsonl").exists()
 
 
 def hallucinating(gi, rng):
@@ -638,6 +755,35 @@ def test_worker_data_error_exits_2_without_hanging(tmp_path, small_corpus):
     )
     assert proc.returncode == 2, proc.stderr
     assert "system 'b': summaries reference unknown input ids: nowhere::0" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["run", "align"])
+@pytest.mark.parametrize("case, strays", [("relabelled", "lead"), ("concatenated", "faithful")])
+def test_summary_rows_of_another_system_exit_2(tmp_path, monkeypatch, capsys, command, case,
+                                               strays):
+    """Rows in the file configured for `skewed` that name another system are
+    a data error naming the file and those systems: scored, relabelled rows
+    read as zeros and concatenated files count every input twice."""
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(root)  # the toy config's paths are relative to the repo root
+    config = json.loads(Path("data/toy/config.json").read_text())
+    skewed = Path(config["summaries"]["skewed"]).read_text()
+    path = tmp_path / "summaries.skewed.jsonl"
+    path.write_text(skewed.replace('"system": "skewed"', '"system": "lead"')
+                    if case == "relabelled" else
+                    Path(config["summaries"]["faithful"]).read_text() + skewed)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(
+        {**config, "summaries": {"skewed": str(path)}, "out_dir": str(tmp_path / "out")}))
+    argv = ["run", "--config", str(config_path)]
+    if command == "align":
+        pipeline = Pipeline(PipelineConfig.from_file(config_path))
+        pipeline.inputs()
+        argv = ["align", "--templates", str(pipeline.path("templates.jsonl")),
+                "--inputs", str(pipeline.path("inputs.jsonl")), "--out-dir", str(tmp_path),
+                "--summaries", f"skewed={path}"]
+    assert main(argv) == 2
+    assert f"{path}: system 'skewed': rows name another system: {strays}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [

@@ -96,7 +96,8 @@ def write_summaries(path, rows):
 def test_load_summaries_joins(tmp_path):
     path = tmp_path / "s.jsonl"
     write_summaries(path, [{"input_id": "d#0::00", "system": "sys", "summary": "Melissa Levin spoke ."}])
-    records = load_summaries(path, {"d#0::00": gi()}, lexicon=frozenset({"melissa", "levin"}))
+    records = load_summaries(path, {"d#0::00": gi()}, system="sys",
+                             lexicon=frozenset({"melissa", "levin"}))
     assert len(records) == 1
     assert records[0].tokens == ["Melissa", "Levin", "spoke", "."]
     assert records[0].entities == [SummaryEntity(0, 1, ("Melissa", "Levin"))]
@@ -106,7 +107,7 @@ def test_load_summaries_unknown_id(tmp_path):
     path = tmp_path / "s.jsonl"
     write_summaries(path, [{"input_id": "missing", "system": "sys", "summary": "x"}])
     with pytest.raises(SummaryJoinError, match="missing"):
-        load_summaries(path, {"d#0::00": gi()})
+        load_summaries(path, {"d#0::00": gi()}, system="sys")
 
 
 def test_load_summaries_duplicate(tmp_path):
@@ -114,13 +115,13 @@ def test_load_summaries_duplicate(tmp_path):
     row = {"input_id": "d#0::00", "system": "sys", "summary": "x"}
     write_summaries(path, [row, row])
     with pytest.raises(SummaryJoinError, match="duplicate"):
-        load_summaries(path, {"d#0::00": gi()})
+        load_summaries(path, {"d#0::00": gi()}, system="sys")
 
 
 def test_empty_summary_is_valid(tmp_path):
     path = tmp_path / "s.jsonl"
     write_summaries(path, [{"input_id": "d#0::00", "system": "sys", "summary": ""}])
-    records = load_summaries(path, {"d#0::00": gi()}, lexicon=frozenset({"levin"}))
+    records = load_summaries(path, {"d#0::00": gi()}, system="sys", lexicon=frozenset({"levin"}))
     assert records[0].tokens == []
     assert records[0].entities == []
 
@@ -133,7 +134,8 @@ def test_ner_sidecar_overrides_detection(tmp_path):
         json.dumps({"input_id": "d#0::00", "entities": [[1, 2, "PERSON"], [3, 3, "DATE"]]}) + "\n"
     )
     spans = load_ner_sidecar(npath)
-    records = load_summaries(spath, {"d#0::00": gi()}, lexicon=frozenset(), ner_spans=spans)
+    records = load_summaries(spath, {"d#0::00": gi()}, system="sys", lexicon=frozenset(),
+                             ner_spans=spans)
     assert records[0].entities == [SummaryEntity(1, 2, ("Dana", "Scribe"))]
 
 

@@ -65,7 +65,7 @@ def test_title_inventory_is_fixed():
 
 def names_of(doc):
     """(entity id, first, last) of every person entity in the document's template."""
-    return [(e.entity, e.first, e.last) for e in build_template(doc).entities]
+    return [(e.id, e.first, e.last) for e in build_template(doc).entities]
 
 
 def test_infer_names_title_then_last():
@@ -115,7 +115,7 @@ def test_ne_links_to_deepest_containing_mention():
         mentions=[(0, 1, "0"), (0, 3, "1")],
         nes=[(1, 1, "PERSON")],
     )
-    assert [e.entity for e in build_template(b.build()).entities] == ["0"]
+    assert [e.id for e in build_template(b.build()).entities] == ["0"]
 
 
 def test_mention_with_title_splits_into_title_and_last_slots():
@@ -124,7 +124,7 @@ def test_mention_with_title_splits_into_title_and_last_slots():
     cats = [(s.category, s.start, s.end) for s in ent.slots]
     assert (SlotCategory.TITLE, 0, 0) in cats
     assert (SlotCategory.LAST_NAME, 1, 1) in cats
-    assert ent.is_gendered  # title mention marks the entity gendered
+    assert ent.gendered  # title mention marks the entity gendered
     assert ent.original_gender == "male"
 
 
@@ -132,7 +132,7 @@ def test_adjacent_first_last_becomes_full_name_slot():
     template = build_template(doc_obama())
     ent = template.entities[0]
     assert (SlotCategory.FULL_NAME, 0, 1) in [(s.category, s.start, s.end) for s in ent.slots]
-    assert ent.is_gendered
+    assert ent.gendered
 
 
 def test_bare_last_name_entity_is_not_gendered():
@@ -144,7 +144,7 @@ def test_bare_last_name_entity_is_not_gendered():
         nes=[(0, 0, "PERSON")],
     )
     template = build_template(b.build())
-    assert template.entities[0].is_gendered is False
+    assert template.entities[0].gendered is False
     assert not template.eligible
 
 
@@ -211,7 +211,7 @@ def test_nested_other_entity_name_left_untouched():
         mentions=[(1, 2, "1")],
     )
     template = build_template(b.build())
-    ent1 = [e for e in template.entities if e.entity == "1"][0]
+    ent1 = [e for e in template.entities if e.id == "1"][0]
     assert all(s.start < 6 or s.start > 10 for s in ent1.slots)
     assert any("left untouched" in d for d in template.diagnostics)
 
