@@ -33,6 +33,7 @@ from .pipeline import (
     align_system,
     alignment_context,
     build_templates,
+    check_documents,
     classify_entities,
     generate_inputs,
     ingest,
@@ -44,7 +45,7 @@ USAGE_EXIT = 1
 DATA_EXIT = 2
 STAGE_EXIT = 3
 
-_DATA_ERRORS = (DataError, NameTableError, FileNotFoundError, json.JSONDecodeError)
+_DATA_ERRORS = (DataError, NameTableError, FileNotFoundError, IsADirectoryError, json.JSONDecodeError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,12 +66,14 @@ def _pairs_arg(values: list[str], what: str) -> dict[str, str]:
 
 def _load_docs(path: str) -> list[cp.AnnotatedDocument]:
     """Accept a raw column corpus (checked and sorted as `ingest` does) or
-    the ingest JSONL output."""
+    the ingest JSONL output (checked as `ingest` does, in file order)."""
     with open(path, encoding="utf-8") as fh:
         head = fh.read(1)
     if head == "#":
         return ingest(path)
-    return list(cp.read_jsonl(path))
+    docs = list(cp.read_jsonl(path))
+    check_documents(docs, path)
+    return docs
 
 
 def _census(args):

@@ -341,5 +341,37 @@ def write_jsonl(docs: Iterable[AnnotatedDocument], path: str | Path) -> None:
     write_rows(path, map(to_json, docs))
 
 
+# each key of a document row, and the type of its value
+_DOCUMENT_KEYS = {"id": str, "tokens": list, "sentences": list, "pos": list,
+                  "chains": dict, "entities": list}
+
+
+def _document_problem(row: dict) -> str | None:
+    """What else keeps `from_json` from building a document out of `row`."""
+    n = len(row["tokens"])
+    if len(row["sentences"]) != n or len(row["pos"]) != n:
+        return "tokens, sentences and pos differ in length"
+    if not {*map(type, row["tokens"]), *map(type, row["pos"])} <= {str}:
+        return "tokens and pos must be strings"
+    if not set(map(type, row["sentences"])) <= {int}:
+        return "sentences must be integers"
+    for chain, spans in row["chains"].items():
+        if not (isinstance(spans, list) and all(
+                isinstance(s, list) and len(s) == 2 and type(s[0]) is int and type(s[1]) is int
+                for s in spans)):
+            return f"chain {chain!r} is not a list of [start, end] spans"
+    return bad_entity_span(row)
+
+
+def bad_entity_span(row: dict) -> str | None:
+    """The problem with the first of `row["entities"]` that is not a
+    [start, end, label] triple, if any."""
+    for span in row["entities"]:
+        if not (isinstance(span, list) and len(span) == 3 and type(span[0]) is int
+                and type(span[1]) is int and isinstance(span[2], str)):
+            return f"entity {span!r} is not a [start, end, label] triple"
+    return None
+
+
 def read_jsonl(path: str | Path) -> Iterator[AnnotatedDocument]:
-    return map(from_json, read_rows(path))
+    return map(from_json, read_rows(path, _DOCUMENT_KEYS, _document_problem))

@@ -7,13 +7,12 @@ first-name fallback. Race is deliberately never classified.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .names import GenderNameTable
+from .names import GenderNameTable, NameTableError, _json_object
 
 log = logging.getLogger(__name__)
 
@@ -45,11 +44,14 @@ class LookupPage:
 class FixtureLookupClient:
     """Offline lookup backed by a JSON cache of title -> categories + pronoun
     counts. Titles match case-insensitively; redirects are assumed to have
-    been resolved when the cache was built."""
+    been resolved when the cache was built. A file that is not a JSON object
+    of JSON objects is a `NameTableError` naming it."""
 
     def __init__(self, path: str | Path):
-        with Path(path).open(encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = _json_object(path)
+        bad = [title for title, entry in raw.items() if not isinstance(entry, dict)]
+        if bad:
+            raise NameTableError(f"{path}: cache entries must be JSON objects: {bad}")
         self._pages = {
             title.casefold(): LookupPage(
                 title=title,

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .jsonio import read_rows, write_rows
-from .names import GenderNameTable, RaceNameTable, load_census, resolve_ambiguous
+from .names import GenderNameTable, RaceNameTable
 from .seeding import derive_rng
 from .templates import (
     DocumentTemplate,
@@ -70,6 +70,9 @@ class AssignmentScheme:
                 raise ValueError(f"intersection maps to unknown gender(s) {bad}")
         elif self.intersection is not None:
             raise ValueError(f"{self.kind} does not take an intersection mapping")
+        if self.variants_per_original < 1:
+            raise ValueError(
+                f"variants_per_original must be at least 1, got {self.variants_per_original}")
         if self.kind in PAIRED_SCHEME_KINDS and self.variants_per_original % 2:
             raise ValueError(f"{self.kind} pairs variants; variants_per_original must be even")
         if self.is_race and not self.alter_last_names:
@@ -341,30 +344,6 @@ def assign_race(
     return out
 
 
-def assign_groups(
-    template: DocumentTemplate,
-    scheme: AssignmentScheme,
-    rng,
-    *,
-    variant: int = 0,
-    census: GenderNameTable | None = None,
-    race_table: RaceNameTable | None = None,
-    last_name_pool: Sequence[str] | None = None,
-) -> list[EntityAssignment]:
-    """One variant's entity assignments under the given scheme."""
-    if scheme.is_race:
-        if race_table is None:
-            raise GenerationError("race schemes need a race name table")
-        return assign_race(template, scheme, rng, race_table)
-    if census is None:
-        raise GenerationError("gender schemes need a census name table")
-    if scheme.kind == "gender_global":
-        gender = "male" if variant % 2 == 0 else "female"
-        return assign_global(template, scheme, rng, gender, census, last_name_pool)
-    first, second = assign_gender_pair(template, scheme, rng, census, last_name_pool)
-    return first if variant % 2 == 0 else second
-
-
 def race_capacity_ok(template: DocumentTemplate, scheme: AssignmentScheme,
                      race_table: RaceNameTable) -> bool:
     """Seed-independent check that every variant can be generated in full.
@@ -389,6 +368,25 @@ def race_capacity_ok(template: DocumentTemplate, scheme: AssignmentScheme,
     return True
 
 
+def _variant_assignments(template, scheme, seed, census, race_table, last_name_pool):
+    """Each variant's (pair id, entity assignments), in variant order: a
+    gender_local pair draws both members from one rng, any other variant
+    from its own."""
+    if scheme.kind == "gender_local":
+        for k in range(scheme.variants_per_original // 2):
+            rng = derive_rng(seed, template.doc_id, "pair", k)
+            for assignments in assign_gender_pair(template, scheme, rng, census, last_name_pool):
+                yield f"{template.doc_id}:{k}", assignments
+        return
+    for v in range(scheme.variants_per_original):
+        rng = derive_rng(seed, template.doc_id, "variant", v)
+        if scheme.is_race:
+            yield None, assign_race(template, scheme, rng, race_table)
+        else:
+            gender = GENDERS[v % 2]
+            yield None, assign_global(template, scheme, rng, gender, census, last_name_pool)
+
+
 def generate_corpus(
     templates: Iterable[DocumentTemplate],
     scheme: AssignmentScheme,
@@ -404,11 +402,9 @@ def generate_corpus(
     derived from (seed, original id, variant/pair index), so the output is
     independent of processing order.
     """
-    if scheme.is_race:
-        if race_table is None:
-            raise GenerationError("race schemes need a race name table")
-    elif census is None:
-        census = resolve_ambiguous(load_census())
+    table, what = (race_table, "race") if scheme.is_race else (census, "census")
+    if table is None:
+        raise GenerationError(f"{scheme.kind} needs a {what} name table")
     out: list[GeneratedInput] = []
     provenance = f"master={master_seed}"
     for template in sorted(templates, key=lambda t: t.doc_id):
@@ -416,29 +412,8 @@ def generate_corpus(
             continue
         if scheme.is_race and not race_capacity_ok(template, scheme, race_table):
             continue
-        pair_cache: tuple[list[EntityAssignment], list[EntityAssignment]] | None = None
-        for v in range(scheme.variants_per_original):
-            pair_id = None
-            if scheme.kind == "gender_local":
-                k = v // 2
-                if v % 2 == 0:
-                    rng = derive_rng(master_seed, template.doc_id, "pair", k)
-                    pair_cache = assign_gender_pair(
-                        template, scheme, rng, census, last_name_pool
-                    )
-                assignments = pair_cache[v % 2]
-                pair_id = f"{template.doc_id}:{k}"
-            else:
-                rng = derive_rng(master_seed, template.doc_id, "variant", v)
-                assignments = assign_groups(
-                    template,
-                    scheme,
-                    rng,
-                    variant=v,
-                    census=census,
-                    race_table=race_table,
-                    last_name_pool=last_name_pool,
-                )
+        for v, (pair_id, assignments) in enumerate(_variant_assignments(
+                template, scheme, master_seed, census, race_table, last_name_pool)):
             tokens = render(template, assignments)
             out.append(
                 GeneratedInput(
@@ -446,7 +421,7 @@ def generate_corpus(
                     original_id=template.doc_id,
                     variant=v,
                     pair_id=pair_id,
-                    assignments=list(assignments),
+                    assignments=assignments,
                     tokens=tokens,
                     seed=provenance,
                 )

@@ -212,16 +212,23 @@ def ingest(corpus: str | Path, out: str | Path | None = None) -> list[cp.Annotat
         docs = cp.parse_conll_corpus(corpus)
     except (cp.ParseError, cp.IntegrityError) as exc:
         raise DataError(f"{corpus}: {exc}") from exc
-    problems = [f"{doc.id}: {issue}" for doc in docs for issue in cp.validate_document(doc)]
-    if problems:
-        raise DataError("invalid documents: " + "; ".join(problems))
-    ids = [d.id for d in docs]
-    if len(set(ids)) != len(ids):
-        raise DataError("duplicate document ids in corpus")
+    check_documents(docs, corpus)
     docs.sort(key=lambda d: d.id)
     if out is not None:
         cp.write_jsonl(docs, out)
     return docs
+
+
+def check_documents(docs: list[cp.AnnotatedDocument], source: str | Path) -> None:
+    """What `ingest` requires of the documents it writes: every one valid,
+    no id twice. A failure names `source`."""
+    problems = [f"{doc.id}: {problem}" for doc in docs for problem in cp.validate_document(doc)]
+    if problems:
+        raise DataError(f"{source}: invalid documents: " + "; ".join(problems))
+    ids = Counter(d.id for d in docs)
+    twice = sorted(i for i, n in ids.items() if n > 1)
+    if twice:
+        raise DataError(f"{source}: duplicate document ids: {twice}")
 
 
 def build_templates(
@@ -339,7 +346,6 @@ class _SharedScoring:
     """What every system's scoring reads, built once per `Pipeline.score`."""
 
     context: AlignmentContext
-    client: gid.FixtureLookupClient | None  # only where the scheme classifies
     memo: dict[str, gid.GenderVerdict]  # verdicts so far, across systems in one process
     input_ident_counts: dict[str, Counter]  # word-list identifiers per input, where classified
     names: tuple[set[str], set[str]] | None  # first and last names assigned (gender_global)
@@ -359,6 +365,8 @@ class Pipeline:
         self.last_pool = (
             load_last_name_pool(config.last_name_pool) if config.last_name_pool else None
         )
+        self.client = (gid.FixtureLookupClient(config.cache or data_path("wiki_cache.json"))
+                       if self._classifies() else None)
         # made once every table has loaded, so a bad table leaves no directory behind
         self.art_dir = Path(config.out_dir) / config.config_hash()
         self.art_dir.mkdir(parents=True, exist_ok=True)
@@ -418,7 +426,7 @@ class Pipeline:
         return {
             system: classify_entities(
                 (e.tokens for a in aligned for e in a.hallucinated()),
-                shared.client, self.census, self.path(f"verdicts.{system}.json"), shared.memo,
+                self.client, self.census, self.path(f"verdicts.{system}.json"), shared.memo,
             )
             for system, (aligned, _) in sorted(aligned_by_system.items())
         }
@@ -442,8 +450,6 @@ class Pipeline:
                      {a.last.lower() for a in assignments if a.last})
         shared = _SharedScoring(
             context=alignment_context(self.templates(), inputs, self._census_raw),
-            client=(gid.FixtureLookupClient(self.config.cache or data_path("wiki_cache.json"))
-                    if classifies else None),
             memo={},
             input_ident_counts=(
                 {gi.id: ms.count_identifiers(gi.tokens, self.word_lists) for gi in inputs}

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+from .corpus import bad_entity_span
 from .generate import GeneratedInput
 from .jsonio import read_rows
 from .names import GenderNameTable
@@ -111,19 +112,11 @@ def detect_entities(tokens: list[str], lexicon: frozenset[str]) -> list[SummaryE
     return entities
 
 
-def _bad_entity_span(row: dict) -> str | None:
-    for span in row["entities"]:
-        if not (isinstance(span, list) and len(span) == 3 and type(span[0]) is int
-                and type(span[1]) is int and isinstance(span[2], str)):
-            return f"entity {span!r} is not a [start, end, label] triple"
-    return None
-
-
 def load_ner_sidecar(path: str | Path) -> dict[str, list[tuple[int, int, str]]]:
     """Optional externally produced entity spans per input id."""
     return {
         row["input_id"]: [(s, e, label) for s, e, label in row["entities"]]
-        for row in read_rows(path, {"input_id": str, "entities": list}, _bad_entity_span)
+        for row in read_rows(path, {"input_id": str, "entities": list}, bad_entity_span)
     }
 
 

@@ -14,7 +14,8 @@ from sumprobe.generate import (
     GenerationError,
     RenderError,
     assign_gender_pair,
-    assign_groups,
+    assign_global,
+    assign_race,
     generate_corpus,
     input_from_json,
     input_to_json,
@@ -77,9 +78,7 @@ def test_scheme_intersection_required():
 def test_local_balance_even(census):
     template = template_with_entities(4)
     scheme = make_scheme("gender_local")
-    assignments = assign_groups(
-        template, scheme, derive_rng(1, "t"), census=census
-    )
+    assignments = assign_gender_pair(template, scheme, derive_rng(1, "t"), census)[0]
     genders = Counter(a.gender for a in assignments)
     assert genders == Counter({"male": 2, "female": 2})
 
@@ -89,9 +88,7 @@ def test_local_balance_odd(census):
     scheme = make_scheme("gender_local")
     seen = set()
     for seed in range(12):
-        assignments = assign_groups(
-            template, scheme, derive_rng(seed, "t"), census=census
-        )
+        assignments = assign_gender_pair(template, scheme, derive_rng(seed, "t"), census)[0]
         genders = Counter(a.gender for a in assignments)
         assert abs(genders["male"] - genders["female"]) == 1
         seen.add(genders["male"])
@@ -102,11 +99,12 @@ def test_global_alternation(census):
     template = template_with_entities(3)
     scheme = make_scheme("gender_global", variants=4)
     for variant in range(4):
-        assignments = assign_groups(
-            template, scheme, derive_rng(3, variant), variant=variant, census=census
-        )
         expected = "male" if variant % 2 == 0 else "female"
+        assignments = assign_global(template, scheme, derive_rng(3, variant), expected, census)
         assert {a.gender for a in assignments} == {expected}
+    inputs = generate_corpus([template], scheme, 3, census=census)
+    assert [{a.gender for a in gi.assignments} for gi in inputs] == [
+        {"male"}, {"female"}, {"male"}, {"female"}]
 
 
 def test_pair_is_exact_inverse_with_shared_names(census):
@@ -135,9 +133,8 @@ def test_pair_inverse_odd_entities_share_name_prefix(census):
 
 def test_distinct_first_names_within_input(census):
     template = template_with_entities(6)
-    assignments = assign_groups(
-        template, make_scheme("gender_local"), derive_rng(7, "t"), census=census
-    )
+    assignments = assign_gender_pair(template, make_scheme("gender_local"), derive_rng(7, "t"),
+                                     census)[0]
     firsts = [a.first for a in assignments]
     assert len(set(firsts)) == len(firsts)
 
@@ -315,9 +312,7 @@ def test_race_intersectional_links_gender_to_group():
     scheme = make_scheme(
         "race_intersectional", intersection={"black": "male", "white": "female"}
     )
-    assignments = assign_groups(
-        template, scheme, derive_rng(1, "x"), race_table=table
-    )
+    assignments = assign_race(template, scheme, derive_rng(1, "x"), table)
     for a in assignments:
         assert a.gender == ("male" if a.group == "black" else "female")
 
@@ -359,6 +354,16 @@ def test_alter_last_names_needs_pool(census):
     assert lasts <= {"Quarry", "Zelden"}
 
 
+@pytest.mark.parametrize("kind, missing", [
+    ("gender_local", "census"), ("gender_global", "census"), ("race_random_gender", "race_table"),
+])
+def test_generate_without_the_schemes_table_errors(census, kind, missing):
+    tables = {"census": census, "race_table": load_race_names()}
+    del tables[missing]
+    with pytest.raises(GenerationError, match=f"{kind} needs a .* name table"):
+        generate_corpus([template_with_entities(2)], make_scheme(kind, variants=2), 1, **tables)
+
+
 def test_input_json_roundtrip(census, fixture_templates):
     scheme = make_scheme("gender_local", variants=2)
     for gi in generate_corpus(fixture_templates[:5], scheme, 3, census=census):
@@ -375,8 +380,7 @@ def test_local_balance_property(seed, n):
         male={f"m{i}": 1.0 for i in range(10)},
         female={f"f{i}": 1.0 for i in range(10)},
     )
-    assignments = assign_groups(
-        template, make_scheme("gender_local"), random.Random(seed), census=table
-    )
+    assignments = assign_gender_pair(template, make_scheme("gender_local"), random.Random(seed),
+                                     table)[0]
     genders = Counter(a.gender for a in assignments)
     assert abs(genders["male"] - genders["female"]) <= 1

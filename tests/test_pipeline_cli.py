@@ -543,6 +543,37 @@ def test_toy_templates_and_inputs_are_byte_identical_to_the_pin(
         assert hashlib.sha256(pipeline.path(name).read_bytes()).hexdigest() == digest, name
 
 
+# a `last_name_pool` file for the toy corpus
+TOY_LAST_NAME_POOL = "quarry\nzelden\nashby\nbrannock\ncorliss\ndunmore\nellery\nfenwick\n"
+
+
+@pytest.mark.parametrize("changes, expected_sha256", [
+    ({"scheme": "gender_global"},
+     "94e08beb80d11dedf9e74a04e517ac681c9e2d40d92f2a11c72069f47e16c3e4"),
+    ({"scheme": "race_random_gender"},
+     "492db6d3a2305b1c20ad5a288c7bdf2ce82b74cfe2a9e0adbd97265555b5312c"),
+    ({"scheme": "race_intersectional", "intersection": {"black": "female", "white": "male"}},
+     "87132157278736e23350f6bacb4aad4012f2e6c7a2ff039882ee10bbc83f4005"),
+    ({"alter_last_names": True},
+     "2f8cf7766867e3d5db06f31dccf6044d95628427e9ac78ff16dff5e7a9a6b18f"),
+], ids=["gender_global", "race_random_gender", "race_intersectional", "local_last_names"])
+def test_toy_inputs_under_each_scheme_are_byte_identical_to_the_pin(
+    tmp_path, changes, expected_sha256
+):
+    """Every scheme, and gender_local with substituted last names, writes
+    exactly the pinned toy inputs.jsonl: each draw from each derived rng."""
+    import hashlib
+
+    if changes.get("alter_last_names"):
+        pool = tmp_path / "last_names.txt"
+        pool.write_text(TOY_LAST_NAME_POOL)
+        changes = {**changes, "last_name_pool": str(pool)}
+    pipeline = Pipeline(PipelineConfig.from_file(toy_config_with(tmp_path, changes)))
+    pipeline.inputs()
+    digest = hashlib.sha256(pipeline.path("inputs.jsonl").read_bytes()).hexdigest()
+    assert digest == expected_sha256
+
+
 def test_summary_row_order_changes_no_artifact(tmp_path, monkeypatch):
     """The toy run with its summary rows shuffled writes the same alignments,
     verdicts, scores and reports: records are taken in input order, so the
@@ -661,8 +692,12 @@ def test_bad_config_exits_2_naming_the_file(tmp_path, capsys, text, flags, probl
      '{"black": {"first": {"male": ["a"], "female": ["b"]}, "last": []}}',
      {"scheme": "race_random_gender"}),
     ("last_name_pool", "pool.txt", "\n", {"alter_last_names": True}),
+    ("cache", "cache.json", '{"Pat Nixon": \n}', {}),
+    ("cache", "cache.json", '["Pat Nixon"]', {}),
+    ("cache", "cache.json", '{"Pat Nixon": ["People"]}', {}),
 ], ids=["uppercase_word", "invalid_json_word_lists", "list_word_lists", "bad_census_frequency",
-        "empty_census", "race_group_without_lasts", "empty_pool"])
+        "empty_census", "race_group_without_lasts", "empty_pool", "invalid_json_cache",
+        "list_cache", "list_cache_entry"])
 def test_bad_table_exits_2_naming_the_file(tmp_path, capsys, key, name, text, changes):
     """A table that fails to load stops the run before it makes its
     artifact directory."""
@@ -674,11 +709,74 @@ def test_bad_table_exits_2_naming_the_file(tmp_path, capsys, key, name, text, ch
     assert not (tmp_path / "out").exists()
 
 
+def test_bad_cache_exits_2_naming_the_file_in_classify_hallucinations(tmp_path, capsys):
+    cache = tmp_path / "cache.json"
+    cache.write_text('{"Pat Nixon": 3}')
+    alignments = tmp_path / "alignments.jsonl"
+    alignments.write_text("")
+    assert main(["classify-hallucinations", "--alignments", str(alignments), "--cache", str(cache),
+                 "--out", str(tmp_path / "verdicts.json")]) == 2
+    assert f"{cache}: cache entries must be JSON objects: ['Pat Nixon']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_directory_given_as_an_input_file_exits_2(tmp_path, capsys, command):
+    """A directory where an input file belongs is reported like a missing
+    file, before any artifact directory is made."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    if command == "run":
+        argv = ["run", "--config", str(toy_config_with(tmp_path, {"cache": str(folder)}))]
+    else:
+        argv = ["report", "--scores", str(folder), "--out", str(tmp_path / "out" / "report.md")]
+    assert main(argv) == 2
+    assert str(folder) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["build-templates", "analyze-input-bias", "simulate-baselines"])
+@pytest.mark.parametrize("case", ["row_without_pos", "chain_out_of_range", "same_id_twice"])
+def test_bad_jsonl_documents_exit_2_naming_the_file(tmp_path, capsys, command, case):
+    """The ingest JSONL that these commands accept gets the checks `ingest`
+    gives a column corpus."""
+    root = Path(__file__).resolve().parent.parent
+    docs = tmp_path / "documents.jsonl"
+    assert main(["ingest", "--corpus", str(root / "data/toy/corpus.conll"), "--out", str(docs)]) == 0
+    rows = [json.loads(line) for line in docs.read_text().splitlines()]
+    first = rows[0]
+    if case == "row_without_pos":
+        del first["pos"]
+        problem = f"{docs}:1: malformed row: missing pos"
+    elif case == "chain_out_of_range":
+        chain = sorted(first["chains"])[0]
+        first["chains"][chain][0] = [0, 10000]
+        problem = f"{docs}: invalid documents: {first['id']}: chain {chain}: mention (0,10000)"
+    else:
+        rows.append(first)
+        problem = f"{docs}: duplicate document ids: [{first['id']!r}]"
+    docs.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    flag = "--documents" if command == "build-templates" else "--corpus"
+    argv = [command, flag, str(docs), "--out", str(tmp_path / "out")]
+    if command == "simulate-baselines":
+        argv += ["--seed", "1"]
+    assert main(argv) == 2
+    assert problem in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_generate_with_odd_variants_exits_2(tmp_path, capsys):
     argv = ["generate", "--templates", str(tmp_path / "templates.jsonl"), "--scheme",
             "gender_global", "--seed", "1", "--variants", "3", "--out", str(tmp_path / "inputs.jsonl")]
     assert main(argv) == 2
     assert "variants_per_original must be even" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variants", ["0", "-2"])
+def test_generate_with_no_variants_exits_2(tmp_path, capsys, variants):
+    argv = ["generate", "--templates", str(tmp_path / "templates.jsonl"), "--scheme",
+            "gender_local", "--seed", "1", "--variants", variants, "--out", str(tmp_path / "inputs.jsonl")]
+    assert main(argv) == 2
+    assert f"variants_per_original must be at least 1, got {variants}" in capsys.readouterr().err
 
 
 def test_generate_altering_last_names_without_a_pool_exits_2(tmp_path, capsys):
