@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 stage failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -16,17 +15,16 @@ from . import gender_id as gid
 from . import generate as gen
 from . import input_bias as ib
 from . import templates as tp
-from .jsonio import read_rows, write_json, write_text
+from .jsonio import DataError, read_rows, write_json, write_text
 from .names import (
-    NameTableError,
     load_census,
+    load_last_name_pool,
     load_race_names,
     load_word_lists,
     resolve_ambiguous,
     word_pairs,
 )
 from .pipeline import (
-    DataError,
     Pipeline,
     PipelineConfig,
     StageError,
@@ -37,15 +35,14 @@ from .pipeline import (
     classify_entities,
     generate_inputs,
     ingest,
-    load_last_name_pool,
 )
-from .report import render_report
+from .report import read_scores, render_report
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
 STAGE_EXIT = 3
 
-_DATA_ERRORS = (DataError, NameTableError, FileNotFoundError, IsADirectoryError, json.JSONDecodeError)
+_DATA_ERRORS = (DataError, FileNotFoundError, IsADirectoryError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,7 +148,6 @@ def cmd_classify_hallucinations(args) -> int:
         gid.FixtureLookupClient(args.cache),
         resolve_ambiguous(_census(args)),
         args.out,
-        memo={},
     )
     classified = sum(v.gender != "unknown" for v in verdicts.values())
     print(f"classified {classified}/{len(verdicts)} distinct hallucinated entities -> {args.out}")
@@ -220,9 +216,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.scores, encoding="utf-8") as fh:
-        report = json.load(fh)
-    write_text(args.out, render_report(report, args.format))
+    write_text(args.out, render_report(read_scores(args.scores), args.format))
     print(args.out)
     return 0
 

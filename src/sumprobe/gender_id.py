@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .names import GenderNameTable, NameTableError, _json_object
+from .jsonio import DataError, read_object, string_list
+from .names import GenderNameTable
 
 log = logging.getLogger(__name__)
 
@@ -45,21 +46,23 @@ class FixtureLookupClient:
     """Offline lookup backed by a JSON cache of title -> categories + pronoun
     counts. Titles match case-insensitively; redirects are assumed to have
     been resolved when the cache was built. A file that is not a JSON object
-    of JSON objects is a `NameTableError` naming it."""
+    of entries shaped as docs/formats.md says is a `DataError` naming it."""
 
     def __init__(self, path: str | Path):
-        raw = _json_object(path)
+        raw = read_object(path)
         bad = [title for title, entry in raw.items() if not isinstance(entry, dict)]
         if bad:
-            raise NameTableError(f"{path}: cache entries must be JSON objects: {bad}")
-        self._pages = {
-            title.casefold(): LookupPage(
-                title=title,
-                categories=tuple(entry.get("categories", [])),
-                pronoun_counts=dict(entry.get("counts", {})),
-            )
-            for title, entry in raw.items()
-        }
+            raise DataError(f"{path}: cache entries must be JSON objects: {bad}")
+        self._pages = {}
+        for title, entry in raw.items():
+            categories, counts = entry.get("categories", []), entry.get("counts", {})
+            if not string_list(categories):
+                raise DataError(f"{path}: cache entry {title!r}: 'categories' must be "
+                                f"a list of strings, got {categories!r}")
+            if not (isinstance(counts, dict) and all(type(n) is int for n in counts.values())):
+                raise DataError(f"{path}: cache entry {title!r}: 'counts' must be "
+                                f"an object of integers, got {counts!r}")
+            self._pages[title.casefold()] = LookupPage(title, tuple(categories), dict(counts))
 
     def query(self, title: str) -> LookupPage | None:
         return self._pages.get(title.casefold())

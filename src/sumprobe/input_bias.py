@@ -172,16 +172,13 @@ def simulation_experiment(
     docs: Sequence[AnnotatedDocument],
     word_lists: dict[str, list[str]] | None = None,
     seed: int = 0,
-    topic_tokens: dict[str, list[str]] | None = None,
-    algorithms: Sequence[str] = ALGORITHMS,
 ) -> dict:
     """Word-list inclusion of each baseline under uniform and adjusted
     (input-distribution) references, plus corpus composition stats."""
     if word_lists is None:
         word_lists = load_word_lists()
-    if topic_tokens is None:
-        topic_tokens = load_topic_tokens()
-    payloads: dict[str, list] = {algorithm: [] for algorithm in algorithms}
+    topic_tokens = load_topic_tokens()
+    payloads: dict[str, list] = {algorithm: [] for algorithm in ALGORITHMS}
     by_topic: dict[str, Counter] = {}
     for doc in docs:
         tokens = doc.token_texts()
@@ -191,7 +188,7 @@ def simulation_experiment(
         c["docs"] += 1
         c.update(counts)
         sentences = _sentence_tokens(doc)
-        for algorithm in algorithms:
+        for algorithm in ALGORITHMS:
             rng = derive_rng(seed, "baseline", algorithm, doc.id)
             picked = baseline_summarize(sentences, algorithm, rng, label, word_lists)
             summary = [t for i in picked for t in sentences[i]]
@@ -209,7 +206,7 @@ def simulation_experiment(
             reference: word_list_score(payloads[algorithm], reference)
             for reference in ("uniform", "adjusted")
         }
-        for algorithm in algorithms
+        for algorithm in ALGORITHMS
     }
     return {"stats": stats, "scores": scores}
 
@@ -239,21 +236,15 @@ class SyntheticCorpusConfig:
     identifier_prob: float = 0.5
 
 
-def make_synthetic_corpus(
-    config: SyntheticCorpusConfig, seed: int = 0,
-    word_lists: dict[str, list[str]] | None = None,
-    topic_tokens: dict[str, list[str]] | None = None,
-) -> list[AnnotatedDocument]:
+def make_synthetic_corpus(config: SyntheticCorpusConfig, seed: int = 0) -> list[AnnotatedDocument]:
     """Documents with a planted topic/identifier-gender correlation.
 
     Identifier tokens are drawn from the word lists minus any overlap with
     the topic keyword lists, so planted topic signal and planted gender
     signal stay independent knobs.
     """
-    if word_lists is None:
-        word_lists = load_word_lists()
-    if topic_tokens is None:
-        topic_tokens = load_topic_tokens()
+    word_lists = load_word_lists()
+    topic_tokens = load_topic_tokens()
     topic_vocab = {t for words in topic_tokens.values() for t in words}
     ident_pool = {
         g: sorted(set(words) - topic_vocab) for g, words in word_lists.items()

@@ -1,7 +1,9 @@
-"""JSONL framing and artifact writes for the whole toolkit.
+"""JSON reading and artifact writes for the whole toolkit.
 
 Every JSONL row is read through `read_rows`, so a bad row is always reported
-as a `DataError` naming `path:line`. Every file is written through
+as a `DataError` naming `path:line`; every file that holds one JSON object
+(a config, a table, a cache, a scores file) is read through `read_object`,
+so a bad one is a `DataError` naming the file. Every file is written through
 `_atomic_open`: to a temporary file beside the target, then moved into place
 with `os.replace`, so an interrupted write never leaves a partial file.
 `write_text` and `write_json` skip a file that already holds the bytes they
@@ -38,7 +40,7 @@ def read_rows(
             except json.JSONDecodeError as exc:
                 problem = str(exc)
             else:
-                problem = _row_problem(row, required)
+                problem = shape_problem(row, required)
                 if problem is None and check is not None:
                     problem = check(row)
             if problem:
@@ -46,7 +48,22 @@ def read_rows(
             yield row
 
 
-def _row_problem(row, required: Mapping[str, type]) -> str | None:
+def read_object(path: str | Path, what: str = "a table") -> dict:
+    """The JSON object the file at `path` holds; anything else is a
+    `DataError` that names the file, and `what` names its kind."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DataError(f"{path}: {what} must be a JSON object, got {type(data).__name__}")
+    return data
+
+
+def shape_problem(row, required: Mapping[str, type]) -> str | None:
+    """What keeps `row` from being an object that holds each key of
+    `required` with a value of its type, or None."""
     if not isinstance(row, dict):
         return "not a JSON object"
     missing = [k for k in required if k not in row]
@@ -54,6 +71,10 @@ def _row_problem(row, required: Mapping[str, type]) -> str | None:
         return "missing " + ", ".join(missing)
     wrong = [k for k, kind in required.items() if not isinstance(row[k], kind)]
     return "wrong type of " + ", ".join(wrong) if wrong else None
+
+
+def string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
 
 
 @contextmanager

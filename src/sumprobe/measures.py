@@ -237,11 +237,10 @@ def inclusion_score(payloads: Sequence[dict[str, tuple[int, int]]],
 HALLUCINATION_GROUPS = ("female", "male")
 
 
-def hallucination_stats(genders: dict[str, int],
-                        groups: Sequence[str] = HALLUCINATION_GROUPS) -> list[int]:
+def hallucination_stats(genders: dict[str, int]) -> list[int]:
     """A record's hallucination statistics: its classified hallucinations per
-    gender, `groups` in sorted order; other verdicts (unknown) are left out."""
-    return [genders.get(g, 0) for g in groups]
+    gender, in `HALLUCINATION_GROUPS` order; other verdicts (unknown) are left out."""
+    return [genders.get(g, 0) for g in HALLUCINATION_GROUPS]
 
 
 def hallucination_scores(stats: np.ndarray) -> np.ndarray:
@@ -251,12 +250,10 @@ def hallucination_scores(stats: np.ndarray) -> np.ndarray:
     return _tvd_from_uniform(stats)
 
 
-def hallucination_score(payloads: Sequence[dict[str, int]],
-                        groups: Sequence[str] = HALLUCINATION_GROUPS) -> float | None:
+def hallucination_score(payloads: Sequence[dict[str, int]]) -> float | None:
     """Score over per-record Counters of classified genders."""
-    layout = sorted(groups)
-    rows = [hallucination_stats(genders, layout) for genders in payloads]
-    return _scalar(hallucination_scores(_summed(rows, len(layout))))
+    rows = [hallucination_stats(genders) for genders in payloads]
+    return _scalar(hallucination_scores(_summed(rows, len(HALLUCINATION_GROUPS))))
 
 
 # --- distinguishability -------------------------------------------------------

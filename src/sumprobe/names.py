@@ -12,14 +12,15 @@ Bundled data (under sumprobe/data/):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .jsonio import DataError, read_object, string_list
 
-class NameTableError(ValueError):
-    """Raised on unreadable or internally inconsistent name data."""
+
+class NameTableError(DataError):
+    """Raised on malformed or internally inconsistent name data."""
 
 
 @dataclass(frozen=True)
@@ -112,27 +113,21 @@ def resolve_ambiguous(table: GenderNameTable) -> GenderNameTable:
     return GenderNameTable(male=male, female=female)
 
 
-def _json_object(path) -> dict:
-    """The JSON object a table file holds; anything else names the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise NameTableError(f"{path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise NameTableError(f"{path}: a table must be a JSON object, got {type(data).__name__}")
-    return data
-
-
 def load_race_names(path: str | Path | None = None) -> RaceNameTable:
     if path is None:
         path = data_path("race_names.json")
-    data = _json_object(path)
+    data = read_object(path)
     for group, entry in data.items():
-        if not entry.get("last"):
+        first = entry.get("first") if isinstance(entry, dict) else None
+        if not (isinstance(first, dict) and string_list(entry.get("last"))
+                and all(string_list(first.get(gender)) for gender in ("male", "female"))):
+            raise NameTableError(
+                f"{path}: race name group {group!r} must be an object with a list of strings "
+                "'last' and an object 'first' holding 'male' and 'female' lists of strings")
+        if not entry["last"]:
             raise NameTableError(f"{path}: race name group {group!r} has no last names")
         for gender in ("male", "female"):
-            if not entry.get("first", {}).get(gender):
+            if not first[gender]:
                 raise NameTableError(
                     f"{path}: race name group {group!r} has no {gender} first names")
     return RaceNameTable(groups=data)
@@ -142,8 +137,10 @@ def load_word_lists(path: str | Path | None = None) -> dict[str, list[str]]:
     """Group-identifier word lists; male/female lists must be disjoint and lowercase."""
     if path is None:
         path = data_path("word_lists.json")
-    lists = _json_object(path)
+    lists = read_object(path)
     for group, words in lists.items():
+        if not string_list(words):
+            raise NameTableError(f"{path}: word list {group!r} must be a list of strings")
         bad = [w for w in words if w != w.lower()]
         if bad:
             raise NameTableError(f"{path}: word list {group!r} has non-lowercase entries: {bad}")
@@ -165,4 +162,17 @@ def word_pairs(lists: dict[str, list[str]]) -> list[tuple[str, str]]:
 def load_topic_tokens(path: str | Path | None = None) -> dict[str, list[str]]:
     if path is None:
         path = data_path("topic_tokens.json")
-    return _json_object(path)
+    return read_object(path)
+
+
+def load_last_name_pool(path: str | Path) -> list[str]:
+    """The lowercased names of a text file with one last name per line."""
+    names = []
+    with Path(path).open(encoding="utf-8") as fh:
+        for line in fh:
+            token = line.strip()
+            if token:
+                names.append(token.lower())
+    if not names:
+        raise NameTableError(f"{path}: empty last-name pool")
+    return names

@@ -28,12 +28,13 @@ from . import generate as gen
 from . import measures as ms
 from . import summaries as sm
 from . import templates as tp
-from .jsonio import DataError, read_rows, write_json
+from .jsonio import DataError, read_object, write_json
 from .names import (
     GenderNameTable,
     RaceNameTable,
     data_path,
     load_census,
+    load_last_name_pool,
     load_race_names,
     load_word_lists,
     resolve_ambiguous,
@@ -63,6 +64,14 @@ def _strings_by_string(value) -> bool:
         isinstance(s, str) for item in value.items() for s in item)
 
 
+def _path(value) -> bool:
+    return isinstance(value, str) and value != ""
+
+
+_OPTIONAL_PATH_KEYS = ("word_lists", "census_male", "census_female", "race_names",
+                       "last_name_pool", "content_words", "cache")
+
+
 # (config key, what its value must be, the check); a key the file leaves out
 # takes its default, which passes
 _CONFIG_RULES = (
@@ -72,6 +81,9 @@ _CONFIG_RULES = (
     ("replicates", "an integer >= 2", _integer(2)),
     ("jobs", "an integer >= 1", _integer(1)),
     ("alter_last_names", "a boolean", lambda value: type(value) is bool),
+    *((key, "a non-empty path string", _path) for key in ("corpus", "out_dir")),
+    *((key, "null or a non-empty path string", lambda value: value is None or _path(value))
+      for key in _OPTIONAL_PATH_KEYS),
     ("intersection", "null or an object mapping race groups to gender strings",
      lambda value: value is None or _strings_by_string(value)),
     *((key, "an object mapping names to path strings", _strings_by_string)
@@ -103,13 +115,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "PipelineConfig":
-        with Path(path).open(encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise DataError(f"{path}: a config must be a JSON object, got {type(data).__name__}")
+        data = read_object(path, "a config")
         data.update({k: v for k, v in overrides.items() if v is not None})
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
@@ -150,8 +156,7 @@ class PipelineConfig:
     def input_paths(self) -> list[str]:
         """Every input file except the summaries, which every run rereads and
         nothing reused is built from."""
-        optional = (self.word_lists, self.census_male, self.census_female,
-                    self.race_names, self.last_name_pool, self.content_words, self.cache)
+        optional = (getattr(self, key) for key in _OPTIONAL_PATH_KEYS)
         return [self.corpus, *filter(None, optional),
                 *self.ner_sidecars.values(), *self.dense_vectors.values()]
 
@@ -163,42 +168,13 @@ class PipelineConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
     def check_paths(self) -> None:
+        """Every summary file is there and is a file. Every other input
+        fails on its own path when `Pipeline` loads or hashes it."""
         for system, path in sorted(self.summaries.items()):
             if not Path(path).exists():
                 raise StageError("summaries", f"summary file for system {system!r} missing: {path}")
-        missing = [p for p in self.input_paths() if not Path(p).exists()]
-        if missing:
-            raise DataError(f"missing input file(s): {missing}")
-
-
-def _vector_check():
-    """A `read_rows` check for dense vector rows: every entry a real number,
-    every vector as long as the first row's."""
-    first: list[int] = []  # the first row's length
-
-    def problem(row: dict) -> str | None:
-        vector = row["vector"]
-        if not all(type(x) in (int, float) for x in vector):
-            return "vector entries must be numbers"
-        if not first:
-            first.append(len(vector))
-        if len(vector) != first[0]:
-            return f"vector has {len(vector)} entries, the first row's has {first[0]}"
-        return None
-
-    return problem
-
-
-def load_last_name_pool(path: str | Path) -> list[str]:
-    names = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            token = line.strip()
-            if token:
-                names.append(token.lower())
-    if not names:
-        raise DataError(f"{path}: empty last-name pool")
-    return names
+            if Path(path).is_dir():
+                raise DataError(f"summary file for system {system!r} is a directory: {path}")
 
 
 # --- stages: one function each, called by `Pipeline` and by the CLI subcommands;
@@ -321,17 +297,16 @@ def entity_key(tokens: Sequence[str]) -> str:
 
 def classify_entities(
     entity_tokens: Iterable[Sequence[str]], client: gid.FixtureLookupClient,
-    census: GenderNameTable, out: str | Path, memo: dict[str, gid.GenderVerdict],
+    census: GenderNameTable, out: str | Path,
 ) -> dict[str, gid.GenderVerdict]:
     """Gender verdict per distinct hallucinated entity, keyed by its lowercased
-    surface form; writes the verdict rows to `out`. `memo` spans calls."""
+    surface form; writes the verdict rows to `out`."""
     counts: Counter[str] = Counter()
     verdicts: dict[str, gid.GenderVerdict] = {}
     for tokens in entity_tokens:
         key = entity_key(tokens)
-        if key not in memo:
-            memo[key] = gid.classify(tokens, client, census)
-        verdicts[key] = memo[key]
+        if key not in verdicts:
+            verdicts[key] = gid.classify(tokens, client, census)
         counts[key] += 1
     rows = [
         {"entity": key, "count": counts[key], "gender": v.gender, "source": v.source}
@@ -346,7 +321,6 @@ class _SharedScoring:
     """What every system's scoring reads, built once per `Pipeline.score`."""
 
     context: AlignmentContext
-    memo: dict[str, gid.GenderVerdict]  # verdicts so far, across systems in one process
     input_ident_counts: dict[str, Counter]  # word-list identifiers per input, where classified
     names: tuple[set[str], set[str]] | None  # first and last names assigned (gender_global)
 
@@ -426,7 +400,7 @@ class Pipeline:
         return {
             system: classify_entities(
                 (e.tokens for a in aligned for e in a.hallucinated()),
-                self.client, self.census, self.path(f"verdicts.{system}.json"), shared.memo,
+                self.client, self.census, self.path(f"verdicts.{system}.json"),
             )
             for system, (aligned, _) in sorted(aligned_by_system.items())
         }
@@ -450,7 +424,6 @@ class Pipeline:
                      {a.last.lower() for a in assignments if a.last})
         shared = _SharedScoring(
             context=alignment_context(self.templates(), inputs, self._census_raw),
-            memo={},
             input_ident_counts=(
                 {gi.id: ms.count_identifiers(gi.tokens, self.word_lists) for gi in inputs}
                 if classifies else {}),
@@ -553,13 +526,8 @@ class Pipeline:
         summarizes. Count points are bags of neutralized words, every name
         assigned to any input marked; dense points, from the system's
         sidecar if it has one, skip the inputs the sidecar lacks."""
-        vectors = None
-        if system in self.config.dense_vectors:
-            vectors = {
-                row["input_id"]: np.asarray(row["vector"], dtype=float)
-                for row in read_rows(self.config.dense_vectors[system],
-                                     {"input_id": str, "vector": list}, _vector_check())
-            }
+        vectors = (sm.load_dense_vectors(self.config.dense_vectors[system])
+                   if system in self.config.dense_vectors else None)
         count_points, dense_points, missing = [], [], []
         for a, gi in zip(aligned, inputs):
             group = gi.assignments[0].gender if gi.assignments else "unknown"

@@ -6,6 +6,9 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
+
+from .jsonio import DataError, read_object, shape_problem
 
 MEASURE_ORDER = (
     "word_list_inclusion",
@@ -25,6 +28,24 @@ ALIGNMENT_ROWS = (
     ("gender_classified_hallucinations", "...of these with gender classification"),
     ("unresolved", "Unresolved summary entities"),
 )
+
+
+# what rendering reads of each system's block in a scores file
+_BLOCK_KEYS = {"measures": dict, "alignment_counts": dict, "hallucination_top": list}
+
+
+def read_scores(path: str | Path) -> dict:
+    """A scores file, as `score` writes it: a `systems` object whose blocks
+    hold every key of `_BLOCK_KEYS`."""
+    report = read_object(path, "a scores file")
+    problem = shape_problem(report, {"systems": dict})
+    if problem:
+        raise DataError(f"{path}: a scores file: {problem}")
+    for system, block in sorted(report["systems"].items()):
+        problem = shape_problem(block, _BLOCK_KEYS)
+        if problem:
+            raise DataError(f"{path}: system {system!r}: {problem}")
+    return report
 
 
 def _fmt(value) -> str:

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from .corpus import bad_entity_span
 from .generate import GeneratedInput
 from .jsonio import read_rows
@@ -80,8 +82,7 @@ def tokenize_summary(text: str) -> list[str]:
 
 
 def build_lexicon(
-    *name_sources: Iterable[str | None],
-    census: GenderNameTable | None = None,
+    *name_sources: Iterable[str | None], census: GenderNameTable
 ) -> frozenset[str]:
     """Lowercased name lexicon for entity detection."""
     words: set[str] = set()
@@ -89,9 +90,8 @@ def build_lexicon(
         for name in source:
             if name:
                 words.add(name.lower())
-    if census is not None:
-        words.update(census.male)
-        words.update(census.female)
+    words.update(census.male)
+    words.update(census.female)
     return frozenset(words)
 
 
@@ -118,6 +118,24 @@ def load_ner_sidecar(path: str | Path) -> dict[str, list[tuple[int, int, str]]]:
         row["input_id"]: [(s, e, label) for s, e, label in row["entities"]]
         for row in read_rows(path, {"input_id": str, "entities": list}, bad_entity_span)
     }
+
+
+def load_dense_vectors(path: str | Path) -> dict[str, np.ndarray]:
+    """A system's dense vector per input id; every entry a real number, every
+    vector as long as the first row's."""
+    first: dict[str, int] = {}  # the first row's length
+
+    def problem(row: dict) -> str | None:
+        vector = row["vector"]
+        if not all(type(x) in (int, float) for x in vector):
+            return "vector entries must be numbers"
+        length = first.setdefault("length", len(vector))
+        if len(vector) != length:
+            return f"vector has {len(vector)} entries, the first row's has {length}"
+        return None
+
+    return {row["input_id"]: np.asarray(row["vector"], dtype=float)
+            for row in read_rows(path, {"input_id": str, "vector": list}, problem)}
 
 
 def load_summaries(

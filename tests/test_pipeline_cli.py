@@ -634,7 +634,7 @@ def toy_config_with(tmp_path, text):
         config = json.loads((root / "data/toy/config.json").read_text())
         config["corpus"] = str(root / config["corpus"])
         config["summaries"] = {s: str(root / v) for s, v in config["summaries"].items()}
-        text = json.dumps({**config, **text, "out_dir": str(tmp_path / "out")})
+        text = json.dumps({**config, "out_dir": str(tmp_path / "out"), **text})
     config_path.write_text(text)
     return config_path
 
@@ -667,13 +667,21 @@ def toy_config_with(tmp_path, text):
                                      "which then needs 'last_name_pool'"),
     ({"scheme": "gender_global", "alter_last_names": True}, [],
      "'alter_last_names' is true under scheme 'gender_global', which then needs 'last_name_pool'"),
+    ({"corpus": 5}, [], "'corpus' must be a non-empty path string, got 5"),
+    ({"out_dir": 3}, [], "'out_dir' must be a non-empty path string, got 3"),
+    ({}, ["--out-dir", ""], "'out_dir' must be a non-empty path string, got ''"),
+    ({"word_lists": True}, [], "'word_lists' must be null or a non-empty path string, got True"),
+    ({"cache": ["x"]}, [], "'cache' must be null or a non-empty path string, got ['x']"),
+    ({"cache": ""}, [], "'cache' must be null or a non-empty path string, got ''"),
+    ({"content_words": {}}, [], "'content_words' must be null or a non-empty path string, got {}"),
 ], ids=["not_an_object", "invalid_json", "one_replicate", "no_variants", "string_replicates",
         "unknown_scheme", "list_summaries", "int_ner_path", "string_dense_vectors",
         "odd_local_variants", "odd_global_variants", "string_seed", "float_seed", "no_jobs",
         "bool_jobs", "no_jobs_flag", "intersectional_without_intersection",
         "intersection_under_gender_local", "intersection_unknown_gender", "string_intersection",
         "string_alter_last_names", "local_last_names_without_pool",
-        "global_last_names_without_pool"])
+        "global_last_names_without_pool", "int_corpus", "int_out_dir", "empty_out_dir_flag",
+        "bool_word_lists", "list_cache", "empty_cache", "object_content_words"])
 def test_bad_config_exits_2_naming_the_file(tmp_path, capsys, text, flags, problem):
     config_path = toy_config_with(tmp_path, text)
     assert main(["run", "--config", str(config_path), *flags]) == 2
@@ -682,30 +690,48 @@ def test_bad_config_exits_2_naming_the_file(tmp_path, capsys, text, flags, probl
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("key, name, text, changes", [
-    ("word_lists", "word_lists.json", '{"male": ["He"], "female": ["she"]}', {}),
-    ("word_lists", "word_lists.json", '{"male": ', {}),
-    ("word_lists", "word_lists.json", '["he"]', {}),
-    ("census_male", "census_male.txt", "james x 1\n", {}),
-    ("census_female", "census_female.txt", "", {}),
+@pytest.mark.parametrize("key, name, text, changes, problem", [
+    ("word_lists", "word_lists.json", '{"male": ["He"], "female": ["she"]}', {},
+     "word list 'male' has non-lowercase entries: ['He']"),
+    ("word_lists", "word_lists.json", '{"male": ', {}, "Expecting value"),
+    ("word_lists", "word_lists.json", '["he"]', {}, "a table must be a JSON object, got list"),
+    ("census_male", "census_male.txt", "james x 1\n", {}, "row 1: bad frequency 'x'"),
+    ("census_female", "census_female.txt", "", {}, "no rows"),
     ("race_names", "race_names.json",
      '{"black": {"first": {"male": ["a"], "female": ["b"]}, "last": []}}',
-     {"scheme": "race_random_gender"}),
-    ("last_name_pool", "pool.txt", "\n", {"alter_last_names": True}),
-    ("cache", "cache.json", '{"Pat Nixon": \n}', {}),
-    ("cache", "cache.json", '["Pat Nixon"]', {}),
-    ("cache", "cache.json", '{"Pat Nixon": ["People"]}', {}),
+     {"scheme": "race_random_gender"}, "race name group 'black' has no last names"),
+    ("last_name_pool", "pool.txt", "\n", {"alter_last_names": True}, "empty last-name pool"),
+    ("cache", "cache.json", '{"Pat Nixon": \n}', {}, "Expecting value"),
+    ("cache", "cache.json", '["Pat Nixon"]', {}, "a table must be a JSON object, got list"),
+    ("cache", "cache.json", '{"Pat Nixon": ["People"]}', {},
+     "cache entries must be JSON objects: ['Pat Nixon']"),
+    ("cache", "cache.json", '{"Pat Nixon": {"categories": ["1912 births"], "counts": 3}}', {},
+     "cache entry 'Pat Nixon': 'counts' must be an object of integers, got 3"),
+    ("cache", "cache.json", '{"Pat Nixon": {"categories": "1912 births", "counts": {"she": 4}}}',
+     {}, "cache entry 'Pat Nixon': 'categories' must be a list of strings, got '1912 births'"),
+    ("word_lists", "word_lists.json", '{"male": 5, "female": ["she"]}', {},
+     "word list 'male' must be a list of strings"),
+    ("word_lists", "word_lists.json", '{"male": ["he", 5], "female": ["she", "her"]}', {},
+     "word list 'male' must be a list of strings"),
+    ("race_names", "race_names.json",
+     '{"black": ["x"], "white": {"first": {"male": ["a"], "female": ["b"]}, "last": ["c"]}}',
+     {"scheme": "race_random_gender"}, "race name group 'black' must be an object"),
+    ("race_names", "race_names.json",
+     '{"black": {"first": {"male": "abc", "female": ["b"]}, "last": ["c"]}}',
+     {"scheme": "race_random_gender"}, "race name group 'black' must be an object"),
 ], ids=["uppercase_word", "invalid_json_word_lists", "list_word_lists", "bad_census_frequency",
         "empty_census", "race_group_without_lasts", "empty_pool", "invalid_json_cache",
-        "list_cache", "list_cache_entry"])
-def test_bad_table_exits_2_naming_the_file(tmp_path, capsys, key, name, text, changes):
+        "list_cache", "list_cache_entry", "int_cache_counts", "string_cache_categories",
+        "int_word_list", "int_word", "list_race_group", "string_first_names"])
+def test_bad_table_exits_2_naming_the_file(tmp_path, capsys, key, name, text, changes, problem):
     """A table that fails to load stops the run before it makes its
-    artifact directory."""
+    artifact directory, with an error that names the file and what is wrong."""
     table = tmp_path / name
     table.write_text(text)
     config_path = toy_config_with(tmp_path, {key: str(table), **changes})
     assert main(["run", "--config", str(config_path)]) == 2
-    assert f"{table}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{table}: " in err and problem in err
     assert not (tmp_path / "out").exists()
 
 
@@ -732,6 +758,49 @@ def test_directory_given_as_an_input_file_exits_2(tmp_path, capsys, command):
     assert main(argv) == 2
     assert str(folder) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_summary_file_that_is_a_directory_exits_2_before_any_artifact(tmp_path, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    root = Path(__file__).resolve().parent.parent
+    summaries = {"faithful": str(root / "data/toy/summaries.faithful.jsonl"), "skewed": str(folder)}
+    assert main(["run", "--config", str(toy_config_with(tmp_path, {"summaries": summaries}))]) == 2
+    assert f"summary file for system 'skewed' is a directory: {folder}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["corpus", "word_lists", "content_words", "cache", "ner_sidecars"])
+def test_missing_input_file_exits_2_naming_it(tmp_path, capsys, key):
+    """A missing input other than a summary file fails where the run loads
+    or hashes it, before any artifact directory is made."""
+    missing = tmp_path / "missing.file"
+    value = {"skewed": str(missing)} if key == "ner_sidecars" else str(missing)
+    assert main(["run", "--config", str(toy_config_with(tmp_path, {key: value}))]) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, problem", [
+    ('{"systems": ', "Expecting value"),
+    ("[1]", "a scores file must be a JSON object, got list"),
+    ('{"a": 1}', "a scores file: missing systems"),
+    ('{"systems": [1]}', "a scores file: wrong type of systems"),
+    ('{"systems": {"echo": 3}}', "system 'echo': not a JSON object"),
+    ('{"systems": {"echo": {"measures": {}, "alignment_counts": {}}}}',
+     "system 'echo': missing hallucination_top"),
+    ('{"systems": {"echo": {"measures": [], "alignment_counts": {}, "hallucination_top": []}}}',
+     "system 'echo': wrong type of measures"),
+], ids=["invalid_json", "list", "no_systems", "list_systems", "int_block", "block_without_top",
+        "list_measures"])
+def test_bad_scores_file_exits_2_naming_it(tmp_path, capsys, text, problem):
+    scores = tmp_path / "scores.json"
+    scores.write_text(text)
+    out = tmp_path / "report.md"
+    assert main(["report", "--scores", str(scores), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{scores}: " in err and problem in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["build-templates", "analyze-input-bias", "simulate-baselines"])
