@@ -1,21 +1,22 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 stage failure.
+
+A command imports the pipeline, generation, template, alignment, summary and
+gender modules only if it runs them, so the input-bias commands and `report`
+start without them.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
-from . import alignment as al
 from . import corpus as cp
-from . import gender_id as gid
-from . import generate as gen
 from . import input_bias as ib
-from . import templates as tp
-from .jsonio import DataError, read_rows, write_json, write_text
+from .jsonio import DataError, StageError, read_rows, write_json, write_text
 from .names import (
     load_census,
     load_last_name_pool,
@@ -23,18 +24,6 @@ from .names import (
     load_word_lists,
     resolve_ambiguous,
     word_pairs,
-)
-from .pipeline import (
-    Pipeline,
-    PipelineConfig,
-    StageError,
-    align_system,
-    alignment_context,
-    build_templates,
-    check_documents,
-    classify_entities,
-    generate_inputs,
-    ingest,
 )
 from .report import read_scores, render_report
 
@@ -64,12 +53,14 @@ def _pairs_arg(values: list[str], what: str) -> dict[str, str]:
 def _load_docs(path: str) -> list[cp.AnnotatedDocument]:
     """Accept a raw column corpus (checked and sorted as `ingest` does) or
     the ingest JSONL output (checked as `ingest` does, in file order)."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         head = fh.read(1)
-    if head == "#":
+    if head == b"#":
+        from .pipeline import ingest
+
         return ingest(path)
     docs = list(cp.read_jsonl(path))
-    check_documents(docs, path)
+    cp.check_documents(docs, path)
     return docs
 
 
@@ -81,12 +72,16 @@ def _census(args):
 
 
 def cmd_ingest(args) -> int:
+    from .pipeline import ingest
+
     docs = ingest(args.corpus, args.out)
     print(f"ingested {len(docs)} documents -> {args.out}")
     return 0
 
 
 def cmd_build_templates(args) -> int:
+    from .pipeline import build_templates
+
     templates = build_templates(_load_docs(args.documents), args.content_words, args.out)
     eligible = sum(t.eligible for t in templates)
     print(f"built {len(templates)} templates ({eligible} eligible) -> {args.out}")
@@ -94,6 +89,10 @@ def cmd_build_templates(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from . import generate as gen
+    from . import templates as tp
+    from .pipeline import generate_inputs
+
     try:
         scheme = gen.make_scheme(
             args.scheme,
@@ -120,6 +119,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_align(args) -> int:
+    from . import generate as gen
+    from . import templates as tp
+    from .pipeline import align_system, alignment_context
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     context = alignment_context(
@@ -139,6 +142,10 @@ def cmd_align(args) -> int:
 
 
 def cmd_classify_hallucinations(args) -> int:
+    from . import alignment as al
+    from . import gender_id as gid
+    from .pipeline import classify_entities
+
     verdicts = classify_entities(
         (
             row["entity_tokens"]
@@ -199,7 +206,9 @@ def cmd_simulate_baselines(args) -> int:
     return 0
 
 
-def _pipeline_from_args(args) -> Pipeline:
+def _pipeline_from_args(args):
+    from .pipeline import Pipeline, PipelineConfig
+
     overrides = {
         "out_dir": args.out_dir,
         "seed": args.seed,
@@ -233,6 +242,20 @@ def cmd_run(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 
+class _SchemeKinds(Sequence):
+    """`generate.SCHEME_KINDS`, imported when the `generate` parser reads it."""
+
+    def __getitem__(self, index):
+        from .generate import SCHEME_KINDS
+
+        return SCHEME_KINDS[index]
+
+    def __len__(self) -> int:
+        from .generate import SCHEME_KINDS
+
+        return len(SCHEME_KINDS)
+
+
 _REQUIRED = {"required": True}
 _CENSUS_ARGS = [("--census-male", {}), ("--census-female", {})]
 _PIPELINE_ARGS = [("--config", _REQUIRED), ("--out-dir", {}), ("--seed", {"type": int}),
@@ -248,7 +271,7 @@ COMMANDS = {
     ]),
     "generate": ("generate controlled input variants", cmd_generate, [
         ("--templates", _REQUIRED),
-        ("--scheme", {"required": True, "choices": gen.SCHEME_KINDS}),
+        ("--scheme", {"required": True, "choices": _SchemeKinds()}),
         ("--seed", {"required": True, "type": int}),
         ("--out", _REQUIRED),
         ("--variants", {"type": int, "default": 20}),

@@ -5,6 +5,11 @@ between identifier-majority splits, the keyword topic heuristic, four
 deliberately simple extractive baselines, and a synthetic topic/gender
 correlated corpus generator that makes the simulation reproducible
 without licensed news data.
+
+The simulation counts each document's identifiers once per sentence. The
+sentences partition the document and every baseline summary is whole
+sentences, so the document's counts and each summary's counts are sums of
+those per-sentence rows.
 """
 
 from __future__ import annotations
@@ -12,10 +17,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, groupby
+from operator import add, attrgetter
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .corpus import AnnotatedDocument, Token
-from .measures import clean_token, count_identifiers, word_list_score
+from .measures import clean_token, count_identifiers, word_list_scores, word_list_stats
 from .names import load_topic_tokens, load_word_lists
 from .seeding import derive_rng
 
@@ -65,13 +74,11 @@ class FightinWordsResult:
 def _contrast_tokens(
     docs: Iterable[Sequence[str]], marker: dict[str, str]
 ) -> tuple[Counter, int]:
+    cleaned = Counter(map(clean_token, chain.from_iterable(docs)))
     counts: Counter = Counter()
-    for tokens in docs:
-        for token in tokens:
-            t = clean_token(token)
-            if not t or t in IGNORED_PRONOUNS:
-                continue
-            counts[marker.get(t, t)] += 1
+    for t, n in cleaned.items():
+        if t and t not in IGNORED_PRONOUNS:
+            counts[marker.get(t, t)] += n
     return counts, sum(counts.values())
 
 
@@ -132,21 +139,26 @@ def classify_topic(
 
 
 def _sentence_tokens(doc: AnnotatedDocument) -> list[list[str]]:
-    return [[t.text for t in doc.tokens[s : e + 1]] for s, e in doc.sentence_spans()]
+    return [[t.text for t in sentence]
+            for _, sentence in groupby(doc.tokens, attrgetter("sentence"))]
+
+
+def _column_sums(rows: Sequence[dict[str, int]], groups: Sequence[str]) -> dict[str, int]:
+    return {g: sum(row[g] for row in rows) for g in groups}
 
 
 def baseline_summarize(
-    sentences: Sequence[Sequence[str]],
+    sentence_counts: Sequence[dict[str, int]],
     algorithm: str,
     rng,
     label: str,
-    word_lists: dict[str, list[str]],
 ) -> list[int]:
-    """Sentence indices (document order) selected by one baseline from a
-    document's sentence tokens; `label` is the document's `classify_topic`."""
+    """Sentence indices (document order) selected by one baseline, given the
+    `count_identifiers` of each of a document's sentences; `label` is the
+    document's `classify_topic`."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown baseline {algorithm!r}")
-    n = len(sentences)
+    n = len(sentence_counts)
     if algorithm == "lead":
         return list(range(min(3, n)))
     if algorithm == "random":
@@ -159,12 +171,9 @@ def baseline_summarize(
     if label == "unknown":
         return sorted(rng.sample(range(n), min(3, n)))
     target = "male" if label == "sport" else "female"
-    per_sentence = [
-        count_identifiers(sent, word_lists)[target] for sent in sentences
-    ]
     order = list(range(n))
     rng.shuffle(order)  # randomize ties before the stable sort
-    order.sort(key=lambda i: -per_sentence[i])
+    order.sort(key=lambda i: -sentence_counts[i][target])
     return sorted(order[: min(3, n)])
 
 
@@ -174,25 +183,33 @@ def simulation_experiment(
     seed: int = 0,
 ) -> dict:
     """Word-list inclusion of each baseline under uniform and adjusted
-    (input-distribution) references, plus corpus composition stats."""
+    (input-distribution) references, plus corpus composition stats.
+
+    Each document's identifiers are counted once per sentence. The
+    document's counts are the column sums of those rows, a summary's the sum
+    of its picked rows, and the sexist baseline ranks sentences by the same
+    rows. Each baseline is scored from one `word_list_stats` row, the sum of
+    its documents' (summary, input) counts."""
     if word_lists is None:
         word_lists = load_word_lists()
     topic_tokens = load_topic_tokens()
-    payloads: dict[str, list] = {algorithm: [] for algorithm in ALGORITHMS}
+    groups = sorted(word_lists)
+    # per baseline, the running sum of its documents' word_list_stats rows
+    totals = {algorithm: [0] * (2 * len(groups)) for algorithm in ALGORITHMS}
     by_topic: dict[str, Counter] = {}
     for doc in docs:
-        tokens = doc.token_texts()
-        counts = count_identifiers(tokens, word_lists)
-        label = classify_topic(tokens, topic_tokens["sport"], topic_tokens["family"])
+        rows = [count_identifiers(sentence, word_lists) for sentence in _sentence_tokens(doc)]
+        counts = _column_sums(rows, groups)
+        label = classify_topic(doc.token_texts(), topic_tokens["sport"], topic_tokens["family"])
         c = by_topic.setdefault(label, Counter())
         c["docs"] += 1
         c.update(counts)
-        sentences = _sentence_tokens(doc)
         for algorithm in ALGORITHMS:
             rng = derive_rng(seed, "baseline", algorithm, doc.id)
-            picked = baseline_summarize(sentences, algorithm, rng, label, word_lists)
-            summary = [t for i in picked for t in sentences[i]]
-            payloads[algorithm].append((count_identifiers(summary, word_lists), counts))
+            picked = baseline_summarize(rows, algorithm, rng, label)
+            summary = _column_sums([rows[i] for i in picked], groups)
+            row = word_list_stats(summary, counts, groups)
+            totals[algorithm] = list(map(add, totals[algorithm], row))
     stats: dict[str, dict] = {}
     for label, c in sorted(by_topic.items()):
         idents = c["male"] + c["female"]
@@ -201,13 +218,11 @@ def simulation_experiment(
             "female_share": (c["female"] / idents) if idents else None,
         }
 
-    scores = {
-        algorithm: {
-            reference: word_list_score(payloads[algorithm], reference)
-            for reference in ("uniform", "adjusted")
-        }
-        for algorithm in ALGORITHMS
-    }
+    summed = np.array([totals[algorithm] for algorithm in ALGORITHMS], dtype=np.int64)
+    scores: dict[str, dict] = {algorithm: {} for algorithm in ALGORITHMS}
+    for reference in ("uniform", "adjusted"):
+        for algorithm, value in zip(ALGORITHMS, word_list_scores(summed, reference).tolist()):
+            scores[algorithm][reference] = None if math.isnan(value) else value
     return {"stats": stats, "scores": scores}
 
 

@@ -1,13 +1,19 @@
-"""JSON reading and artifact writes for the whole toolkit.
+"""Text and JSON reading and artifact writes for the whole toolkit.
 
-Every JSONL row is read through `read_rows`, so a bad row is always reported
-as a `DataError` naming `path:line`; every file that holds one JSON object
-(a config, a table, a cache, a scores file) is read through `read_object`,
-so a bad one is a `DataError` naming the file. Every file is written through
-`_atomic_open`: to a temporary file beside the target, then moved into place
-with `os.replace`, so an interrupted write never leaves a partial file.
+Every line-oriented input (JSONL, the column corpus, the text name tables)
+is read through `read_lines`, so a line that is not UTF-8 is a `DataError`
+naming `path:line`. Every JSONL row is read through `read_rows`, so a bad
+row is always reported as a `DataError` naming `path:line`; every file that
+holds one JSON object (a config, a table, a cache, a scores file) is read
+through `read_object`, so a bad one, or one that is not UTF-8, is a
+`DataError` naming the file. Every file is written through `_atomic_open`:
+to a temporary file beside the target, then moved into place with
+`os.replace`, so an interrupted write never leaves a partial file.
 `write_text` and `write_json` skip a file that already holds the bytes they
 would write.
+
+`DataError` and `StageError` live here, with no dependency, so that the CLI
+maps them to their exit codes without importing the pipeline.
 """
 
 from __future__ import annotations
@@ -23,6 +29,19 @@ class DataError(ValueError):
     """Bad input data; maps to exit code 2."""
 
 
+class StageError(RuntimeError):
+    """A pipeline stage failed; maps to exit code 3."""
+
+    def __init__(self, stage: str, message: str):
+        super().__init__(f"stage {stage!r}: {message}")
+        self.stage = stage
+        self.message = message
+
+    def __reduce__(self):
+        # rebuilt from its fields, so it survives the trip back from a pool worker
+        return type(self), (self.stage, self.message)
+
+
 def read_rows(
     path: str | Path,
     required: Mapping[str, type] = {},
@@ -31,21 +50,32 @@ def read_rows(
     """The JSON object on each non-blank line; `required` maps each key the
     row must hold to the type its value must have, and `check`, if given,
     names what else is wrong with a row that has them, or returns None."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            problem = str(exc)
+        else:
+            problem = shape_problem(row, required)
+            if problem is None and check is not None:
+                problem = check(row)
+        if problem:
+            raise DataError(f"{path}:{lineno}: malformed row: {problem}")
+        yield row
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """The number and text of each line of a UTF-8 text file; a line that is
+    not UTF-8 is a `DataError` naming `path:line`."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                problem = str(exc)
-            else:
-                problem = shape_problem(row, required)
-                if problem is None and check is not None:
-                    problem = check(row)
-            if problem:
-                raise DataError(f"{path}:{lineno}: malformed row: {problem}")
-            yield row
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+            yield lineno, line
 
 
 def read_object(path: str | Path, what: str = "a table") -> dict:
@@ -54,6 +84,8 @@ def read_object(path: str | Path, what: str = "a table") -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -80,11 +112,16 @@ def string_list(value) -> bool:
 @contextmanager
 def _atomic_open(path: str | Path) -> Iterator:
     """A text handle on a temporary file that replaces `path` once the block
-    completes; if the block raises, the temporary file is removed."""
+    completes; if the block raises, the temporary file is removed. A missing
+    directory is a `DataError` naming `path`, not the temporary file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
+        fh = tmp.open("w", encoding="utf-8")
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise DataError(f"{path}: cannot write: directory {path.parent} does not exist") from exc
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     finally:

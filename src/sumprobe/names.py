@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .jsonio import DataError, read_object, string_list
+from .jsonio import DataError, read_lines, read_object, string_list
 
 
 class NameTableError(DataError):
@@ -54,23 +54,22 @@ def data_path(filename: str):
 
 def _load_census_file(path: str | Path) -> dict[str, float]:
     table: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for row_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            cols = line.split()
-            # real census exports carry a cumulative-frequency column; accept it
-            if len(cols) not in (3, 4):
-                raise NameTableError(f"{path}: row {row_no}: expected 3 or 4 columns")
-            name = cols[0].lower()
-            try:
-                freq = float(cols[1])
-            except ValueError:
-                raise NameTableError(f"{path}: row {row_no}: bad frequency {cols[1]!r}")
-            if freq <= 0:
-                raise NameTableError(f"{path}: row {row_no}: frequency must be > 0")
-            table[name] = freq
+    for row_no, raw in read_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        cols = line.split()
+        # real census exports carry a cumulative-frequency column; accept it
+        if len(cols) not in (3, 4):
+            raise NameTableError(f"{path}: row {row_no}: expected 3 or 4 columns")
+        name = cols[0].lower()
+        try:
+            freq = float(cols[1])
+        except ValueError:
+            raise NameTableError(f"{path}: row {row_no}: bad frequency {cols[1]!r}")
+        if freq <= 0:
+            raise NameTableError(f"{path}: row {row_no}: frequency must be > 0")
+        table[name] = freq
     if not table:
         raise NameTableError(f"{path}: no rows")
     return table
@@ -168,11 +167,10 @@ def load_topic_tokens(path: str | Path | None = None) -> dict[str, list[str]]:
 def load_last_name_pool(path: str | Path) -> list[str]:
     """The lowercased names of a text file with one last name per line."""
     names = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            token = line.strip()
-            if token:
-                names.append(token.lower())
+    for _, line in read_lines(path):
+        token = line.strip()
+        if token:
+            names.append(token.lower())
     if not names:
         raise NameTableError(f"{path}: empty last-name pool")
     return names

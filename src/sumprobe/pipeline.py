@@ -28,7 +28,7 @@ from . import generate as gen
 from . import measures as ms
 from . import summaries as sm
 from . import templates as tp
-from .jsonio import DataError, read_object, write_json
+from .jsonio import DataError, StageError, read_object, write_json
 from .names import (
     GenderNameTable,
     RaceNameTable,
@@ -40,19 +40,6 @@ from .names import (
     resolve_ambiguous,
 )
 from .seeding import derive_seed
-
-
-class StageError(RuntimeError):
-    """A pipeline stage failed; maps to exit code 3."""
-
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"stage {stage!r}: {message}")
-        self.stage = stage
-        self.message = message
-
-    def __reduce__(self):
-        # rebuilt from its fields, so it survives the trip back from a pool worker
-        return type(self), (self.stage, self.message)
 
 
 def _integer(least: int | None = None):
@@ -188,23 +175,11 @@ def ingest(corpus: str | Path, out: str | Path | None = None) -> list[cp.Annotat
         docs = cp.parse_conll_corpus(corpus)
     except (cp.ParseError, cp.IntegrityError) as exc:
         raise DataError(f"{corpus}: {exc}") from exc
-    check_documents(docs, corpus)
+    cp.check_documents(docs, corpus)
     docs.sort(key=lambda d: d.id)
     if out is not None:
         cp.write_jsonl(docs, out)
     return docs
-
-
-def check_documents(docs: list[cp.AnnotatedDocument], source: str | Path) -> None:
-    """What `ingest` requires of the documents it writes: every one valid,
-    no id twice. A failure names `source`."""
-    problems = [f"{doc.id}: {problem}" for doc in docs for problem in cp.validate_document(doc)]
-    if problems:
-        raise DataError(f"{source}: invalid documents: " + "; ".join(problems))
-    ids = Counter(d.id for d in docs)
-    twice = sorted(i for i, n in ids.items() if n > 1)
-    if twice:
-        raise DataError(f"{source}: duplicate document ids: {twice}")
 
 
 def build_templates(

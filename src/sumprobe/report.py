@@ -36,16 +36,47 @@ _BLOCK_KEYS = {"measures": dict, "alignment_counts": dict, "hallucination_top": 
 
 def read_scores(path: str | Path) -> dict:
     """A scores file, as `score` writes it: a `systems` object whose blocks
-    hold every key of `_BLOCK_KEYS`."""
+    hold every key of `_BLOCK_KEYS`, with entries the renderers can read."""
     report = read_object(path, "a scores file")
     problem = shape_problem(report, {"systems": dict})
     if problem:
         raise DataError(f"{path}: a scores file: {problem}")
     for system, block in sorted(report["systems"].items()):
-        problem = shape_problem(block, _BLOCK_KEYS)
+        problem = shape_problem(block, _BLOCK_KEYS) or _entry_problem(block)
         if problem:
             raise DataError(f"{path}: system {system!r}: {problem}")
     return report
+
+
+def _entry_problem(block: dict) -> str | None:
+    """The first measure entry or `hallucination_top` row of `block` that the
+    renderers could not read, if any."""
+    for measure, entry in block["measures"].items():
+        if not _readable_entry(entry):
+            return (f"measure {measure!r} must hold a numeric or null point, an integer n, "
+                    f"and ci_s and ci_d each null or [lo, hi]")
+    for row in block["hallucination_top"]:
+        if not (isinstance(row, list) and len(row) == 3 and isinstance(row[0], str)
+                and type(row[1]) is int and isinstance(row[2], str)):
+            return f"hallucination_top row {row!r} is not [entity, count, gender]"
+    return None
+
+
+def _readable_entry(entry) -> bool:
+    """Whether `entry` is a measure entry as `ScoreWithCI.as_json` writes it;
+    a CI may also be absent."""
+    return (isinstance(entry, dict) and "point" in entry and _number(entry["point"])
+            and type(entry.get("n")) is int
+            and all(_interval(entry.get(key)) for key in ("ci_s", "ci_d")))
+
+
+def _interval(value) -> bool:
+    return value is None or (isinstance(value, list) and len(value) == 2
+                             and all(map(_number, value)))
+
+
+def _number(value) -> bool:
+    return value is None or (isinstance(value, (int, float)) and not isinstance(value, bool))
 
 
 def _fmt(value) -> str:

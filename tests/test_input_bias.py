@@ -17,6 +17,7 @@ from sumprobe.input_bias import (
     simulation_experiment,
     split_by_identifier_majority,
 )
+from sumprobe.measures import count_identifiers
 from sumprobe.names import load_topic_tokens, load_word_lists, word_pairs
 from sumprobe.seeding import derive_rng
 
@@ -155,7 +156,7 @@ def summarize(sentences, algorithm, rng):
     """One baseline's selection, given the topic label `simulation_experiment`
     computes for the document."""
     label = classify_topic([w for s in sentences for w in s], TOPICS["sport"], TOPICS["family"])
-    return baseline_summarize(sentences, algorithm, rng, label, WL)
+    return baseline_summarize([count_identifiers(s, WL) for s in sentences], algorithm, rng, label)
 
 
 def test_lead_takes_first_three():
@@ -245,7 +246,7 @@ def test_synthetic_corpus_shape_and_determinism():
     assert [d.id for d in docs] == [f"synth_{i:05d}#0" for i in range(30)]
     assert docs == again
     for doc in docs:
-        sentences = doc.sentence_spans()
+        sentences = {t.sentence for t in doc.tokens}
         assert 6 <= len(sentences) <= 12
         assert doc.tokens[-1].text == "."
 

@@ -121,6 +121,46 @@ def test_malformed_summary_row_exits_2_naming_its_line(tmp_path, small_corpus, c
     assert f"{path}:3" in capsys.readouterr().err
 
 
+def test_undecodable_summary_file_exits_2_naming_its_line(tmp_path, small_corpus, capsys):
+    config_path = stage_run(tmp_path, small_corpus, replicates=20)
+    path = Path(json.loads(config_path.read_text())["summaries"]["echo"])
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:2] + [b'{"summary": "\xff"}\n'] + lines[3:]))
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert f"{path}:3: not UTF-8" in capsys.readouterr().err
+
+
+def test_undecodable_config_exits_2_naming_it(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(b'{"corpus": "\xff"}')
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert f"{config_path}: not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["column_corpus", "census", "last_name_pool"])
+def test_undecodable_text_table_exits_2_naming_its_line(tmp_path, capsys, kind):
+    root = Path(__file__).resolve().parent.parent
+    path = tmp_path / f"{kind}.txt"
+    for empty in ("alignments.jsonl", "templates.jsonl"):
+        (tmp_path / empty).write_text("")
+    argv, text = {
+        "column_corpus": (["ingest", "--corpus", str(path), "--out", str(tmp_path / "docs.jsonl")],
+                          b"#begin document (x); part 000\nx 0 0 H\xffllo NNP * -\n#end document\n"),
+        "census": (["classify-hallucinations", "--alignments", str(tmp_path / "alignments.jsonl"),
+                    "--cache", str(root / "src/sumprobe/data/wiki_cache.json"),
+                    "--out", str(tmp_path / "verdicts.json"), "--census-male", str(path)],
+                   b"JOHN 3.2 1\nJ\xffN 1.0 2\n"),
+        "last_name_pool": (["generate", "--templates", str(tmp_path / "templates.jsonl"),
+                            "--scheme", "gender_local", "--seed", "1", "--variants", "2",
+                            "--alter-last-names", "--last-names", str(path),
+                            "--out", str(tmp_path / "inputs.jsonl")],
+                           b"Smith\nJ\xffnes\n"),
+    }[kind]
+    path.write_bytes(text)
+    assert main(argv) == 2
+    assert f"{path}:2: not UTF-8" in capsys.readouterr().err
+
+
 def run_with_side_file(tmp_path, docs, key, rows, per_system=True, **stage):
     """`run` argv for a staged config whose `key` names a JSONL file of
     `rows` (for the echo system when `per_system`), and that file's path."""
@@ -314,6 +354,93 @@ def test_analyze_and_simulate_cli(tmp_path):
     ]) == 0
     result = json.loads((tmp_path / "sim.json").read_text())
     assert set(result["scores"]) == {"random", "lead", "topic", "sexist"}
+
+
+# sha256 of each output of the two input-bias commands on the 60-document
+# synthetic corpus of test_analyze_and_simulate_cli
+INPUT_BIAS_SHA256 = {
+    "sim.json": "930b6a187c8b544f2510448d12d6e56f5d5b8b79c4ef619b7d3d83da7fc9116e",
+    "sim.csv": "4b6d237cbb896dca137267c1be2f68fe57b2d802571690335175b43e19097e95",
+    "fw.json": "cb107ce3019ed368cec2ebd71433627262a541d913cbfd31eac7d2d33d9b0c79",
+    "fw.csv": "ae7f51b4e2d226255f7f295ba7483a0ea2dc93e3ac4f693aeb3069935d6e7557",
+}
+
+
+def synthetic_corpus(tmp_path) -> Path:
+    from sumprobe.corpus import write_jsonl
+    from sumprobe.input_bias import SyntheticCorpusConfig, make_synthetic_corpus
+
+    corpus = tmp_path / "synth.jsonl"
+    write_jsonl(make_synthetic_corpus(SyntheticCorpusConfig(n_docs=60), seed=3), corpus)
+    return corpus
+
+
+def input_bias_argvs(corpus, out_dir) -> list[list[str]]:
+    return [["analyze-input-bias", "--corpus", str(corpus), "--out", str(out_dir / "fw")],
+            ["simulate-baselines", "--corpus", str(corpus), "--seed", "4",
+             "--out", str(out_dir / "sim")]]
+
+
+def test_input_bias_outputs_are_byte_identical_to_the_pins(tmp_path):
+    import hashlib
+
+    for argv in input_bias_argvs(synthetic_corpus(tmp_path), tmp_path):
+        assert main(argv) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in INPUT_BIAS_SHA256}
+    assert digests == INPUT_BIAS_SHA256
+
+
+def test_input_bias_commands_import_no_pipeline_module(tmp_path):
+    """Both commands run in a fresh interpreter without loading the modules
+    only the pipeline commands need."""
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "import json, sys\n"
+        "from sumprobe.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    argvs = input_bias_argvs(synthetic_corpus(tmp_path), tmp_path)
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = set(json.loads(done.stdout.splitlines()[-1]))
+    unused = {f"sumprobe.{name}" for name in
+              ("pipeline", "generate", "templates", "alignment", "summaries", "gender_id")}
+    assert "sumprobe.input_bias" in loaded
+    assert not loaded & unused
+
+
+@pytest.mark.parametrize("command", ["analyze-input-bias", "simulate-baselines"])
+def test_missing_output_directory_exits_2_naming_the_output(tmp_path, capsys, command):
+    argv = {a[0]: a for a in input_bias_argvs(synthetic_corpus(tmp_path), tmp_path / "nodir")}
+    assert main(argv[command]) == 2
+    err = capsys.readouterr().err
+    name = "sim.json" if command == "simulate-baselines" else "fw.json"
+    assert f"{tmp_path / 'nodir' / name}: cannot write: directory {tmp_path / 'nodir'}" in err
+    assert ".tmp" not in err
+    assert not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize("first", [b"", b"\xff"], ids=["second_row", "first_byte"])
+def test_undecodable_jsonl_corpus_exits_2_naming_its_line(tmp_path, capsys, first):
+    """A corpus row that is not UTF-8 names its line, also where the byte is
+    the first one `_load_docs` reads to tell the two corpus formats apart."""
+    corpus = synthetic_corpus(tmp_path)
+    lines = corpus.read_bytes().splitlines(keepends=True)
+    bad = 1 if first else 2
+    lines[bad - 1] = first + lines[bad - 1][:20] + b"\xff" + lines[bad - 1][20:]
+    corpus.write_bytes(b"".join(lines))
+    for argv in input_bias_argvs(corpus, tmp_path):
+        assert main(argv) == 2
+        assert f"{corpus}:{bad}: not UTF-8" in capsys.readouterr().err
 
 
 def test_report_command_and_formats(tmp_path, small_corpus):
@@ -791,8 +918,18 @@ def test_missing_input_file_exits_2_naming_it(tmp_path, capsys, key):
      "system 'echo': missing hallucination_top"),
     ('{"systems": {"echo": {"measures": [], "alignment_counts": {}, "hallucination_top": []}}}',
      "system 'echo': wrong type of measures"),
+    ('{"systems": {"echo": {"measures": {"x": 3}, "alignment_counts": {}, "hallucination_top": []}}}',
+     "system 'echo': measure 'x' must hold a numeric or null point"),
+    ('{"systems": {"echo": {"measures": {"x": {"point": 0.5, "n": 2, "ci_s": [0.1]}}, '
+     '"alignment_counts": {}, "hallucination_top": []}}}',
+     "system 'echo': measure 'x' must hold a numeric or null point"),
+    ('{"systems": {"echo": {"measures": {"x": {"point": 0.5, "ci_s": null}}, '
+     '"alignment_counts": {}, "hallucination_top": []}}}',
+     "system 'echo': measure 'x' must hold a numeric or null point, an integer n"),
+    ('{"systems": {"echo": {"measures": {}, "alignment_counts": {}, "hallucination_top": [["a", 1]]}}}',
+     "system 'echo': hallucination_top row ['a', 1] is not [entity, count, gender]"),
 ], ids=["invalid_json", "list", "no_systems", "list_systems", "int_block", "block_without_top",
-        "list_measures"])
+        "list_measures", "int_measure", "short_ci", "no_n", "short_top_row"])
 def test_bad_scores_file_exits_2_naming_it(tmp_path, capsys, text, problem):
     scores = tmp_path / "scores.json"
     scores.write_text(text)
