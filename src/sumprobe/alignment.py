@@ -31,7 +31,6 @@ class InputEntity:
     first: str | None  # name assigned during generation (or original)
     last: str | None
     group: str | None  # demographic group, None for unreplaced entities
-    gender: str | None
 
 
 @dataclass(frozen=True)
@@ -59,9 +58,9 @@ def input_entities(template: DocumentTemplate, generated: GeneratedInput) -> lis
     for e in template.entities:
         a = assigned.get(e.id)
         if a is not None:
-            out.append(InputEntity(e.id, a.first, a.last, a.group, a.gender))
+            out.append(InputEntity(e.id, a.first, a.last, a.group))
         else:
-            out.append(InputEntity(e.id, e.first, e.last, None, e.original_gender))
+            out.append(InputEntity(e.id, e.first, e.last, None))
     return out
 
 
@@ -136,8 +135,8 @@ def align_corpus(
 def inclusion_rows(
     aligned: Iterable[AlignedSummary],
     entity_index: dict[str, list[InputEntity]],
-) -> list[dict]:
-    """Per-record inclusion counts by demographic group (bootstrap unit)."""
+) -> list[dict[str, tuple[int, int]]]:
+    """Per-record {group: (included, total)} entity counts (bootstrap unit)."""
     rows = []
     for a in aligned:
         hit = {r.matched for r in a.results if r.status == ALIGNED}
@@ -149,13 +148,7 @@ def inclusion_rows(
             counts[1] += 1
             if ie.id in hit:
                 counts[0] += 1
-        rows.append(
-            {
-                "system": a.record.system,
-                "input_id": a.record.input_id,
-                "groups": {g: tuple(v) for g, v in per_group.items()},
-            }
-        )
+        rows.append({g: tuple(v) for g, v in per_group.items()})
     return rows
 
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Sequence
 from pathlib import Path
 
 from . import corpus as cp
 from . import input_bias as ib
 from .jsonio import DataError, StageError, read_rows, write_json, write_text
 from .names import (
+    SCHEME_KINDS,
     load_census,
     load_last_name_pool,
     load_race_names,
@@ -242,20 +242,6 @@ def cmd_run(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 
-class _SchemeKinds(Sequence):
-    """`generate.SCHEME_KINDS`, imported when the `generate` parser reads it."""
-
-    def __getitem__(self, index):
-        from .generate import SCHEME_KINDS
-
-        return SCHEME_KINDS[index]
-
-    def __len__(self) -> int:
-        from .generate import SCHEME_KINDS
-
-        return len(SCHEME_KINDS)
-
-
 _REQUIRED = {"required": True}
 _CENSUS_ARGS = [("--census-male", {}), ("--census-female", {})]
 _PIPELINE_ARGS = [("--config", _REQUIRED), ("--out-dir", {}), ("--seed", {"type": int}),
@@ -271,7 +257,7 @@ COMMANDS = {
     ]),
     "generate": ("generate controlled input variants", cmd_generate, [
         ("--templates", _REQUIRED),
-        ("--scheme", {"required": True, "choices": _SchemeKinds()}),
+        ("--scheme", {"required": True, "choices": SCHEME_KINDS}),
         ("--seed", {"required": True, "type": int}),
         ("--out", _REQUIRED),
         ("--variants", {"type": int, "default": 20}),

@@ -37,7 +37,6 @@ class GenderVerdict:
 
 @dataclass(frozen=True)
 class LookupPage:
-    title: str
     categories: tuple[str, ...]
     pronoun_counts: dict[str, int]
 
@@ -62,7 +61,7 @@ class FixtureLookupClient:
             if not (isinstance(counts, dict) and all(type(n) is int for n in counts.values())):
                 raise DataError(f"{path}: cache entry {title!r}: 'counts' must be "
                                 f"an object of integers, got {counts!r}")
-            self._pages[title.casefold()] = LookupPage(title, tuple(categories), dict(counts))
+            self._pages[title.casefold()] = LookupPage(tuple(categories), dict(counts))
 
     def query(self, title: str) -> LookupPage | None:
         return self._pages.get(title.casefold())

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .jsonio import read_rows, write_rows
-from .names import GenderNameTable, RaceNameTable
+from .names import GENDERS, PAIRED_SCHEME_KINDS, SCHEME_KINDS, GenderNameTable, RaceNameTable
 from .seeding import derive_rng
 from .templates import (
     DocumentTemplate,
@@ -31,18 +31,6 @@ from .templates import (
     SlotCategory,
     splice,
 )
-
-SCHEME_KINDS = (
-    "gender_local",
-    "gender_global",
-    "race_random_gender",
-    "race_intersectional",
-)
-# schemes that split each original's variants evenly between the two genders
-PAIRED_SCHEME_KINDS = ("gender_local", "gender_global")
-
-GENDERS = ("male", "female")
-
 
 class GenerationError(RuntimeError):
     """Input corpus cannot be generated as configured."""
@@ -172,16 +160,15 @@ def _display_name(name: str) -> str:
 
 def render(
     template: DocumentTemplate,
-    assignments: Sequence[EntityAssignment] | dict[str, EntityAssignment],
+    assignments: Sequence[EntityAssignment],
 ) -> list[str]:
     """Fill a template's holes for one entity assignment; unassigned
     entities keep their original text."""
-    if not isinstance(assignments, dict):
-        assignments = {a.entity: a for a in assignments}
+    assigned = {a.entity: a for a in assignments}
     by_id = {e.id: e for e in template.entities}
     pieces: list[tuple[int, int, list[str]]] = []
     for ent in template.entities:
-        a = assignments.get(ent.id)
+        a = assigned.get(ent.id)
         if a is None:
             continue
         preferred = ent.preferred_female_title()
@@ -201,7 +188,7 @@ def render(
     for span in template.content_spans:
         genders = set()
         for ent_id in span.entities:
-            a = assignments.get(ent_id)
+            a = assigned.get(ent_id)
             gender = a.gender if a is not None else (
                 by_id[ent_id].original_gender if ent_id in by_id else None
             )

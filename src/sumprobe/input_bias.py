@@ -57,8 +57,6 @@ def split_by_identifier_majority(
 @dataclass(frozen=True)
 class FightinWordsResult:
     zscores: dict[str, float]  # > 0: associated with the first corpus
-    tokens_a: int
-    tokens_b: int
     docs_a: int
     docs_b: int
 
@@ -117,8 +115,6 @@ def fightin_words(
         zscores[word] = delta / math.sqrt(sigma2)
     return FightinWordsResult(
         zscores=zscores,
-        tokens_a=n_a,
-        tokens_b=n_b,
         docs_a=len(docs_a),
         docs_b=len(docs_b),
     )
@@ -179,7 +175,7 @@ def baseline_summarize(
 
 def simulation_experiment(
     docs: Sequence[AnnotatedDocument],
-    word_lists: dict[str, list[str]] | None = None,
+    word_lists: dict[str, list[str]],
     seed: int = 0,
 ) -> dict:
     """Word-list inclusion of each baseline under uniform and adjusted
@@ -190,8 +186,6 @@ def simulation_experiment(
     of its picked rows, and the sexist baseline ranks sentences by the same
     rows. Each baseline is scored from one `word_list_stats` row, the sum of
     its documents' (summary, input) counts."""
-    if word_lists is None:
-        word_lists = load_word_lists()
     topic_tokens = load_topic_tokens()
     groups = sorted(word_lists)
     # per baseline, the running sum of its documents' word_list_stats rows
@@ -205,7 +199,8 @@ def simulation_experiment(
         c["docs"] += 1
         c.update(counts)
         for algorithm in ALGORITHMS:
-            rng = derive_rng(seed, "baseline", algorithm, doc.id)
+            # lead draws nothing, so it gets no rng
+            rng = None if algorithm == "lead" else derive_rng(seed, "baseline", algorithm, doc.id)
             picked = baseline_summarize(rows, algorithm, rng, label)
             summary = _column_sums([rows[i] for i in picked], groups)
             row = word_list_stats(summary, counts, groups)

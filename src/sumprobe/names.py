@@ -19,6 +19,19 @@ from pathlib import Path
 from .jsonio import DataError, read_lines, read_object, string_list
 
 
+# the generation schemes, here because the CLI parser reads them without importing generate.py
+SCHEME_KINDS = (
+    "gender_local",
+    "gender_global",
+    "race_random_gender",
+    "race_intersectional",
+)
+# schemes that split each original's variants evenly between the two genders
+PAIRED_SCHEME_KINDS = ("gender_local", "gender_global")
+
+GENDERS = ("male", "female")
+
+
 class NameTableError(DataError):
     """Raised on malformed or internally inconsistent name data."""
 

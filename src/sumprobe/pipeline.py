@@ -369,7 +369,7 @@ class Pipeline:
         )
 
     def classify_hallucinations(
-        self, aligned_by_system: AlignedBySystem, shared: _SharedScoring
+        self, aligned_by_system: AlignedBySystem
     ) -> dict[str, dict[str, gid.GenderVerdict]]:
         """Gender verdicts per system, keyed by the entity surface form."""
         return {
@@ -438,7 +438,7 @@ class Pipeline:
         diag: dict[str, list[str]] = {}
         verdicts = {}
         if self._classifies():
-            verdicts = self.classify_hallucinations({system: (aligned, counts)}, shared)[system]
+            verdicts = self.classify_hallucinations({system: (aligned, counts)})[system]
             groups = sorted(self.word_lists)
             wl_records = records(
                 ms.word_list_stats(ms.count_identifiers(a.record.tokens, self.word_lists),
@@ -457,8 +457,8 @@ class Pipeline:
 
         if self.scheme.kind != "gender_global":
             rows = al.inclusion_rows(aligned, shared.context.entity_index)
-            inc_groups = sorted({g for r in rows for g in r["groups"]})
-            inc_records = records(ms.inclusion_stats(r["groups"], inc_groups) for r in rows)
+            inc_groups = sorted({g for r in rows for g in r})
+            inc_records = records(ms.inclusion_stats(r, inc_groups) for r in rows)
             measures["entity_inclusion"] = self._ci(
                 inc_records, ms.inclusion_scores, system, "entity_inclusion").as_json()
         else:

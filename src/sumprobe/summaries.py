@@ -45,7 +45,6 @@ class SummaryEntity:
 class SummaryRecord:
     input_id: str
     system: str
-    text: str
     tokens: list[str]
     entities: list[SummaryEntity] = field(default_factory=list)
 
@@ -167,7 +166,7 @@ def load_summaries(
             duplicates.append(f"{input_id}/{system}")
             continue
         seen.add(input_id)
-        records.append(SummaryRecord(input_id, system, text, tokenize_summary(text)))
+        records.append(SummaryRecord(input_id, system, tokenize_summary(text)))
     if strays:
         raise SummaryJoinError("rows name another system", sorted(set(strays)))
     if unknown:

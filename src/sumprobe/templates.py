@@ -202,15 +202,6 @@ def _infer_from_nes(doc: AnnotatedDocument, nes: Iterable[NamedEntitySpan]):
     return first, last, diagnostics
 
 
-def _pronoun_slot(doc, mention) -> EntitySlot | None:
-    tok = doc.tokens[mention.start]
-    if tok.pos not in _PRONOUN_POS:
-        return None
-    if tok.text.lower() not in GENDERED_PRONOUNS:
-        return None
-    return EntitySlot(tok.index, tok.index, SlotCategory.PRONOUN, (tok.text,), pos=tok.pos)
-
-
 def _mention_slots(
     doc: AnnotatedDocument,
     ent: _PersonEntity,
@@ -235,9 +226,8 @@ def _mention_slots(
     for mention in sorted(set(ent.mentions), key=lambda m: (m.start, -m.end)):
         toks = doc.tokens[mention.start : mention.end + 1]
         if len(toks) == 1 and toks[0].pos in _PRONOUN_POS:
-            slot = _pronoun_slot(doc, mention)
-            if slot is not None and not overlaps(slot.start, slot.end):
-                slots.append(slot)
+            if toks[0].text.lower() in GENDERED_PRONOUNS:
+                add(mention.start, mention.start, SlotCategory.PRONOUN, pos=toks[0].pos)
             continue
         foreign = [t.text for t in toks if t.text in other_names and t.text not in own]
         if foreign:
@@ -327,11 +317,7 @@ def build_template(
                     f"entity {ent.id}: slot ({s.start},{s.end}) overlaps an earlier "
                     "entity's slot; dropped"
                 )
-        gendered = any(
-            s.category
-            in (SlotCategory.FIRST_NAME, SlotCategory.FULL_NAME, SlotCategory.PRONOUN, SlotCategory.TITLE)
-            for s in kept
-        )
+        gendered = any(s.category is not SlotCategory.LAST_NAME for s in kept)
         entities.append(
             EntityTemplate(
                 id=ent.id,

@@ -4,15 +4,15 @@ from sumprobe.generate import EntityAssignment
 from sumprobe.templates import DocumentTemplate
 
 
-def identity_assignments(template: DocumentTemplate) -> dict[str, EntityAssignment]:
+def identity_assignments(template: DocumentTemplate) -> list[EntityAssignment]:
     """Assignments that keep every entity's original name and gender."""
-    out = {}
-    for e in template.entities:
-        out[e.id] = EntityAssignment(
+    return [
+        EntityAssignment(
             entity=e.id,
             group=e.original_gender or "unknown",
             gender=e.original_gender or "male",
             first=e.first or "",
             last=e.last,
         )
-    return out
+        for e in template.entities
+    ]

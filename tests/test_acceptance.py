@@ -262,12 +262,12 @@ def test_criterion_5_induced_bias_detection(census):
             n.lower() for a in gi.assignments for n in (a.first, a.last) if n
         )
         records.append(
-            SummaryRecord(gi.id, "biased", text, tokens, detect_entities(tokens, lexicon))
+            SummaryRecord(gi.id, "biased", tokens, detect_entities(tokens, lexicon))
         )
     aligned, _ = align_corpus(records, index, sources)
     rows = inclusion_rows(aligned, index)
     boot_records = [  # one row per input, in input order
-        BootstrapRecord(gi.original_id, gi.variant, r["groups"]) for gi, r in zip(inputs, rows)
+        BootstrapRecord(gi.original_id, gi.variant, r) for gi, r in zip(inputs, rows)
     ]
     point = inclusion_score([r.payload for r in boot_records])
     lo, hi = bootstrap(boot_records, inclusion_score, "d", replicates=1000, seed=12)
@@ -387,7 +387,7 @@ def test_criterion_8_alignment_precision(census, census_raw, fixture_templates):
             census=census_raw,
         )
         records.append(
-            SummaryRecord(gi.id, "harness", text, tokens, detect_entities(tokens, lexicon))
+            SummaryRecord(gi.id, "harness", tokens, detect_entities(tokens, lexicon))
         )
         expected.append(wanted)
     assert len(records) == 200 and planted == 50

@@ -14,7 +14,7 @@ from sumprobe.alignment import (
 from sumprobe.generate import EntityAssignment, GeneratedInput
 from sumprobe.summaries import SummaryEntity, SummaryRecord
 
-LEVIN = InputEntity("0", "Melissa", "Levin", "female", "female")
+LEVIN = InputEntity("0", "Melissa", "Levin", "female")
 SOURCE = ["Melissa", "Levin", "spoke", "about", "the", "economy", "."]
 
 
@@ -64,22 +64,22 @@ def test_source_match_is_case_insensitive():
 
 
 def test_multiple_candidates_prefer_first_name_match():
-    other = InputEntity("1", "Karen", "Levin", "female", "female")
+    other = InputEntity("1", "Karen", "Levin", "female")
     result = align(entity("Karen", "Levin"), [LEVIN, other], SOURCE)
     assert result.matched == "1"
 
 
 def test_multiple_candidates_tie_breaks_by_position():
-    a = InputEntity("7", "Melissa", "Levin", "female", "female")
-    b = InputEntity("2", "Amy", "Levin", "female", "female")
+    a = InputEntity("7", "Melissa", "Levin", "female")
+    b = InputEntity("2", "Amy", "Levin", "female")
     result = align(entity("Levin"), [a, b], SOURCE)
     assert result.matched == "7"
 
 
 def test_alignment_order_invariant():
     entities = [
-        InputEntity("0", "Melissa", "Levin", "female", "female"),
-        InputEntity("1", "James", "Wyndham", "male", "male"),
+        InputEntity("0", "Melissa", "Levin", "female"),
+        InputEntity("1", "James", "Wyndham", "male"),
     ]
     summary_entities = [entity("James", "Wyndham"), entity("Melissa", "Levin")]
     source = SOURCE + ["James", "Wyndham"]
@@ -113,15 +113,15 @@ def make_generated(n=1):
 
 
 def record(entities, input_id="d#0::00", system="sys"):
-    return SummaryRecord(input_id, system, "", [], entities)
+    return SummaryRecord(input_id, system, [], entities)
 
 
 def test_align_corpus_counts():
     gi = make_generated(2)
     index = {
         gi.id: [
-            InputEntity("0", "First0", "Last0", "male", "male"),
-            InputEntity("1", "First1", "Last1", "female", "female"),
+            InputEntity("0", "First0", "Last0", "male"),
+            InputEntity("1", "First1", "Last1", "female"),
         ]
     }
     sources = {gi.id: gi.tokens}
@@ -145,7 +145,7 @@ def test_align_corpus_empty():
 
 def test_no_entity_both_aligned_and_hallucinated():
     gi = make_generated(1)
-    index = {gi.id: [InputEntity("0", "First0", "Last0", "male", "male")]}
+    index = {gi.id: [InputEntity("0", "First0", "Last0", "male")]}
     records = [record([entity("First0", "Last0"), entity("First0", "Last0")])]
     aligned, _ = align_corpus(records, index, {gi.id: gi.tokens})
     for res in aligned[0].results:
@@ -157,14 +157,14 @@ def test_inclusion_rows_count_entities_once():
     gi = make_generated(2)
     index = {
         gi.id: [
-            InputEntity("0", "First0", "Last0", "male", "male"),
-            InputEntity("1", "First1", "Last1", "female", "female"),
+            InputEntity("0", "First0", "Last0", "male"),
+            InputEntity("1", "First1", "Last1", "female"),
         ]
     }
     records = [record([entity("First0", "Last0"), entity("Last0")])]
     aligned, _ = align_corpus(records, index, {gi.id: gi.tokens})
     rows = inclusion_rows(aligned, index)
-    assert rows[0]["groups"] == {"male": (1, 1), "female": (0, 1)}
+    assert rows[0] == {"male": (1, 1), "female": (0, 1)}
 
 
 def test_input_entities_uses_assignments(fixture_templates, census):

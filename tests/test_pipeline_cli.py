@@ -88,6 +88,33 @@ def test_unknown_command_exits_1():
     assert err.value.code == 1
 
 
+def test_unknown_scheme_exits_1_naming_every_scheme(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["generate", "--templates", str(tmp_path / "templates.jsonl"), "--scheme", "bogus",
+              "--seed", "1", "--out", str(tmp_path / "inputs.jsonl")])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert "--scheme: invalid choice: 'bogus'" in message
+    for kind in ("gender_local", "gender_global", "race_random_gender", "race_intersectional"):
+        assert kind in message
+    assert not (tmp_path / "inputs.jsonl").exists()
+
+
+def test_docs_name_only_existing_scripts_and_commands():
+    """Every `scripts/<name>.py` and `sumprobe <command>` that README.md and
+    docs/formats.md mention exists, so no deletion leaves an instruction behind."""
+    import re
+
+    root = Path(__file__).resolve().parent.parent
+    text = "\n".join((root / name).read_text(encoding="utf-8")
+                     for name in ("README.md", "docs/formats.md"))
+    scripts = set(re.findall(r"scripts/([\w-]+\.py)", text))
+    commands = set(re.findall(r"(?:^|`)sumprobe ([a-z][\w-]*)", text, re.MULTILINE))
+    assert scripts and commands
+    assert sorted(s for s in scripts if not (root / "scripts" / s).is_file()) == []
+    assert sorted(commands - set(COMMANDS)) == []
+
+
 def test_data_error_exits_2(tmp_path):
     doc = "#begin document (x); part 000\nx 0 0 Hello NNP * -\n#end document\n"
     corpora = {
@@ -354,6 +381,22 @@ def test_analyze_and_simulate_cli(tmp_path):
     ]) == 0
     result = json.loads((tmp_path / "sim.json").read_text())
     assert set(result["scores"]) == {"random", "lead", "topic", "sexist"}
+
+
+def test_simulate_baselines_shows_missing_scores(tmp_path, capsys):
+    # one family document, seed 0: the topic baseline's one-sentence summary
+    # holds no identifier, so both its scores are missing
+    from sumprobe.corpus import write_jsonl
+    from sumprobe.input_bias import SyntheticCorpusConfig, make_synthetic_corpus
+
+    corpus = tmp_path / "synth.jsonl"
+    write_jsonl(make_synthetic_corpus(SyntheticCorpusConfig(n_docs=1), seed=0), corpus)
+    assert main(["simulate-baselines", "--corpus", str(corpus), "--seed", "0",
+                 "--out", str(tmp_path / "sim")]) == 0
+    assert "topic: uniform=n/a adjusted=n/a" in capsys.readouterr().out
+    result = json.loads((tmp_path / "sim.json").read_text())
+    assert result["scores"]["topic"] == {"uniform": None, "adjusted": None}
+    assert "topic,None,None" in (tmp_path / "sim.csv").read_text().splitlines()
 
 
 # sha256 of each output of the two input-bias commands on the 60-document

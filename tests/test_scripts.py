@@ -31,12 +31,3 @@ def test_make_synthetic_corpus(tmp_path):
     run_script("make_synthetic_corpus.py", "--out", out_path, "--n-docs", 4)
     assert len(out_path.read_text().splitlines()) == 4
 
-
-def test_reproduce_simulation_prints_missing_scores(tmp_path):
-    # one family document, seed 0: the topic baseline's one-sentence summary
-    # holds no identifier, so its scores are None and print as n/a
-    out_path = tmp_path / "sim.json"
-    out = run_script("reproduce_simulation.py", "--n-docs", 1, "--seed", 0, "--out", out_path)
-    result = json.loads(out_path.read_text())
-    assert result["scores"]["topic"] == {"uniform": None, "adjusted": None}
-    assert "n/a" in out
