@@ -19,12 +19,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, groupby
 from operator import add, attrgetter
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
 from .corpus import AnnotatedDocument, Token
-from .measures import clean_token, count_identifiers, word_list_scores, word_list_stats
+from .measures import (clean_token, count_identifiers, word_list_scores, word_list_stats,
+                       word_sets)
 from .names import load_topic_tokens, load_word_lists
 from .seeding import derive_rng
 
@@ -45,8 +46,9 @@ def split_by_identifier_majority(
     """Partition documents by which group's identifiers are more frequent;
     exact ties (including all-zero) are excluded."""
     out: dict[str, list[Sequence[str]]] = {g: [] for g in word_lists}
+    sets = word_sets(word_lists)
     for tokens in docs:
-        counts = count_identifiers(tokens, word_lists)
+        counts = count_identifiers(tokens, sets)
         best = max(counts.values())
         winners = [g for g, c in counts.items() if c == best]
         if best > 0 and len(winners) == 1:
@@ -124,7 +126,7 @@ def fightin_words(
 
 
 def classify_topic(
-    tokens: Iterable[str], sport: Sequence[str], family: Sequence[str]
+    tokens: Iterable[str], sport: Container[str], family: Container[str]
 ) -> str:
     counts = count_identifiers(tokens, {"sport": sport, "family": family})
     if counts["sport"] > counts["family"]:
@@ -186,15 +188,16 @@ def simulation_experiment(
     of its picked rows, and the sexist baseline ranks sentences by the same
     rows. Each baseline is scored from one `word_list_stats` row, the sum of
     its documents' (summary, input) counts."""
-    topic_tokens = load_topic_tokens()
+    topics = word_sets(load_topic_tokens())
+    sets = word_sets(word_lists)
     groups = sorted(word_lists)
     # per baseline, the running sum of its documents' word_list_stats rows
     totals = {algorithm: [0] * (2 * len(groups)) for algorithm in ALGORITHMS}
     by_topic: dict[str, Counter] = {}
     for doc in docs:
-        rows = [count_identifiers(sentence, word_lists) for sentence in _sentence_tokens(doc)]
+        rows = [count_identifiers(sentence, sets) for sentence in _sentence_tokens(doc)]
         counts = _column_sums(rows, groups)
-        label = classify_topic(doc.token_texts(), topic_tokens["sport"], topic_tokens["family"])
+        label = classify_topic(doc.token_texts(), topics["sport"], topics["family"])
         c = by_topic.setdefault(label, Counter())
         c["docs"] += 1
         c.update(counts)

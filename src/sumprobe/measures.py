@@ -48,7 +48,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat, starmap
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -152,11 +152,17 @@ def clean_token(token: str) -> str:
     return token.strip(string.punctuation).lower()
 
 
-def count_identifiers(tokens: Iterable[str], word_lists: dict[str, list[str]]) -> Counter:
-    """Whole-token identifier occurrences per group, case-insensitive."""
+def word_sets(word_lists: Mapping[str, Iterable[str]]) -> dict[str, frozenset[str]]:
+    """Each group's words as a set: built once, then passed to every
+    `count_identifiers` call."""
+    return {group: frozenset(words) for group, words in word_lists.items()}
+
+
+def count_identifiers(tokens: Iterable[str], groups: Mapping[str, Container[str]]) -> dict[str, int]:
+    """Whole-token identifier occurrences per group, case-insensitive;
+    `groups` maps each group to its lowercase words, best as `word_sets`."""
     cleaned = list(map(clean_token, tokens))
-    return Counter({group: sum(map(set(words).__contains__, cleaned))
-                    for group, words in word_lists.items()})
+    return {group: sum(map(words.__contains__, cleaned)) for group, words in groups.items()}
 
 
 def word_list_stats(summary_counts: dict[str, int], input_counts: dict[str, int],

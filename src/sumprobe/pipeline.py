@@ -2,10 +2,15 @@
 classify -> score, with resumable intermediate artifacts.
 
 Every artifact lives under <out_dir>/<config-hash>/, a hash of the
-parameters and the input file contents, so a resumed run can never mix
-artifacts from different configurations or inputs. All randomness flows
-from the single config seed through named derivation; nothing reads the
-clock or the network.
+parameters and the input file contents other than the summaries, so a
+resumed run can never mix artifacts from different configurations or
+inputs. A finished run ends by writing run.json: the reuse key (the
+package digest, the numpy version and each summary file's sha256) and the
+sha256 of every artifact. A rerun reuses an artifact only when the key it
+was built under still matches and the file still hashes to its recorded
+digest; a rerun over unchanged summaries aligns and scores nothing. All
+randomness flows from the single config seed through named derivation;
+nothing reads the clock or the network.
 """
 
 from __future__ import annotations
@@ -40,6 +45,9 @@ from .names import (
     resolve_ambiguous,
 )
 from .seeding import derive_seed
+
+# written last by every finished `Pipeline.score`: the reuse key and each artifact's sha256
+MANIFEST = "run.json"
 
 
 def _integer(least: int | None = None):
@@ -141,8 +149,8 @@ class PipelineConfig:
         return data
 
     def input_paths(self) -> list[str]:
-        """Every input file except the summaries, which every run rereads and
-        nothing reused is built from."""
+        """Every input file except the summaries, whose digests key the
+        reuse of scores.json in run.json instead."""
         optional = (getattr(self, key) for key in _OPTIONAL_PATH_KEYS)
         return [self.corpus, *filter(None, optional),
                 *self.ner_sidecars.values(), *self.dense_vectors.values()]
@@ -150,7 +158,7 @@ class PipelineConfig:
     def config_hash(self) -> str:
         """Names the artifact directory: the parameters and the content of
         every input file, so an input edited in place gets a fresh directory."""
-        digests = {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in self.input_paths()}
+        digests = {p: _sha256(p) for p in self.input_paths()}
         canonical = json.dumps([self.payload(), digests], sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
@@ -162,6 +170,27 @@ class PipelineConfig:
                 raise StageError("summaries", f"summary file for system {system!r} missing: {path}")
             if Path(path).is_dir():
                 raise DataError(f"summary file for system {system!r} is a directory: {path}")
+
+
+def _sha256(path: str | Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+@functools.cache
+def package_digest() -> str:
+    """sha256 over the package's modules and bundled data files, in name
+    order: a run keys its artifacts on it, so changed code or tables never
+    serve stale ones."""
+    root = Path(__file__).parent
+    files = sorted([*root.glob("*.py"), *filter(Path.is_file, (root / "data").iterdir())])
+    digest = hashlib.sha256()
+    for path in files:
+        digest.update(f"{path.relative_to(root).as_posix()}\0{_sha256(path)}\n".encode("utf-8"))
+    return digest.hexdigest()
 
 
 # --- stages: one function each, called by `Pipeline` and by the CLI subcommands;
@@ -296,7 +325,7 @@ class _SharedScoring:
     """What every system's scoring reads, built once per `Pipeline.score`."""
 
     context: AlignmentContext
-    input_ident_counts: dict[str, Counter]  # word-list identifiers per input, where classified
+    input_ident_counts: dict[str, dict[str, int]]  # word-list identifiers per input, where classified
     names: tuple[set[str], set[str]] | None  # first and last names assigned (gender_global)
 
 
@@ -306,6 +335,7 @@ class Pipeline:
         config.check_paths()
         self.scheme = config.assignment_scheme()
         self.word_lists = load_word_lists(config.word_lists)
+        self.word_sets = ms.word_sets(self.word_lists)
         self._census_raw = load_census(config.census_male, config.census_female)
         self.census = resolve_ambiguous(self._census_raw)
         self.race_table = (
@@ -322,14 +352,69 @@ class Pipeline:
         # stage results that later stages reuse, computed or read once per run
         self._templates: list[tp.DocumentTemplate] | None = None
         self._inputs: list[gen.GeneratedInput] | None = None
+        # sha256 of each artifact this run built, or found intact
+        self._digests: dict[str, str] = {}
 
     def path(self, name: str) -> Path:
         return self.art_dir / name
 
+    # -- reuse ---------------------------------------------------------------
+
+    @staticmethod
+    def _code_key() -> dict[str, str]:
+        """The parts of the reuse key that every artifact shares."""
+        return {"package": package_digest(), "numpy": np.__version__}
+
+    @functools.cached_property
+    def _previous(self) -> dict:
+        """The run.json of the last finished run in this directory, if it was
+        written under this package digest and numpy version; else {}."""
+        try:
+            manifest = read_object(self.path(MANIFEST), "a run manifest")
+        except (OSError, DataError):
+            return {}
+        key = manifest.get("key")
+        if not (isinstance(key, dict) and _strings_by_string(key.get("summaries"))
+                and _strings_by_string(manifest.get("artifacts"))
+                and all(key.get(k) == v for k, v in self._code_key().items())):
+            return {}
+        return manifest
+
+    def _intact(self, name: str) -> bool:
+        """Whether this run built the artifact `name` or found it intact: it
+        still hashes to the digest that run.json recorded."""
+        if name not in self._digests:
+            recorded = self._previous.get("artifacts", {}).get(name)
+            artifact = self.path(name)
+            if recorded is None or not artifact.is_file() or _sha256(artifact) != recorded:
+                return False
+            self._digests[name] = recorded
+        return True
+
+    def _built(self, name: str) -> None:
+        self._digests[name] = _sha256(self.path(name))
+
     def _reuse(self, name: str, read, build) -> list:
-        """The stage's artifact if it exists, else `build(artifact path)`."""
+        """The stage's artifact if it is intact, else `build(artifact path)`."""
         artifact = self.path(name)
-        return list(read(artifact)) if artifact.exists() else build(artifact)
+        if self._intact(name):
+            return list(read(artifact))
+        built = build(artifact)
+        self._built(name)
+        return built
+
+    def _system_artifacts(self, system: str) -> list[str]:
+        return [f"alignments.{system}.jsonl",
+                *([f"verdicts.{system}.json"] if self._classifies() else [])]
+
+    def _scores_intact(self, summaries: dict[str, str]) -> bool:
+        """Whether scores.json can be reused: every summary file is the one
+        run.json recorded, and scores.json and every system's artifacts
+        still hash to their recorded digests."""
+        if self._previous.get("key", {}).get("summaries") != summaries:
+            return False
+        names = ["scores.json", *(n for s in summaries for n in self._system_artifacts(s))]
+        return all(map(self._intact, names))
 
     # -- stages ------------------------------------------------------------
 
@@ -387,9 +472,34 @@ class Pipeline:
         return self.scheme.kind == "gender_local"
 
     def score(self) -> dict:
-        """Write scores.json: one block per system, in sorted system order.
-        With `jobs > 1` and several systems, forked workers compute the
-        blocks, one system each, from the state built here once."""
+        """Write scores.json, one block per system in sorted system order,
+        then run.json. A staged artifact that is not intact is rebuilt.
+        scores.json is reused when the summaries, scores.json and every
+        system's artifacts are those run.json recorded; otherwise every
+        system is rescored. With `jobs > 1` and several systems, forked
+        workers compute the blocks, one system each, from the state built
+        here once."""
+        summaries = {s: _sha256(p) for s, p in sorted(self.config.summaries.items())}
+        for name, stage in (("inputs.jsonl", self.inputs), ("templates.jsonl", self.templates),
+                            ("documents.jsonl", self.documents)):
+            if not self._intact(name):
+                stage()  # a stage rebuilds what it reads that is not intact
+        if self._scores_intact(summaries):
+            report = read_object(self.path("scores.json"), "a scores file")
+        else:
+            systems = list(summaries)
+            report = {"config": self.config.payload(),
+                      "systems": dict(zip(systems, self._score_systems(systems)))}
+            write_json(self.path("scores.json"), report)
+            for name in ["scores.json", *(n for s in systems for n in self._system_artifacts(s))]:
+                self._built(name)
+        # last, so that a run cut short writes no manifest for what it changed
+        write_json(self.path(MANIFEST), {"key": {**self._code_key(), "summaries": summaries},
+                                         "artifacts": self._digests})
+        return report
+
+    def _score_systems(self, systems: list[str]) -> list[dict]:
+        """The scores.json blocks of `systems`, from shared state built once."""
         inputs = self.inputs()
         classifies = self._classifies()
         names = None
@@ -400,11 +510,10 @@ class Pipeline:
         shared = _SharedScoring(
             context=alignment_context(self.templates(), inputs, self._census_raw),
             input_ident_counts=(
-                {gi.id: ms.count_identifiers(gi.tokens, self.word_lists) for gi in inputs}
+                {gi.id: ms.count_identifiers(gi.tokens, self.word_sets) for gi in inputs}
                 if classifies else {}),
             names=names,
         )
-        systems = sorted(self.config.summaries)
         workers = min(self.config.jobs, len(systems))
         if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
             # fork hands every worker this pipeline and `shared` as they are;
@@ -412,12 +521,8 @@ class Pipeline:
             with multiprocessing.get_context("fork").Pool(
                 workers, _start_worker, (self, shared)
             ) as pool:
-                blocks = list(pool.imap(_score_in_worker, systems))
-        else:
-            blocks = [self._score_system(system, shared) for system in systems]
-        report = {"config": self.config.payload(), "systems": dict(zip(systems, blocks))}
-        write_json(self.path("scores.json"), report)
-        return report
+                return list(pool.imap(_score_in_worker, systems))
+        return [self._score_system(system, shared) for system in systems]
 
     def _score_system(self, system: str, shared: _SharedScoring) -> dict:
         """`system`'s block of scores.json: its summaries aligned, their
@@ -441,7 +546,7 @@ class Pipeline:
             verdicts = self.classify_hallucinations({system: (aligned, counts)})[system]
             groups = sorted(self.word_lists)
             wl_records = records(
-                ms.word_list_stats(ms.count_identifiers(a.record.tokens, self.word_lists),
+                ms.word_list_stats(ms.count_identifiers(a.record.tokens, self.word_sets),
                                    shared.input_ident_counts[gi.id], groups)
                 for a, gi in zip(aligned, inputs))
             for measure, reference in (("word_list_inclusion", "adjusted"),

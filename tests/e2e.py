@@ -16,6 +16,15 @@ def identity_summarizer(gi: GeneratedInput, rng) -> str:
     return gi.text
 
 
+def hallucinating_summarizer(gi: GeneratedInput, rng) -> str:
+    """Keeps each assigned entity by a coin flip and sometimes invents a
+    person, so that verdict files hold rows."""
+    kept = [f"{a.first} {a.last} spoke ." for a in gi.assignments if rng.random() < 0.6]
+    invented = rng.choice(["", "Boris Yeltsin agreed .", "Pat Nixon was there .",
+                           "Mr. Quorvel objected ."])
+    return " ".join([*kept, invented])
+
+
 def make_keep_rate_summarizer(rates: dict[str, float], phrase="made headlines today ."):
     """Keeps each assigned entity with a per-gender probability; kept
     entities get one full-name sentence in the summary."""

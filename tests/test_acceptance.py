@@ -4,14 +4,10 @@ Each test prints a `PASS criterion N` line once its assertions hold, so a
 `pytest -s tests/test_acceptance.py` run reads as a checklist.
 """
 
-import json
 import math
 import random
 import time
 from collections import Counter
-from pathlib import Path
-
-import pytest
 
 from e2e import make_keep_rate_summarizer, stage_run
 from helpers import identity_assignments

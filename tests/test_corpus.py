@@ -1,10 +1,6 @@
-import io
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from make_demo_data import make_fixture_corpus
 
 from sumprobe.corpus import (
     AnnotatedDocument,

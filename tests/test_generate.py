@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import identity_assignments
-from make_demo_data import DocBuilder, make_fixture_corpus
+from make_demo_data import DocBuilder
 
 from sumprobe.generate import (
     AssignmentScheme,
@@ -327,7 +327,6 @@ def test_race_capacity_precheck_is_seed_free():
 
 
 def test_race_insufficient_inventory_drops_original():
-    import json
     from sumprobe.names import RaceNameTable
 
     tiny = RaceNameTable(

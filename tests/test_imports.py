@@ -1,0 +1,35 @@
+"""Every import in the package, the scripts and the tests is used."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CHECKED = ("src/sumprobe", "scripts", "tests")
+
+
+def unused_imports(source: str, filename: str) -> list[tuple[int, str]]:
+    """(line, name) of each name an import statement binds that the module
+    never reads; `from __future__` imports bind nothing."""
+    tree = ast.parse(source, filename)
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_the_check_finds_an_unused_import():
+    source = ("from __future__ import annotations\nimport os, sys\nimport numpy as np\n"
+              "from a.b import c as d, e\n\nprint(sys.argv, d)\n")
+    assert unused_imports(source, "<test>") == [(2, "os"), (3, "np"), (4, "e")]
+
+
+def test_no_unused_imports():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for directory in CHECKED for path in sorted((ROOT / directory).glob("*.py"))
+             for line, name in unused_imports(path.read_text(encoding="utf-8"), str(path))]
+    assert found == []

@@ -4,11 +4,8 @@ from collections import Counter
 
 import pytest
 
-from make_demo_data import DocBuilder
-
 from sumprobe.corpus import AnnotatedDocument, Token
 from sumprobe.input_bias import (
-    ALGORITHMS,
     SyntheticCorpusConfig,
     baseline_summarize,
     classify_topic,
@@ -18,7 +15,7 @@ from sumprobe.input_bias import (
     split_by_identifier_majority,
 )
 from sumprobe.measures import count_identifiers
-from sumprobe.names import load_topic_tokens, load_word_lists, word_pairs
+from sumprobe.names import load_topic_tokens
 from sumprobe.seeding import derive_rng
 
 WL = {"male": ["he", "him", "man"], "female": ["she", "her", "woman"]}

@@ -725,9 +725,9 @@ def reference_distinguishability(payloads):
 
 
 def group_counts(groups, high):
-    """A Counter holding every group, as `count_identifiers` returns."""
+    """A dict holding every group, as `count_identifiers` returns."""
     return st.lists(st.integers(0, high), min_size=len(groups), max_size=len(groups)).map(
-        lambda counts: Counter(dict(zip(groups, counts))))
+        lambda counts: dict(zip(groups, counts)))
 
 
 def word_list_stats_of(payloads):

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from make_demo_data import make_fixture_corpus
-from e2e import identity_summarizer, make_keep_rate_summarizer, stage_run
+from e2e import (hallucinating_summarizer, identity_summarizer, make_keep_rate_summarizer,
+                 stage_run)
 
 from sumprobe.cli import COMMANDS, build_parser, main
 from sumprobe.corpus import write_conll_corpus
@@ -540,7 +541,7 @@ def test_race_scheme_pipeline(tmp_path, small_corpus):
 
 def test_generate_cli_with_content_words(tmp_path, small_corpus):
     from sumprobe.corpus import write_jsonl
-    from sumprobe.templates import build_template, template_to_json
+    from sumprobe.templates import build_template
 
     docs_path = tmp_path / "docs.jsonl"
     write_jsonl(small_corpus, docs_path)
@@ -1040,15 +1041,6 @@ def test_generate_altering_last_names_without_a_pool_exits_2(tmp_path, capsys):
     assert not (tmp_path / "inputs.jsonl").exists()
 
 
-def hallucinating(gi, rng):
-    """Keeps each assigned entity by a coin flip and sometimes invents a
-    person, so that verdict files hold rows."""
-    kept = [f"{a.first} {a.last} spoke ." for a in gi.assignments if rng.random() < 0.6]
-    invented = rng.choice(["", "Boris Yeltsin agreed .", "Pat Nixon was there .",
-                           "Mr. Quorvel objected ."])
-    return " ".join([*kept, invented])
-
-
 @pytest.mark.parametrize("scheme", ["gender_local", "gender_global", "race_random_gender"])
 def test_every_artifact_is_byte_identical_at_any_jobs(tmp_path, scheme):
     """Two systems scored serially (--jobs 1) and in forked per-system
@@ -1058,7 +1050,7 @@ def test_every_artifact_is_byte_identical_at_any_jobs(tmp_path, scheme):
     vectors = {"faithful": lambda gi: [float(len(gi.tokens)), float(len(gi.assignments)), 1.0]}
     config = stage_run(
         tmp_path, docs, scheme=scheme, variants=4, replicates=30,
-        summarizers={"faithful": identity_summarizer, "inventive": hallucinating},
+        summarizers={"faithful": identity_summarizer, "inventive": hallucinating_summarizer},
         dense_vectors=vectors if scheme == "gender_global" else None,
     )
     produced = {}  # jobs -> {file name: bytes} of the artifact directory
@@ -1185,7 +1177,9 @@ def test_stagewise_cli_matches_run_artifacts(tmp_path, monkeypatch):
 
 def test_run_computes_each_stage_once(tmp_path, small_corpus, monkeypatch):
     """Cold and resumed runs with two systems read templates.jsonl and
-    inputs.jsonl at most once each and build the detection lexicon once."""
+    inputs.jsonl at most once each and build the detection lexicon at most
+    once: a rerun over unchanged summaries reads neither, and one that
+    rescores a system reads each once."""
     from sumprobe import generate, summaries, templates
 
     calls = {}
@@ -1209,5 +1203,9 @@ def test_run_computes_each_stage_once(tmp_path, small_corpus, monkeypatch):
     Pipeline(PipelineConfig.from_file(config)).score()
     assert calls == {"build_lexicon": 1}
     calls.clear()
+    Pipeline(PipelineConfig.from_file(config)).score()
+    assert calls == {}
+    summary = Path(json.loads(config.read_text())["summaries"]["again"])
+    summary.write_text(summary.read_text() + "\n")
     Pipeline(PipelineConfig.from_file(config)).score()
     assert calls == {"read_templates": 1, "read_inputs": 1, "build_lexicon": 1}
