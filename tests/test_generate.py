@@ -148,17 +148,36 @@ def test_pronoun_case_preserved():
     assert map_pronoun("she", "PRP", "male") == "he"
 
 
+# form -> its (male, female) rendering under PRP, then under PRP$: PRP$ makes
+# "her" a determiner (his/her), not an object (him/her), and "his" a
+# determiner, not a possessive (his/hers)
+PRONOUN_RENDERINGS = {
+    "he": (("he", "she"), ("he", "she")),
+    "him": (("him", "her"), ("him", "her")),
+    "his": (("his", "hers"), ("his", "her")),
+    "himself": (("himself", "herself"), ("himself", "herself")),
+    "she": (("he", "she"), ("he", "she")),
+    "her": (("him", "her"), ("his", "her")),
+    "hers": (("his", "hers"), ("his", "hers")),
+    "herself": (("himself", "herself"), ("himself", "herself")),
+}
+
+
 def test_pronoun_pos_disambiguation():
-    assert map_pronoun("her", "PRP$", "male") == "his"
-    assert map_pronoun("her", "PRP", "male") == "him"
-    assert map_pronoun("his", "PRP$", "female") == "her"
-    assert map_pronoun("his", "PRP", "female") == "hers"
-    assert map_pronoun("himself", "PRP", "female") == "herself"
+    for form, by_pos in PRONOUN_RENDERINGS.items():
+        for pos, renderings in zip(("PRP", "PRP$"), by_pos):
+            for gender, expected in zip(("male", "female"), renderings):
+                assert map_pronoun(form, pos, gender) == expected, (form, pos, gender)
 
 
 def test_pronoun_unmapped_form_errors():
-    with pytest.raises(RenderError):
+    with pytest.raises(RenderError, match="cannot map pronoun 'they'"):
         map_pronoun("they", "PRP", "male")
+    with pytest.raises(RenderError, match="cannot render gender 'other'"):
+        map_pronoun("he", "PRP", "other")
+    # an unknown form is reported before an unknown gender
+    with pytest.raises(RenderError, match="cannot map pronoun 'they'"):
+        map_pronoun("they", "PRP$", "other")
 
 
 def test_title_mapping():

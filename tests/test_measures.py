@@ -402,6 +402,9 @@ def test_neutralize_tokens():
     assert out == [
         "they", "met", "FIRST_NAME", "LAST_NAME", "and", "them", "brother", "themself",
     ]
+    forms = ["he", "him", "his", "himself", "She", "HER", "hers", "herself"]
+    assert neutralize_tokens(forms, set(), set()) == [
+        "they", "them", "them", "themself", "they", "them", "them", "themself"]
 
 
 def test_neutralize_is_gender_symmetric():
