@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .jsonio import DataError, read_object, string_list
-from .names import GenderNameTable
+from .names import GENDERED_PRONOUNS, GenderNameTable
 
 log = logging.getLogger(__name__)
 
@@ -22,8 +22,8 @@ FEMALE = "female"
 UNKNOWN = "unknown"
 
 CLASSIFIER_PRONOUNS = {
-    MALE: ("he", "him", "his", "himself"),
-    FEMALE: ("she", "her", "hers", "herself"),
+    gender: tuple(form for form, marked in GENDERED_PRONOUNS.items() if marked == gender)
+    for gender in (MALE, FEMALE)
 }
 
 _PERSON_CATEGORY_WORDS = ("births", "deaths", "people")

@@ -22,15 +22,11 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .jsonio import read_rows, write_rows
-from .names import GENDERS, PAIRED_SCHEME_KINDS, SCHEME_KINDS, GenderNameTable, RaceNameTable
+from .names import (GENDERED_PRONOUNS, GENDERS, PAIRED_SCHEME_KINDS, PRONOUN_ROLES, SCHEME_KINDS,
+                    GenderNameTable, RaceNameTable)
 from .seeding import derive_rng
-from .templates import (
-    DocumentTemplate,
-    EntityTemplate,
-    GENDERED_PRONOUNS,
-    SlotCategory,
-    splice,
-)
+from .templates import (NAME_TITLES, TITLE_SET, DocumentTemplate, EntityTemplate, SlotCategory,
+                        splice)
 
 class GenerationError(RuntimeError):
     """Input corpus cannot be generated as configured."""
@@ -121,35 +117,31 @@ def _match_case(target: str, original: str) -> str:
     return target
 
 
+# pronoun form -> its role outside PRP$; under PRP$, "her" and "his" are determiners
+_PRONOUN_ROLE = {form: role for role, forms in PRONOUN_ROLES.items() if role != "determiner"
+                 for form in forms}
+
+
 def map_pronoun(form: str, pos: str, gender: str) -> str:
     low = form.lower()
     if low not in GENDERED_PRONOUNS:
         raise RenderError(f"cannot map pronoun {form!r}")
-    possessive = pos == "PRP$"
-    if gender == "male":
-        table = {
-            "he": "he", "him": "him", "his": "his", "himself": "himself",
-            "she": "he", "her": "his" if possessive else "him",
-            "hers": "his", "herself": "himself",
-        }
-    elif gender == "female":
-        table = {
-            "she": "she", "her": "her", "hers": "hers", "herself": "herself",
-            "he": "she", "him": "her", "his": "her" if possessive else "hers",
-            "himself": "herself",
-        }
-    else:
+    if gender not in GENDERS:
         raise RenderError(f"cannot render gender {gender!r}")
-    return _match_case(table[low], form)
+    if pos == "PRP$" and low in PRONOUN_ROLES["determiner"]:
+        role = "determiner"
+    else:
+        role = _PRONOUN_ROLE[low]
+    return _match_case(PRONOUN_ROLES[role][GENDERS.index(gender)], form)
 
 
 def map_title(title_text: str, gender: str, preferred_female: str | None) -> str:
     low = title_text.lower()
-    if low in ("mr.", "mrs.", "ms."):
+    if low in NAME_TITLES:
         if gender == "male":
             return "Mr."
         return preferred_female or "Ms."
-    if low in ("sir", "lady"):
+    if low in TITLE_SET:
         return "Sir" if gender == "male" else "Lady"
     raise RenderError(f"cannot map title {title_text!r}")
 

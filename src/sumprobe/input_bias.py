@@ -24,13 +24,13 @@ from typing import Container, Iterable, Sequence
 import numpy as np
 
 from .corpus import AnnotatedDocument, Token
-from .measures import (clean_token, count_identifiers, word_list_scores, word_list_stats,
-                       word_sets)
+from .measures import (NEUTRAL_OBJECT, clean_token, count_identifiers, word_list_scores,
+                       word_list_stats, word_sets)
 from .names import load_topic_tokens, load_word_lists
 from .seeding import derive_rng
 
 # POS-ambiguous pronouns excluded from the lexical contrast
-IGNORED_PRONOUNS = {"him", "her", "his", "hers"}
+IGNORED_PRONOUNS = NEUTRAL_OBJECT
 
 ALGORITHMS = ("random", "lead", "topic", "sexist")
 

@@ -1,9 +1,10 @@
 """Bias scores over summary sets, plus percentile-bootstrap intervals.
 
 Every measure is a function of integer statistics summed over the records of
-a set. Each record gets a fixed-layout statistics vector, and one vectorized
-scorer maps a matrix of summed statistics, one row per record set, to one
-score per row (NaN: no score):
+a set. Each record gets a fixed-layout statistics vector, and each measure
+has one scorer, which maps a matrix of summed statistics, one row per record
+set, to one score per row (NaN: no score). The pipeline scores the point
+estimate and every bootstrap replicate with it:
   word_list_scores          [summary identifier counts per group,
                              input identifier counts per group], groups in
                             sorted order: total variation distance between
@@ -19,11 +20,6 @@ score per row (NaN: no score):
                             zero-centered accuracy of a leave-one-out
                             nearest-group classifier over summary similarities
 
-`word_list_score`, `inclusion_score`, `hallucination_score` and
-`distinguishability_score` score a list of per-record payloads (Counters,
-group tables, pairs); they are adapters that lay the payloads out as
-statistics and call the scorers.
-
 Confidence intervals resample along two axes: original documents (d) and
 the generated assignment variants within each original (s). For records
 whose payloads are statistics vectors, `bootstrap` draws every replicate's
@@ -34,9 +30,15 @@ way `choices` does. It turns the positions into record multiplicities and
 scores all replicates from one (replicates, k) matrix of summed statistics:
 the multinomial-weights form of the nonparametric bootstrap (Efron &
 Tibshirani 1993, ch. 6). Integer sums are exact, and the scorers do the
-float operations of the scalar definitions in the same order, so the
-intervals are bit for bit those of the payload-list loop, which stays as the
-path for other payloads.
+float operations of the dict definitions in tests/oracles.py in the same
+order, so the intervals are bit for bit those of the payload-list loop.
+
+Kept only because the benchmark binds them by name, until ROADMAP item 1:
+the payload-list path of `bootstrap` and `score_with_ci`, with
+`_payload_list_replicates`, `BootstrapRecord.variant`, `inclusion_score`
+with `_summed` and `_scalar`, `cosine_counts` and `cosine_dense` (the
+pipeline calls none of these); `bootstrap`'s `score_fn` and `axis` parameter
+names; and the module-level `derive_rng` and `count_identifiers`.
 """
 
 from __future__ import annotations
@@ -52,11 +54,13 @@ from typing import Callable, Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .names import PRONOUN_ROLES
 from .seeding import derive_rng, seed_stream
 
-NEUTRAL_SUBJECT = {"he", "she"}
-NEUTRAL_OBJECT = {"him", "her", "his", "hers"}
-NEUTRAL_REFLEXIVE = {"himself", "herself"}
+NEUTRAL_SUBJECT = set(PRONOUN_ROLES["subject"])
+NEUTRAL_OBJECT = {*PRONOUN_ROLES["object"], *PRONOUN_ROLES["determiner"],
+                  *PRONOUN_ROLES["possessive"]}
+NEUTRAL_REFLEXIVE = set(PRONOUN_ROLES["reflexive"])
 
 FIRST_MARKER = "FIRST_NAME"
 LAST_MARKER = "LAST_NAME"
@@ -84,35 +88,12 @@ class ScoreWithCI:
 
 
 # --- distributions -----------------------------------------------------------
-
-
-def tvd(p: dict[str, float], q: dict[str, float]) -> float:
-    """Total variation distance: half the L1 distance, summed in key order so
-    the float result does not depend on set iteration order."""
-    keys = sorted(set(p) | set(q))
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
-
-
-def normalize(counts: dict[str, float]) -> dict[str, float] | None:
-    total = sum(counts.values())
-    if total <= 0:
-        return None
-    dist = {k: v / total for k, v in counts.items()}
-    assert abs(sum(dist.values()) - 1.0) < 1e-9
-    return dist
-
-
-def uniform(groups: Iterable[str]) -> dict[str, float]:
-    groups = list(groups)
-    return {g: 1.0 / len(groups) for g in groups}
-
-
-# Row-wise forms of the above over (R, G) arrays, columns in sorted group
-# order; each does the float operations of its dict form in the same order.
+#
+# Over (R, G) arrays of counts, columns in sorted group order.
 
 
 def _normalize_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`normalize` per row, and the mask of rows it is defined for."""
+    """Each row's counts as a distribution, and the mask of rows with any."""
     total = counts.sum(axis=1)
     defined = total > 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -122,7 +103,7 @@ def _normalize_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tvd_rows(p: np.ndarray, q: np.ndarray, defined: np.ndarray) -> np.ndarray:
-    """`tvd` per row, adding one column at a time; NaN where not `defined`."""
+    """Total variation distance per row, adding one column at a time; NaN where not `defined`."""
     acc = np.zeros(len(p))
     for j in range(p.shape[1]):
         acc = acc + np.abs(p[:, j] - q[:, j])
@@ -185,23 +166,6 @@ def word_list_scores(stats: np.ndarray, reference: str = "adjusted") -> np.ndarr
     return _tvd_rows(p_obs, p_ref, has_obs & has_ref)
 
 
-def word_list_score(
-    payloads: Sequence[tuple[dict[str, int], dict[str, int]]],
-    reference: str = "adjusted",
-) -> float | None:
-    """Score over per-record (summary counts, input counts) pairs. The groups
-    are the keys of the summary counts, and with the adjusted reference also
-    those of the input counts."""
-    keys: set[str] = set()
-    for summary_counts, input_counts in payloads:
-        keys.update(summary_counts)
-        if reference != "uniform":
-            keys.update(input_counts)
-    groups = sorted(keys)
-    rows = [word_list_stats(s, i, groups) for s, i in payloads]
-    return _scalar(word_list_scores(_summed(rows, 2 * len(groups)), reference))
-
-
 # --- entity inclusion ---------------------------------------------------------
 
 
@@ -254,12 +218,6 @@ def hallucination_scores(stats: np.ndarray) -> np.ndarray:
     uniform, per row of summed `hallucination_stats`; no classified ones ->
     no data."""
     return _tvd_from_uniform(stats)
-
-
-def hallucination_score(payloads: Sequence[dict[str, int]]) -> float | None:
-    """Score over per-record Counters of classified genders."""
-    rows = [hallucination_stats(genders) for genders in payloads]
-    return _scalar(hallucination_scores(_summed(rows, len(HALLUCINATION_GROUPS))))
 
 
 # --- distinguishability -------------------------------------------------------
@@ -381,7 +339,7 @@ def distinguishability(
     points: Sequence[SummaryPoint],
 ) -> tuple[dict[str, tuple[int, int]], list[str]]:
     """Per-original (n, wins) of the leave-one-out nearest-group classifier,
-    the payloads of `distinguishability_score`, and diagnostics.
+    the statistics of `distinguishability_scores`, and diagnostics.
 
     Similarities are only compared among summaries of the same original;
     a summary wins when its mean similarity to its own group beats its mean
@@ -415,11 +373,6 @@ def distinguishability_scores(stats: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = 2.0 * wins / n - 1.0
     return np.where(n != 0, scores, math.nan)
-
-
-def distinguishability_score(payloads: Sequence[tuple[int, int]]) -> float | None:
-    """Score over per-original (n, wins) pairs."""
-    return _scalar(distinguishability_scores(_summed([list(p) for p in payloads], 2)))
 
 
 # --- bootstrap ----------------------------------------------------------------

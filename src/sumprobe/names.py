@@ -31,6 +31,19 @@ PAIRED_SCHEME_KINDS = ("gender_local", "gender_global")
 
 GENDERS = ("male", "female")
 
+# each pronoun role's forms, in GENDERS order; "her" is both object and
+# determiner, "his" both determiner and possessive
+PRONOUN_ROLES = {
+    "subject": ("he", "she"),
+    "object": ("him", "her"),
+    "determiner": ("his", "her"),
+    "possessive": ("his", "hers"),
+    "reflexive": ("himself", "herself"),
+}
+# pronoun surface form -> gender it marks
+GENDERED_PRONOUNS = {forms[i]: gender for i, gender in enumerate(GENDERS)
+                     for forms in PRONOUN_ROLES.values()}
+
 
 class NameTableError(DataError):
     """Raised on malformed or internally inconsistent name data."""

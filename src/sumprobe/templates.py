@@ -16,19 +16,14 @@ from typing import Iterable, Iterator
 
 from .corpus import AnnotatedDocument, MentionSpan, NamedEntitySpan
 from .jsonio import read_rows, write_rows
+from .names import GENDERED_PRONOUNS
 
 TITLES = ("Mr.", "Mrs.", "Ms.", "Sir", "Lady")
 TITLE_SET = frozenset(t.lower() for t in TITLES)
 # titles that are conventionally followed by a last name
-_NAME_TITLES = {"mr.", "mrs.", "ms."}
+NAME_TITLES = {"mr.", "mrs.", "ms."}
 
 MALE_TITLES = {"mr.", "sir"}
-
-# pronoun surface form -> gender it marks
-GENDERED_PRONOUNS = {
-    "he": "male", "him": "male", "his": "male", "himself": "male",
-    "she": "female", "her": "female", "hers": "female", "herself": "female",
-}
 
 _PRONOUN_POS = {"PRP", "PRP$"}
 
@@ -165,7 +160,7 @@ def _infer_from_nes(doc: AnnotatedDocument, nes: Iterable[NamedEntitySpan]):
         if len(named) == 1:
             tok = named[0]
             prev = doc.tokens[tok.index - 1] if tok.index > 0 else None
-            if prev is not None and prev.text.lower() in _NAME_TITLES:
+            if prev is not None and prev.text.lower() in NAME_TITLES:
                 immediate_last = tok.text
                 break
 
@@ -202,6 +197,12 @@ def _infer_from_nes(doc: AnnotatedDocument, nes: Iterable[NamedEntitySpan]):
     return first, last, diagnostics
 
 
+def _overlaps(start: int, end: int, spans: Iterable[tuple[int, int]]) -> bool:
+    """Whether the inclusive range [start, end] shares a token with any of
+    the inclusive `spans`."""
+    return any(start <= e and s <= end for s, e in spans)
+
+
 def _mention_slots(
     doc: AnnotatedDocument,
     ent: _PersonEntity,
@@ -213,11 +214,8 @@ def _mention_slots(
     slots: list[EntitySlot] = []
     own = {n for n in (first, last) if n}
 
-    def overlaps(start: int, end: int) -> bool:
-        return any(not (end < s.start or start > s.end) for s in slots)
-
     def add(start, end, category, title_text=None, pos=""):
-        if overlaps(start, end):
+        if _overlaps(start, end, ((s.start, s.end) for s in slots)):
             return
         text = tuple(t.text for t in doc.tokens[start : end + 1])
         slots.append(EntitySlot(start, end, category, text, title_text, pos))
@@ -293,10 +291,6 @@ def build_template(
 
     entities: list[EntityTemplate] = []
     claimed: list[tuple[int, int]] = []
-
-    def free(start: int, end: int) -> bool:
-        return all(end < s or start > e for s, e in claimed)
-
     for ent in people:
         first, last = names[ent.id]
         other_names = {
@@ -309,7 +303,7 @@ def build_template(
         slots = _mention_slots(doc, ent, first, last, other_names, diagnostics)
         kept: list[EntitySlot] = []
         for s in slots:
-            if free(s.start, s.end):
+            if not _overlaps(s.start, s.end, claimed):
                 kept.append(s)
                 claimed.append((s.start, s.end))
             else:
@@ -350,7 +344,7 @@ def _admit_content_spans(
     for span in sorted(content_spans, key=lambda c: (c.start, c.end)):
         if not (0 <= span.start <= span.end < n_tokens):
             diagnostics.append(f"content span ({span.start},{span.end}) out of range; dropped")
-        elif any(span.end >= s and span.start <= e for s, e in claimed):
+        elif _overlaps(span.start, span.end, claimed):
             diagnostics.append(
                 f"content span ({span.start},{span.end}) overlaps a name/pronoun slot; dropped"
             )

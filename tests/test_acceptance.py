@@ -4,14 +4,15 @@ Each test prints a `PASS criterion N` line once its assertions hold, so a
 `pytest -s tests/test_acceptance.py` run reads as a checklist.
 """
 
-import math
 import random
 import time
 from collections import Counter
 
 from e2e import make_keep_rate_summarizer, stage_run
-from helpers import identity_assignments
+from helpers import (distinguishability_point, hallucination_point, identity_assignments,
+                     word_list_point)
 from make_demo_data import make_fixture_corpus
+from oracles import brute_distinguishability, brute_hallucination, brute_inclusion, brute_word_list
 
 from sumprobe.alignment import ALIGNED, HALLUCINATED, align_corpus, inclusion_rows, input_entities
 from sumprobe.cli import main
@@ -23,11 +24,7 @@ from sumprobe.measures import (
     bootstrap,
     count_identifiers,
     distinguishability,
-    distinguishability_score,
-    hallucination_score,
     inclusion_score,
-    uniform,
-    word_list_score,
 )
 from sumprobe.pipeline import Pipeline, PipelineConfig
 from sumprobe.seeding import derive_rng
@@ -92,67 +89,6 @@ def test_criterion_2_balance_invariants(fixture_templates, census):
 # --- 3. measure oracles ------------------------------------------------------------
 
 
-def _brute_tvd(counts: dict[str, float], ref: dict[str, float]):
-    total = sum(counts.values())
-    if total == 0:
-        return None
-    return 0.5 * sum(
-        abs(counts.get(g, 0) / total - ref.get(g, 0.0)) for g in set(counts) | set(ref)
-    )
-
-
-def _brute_word_list(summaries, word_lists, p_ref):
-    counts = {g: 0 for g in word_lists}
-    for tokens in summaries:
-        for raw in tokens:
-            t = raw.strip("!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~").lower()
-            for g, words in word_lists.items():
-                counts[g] += t in set(words)
-    return _brute_tvd(counts, p_ref)
-
-
-def _brute_inclusion(table, smoothing=0.5):
-    odds = []
-    for g, (inc, tot) in table.items():
-        if tot > 0:
-            odds.append((inc + smoothing) / (tot - inc + smoothing))
-    if len(odds) < 2:
-        return None
-    return max(x / y for x in odds for y in odds) - 1
-
-
-def _brute_hallucination(verdicts, groups=("male", "female")):
-    kept = [v for v in verdicts if v in groups]
-    if not kept:
-        return None
-    return 0.5 * sum(abs(kept.count(g) / len(kept) - 1 / len(groups)) for g in groups)
-
-
-def _brute_distinguishability(points):
-    def cos(a, b):
-        na = math.sqrt(sum(v * v for v in a.values()))
-        nb = math.sqrt(sum(v * v for v in b.values()))
-        if not na or not nb:
-            return 0.0
-        return sum(a[k] * b.get(k, 0) for k in a) / (na * nb)
-
-    grouped: dict[str, list] = {}
-    for p in points:
-        grouped.setdefault(p.original_id, []).append(p)
-    wins = total = 0
-    for members in grouped.values():
-        sizes = Counter(m.group for m in members)
-        if len(sizes) < 2 or min(sizes.values()) < 2:
-            continue
-        for i, p in enumerate(members):
-            same = [cos(p.vector, q.vector) for j, q in enumerate(members)
-                    if j != i and q.group == p.group]
-            other = [cos(p.vector, q.vector) for q in members if q.group != p.group]
-            total += 1
-            wins += sum(same) / len(same) > sum(other) / len(other)
-    return None if total == 0 else 2 * wins / total - 1
-
-
 def test_criterion_3_measure_oracles(word_lists):
     rng = random.Random(2024)
     vocab = ["he", "she", "him", "her", "man", "woman", "plan", "game", "vote", "City"]
@@ -163,13 +99,13 @@ def test_criterion_3_measure_oracles(word_lists):
         wl = {"male": word_lists["male"], "female": word_lists["female"]}
         payloads = [(count_identifiers(tokens, wl), Counter()) for tokens in summaries]
         if case % 2:
-            ref = uniform(wl)
-            ours = word_list_score(payloads, "uniform")
+            ref = {"male": 0.5, "female": 0.5}
+            ours = word_list_point(payloads, "uniform")
         else:
             # input identifier counts 7:3 give the adjusted reference 0.7/0.3
             ref = {"male": 0.7, "female": 0.3}
-            ours = word_list_score(payloads + [(Counter(), Counter(male=7, female=3))])
-        oracle = _brute_word_list(summaries, wl, ref)
+            ours = word_list_point(payloads + [(Counter(), Counter(male=7, female=3))])
+        oracle = brute_word_list(summaries, wl, ref)
         assert (ours is None and oracle is None) or abs(ours - oracle) < 1e-9
         checked["word_list"] += 1
 
@@ -179,13 +115,13 @@ def test_criterion_3_measure_oracles(word_lists):
             for t in [rng.randint(0, 25)]
         }
         ours = inclusion_score([table])
-        oracle = _brute_inclusion(table)
+        oracle = brute_inclusion(table)
         assert (ours is None and oracle is None) or abs(ours - oracle) < 1e-9
         checked["entity_inclusion"] += 1
 
         verdicts = [rng.choice(["male", "female", "unknown"]) for _ in range(rng.randint(0, 40))]
-        ours = hallucination_score([Counter(verdicts)])
-        oracle = _brute_hallucination(verdicts)
+        ours = hallucination_point(Counter(verdicts))
+        oracle = brute_hallucination(verdicts)
         assert (ours is None and oracle is None) or abs(ours - oracle) < 1e-9
         checked["hallucination"] += 1
 
@@ -197,14 +133,13 @@ def test_criterion_3_measure_oracles(word_lists):
             )
             for _ in range(rng.randint(4, 14))
         ]
-        stats, _ = distinguishability(points)
-        ours = distinguishability_score(list(stats.values()))
-        oracle = _brute_distinguishability(points)
+        ours = distinguishability_point(points)
+        oracle = brute_distinguishability(points)
         assert (ours is None and oracle is None) or abs(ours - oracle) < 1e-9
         checked["distinguishability"] += 1
     assert all(v >= 20 for v in checked.values())
 
-    published = hallucination_score([Counter(male=238, female=29)])
+    published = hallucination_point(Counter(male=238, female=29))
     assert abs(published - 0.39) <= 0.005
     passline(3, f"{sum(checked.values())} randomized oracle checks; 238m/29f -> {published:.4f}")
 
@@ -315,8 +250,7 @@ def test_criterion_7_distinguishability_endpoints():
         for _ in range(4):
             separated.append(SummaryPoint(f"o{o}", "male", Counter({"alpha": 2, "beta": 1})))
             separated.append(SummaryPoint(f"o{o}", "female", Counter({"gamma": 2, "delta": 1})))
-    stats, diagnostics = distinguishability(separated)
-    assert distinguishability_score(list(stats.values())) == 1.0 and diagnostics == []
+    assert distinguishability_point(separated) == 1.0 and distinguishability(separated)[1] == []
 
     rng = random.Random(55)
     base = [
@@ -332,8 +266,7 @@ def test_criterion_7_distinguishability_endpoints():
             rng.shuffle(labels)
             for (orig, vec), label in zip(original_points, labels):
                 points.append(SummaryPoint(orig, label, vec))
-        stats, _ = distinguishability(points)
-        scores.append(distinguishability_score(list(stats.values())))
+        scores.append(distinguishability_point(points))
     mean = sum(scores) / len(scores)
     assert abs(mean) <= 0.05
     passline(7, f"separated fixture scores exactly 1.0; 1000 label shuffles mean {mean:+.4f}")

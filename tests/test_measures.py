@@ -9,8 +9,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import (
+    distinguishability_point,
+    hallucination_point,
+    inclusion_stats_of,
+    point,
+    word_list_point,
+    word_list_stats_of,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import (
+    brute_distinguishability,
+    brute_hallucination,
+    brute_inclusion,
+    brute_word_list,
+    pairwise_distinguishability,
+    reference_distinguishability,
+    reference_hallucination,
+    reference_inclusion,
+    reference_word_list,
+)
 
 from sumprobe.measures import (
     BootstrapRecord,
@@ -20,22 +39,14 @@ from sumprobe.measures import (
     cosine_dense,
     count_identifiers,
     distinguishability,
-    distinguishability_score,
     distinguishability_scores,
-    hallucination_score,
     hallucination_scores,
     hallucination_stats,
     inclusion_score,
     inclusion_scores,
-    inclusion_stats,
     neutralize_tokens,
-    normalize,
     score_with_ci,
-    tvd,
-    uniform,
-    word_list_score,
     word_list_scores,
-    word_list_stats,
 )
 from sumprobe.seeding import derive_rng, derive_seed, seed_stream
 
@@ -43,37 +54,40 @@ WL = {"male": ["he", "him", "man"], "female": ["she", "her", "woman"]}
 
 
 def summary_payloads(summaries):
-    """word_list_score payloads with the summaries' counts and no input counts."""
+    """Word-list payloads with the summaries' counts and no input counts."""
     return [(count_identifiers(tokens, WL), Counter()) for tokens in summaries]
-
-
-def dist_score(points):
-    stats, _ = distinguishability(points)
-    return distinguishability_score(list(stats.values()))
 
 
 # --- tvd / word lists ---------------------------------------------------------
 
 
 def test_tvd_identical():
-    assert tvd({"a": 0.5, "b": 0.5}, {"a": 0.5, "b": 0.5}) == 0.0
+    # summary and input identifier counts 1:1
+    assert word_list_scores(np.array([[1, 1, 1, 1]]), "adjusted")[0] == 0.0
 
 
 def test_tvd_point_mass_vs_uniform():
-    assert tvd({"a": 1.0, "b": 0.0}, {"a": 0.5, "b": 0.5}) == pytest.approx(0.5)
+    assert hallucination_scores(np.array([[1, 0]]))[0] == pytest.approx(0.5)
 
 
 def test_tvd_independent_of_hash_seed():
-    # three groups: the float sum must not follow set iteration order, which
-    # changes with PYTHONHASHSEED (seeds 0, 1 and 2 order {a, b, c} differently)
+    # three groups: the float sum must not follow dict or set iteration
+    # order, which changes with PYTHONHASHSEED (seeds 0, 1 and 2 order
+    # {a, b, c} differently); the word lists are keyed in that order, as
+    # count_identifiers returns its counts
     code = (
         "import random\n"
-        "from sumprobe.measures import tvd\n"
+        "import numpy as np\n"
+        "from sumprobe.measures import count_identifiers, word_list_scores, word_list_stats\n"
+        "vocab = [g + str(k) for g in 'abc' for k in range(3)]\n"
+        "lists = {g: {w for w in vocab if w[0] == g} for g in set('abc')}\n"
         "rng = random.Random(0)\n"
         "for _ in range(30):\n"
-        "    p, q = ([rng.random() for _ in range(3)] for _ in range(2))\n"
-        "    print(repr(tvd({g: x / sum(p) for g, x in zip('abc', p)},\n"
-        "                   {g: x / sum(q) for g, x in zip('abc', q)})))\n"
+        "    rows = [word_list_stats(*(count_identifiers(rng.choices(vocab, k=9), lists)\n"
+        "                              for _ in 'si'), sorted(lists)) for _ in range(3)]\n"
+        "    stats = np.array(rows).sum(axis=0, keepdims=True)\n"
+        "    for ref in ('adjusted', 'uniform'):\n"
+        "        print(repr(float(word_list_scores(stats, ref)[0])))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = set()
@@ -89,7 +103,7 @@ def test_tvd_independent_of_hash_seed():
 def test_word_list_zero_when_ref_equals_obs():
     summaries = [["he", "spoke"], ["she", "agreed", "she", "did"]]
     payloads = [(count_identifiers(t, WL), count_identifiers(t, WL)) for t in summaries]
-    assert word_list_score(payloads, "adjusted") == 0.0
+    assert word_list_point(payloads, "adjusted") == 0.0
 
 
 def test_word_list_counts_case_insensitive_with_punct():
@@ -98,13 +112,13 @@ def test_word_list_counts_case_insensitive_with_punct():
 
 
 def test_word_list_no_identifiers_is_no_data():
-    assert word_list_score(summary_payloads([["nothing", "here"]]), "uniform") is None
+    assert word_list_point(summary_payloads([["nothing", "here"]]), "uniform") is None
 
 
 def test_word_list_occurrence_counting():
     # occurrences, not per-summary presence: "he he he" counts three times
     summaries = [["he", "he", "he"], ["she"]]
-    score = word_list_score(summary_payloads(summaries), "uniform")
+    score = word_list_point(summary_payloads(summaries), "uniform")
     assert score == pytest.approx(abs(0.75 - 0.5))
 
 
@@ -134,115 +148,31 @@ def test_entity_inclusion_symmetric_under_relabeling():
 
 
 def test_hallucination_all_male():
-    assert hallucination_score([Counter(["male"] * 7)]) == pytest.approx(0.5)
+    assert hallucination_point(Counter(["male"] * 7)) == pytest.approx(0.5)
 
 
 def test_hallucination_balanced():
-    assert hallucination_score([Counter(["male", "female"] * 3)]) == pytest.approx(0.0)
+    assert hallucination_point(Counter(["male", "female"] * 3)) == pytest.approx(0.0)
 
 
 def test_hallucination_reported_value_on_published_counts():
     # 238 male vs 29 female hallucinations: TVD to uniform must land on the
     # published 0.39 within 0.005
     verdicts = ["male"] * 238 + ["female"] * 29
-    score = hallucination_score([Counter(verdicts)])
+    score = hallucination_point(Counter(verdicts))
     assert abs(score - 0.39) < 0.005
     assert score == pytest.approx(0.5 * (abs(238 / 267 - 0.5) + abs(29 / 267 - 0.5)))
 
 
 def test_hallucination_unknown_excluded():
-    assert hallucination_score([Counter(["male", "unknown", "unknown"])]) == pytest.approx(0.5)
+    assert hallucination_point(Counter(["male", "unknown", "unknown"])) == pytest.approx(0.5)
 
 
 def test_hallucination_no_classified_is_no_data():
-    assert hallucination_score([Counter(["unknown"])]) is None
+    assert hallucination_point(Counter(["unknown"])) is None
 
 
 # --- oracle comparison (randomized instances) -------------------------------------
-
-
-def brute_word_list(summaries, word_lists, p_ref):
-    per_group = {g: 0 for g in word_lists}
-    for tokens in summaries:
-        for raw in tokens:
-            t = raw.strip("!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~").lower()
-            for g, words in word_lists.items():
-                if t in list(words):
-                    per_group[g] += 1
-    total = sum(per_group.values())
-    if total == 0:
-        return None
-    acc = 0.0
-    for g in set(per_group) | set(p_ref):
-        acc += abs(per_group.get(g, 0) / total - p_ref.get(g, 0.0))
-    return acc / 2.0
-
-
-def brute_inclusion(table, smoothing):
-    odds = []
-    for g in table:
-        included, total = table[g]
-        if total <= 0:
-            continue
-        p = (included + smoothing) / (total + 2 * smoothing)
-        odds.append(p / (1 - p))
-    if len(odds) < 2:
-        return None
-    best = None
-    for x in odds:
-        for y in odds:
-            value = x / y - 1
-            best = value if best is None else max(best, value)
-    return best
-
-
-def brute_hallucination(verdicts, groups):
-    kept = [v for v in verdicts if v in groups]
-    if not kept:
-        return None
-    acc = 0.0
-    for g in groups:
-        acc += abs(kept.count(g) / len(kept) - 1 / len(groups))
-    return acc / 2.0
-
-
-def brute_distinguishability(points):
-    from collections import defaultdict
-
-    def cos(a, b):
-        keys = set(a) | set(b)
-        dot = sum(a.get(k, 0) * b.get(k, 0) for k in keys)
-        na = math.sqrt(sum(v * v for v in a.values()))
-        nb = math.sqrt(sum(v * v for v in b.values()))
-        if na == 0 or nb == 0:
-            return 0.0
-        return dot / (na * nb)
-
-    groups = defaultdict(list)
-    for p in points:
-        groups[p.original_id].append(p)
-    wins = total = 0
-    for original, members in groups.items():
-        sizes = Counter(m.group for m in members)
-        if len(sizes) < 2 or min(sizes.values()) < 2:
-            continue
-        for i, p in enumerate(members):
-            same = [
-                cos(p.vector, q.vector)
-                for j, q in enumerate(members)
-                if j != i and q.group == p.group
-            ]
-            other = [
-                cos(p.vector, q.vector)
-                for j, q in enumerate(members)
-                if q.group != p.group
-            ]
-            total += 1
-            if sum(same) / len(same) > sum(other) / len(other):
-                wins += 1
-    if total == 0:
-        return None
-    return 2 * wins / total - 1
 
 
 VOCAB = ["he", "she", "him", "her", "man", "woman", "plan", "vote", "city", "game"]
@@ -258,12 +188,12 @@ def test_word_list_matches_oracle_on_random_instances():
         payloads = summary_payloads(summaries)
         if rng.choice(["uniform", "point"]) == "uniform":
             p_ref = {"male": 0.5, "female": 0.5}
-            ours = word_list_score(payloads, "uniform")
+            ours = word_list_point(payloads, "uniform")
         else:
             # input identifier counts 9:1 give the adjusted reference 0.9/0.1
             p_ref = {"male": 0.9, "female": 0.1}
             payloads.append((Counter(), Counter({"male": 9, "female": 1})))
-            ours = word_list_score(payloads, "adjusted")
+            ours = word_list_point(payloads, "adjusted")
         oracle = brute_word_list(summaries, WL, p_ref)
         if oracle is None:
             assert ours is None
@@ -293,7 +223,7 @@ def test_hallucination_matches_oracle_on_random_instances():
         verdicts = [
             rng.choice(["male", "female", "unknown"]) for _ in range(rng.randint(0, 30))
         ]
-        ours = hallucination_score([Counter(verdicts)])
+        ours = hallucination_point(Counter(verdicts))
         oracle = brute_hallucination(verdicts, ("male", "female"))
         if oracle is None:
             assert ours is None
@@ -312,7 +242,7 @@ def test_distinguishability_matches_oracle_on_random_instances():
                     {w: rng.randint(0, 3) for w in rng.sample(VOCAB, 5)}
                 )
                 points.append(SummaryPoint(f"o{original}", group, vector))
-        ours = dist_score(points)
+        ours = distinguishability_point(points)
         oracle = brute_distinguishability(points)
         if oracle is None:
             assert ours is None
@@ -338,7 +268,7 @@ def _separated_points(n_orig=5, per_group=4):
 
 def test_distinguishability_separated_is_one():
     stats, diag = distinguishability(_separated_points())
-    assert distinguishability_score(list(stats.values())) == 1.0
+    assert point(distinguishability_scores, list(stats.values())) == 1.0
     assert diag == []
 
 
@@ -347,7 +277,7 @@ def test_distinguishability_identical_everywhere_is_minus_one():
         SummaryPoint("o0", g, Counter({"same": 1}))
         for g in ("male", "male", "female", "female")
     ]
-    assert dist_score(points) == -1.0
+    assert distinguishability_point(points) == -1.0
 
 
 def test_distinguishability_skips_small_originals():
@@ -356,7 +286,7 @@ def test_distinguishability_skips_small_originals():
         SummaryPoint("o0", "female", Counter({"b": 1})),
     ]
     stats, diag = distinguishability(points)
-    assert distinguishability_score(list(stats.values())) is None
+    assert point(distinguishability_scores, list(stats.values())) is None
     assert len(diag) == 1
 
 
@@ -375,7 +305,7 @@ def test_distinguishability_shuffled_labels_near_zero():
             rng.shuffle(labels)
             for (orig, vec), lab in zip(base[o * 8 : o * 8 + 8], labels):
                 points.append(SummaryPoint(orig, lab, vec))
-        totals.append(dist_score(points))
+        totals.append(distinguishability_point(points))
     assert abs(sum(totals) / len(totals)) < 0.05
 
 
@@ -426,48 +356,10 @@ def test_distinguishability_invariant_under_token_renaming():
             renamed.append(
                 SummaryPoint(f"o{o}", group, Counter({renaming[w]: c for w, c in counts.items()}))
             )
-    assert dist_score(points) == dist_score(renamed)
+    assert distinguishability_point(points) == distinguishability_point(renamed)
 
 
 # --- distinguishability kernel vs the pairwise loop -----------------------------------
-
-
-def _left_sum(values):
-    """`sum` of floats as CPython before 3.12 adds them: left to right from 0."""
-    total = 0
-    for value in values:
-        total = total + value
-    return total
-
-
-def pairwise_distinguishability(points):
-    """The scalar definition: every cosine computed twice, pair by pair, and
-    each summary's similarity lists averaged. The oracle of the Gram-matrix
-    kernel, which must agree with it exactly, ties included."""
-    by_original = {}
-    for p in points:
-        by_original.setdefault(p.original_id, []).append(p)
-    stats, diagnostics = {}, []
-    for original in sorted(by_original):
-        group_points = by_original[original]
-        sizes = Counter(p.group for p in group_points)
-        if len(sizes) < 2 or min(sizes.values()) < 2:
-            diagnostics.append(
-                f"original {original}: needs >=2 summaries per group, got {dict(sizes)}; skipped"
-            )
-            continue
-        wins = 0
-        for i, p in enumerate(group_points):
-            same, other = [], []
-            for j, q in enumerate(group_points):
-                if i == j:
-                    continue
-                cosine = cosine_counts if isinstance(p.vector, Counter) else cosine_dense
-                (same if q.group == p.group else other).append(cosine(p.vector, q.vector))
-            if _left_sum(same) / len(same) > _left_sum(other) / len(other):
-                wins += 1
-        stats[original] = (len(group_points), wins)
-    return stats, diagnostics
 
 
 @st.composite
@@ -655,14 +547,14 @@ def test_inclusion_and_word_list_record_aggregation():
         (Counter({"male": 2, "female": 0}), Counter({"male": 2, "female": 2})),
         (Counter({"male": 0, "female": 2}), Counter({"male": 2, "female": 2})),
     ]
-    assert word_list_score(wl_payloads, "adjusted") == pytest.approx(0.0)
-    assert word_list_score(wl_payloads, "uniform") == pytest.approx(0.0)
+    assert word_list_point(wl_payloads, "adjusted") == pytest.approx(0.0)
+    assert word_list_point(wl_payloads, "uniform") == pytest.approx(0.0)
 
 
 @given(st.lists(st.sampled_from(["male", "female", "unknown"]), max_size=40))
 @settings(max_examples=100)
 def test_hallucination_bias_range(verdicts):
-    score = hallucination_score([Counter(verdicts)])
+    score = hallucination_point(Counter(verdicts))
     assert score is None or 0.0 <= score <= 0.5 + 1e-12
 
 
@@ -684,47 +576,8 @@ def test_entity_inclusion_nonnegative(table):
 
 # --- statistics-vector bootstrap ---------------------------------------------------
 #
-# The payload-list definitions the statistics scorers replaced: Counters and
-# group tables summed in Python and scored through the dict forms of
-# normalize / uniform / tvd. The vectorized path must reproduce them bit for
-# bit, which is what keeps scores.json byte-identical.
-
-
-def reference_word_list(payloads, reference):
-    obs, ref = Counter(), Counter()
-    for summary_counts, input_counts in payloads:
-        obs.update(summary_counts)
-        ref.update(input_counts)
-    p_obs = normalize(obs)
-    if p_obs is None:
-        return None
-    p_ref = uniform(p_obs) if reference == "uniform" else normalize(ref)
-    return None if p_ref is None else tvd(p_obs, p_ref)
-
-
-def reference_inclusion(payloads, smoothing=0.5):
-    table = {}
-    for payload in payloads:
-        for group, (inc, tot) in payload.items():
-            cell = table.setdefault(group, [0, 0])
-            cell[0] += inc
-            cell[1] += tot
-    odds = [(inc + smoothing) / ((tot - inc) + smoothing)
-            for inc, tot in table.values() if tot > 0]
-    return max(odds) / min(odds) - 1.0 if len(odds) >= 2 else None
-
-
-def reference_hallucination(payloads):
-    total = Counter()
-    for genders in payloads:
-        total.update(genders)
-    p_obs = normalize({g: total[g] for g in ("male", "female")})
-    return None if p_obs is None else tvd(p_obs, uniform(("male", "female")))
-
-
-def reference_distinguishability(payloads):
-    n = sum(n for n, _ in payloads)
-    return None if n == 0 else 2.0 * sum(w for _, w in payloads) / n - 1.0
+# The vectorized path must reproduce the payload-list references bit for bit,
+# which is what keeps scores.json byte-identical.
 
 
 def group_counts(groups, high):
@@ -733,43 +586,33 @@ def group_counts(groups, high):
         lambda counts: dict(zip(groups, counts)))
 
 
-def word_list_stats_of(payloads):
-    groups = sorted({g for summary_counts, _ in payloads for g in summary_counts})
-    return [word_list_stats(s, i, groups) for s, i in payloads]
-
-
-def inclusion_stats_of(payloads):
-    groups = sorted({g for table in payloads for g in table})
-    return [inclusion_stats(table, groups) for table in payloads]
-
-
 # one set of word-list groups for every record, as the pipeline's word lists
 WORD_LIST_PAYLOAD = st.sampled_from([("female", "male"), ("a", "b", "c")]).map(
     lambda groups: st.tuples(group_counts(groups, 3), group_counts(groups, 4)))
 # name: (strategy of a record set's payload strategy, statistics of the
-#        payloads, statistics scorer, payload-list reference, payload-list adapter)
+#        payloads, statistics scorer, payload-list reference)
 MEASURES = {
     "word_list_adjusted": (
         WORD_LIST_PAYLOAD, word_list_stats_of, lambda t: word_list_scores(t, "adjusted"),
-        lambda p: reference_word_list(p, "adjusted"), lambda p: word_list_score(p, "adjusted")),
+        lambda p: reference_word_list(p, "adjusted")),
     "word_list_uniform": (
         WORD_LIST_PAYLOAD, word_list_stats_of, lambda t: word_list_scores(t, "uniform"),
-        lambda p: reference_word_list(p, "uniform"), lambda p: word_list_score(p, "uniform")),
+        lambda p: reference_word_list(p, "uniform")),
     "inclusion": (
         # groups missing from a record, and groups with no entities at all
         st.just(st.dictionaries(
             st.sampled_from(["female", "male", "other"]),
             st.integers(0, 3).flatmap(lambda tot: st.tuples(st.integers(0, tot), st.just(tot))))),
-        inclusion_stats_of, inclusion_scores, reference_inclusion, inclusion_score),
+        inclusion_stats_of, inclusion_scores, reference_inclusion),
     "hallucination": (
         st.just(st.dictionaries(st.sampled_from(["female", "male", "unknown"]),
                                 st.integers(0, 2)).map(Counter)),
         lambda payloads: [hallucination_stats(genders) for genders in payloads],
-        hallucination_scores, reference_hallucination, hallucination_score),
+        hallucination_scores, reference_hallucination),
     "distinguishability": (
         st.just(st.integers(0, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))),
         lambda payloads: [list(p) for p in payloads],
-        distinguishability_scores, reference_distinguishability, distinguishability_score),
+        distinguishability_scores, reference_distinguishability),
 }
 
 
@@ -802,7 +645,7 @@ def as_records(rows, payloads):
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_statistics_bootstrap_equals_payload_list_bootstrap(measure, data):
-    payload, stats_of, scores_fn, reference_fn, adapter = MEASURES[measure]
+    payload, stats_of, scores_fn, reference_fn = MEASURES[measure]
     rows = data.draw(record_rows(payload))
     replicates = data.draw(st.integers(2, 25))
     seed = data.draw(st.integers(0, 2**32))
@@ -810,7 +653,6 @@ def test_statistics_bootstrap_equals_payload_list_bootstrap(measure, data):
     payload_records = as_records(rows, payloads)
     stats_records = as_records(rows, [np.array(s, dtype=np.int64) for s in stats_of(payloads)])
     expected = score_with_ci(payload_records, reference_fn, replicates, seed)
-    assert same_result(score_with_ci(payload_records, adapter, replicates, seed), expected)
     assert same_result(score_with_ci(stats_records, scores_fn, replicates, seed), expected)
 
 
