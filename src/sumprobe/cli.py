@@ -121,7 +121,7 @@ def cmd_generate(args) -> int:
 def cmd_align(args) -> int:
     from . import generate as gen
     from . import templates as tp
-    from .pipeline import align_system, alignment_context
+    from .pipeline import ALIGNMENTS, align_system, alignment_context
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -136,7 +136,7 @@ def cmd_align(args) -> int:
         print(
             f"{system}: {c['aligned_summary_entities']} aligned, "
             f"{c['hallucinated']} hallucinated, "
-            f"{c['unresolved']} unresolved -> {out_dir / f'alignments.{system}.jsonl'}"
+            f"{c['unresolved']} unresolved -> {out_dir / ALIGNMENTS.format(system)}"
         )
     return 0
 

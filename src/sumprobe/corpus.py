@@ -16,14 +16,6 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 from .jsonio import DataError, read_lines, read_rows, write_rows
 
 
-class ParseError(ValueError):
-    """Malformed input line (wrong column count, bad marker line)."""
-
-
-class IntegrityError(ValueError):
-    """Structurally broken annotations, e.g. unbalanced brackets."""
-
-
 class Token(NamedTuple):
     """A tuple rather than a dataclass: a corpus is read hundreds of
     thousands of tokens at a time, and a tuple builds several times faster."""
@@ -55,11 +47,6 @@ class AnnotatedDocument:
     chains: dict[str, list[MentionSpan]]
     entities: list[NamedEntitySpan]
 
-    @property
-    def mentions(self) -> list[MentionSpan]:
-        out = [m for spans in self.chains.values() for m in spans]
-        return sorted(out)
-
     def token_texts(self) -> list[str]:
         return [t.text for t in self.tokens]
 
@@ -72,39 +59,42 @@ _NO_NE = "*"
 _NUM_COLUMNS = 7
 
 
-def _parse_ne_field(field_text: str, index: int, line_no: int, open_ne: list | None):
+def _fault(path: str | Path, line_no: int, problem: str) -> DataError:
+    """The error for a bad corpus line; built only when one is found."""
+    return DataError(f"{path}: line {line_no}: {problem}")
+
+
+def _parse_ne_field(field_text: str, index: int, path: str | Path, line_no: int,
+                    open_ne: list | None):
     """Returns (new_open_ne, completed_span_or_None)."""
     text = field_text
     completed = None
     if text.startswith("("):
         if open_ne is not None:
-            raise IntegrityError(
-                f"line {line_no}: named-entity bracket opened while another is open"
-            )
+            raise _fault(path, line_no, "named-entity bracket opened while another is open")
         if text.endswith(")"):
             label = text[1:-1].rstrip("*")
             completed = NamedEntitySpan(index, index, label)
         elif text.endswith("*"):
             open_ne = [text[1:-1], index]
         else:
-            raise ParseError(f"line {line_no}: bad named-entity field {text!r}")
+            raise _fault(path, line_no, f"bad named-entity field {text!r}")
     elif text == _NO_NE:
         pass
     elif text == "*)":
         if open_ne is None:
-            raise IntegrityError(
-                f"line {line_no}: named-entity bracket closed but none open"
-            )
+            raise _fault(path, line_no, "named-entity bracket closed but none open")
         completed = NamedEntitySpan(open_ne[1], index, open_ne[0])
         open_ne = None
     else:
-        raise ParseError(f"line {line_no}: bad named-entity field {text!r}")
+        raise _fault(path, line_no, f"bad named-entity field {text!r}")
     return open_ne, completed
 
 
 def _parse_coref_field(
     field_text: str,
     index: int,
+    path: str | Path,
     line_no: int,
     open_chains: dict[str, list[int]],
     mentions: list[MentionSpan],
@@ -116,7 +106,7 @@ def _parse_coref_field(
         closes = part.endswith(")")
         chain = part.strip("()")
         if not chain or not chain.isdigit() or not (opens or closes):
-            raise ParseError(f"line {line_no}: bad coreference field {field_text!r}")
+            raise _fault(path, line_no, f"bad coreference field {field_text!r}")
         if opens and closes:
             mentions.append(MentionSpan(index, index, chain))
         elif opens:
@@ -124,14 +114,13 @@ def _parse_coref_field(
         else:
             stack = open_chains.get(chain)
             if not stack:
-                raise IntegrityError(
-                    f"line {line_no}: coreference chain {chain} closed but never opened"
-                )
+                raise _fault(path, line_no, f"coreference chain {chain} closed but never opened")
             mentions.append(MentionSpan(stack.pop(), index, chain))
 
 
 class _DocBuilder:
-    def __init__(self, doc_name: str, part: str):
+    def __init__(self, path: str | Path, doc_name: str, part: str):
+        self.path = path
         self.id = f"{doc_name}#{int(part)}"
         self.tokens: list[Token] = []
         self.sentence = 0
@@ -145,10 +134,11 @@ class _DocBuilder:
         index = len(self.tokens)
         # "-" is the empty-POS placeholder in the column format
         self.tokens.append(Token(index, text, self.sentence, "" if pos == "-" else pos))
-        self.open_ne, done = _parse_ne_field(ne_field, index, line_no, self.open_ne)
+        self.open_ne, done = _parse_ne_field(ne_field, index, self.path, line_no, self.open_ne)
         if done is not None:
             self.entities.append(done)
-        _parse_coref_field(coref_field, index, line_no, self.open_chains, self.mentions)
+        _parse_coref_field(coref_field, index, self.path, line_no, self.open_chains,
+                           self.mentions)
 
     def end_sentence(self) -> None:
         if self.tokens and self.tokens[-1].sentence == self.sentence:
@@ -156,15 +146,12 @@ class _DocBuilder:
 
     def finish(self, line_no: int) -> AnnotatedDocument:
         if self.open_ne is not None:
-            raise IntegrityError(
-                f"line {line_no}: document {self.id} ends with an open named-entity bracket"
-            )
+            raise _fault(self.path, line_no,
+                         f"document {self.id} ends with an open named-entity bracket")
         dangling = sorted(c for c, stack in self.open_chains.items() if stack)
         if dangling:
-            raise IntegrityError(
-                f"line {line_no}: document {self.id} ends with open coreference "
-                f"bracket(s) for chain(s) {', '.join(dangling)}"
-            )
+            raise _fault(self.path, line_no, f"document {self.id} ends with open coreference "
+                         f"bracket(s) for chain(s) {', '.join(dangling)}")
         chains: dict[str, list[MentionSpan]] = {}
         for m in sorted(self.mentions):
             chains.setdefault(m.chain, []).append(m)
@@ -179,8 +166,8 @@ class _DocBuilder:
 def parse_conll_corpus(path: str | Path) -> list[AnnotatedDocument]:
     """Parse a column-annotated corpus file into documents.
 
-    Raises ParseError on malformed rows (with line number) and
-    IntegrityError on unbalanced annotation brackets.
+    A malformed row or an unbalanced annotation bracket is a `DataError`
+    naming `path` and the line.
     """
     docs: list[AnnotatedDocument] = []
     builder: _DocBuilder | None = None
@@ -188,12 +175,12 @@ def parse_conll_corpus(path: str | Path) -> list[AnnotatedDocument]:
         line = raw.rstrip("\n")
         if line.startswith("#begin document"):
             if builder is not None:
-                raise ParseError(f"line {line_no}: nested '#begin document'")
-            builder = _start_doc(line, line_no)
+                raise _fault(path, line_no, "nested '#begin document'")
+            builder = _start_doc(line, path, line_no)
             continue
         if line.startswith("#end document"):
             if builder is None:
-                raise ParseError(f"line {line_no}: '#end document' without begin")
+                raise _fault(path, line_no, "'#end document' without begin")
             docs.append(builder.finish(line_no))
             builder = None
             continue
@@ -202,19 +189,17 @@ def parse_conll_corpus(path: str | Path) -> list[AnnotatedDocument]:
                 builder.end_sentence()
             continue
         if builder is None:
-            raise ParseError(f"line {line_no}: token row outside a document block")
+            raise _fault(path, line_no, "token row outside a document block")
         columns = line.split()
         if len(columns) != _NUM_COLUMNS:
-            raise ParseError(
-                f"line {line_no}: expected {_NUM_COLUMNS} columns, got {len(columns)}"
-            )
+            raise _fault(path, line_no, f"expected {_NUM_COLUMNS} columns, got {len(columns)}")
         builder.add_row(columns, line_no)
     if builder is not None:
-        raise IntegrityError(f"document {builder.id} has no '#end document' marker")
+        raise DataError(f"{path}: document {builder.id} has no '#end document' marker")
     return docs
 
 
-def _start_doc(line: str, line_no: int) -> _DocBuilder:
+def _start_doc(line: str, path: str | Path, line_no: int) -> _DocBuilder:
     # "#begin document (name); part 012"
     try:
         head, part_text = line.split(";")
@@ -222,8 +207,8 @@ def _start_doc(line: str, line_no: int) -> _DocBuilder:
         part = part_text.split()[-1]
         int(part)
     except (ValueError, IndexError):
-        raise ParseError(f"line {line_no}: bad '#begin document' marker: {line!r}")
-    return _DocBuilder(name, part)
+        raise _fault(path, line_no, f"bad '#begin document' marker: {line!r}")
+    return _DocBuilder(path, name, part)
 
 
 def write_conll_corpus(docs: Iterable[AnnotatedDocument], out: TextIO) -> None:

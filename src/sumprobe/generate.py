@@ -21,19 +21,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .jsonio import read_rows, write_rows
+from .jsonio import StageError, read_rows, write_rows
 from .names import (GENDERED_PRONOUNS, GENDERS, PAIRED_SCHEME_KINDS, PRONOUN_ROLES, SCHEME_KINDS,
                     GenderNameTable, RaceNameTable)
 from .seeding import derive_rng
 from .templates import (NAME_TITLES, TITLE_SET, DocumentTemplate, EntityTemplate, SlotCategory,
                         splice)
-
-class GenerationError(RuntimeError):
-    """Input corpus cannot be generated as configured."""
-
-
-class RenderError(ValueError):
-    """A slot cannot be rendered for the requested assignment."""
 
 
 @dataclass(frozen=True)
@@ -125,9 +118,9 @@ _PRONOUN_ROLE = {form: role for role, forms in PRONOUN_ROLES.items() if role != 
 def map_pronoun(form: str, pos: str, gender: str) -> str:
     low = form.lower()
     if low not in GENDERED_PRONOUNS:
-        raise RenderError(f"cannot map pronoun {form!r}")
+        raise StageError("generate", f"cannot map pronoun {form!r}")
     if gender not in GENDERS:
-        raise RenderError(f"cannot render gender {gender!r}")
+        raise StageError("generate", f"cannot render gender {gender!r}")
     if pos == "PRP$" and low in PRONOUN_ROLES["determiner"]:
         role = "determiner"
     else:
@@ -143,7 +136,7 @@ def map_title(title_text: str, gender: str, preferred_female: str | None) -> str
         return preferred_female or "Ms."
     if low in TITLE_SET:
         return "Sir" if gender == "male" else "Lady"
-    raise RenderError(f"cannot map title {title_text!r}")
+    raise StageError("generate", f"cannot map title {title_text!r}")
 
 
 def _display_name(name: str) -> str:
@@ -193,9 +186,8 @@ def render(
             variant = span.female
         else:
             if span.neutral is None:
-                raise RenderError(
-                    f"content span ({span.start},{span.end}) needs a neutral variant"
-                )
+                raise StageError("generate", f"content span ({span.start},{span.end}) "
+                                 "needs a neutral variant")
             variant = span.neutral
         pieces.append((span.start, span.end, variant.split()))
 
@@ -208,7 +200,7 @@ def render(
 def _sample_distinct(rng, pool: Iterable[str], k: int, what: str) -> list[str]:
     items = sorted(pool)
     if len(items) < k:
-        raise GenerationError(f"need {k} distinct {what}, inventory has {len(items)}")
+        raise StageError("generate", f"need {k} distinct {what}, inventory has {len(items)}")
     return rng.sample(items, k)
 
 
@@ -231,7 +223,7 @@ def _last_names_for(
     if not scheme.alter_last_names:
         return [e.last for e in ents]
     if pool is None:
-        raise GenerationError("alter_last_names requires a last-name pool")
+        raise StageError("generate", "alter_last_names requires a last-name pool")
     return [_display_name(n) for n in _sample_distinct(rng, pool, len(ents), "last names")]
 
 
@@ -300,7 +292,7 @@ def assign_race(
     ents = template.gendered_entities()
     groups = sorted(race_table.groups)
     if len(groups) != 2:
-        raise GenerationError("race assignment expects exactly two groups")
+        raise StageError("generate", "race assignment expects exactly two groups")
     flags = _gender_split(len(ents), rng)  # True -> first group
     used_first: set[str] = set()
     used_last: dict[str, set[str]] = {g: set() for g in groups}
@@ -383,7 +375,7 @@ def generate_corpus(
     """
     table, what = (race_table, "race") if scheme.is_race else (census, "census")
     if table is None:
-        raise GenerationError(f"{scheme.kind} needs a {what} name table")
+        raise StageError("generate", f"{scheme.kind} needs a {what} name table")
     out: list[GeneratedInput] = []
     provenance = f"master={master_seed}"
     for template in sorted(templates, key=lambda t: t.doc_id):

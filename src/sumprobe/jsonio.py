@@ -12,8 +12,9 @@ to a temporary file beside the target, then moved into place with
 `write_text` and `write_json` skip a file that already holds the bytes they
 would write.
 
-`DataError` and `StageError` live here, with no dependency, so that the CLI
-maps them to their exit codes without importing the pipeline.
+`DataError` (exit 2) and `StageError` (exit 3) are the package's only error
+types, raised where the fault is found. They live here, with no dependency,
+so that the CLI maps them to exit codes without importing the pipeline.
 """
 
 from __future__ import annotations

@@ -45,10 +45,6 @@ GENDERED_PRONOUNS = {forms[i]: gender for i, gender in enumerate(GENDERS)
                      for forms in PRONOUN_ROLES.values()}
 
 
-class NameTableError(DataError):
-    """Raised on malformed or internally inconsistent name data."""
-
-
 @dataclass(frozen=True)
 class GenderNameTable:
     male: dict[str, float]
@@ -87,17 +83,17 @@ def _load_census_file(path: str | Path) -> dict[str, float]:
         cols = line.split()
         # real census exports carry a cumulative-frequency column; accept it
         if len(cols) not in (3, 4):
-            raise NameTableError(f"{path}: row {row_no}: expected 3 or 4 columns")
+            raise DataError(f"{path}: row {row_no}: expected 3 or 4 columns")
         name = cols[0].lower()
         try:
             freq = float(cols[1])
         except ValueError:
-            raise NameTableError(f"{path}: row {row_no}: bad frequency {cols[1]!r}")
+            raise DataError(f"{path}: row {row_no}: bad frequency {cols[1]!r}")
         if freq <= 0:
-            raise NameTableError(f"{path}: row {row_no}: frequency must be > 0")
+            raise DataError(f"{path}: row {row_no}: frequency must be > 0")
         table[name] = freq
     if not table:
-        raise NameTableError(f"{path}: no rows")
+        raise DataError(f"{path}: no rows")
     return table
 
 
@@ -146,14 +142,14 @@ def load_race_names(path: str | Path | None = None) -> RaceNameTable:
         first = entry.get("first") if isinstance(entry, dict) else None
         if not (isinstance(first, dict) and string_list(entry.get("last"))
                 and all(string_list(first.get(gender)) for gender in ("male", "female"))):
-            raise NameTableError(
+            raise DataError(
                 f"{path}: race name group {group!r} must be an object with a list of strings "
                 "'last' and an object 'first' holding 'male' and 'female' lists of strings")
         if not entry["last"]:
-            raise NameTableError(f"{path}: race name group {group!r} has no last names")
+            raise DataError(f"{path}: race name group {group!r} has no last names")
         for gender in ("male", "female"):
             if not first[gender]:
-                raise NameTableError(
+                raise DataError(
                     f"{path}: race name group {group!r} has no {gender} first names")
     return RaceNameTable(groups=data)
 
@@ -165,14 +161,14 @@ def load_word_lists(path: str | Path | None = None) -> dict[str, list[str]]:
     lists = read_object(path)
     for group, words in lists.items():
         if not string_list(words):
-            raise NameTableError(f"{path}: word list {group!r} must be a list of strings")
+            raise DataError(f"{path}: word list {group!r} must be a list of strings")
         bad = [w for w in words if w != w.lower()]
         if bad:
-            raise NameTableError(f"{path}: word list {group!r} has non-lowercase entries: {bad}")
+            raise DataError(f"{path}: word list {group!r} has non-lowercase entries: {bad}")
     if "male" in lists and "female" in lists:
         overlap = set(lists["male"]) & set(lists["female"])
         if overlap:
-            raise NameTableError(f"{path}: male/female word lists overlap: {sorted(overlap)}")
+            raise DataError(f"{path}: male/female word lists overlap: {sorted(overlap)}")
     return lists
 
 
@@ -180,7 +176,7 @@ def word_pairs(lists: dict[str, list[str]]) -> list[tuple[str, str]]:
     """(male, female) identifier counterparts, by list position."""
     male, female = lists["male"], lists["female"]
     if len(male) != len(female):
-        raise NameTableError("male/female word lists differ in length; cannot pair")
+        raise DataError("male/female word lists differ in length; cannot pair")
     return list(zip(male, female))
 
 
@@ -198,5 +194,5 @@ def load_last_name_pool(path: str | Path) -> list[str]:
         if token:
             names.append(token.lower())
     if not names:
-        raise NameTableError(f"{path}: empty last-name pool")
+        raise DataError(f"{path}: empty last-name pool")
     return names

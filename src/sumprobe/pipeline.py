@@ -48,6 +48,9 @@ from .seeding import derive_seed
 
 # written last by every finished `Pipeline.score`: the reuse key and each artifact's sha256
 MANIFEST = "run.json"
+# each system's alignments and verdicts artifacts, formatted with the system's name
+ALIGNMENTS = "alignments.{}.jsonl"
+VERDICTS = "verdicts.{}.json"
 
 
 def _integer(least: int | None = None):
@@ -200,10 +203,7 @@ def package_digest() -> str:
 def ingest(corpus: str | Path, out: str | Path | None = None) -> list[cp.AnnotatedDocument]:
     """Parse and check a column corpus; documents sorted by id, written as
     JSONL to `out` when given."""
-    try:
-        docs = cp.parse_conll_corpus(corpus)
-    except (cp.ParseError, cp.IntegrityError) as exc:
-        raise DataError(f"{corpus}: {exc}") from exc
+    docs = cp.parse_conll_corpus(corpus)
     cp.check_documents(docs, corpus)
     docs.sort(key=lambda d: d.id)
     if out is not None:
@@ -227,12 +227,9 @@ def generate_inputs(
     last_pool: list[str] | None, out: str | Path,
 ) -> list[gen.GeneratedInput]:
     """Every variant of every eligible template."""
-    try:
-        produced = gen.generate_corpus(
-            templates, scheme, seed, census=census, race_table=race_table, last_name_pool=last_pool
-        )
-    except (gen.GenerationError, gen.RenderError) as exc:
-        raise StageError("generate", str(exc)) from exc
+    produced = gen.generate_corpus(
+        templates, scheme, seed, census=census, race_table=race_table, last_name_pool=last_pool
+    )
     if not produced:
         raise DataError("no eligible documents: nothing to generate")
     gen.write_inputs(produced, out)
@@ -284,13 +281,10 @@ def align_system(
     if not Path(path).exists():
         raise StageError("summaries", f"summary file for system {system!r} missing: {path}")
     ner = sm.load_ner_sidecar(ner_sidecar) if ner_sidecar is not None else None
-    try:
-        records = sm.load_summaries(path, context.inputs, system=system,
-                                    lexicon=context.lexicon, ner_spans=ner)
-    except sm.SummaryJoinError as exc:
-        raise DataError(f"{path}: system {system!r}: {exc}") from exc
+    records = sm.load_summaries(path, context.inputs, system=system,
+                                lexicon=context.lexicon, ner_spans=ner)
     aligned, counts = al.align_corpus(records, context.entity_index, context.source_tokens)
-    al.write_alignments(aligned, Path(out_dir) / f"alignments.{system}.jsonl")
+    al.write_alignments(aligned, Path(out_dir) / ALIGNMENTS.format(system))
     return aligned, counts.get(system, Counter())
 
 
@@ -404,8 +398,8 @@ class Pipeline:
         return built
 
     def _system_artifacts(self, system: str) -> list[str]:
-        return [f"alignments.{system}.jsonl",
-                *([f"verdicts.{system}.json"] if self._classifies() else [])]
+        return [ALIGNMENTS.format(system),
+                *([VERDICTS.format(system)] if self._classifies() else [])]
 
     def _scores_intact(self, summaries: dict[str, str]) -> bool:
         """Whether scores.json can be reused: every summary file is the one
@@ -460,7 +454,7 @@ class Pipeline:
         return {
             system: classify_entities(
                 (e.tokens for a in aligned for e in a.hallucinated()),
-                self.client, self.census, self.path(f"verdicts.{system}.json"),
+                self.client, self.census, self.path(VERDICTS.format(system)),
             )
             for system, (aligned, _) in sorted(aligned_by_system.items())
         }

@@ -16,22 +16,11 @@ import numpy as np
 
 from .corpus import bad_entity_span
 from .generate import GeneratedInput
-from .jsonio import read_rows
+from .jsonio import DataError, read_rows
 from .names import GenderNameTable
 from .templates import TITLE_SET
 
 _PUNCT = set(string.punctuation)
-
-
-class SummaryJoinError(ValueError):
-    def __init__(self, message: str, offenders: list[str]):
-        super().__init__(f"{message}: {', '.join(offenders)}")
-        self.message = message
-        self.offenders = offenders
-
-    def __reduce__(self):
-        # rebuilt from its fields, so it survives the trip back from a pool worker
-        return type(self), (self.message, self.offenders)
 
 
 @dataclass(frozen=True)
@@ -148,7 +137,8 @@ def load_summaries(
     """Read `system`'s summary JSONL ({input_id, system, summary}, all
     strings) and join each record to its generated input by id. Records come
     in the order of `inputs`, whatever the order of the rows. Rows naming
-    another system, unknown ids and duplicate inputs are join errors."""
+    another system, unknown ids and duplicate inputs are a `DataError`
+    naming `path`, `system` and the offenders."""
     records: list[SummaryRecord] = []
     strays: list[str] = []
     unknown: list[str] = []
@@ -167,12 +157,12 @@ def load_summaries(
             continue
         seen.add(input_id)
         records.append(SummaryRecord(input_id, system, tokenize_summary(text)))
-    if strays:
-        raise SummaryJoinError("rows name another system", sorted(set(strays)))
-    if unknown:
-        raise SummaryJoinError("summaries reference unknown input ids", sorted(set(unknown)))
-    if duplicates:
-        raise SummaryJoinError("duplicate (input, system) summaries", sorted(set(duplicates)))
+    for problem, offenders in (("rows name another system", strays),
+                               ("summaries reference unknown input ids", unknown),
+                               ("duplicate (input, system) summaries", duplicates)):
+        if offenders:
+            raise DataError(f"{path}: system {system!r}: {problem}: "
+                            + ", ".join(sorted(set(offenders))))
     position = {input_id: i for i, input_id in enumerate(inputs)}
     records.sort(key=lambda rec: position[rec.input_id])
 

@@ -93,11 +93,6 @@ class DocumentTemplate:
     def gendered_entities(self) -> list[EntityTemplate]:
         return [e for e in self.entities if e.gendered]
 
-    def holes(self) -> list[tuple[int, int]]:
-        spans = [(s.start, s.end) for e in self.entities for s in e.slots]
-        spans += [(c.start, c.end) for c in self.content_spans]
-        return sorted(spans)
-
 
 @dataclass(frozen=True)
 class _PersonEntity:

@@ -4,6 +4,7 @@ import functools
 
 import numpy as np
 
+from sumprobe.corpus import AnnotatedDocument, MentionSpan
 from sumprobe.generate import EntityAssignment
 from sumprobe.measures import (
     BootstrapRecord,
@@ -11,6 +12,7 @@ from sumprobe.measures import (
     distinguishability_scores,
     hallucination_scores,
     hallucination_stats,
+    inclusion_scores,
     inclusion_stats,
     score_with_ci,
     word_list_scores,
@@ -31,6 +33,19 @@ def identity_assignments(template: DocumentTemplate) -> list[EntityAssignment]:
         )
         for e in template.entities
     ]
+
+
+def mentions(doc: AnnotatedDocument) -> list[MentionSpan]:
+    """Every mention of every chain, sorted."""
+    return sorted(m for spans in doc.chains.values() for m in spans)
+
+
+def holes(template: DocumentTemplate) -> list[tuple[int, int]]:
+    """The (start, end) spans that a template's slots and content spans
+    fill, sorted."""
+    spans = [(s.start, s.end) for e in template.entities for s in e.slots]
+    spans += [(c.start, c.end) for c in template.content_spans]
+    return sorted(spans)
 
 
 # --- scoring record sets through the statistics scorers --------------------------
@@ -60,6 +75,12 @@ def word_list_point(payloads, reference="adjusted"):
     """Word-list inclusion of per-record (summary counts, input counts) pairs."""
     return point(functools.partial(word_list_scores, reference=reference),
                  word_list_stats_of(payloads))
+
+
+def inclusion_point(payloads, smoothing=0.5):
+    """Entity inclusion of per-record {group: (included, total)} tables."""
+    return point(functools.partial(inclusion_scores, smoothing=smoothing),
+                 inclusion_stats_of(payloads))
 
 
 def hallucination_point(genders):

@@ -8,9 +8,10 @@ import random
 import time
 from collections import Counter
 
+import numpy as np
 from e2e import make_keep_rate_summarizer, stage_run
 from helpers import (distinguishability_point, hallucination_point, identity_assignments,
-                     word_list_point)
+                     inclusion_point, inclusion_stats_of, point, word_list_point)
 from make_demo_data import make_fixture_corpus
 from oracles import brute_distinguishability, brute_hallucination, brute_inclusion, brute_word_list
 
@@ -24,7 +25,7 @@ from sumprobe.measures import (
     bootstrap,
     count_identifiers,
     distinguishability,
-    inclusion_score,
+    inclusion_scores,
 )
 from sumprobe.pipeline import Pipeline, PipelineConfig
 from sumprobe.seeding import derive_rng
@@ -114,7 +115,7 @@ def test_criterion_3_measure_oracles(word_lists):
             for g in ("male", "female")
             for t in [rng.randint(0, 25)]
         }
-        ours = inclusion_score([table])
+        ours = inclusion_point([table])
         oracle = brute_inclusion(table)
         assert (ours is None and oracle is None) or abs(ours - oracle) < 1e-9
         checked["entity_inclusion"] += 1
@@ -196,21 +197,22 @@ def test_criterion_5_induced_bias_detection(census):
             SummaryRecord(gi.id, "biased", tokens, detect_entities(tokens, lexicon))
         )
     aligned, _ = align_corpus(records, index, sources)
-    rows = inclusion_rows(aligned, index)
-    boot_records = [  # one row per input, in input order
-        BootstrapRecord(gi.original_id, gi.variant, r) for gi, r in zip(inputs, rows)
+    stats = inclusion_stats_of(inclusion_rows(aligned, index))
+    boot_records = [  # one statistics row per input, in input order
+        BootstrapRecord(gi.original_id, gi.variant, np.array(row, dtype=np.int64))
+        for gi, row in zip(inputs, stats)
     ]
-    point = inclusion_score([r.payload for r in boot_records])
-    lo, hi = bootstrap(boot_records, inclusion_score, "d", replicates=1000, seed=12)
+    score = point(inclusion_scores, stats)
+    lo, hi = bootstrap(boot_records, inclusion_scores, "d", replicates=1000, seed=12)
     elapsed = time.monotonic() - start
 
     analytic = (keep["male"] / (1 - keep["male"])) / (keep["female"] / (1 - keep["female"])) - 1
-    assert abs(point - analytic) < 0.75
+    assert abs(score - analytic) < 0.75
     assert lo > 0.0
     assert elapsed < 60.0
     passline(
         5,
-        f"score {point:.2f} vs analytic {analytic:.2f} (odds-ratio of the 0.8/0.4 keep "
+        f"score {score:.2f} vs analytic {analytic:.2f} (odds-ratio of the 0.8/0.4 keep "
         f"rates), 95% CI ({lo:.2f},{hi:.2f}) excludes 0, {elapsed:.1f}s < 60s",
     )
 

@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import mentions
+
 from sumprobe.corpus import (
     AnnotatedDocument,
-    IntegrityError,
     MentionSpan,
     NamedEntitySpan,
-    ParseError,
     Token,
     from_json,
     parse_conll_corpus,
@@ -15,6 +15,7 @@ from sumprobe.corpus import (
     validate_document,
     write_conll_corpus,
 )
+from sumprobe.jsonio import DataError
 
 MINIMAL = """#begin document (mini); part 000
 mini 0 0 Mr. NNP * (0
@@ -48,30 +49,30 @@ def test_empty_file(tmp_path):
 
 def test_unclosed_coref_bracket(tmp_path):
     bad = MINIMAL.replace("0)", "-")
-    with pytest.raises(IntegrityError):
+    with pytest.raises(DataError):
         parse_text(tmp_path, bad)
 
 
 def test_close_without_open(tmp_path):
     bad = MINIMAL.replace("(0", "-")
-    with pytest.raises(IntegrityError):
+    with pytest.raises(DataError):
         parse_text(tmp_path, bad)
 
 
 def test_bad_column_count_reports_line(tmp_path):
     bad = MINIMAL.replace("mini 0 2 spoke VBD * -", "mini 0 2 spoke VBD")
-    with pytest.raises(ParseError, match="line 4"):
+    with pytest.raises(DataError, match="line 4"):
         parse_text(tmp_path, bad)
 
 
 def test_unclosed_ne_bracket(tmp_path):
     bad = MINIMAL.replace("(PERSON)", "(PERSON*")
-    with pytest.raises(IntegrityError):
+    with pytest.raises(DataError):
         parse_text(tmp_path, bad)
 
 
 def test_missing_end_marker(tmp_path):
-    with pytest.raises(IntegrityError):
+    with pytest.raises(DataError):
         parse_text(tmp_path, MINIMAL.replace("#end document\n", ""))
 
 
@@ -105,9 +106,9 @@ def test_validate_ok_on_fixture_corpus(fixture_corpus):
 
 def test_every_chain_mention_in_mention_set(fixture_corpus):
     for doc in fixture_corpus:
-        mentions = set(doc.mentions)
+        mention_set = set(mentions(doc))
         for spans in doc.chains.values():
-            assert set(spans) <= mentions
+            assert set(spans) <= mention_set
 
 
 def roundtrip(docs, tmp_path, name):

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import identity_assignments
+from helpers import holes, identity_assignments
 from make_demo_data import DocBuilder
 
 from sumprobe.generate import (
     AssignmentScheme,
     EntityAssignment,
-    GenerationError,
-    RenderError,
     assign_gender_pair,
     assign_global,
     assign_race,
@@ -25,6 +23,7 @@ from sumprobe.generate import (
     race_capacity_ok,
     render,
 )
+from sumprobe.jsonio import StageError
 from sumprobe.names import load_race_names
 from sumprobe.seeding import derive_rng
 from sumprobe.templates import ContentWordSpan, build_template
@@ -171,12 +170,12 @@ def test_pronoun_pos_disambiguation():
 
 
 def test_pronoun_unmapped_form_errors():
-    with pytest.raises(RenderError, match="cannot map pronoun 'they'"):
+    with pytest.raises(StageError, match="cannot map pronoun 'they'"):
         map_pronoun("they", "PRP", "male")
-    with pytest.raises(RenderError, match="cannot render gender 'other'"):
+    with pytest.raises(StageError, match="cannot render gender 'other'"):
         map_pronoun("he", "PRP", "other")
     # an unknown form is reported before an unknown gender
-    with pytest.raises(RenderError, match="cannot map pronoun 'they'"):
+    with pytest.raises(StageError, match="cannot map pronoun 'they'"):
         map_pronoun("they", "PRP$", "other")
 
 
@@ -304,7 +303,7 @@ def test_changed_tokens_only_at_holes(census, fixture_templates):
     for gi in inputs:
         template = by_doc[gi.original_id]
         hole_positions = set()
-        for start, end in template.holes():
+        for start, end in holes(template):
             hole_positions.update(range(start, end + 1))
         assert len(gi.tokens) == len(template.tokens)
         for i, (got, original) in enumerate(zip(gi.tokens, template.tokens)):
@@ -363,7 +362,7 @@ def test_race_insufficient_inventory_drops_original():
 def test_alter_last_names_needs_pool(census):
     template = template_with_entities(2)
     scheme = make_scheme("gender_local", variants=2, alter_last_names=True)
-    with pytest.raises(GenerationError):
+    with pytest.raises(StageError):
         generate_corpus([template], scheme, 1, census=census)
     inputs = generate_corpus(
         [template], scheme, 1, census=census, last_name_pool=["quarry", "zelden"]
@@ -378,7 +377,7 @@ def test_alter_last_names_needs_pool(census):
 def test_generate_without_the_schemes_table_errors(census, kind, missing):
     tables = {"census": census, "race_table": load_race_names()}
     del tables[missing]
-    with pytest.raises(GenerationError, match=f"{kind} needs a .* name table"):
+    with pytest.raises(StageError, match=f"{kind} needs a .* name table"):
         generate_corpus([template_with_entities(2)], make_scheme(kind, variants=2), 1, **tables)
 
 

@@ -1,4 +1,5 @@
-"""Every import in the package, the scripts and the tests is used."""
+"""Every import in the package, the scripts and the tests is used, and the
+package raises two error types of its own."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,25 @@ def test_no_unused_imports():
              for directory in CHECKED for path in sorted((ROOT / directory).glob("*.py"))
              for line, name in unused_imports(path.read_text(encoding="utf-8"), str(path))]
     assert found == []
+
+
+def error_classes(source: str, filename: str) -> list[str]:
+    """Each class whose bases name an exception: a name that ends in Error
+    or Exception, bare or qualified."""
+    tree = ast.parse(source, filename)
+    return [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any(ast.unparse(base).endswith(("Error", "Exception")) for base in node.bases)]
+
+
+def test_the_check_finds_an_error_class():
+    source = ("class A(ValueError): pass\nclass B(jsonio.DataError): pass\n"
+              "class C(Exception): pass\nclass D: pass\nclass E(dict): pass\n")
+    assert error_classes(source, "<test>") == ["A", "B", "C"]
+
+
+def test_the_package_has_two_error_types():
+    """A data error (exit 2) and a stage failure (exit 3), raised where the
+    fault is found; no module adds a third."""
+    found = [f"{path.name}: {name}" for path in sorted((ROOT / "src/sumprobe").glob("*.py"))
+             for name in error_classes(path.read_text(encoding="utf-8"), str(path))]
+    assert found == ["jsonio.py: DataError", "jsonio.py: StageError"]

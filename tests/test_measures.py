@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     distinguishability_point,
     hallucination_point,
+    inclusion_point,
     inclusion_stats_of,
     point,
     word_list_point,
@@ -42,7 +43,6 @@ from sumprobe.measures import (
     distinguishability_scores,
     hallucination_scores,
     hallucination_stats,
-    inclusion_score,
     inclusion_scores,
     neutralize_tokens,
     score_with_ci,
@@ -126,21 +126,21 @@ def test_word_list_occurrence_counting():
 
 
 def test_entity_inclusion_equal_probabilities_zero():
-    assert inclusion_score([{"male": (5, 10), "female": (5, 10)}]) == pytest.approx(0.0)
+    assert inclusion_point([{"male": (5, 10), "female": (5, 10)}]) == pytest.approx(0.0)
 
 
 def test_entity_inclusion_hand_computed_unsmoothed():
-    score = inclusion_score([{"male": (8, 10), "female": (5, 10)}], smoothing=0.0)
+    score = inclusion_point([{"male": (8, 10), "female": (5, 10)}], smoothing=0.0)
     assert score == pytest.approx(3.0)
 
 
 def test_entity_inclusion_zero_total_group_is_no_data():
-    assert inclusion_score([{"male": (3, 5), "female": (0, 0)}]) is None
+    assert inclusion_point([{"male": (3, 5), "female": (0, 0)}]) is None
 
 
 def test_entity_inclusion_symmetric_under_relabeling():
-    a = inclusion_score([{"male": (8, 10), "female": (5, 10)}])
-    b = inclusion_score([{"female": (8, 10), "male": (5, 10)}])
+    a = inclusion_point([{"male": (8, 10), "female": (5, 10)}])
+    b = inclusion_point([{"female": (8, 10), "male": (5, 10)}])
     assert a == pytest.approx(b)
 
 
@@ -209,7 +209,7 @@ def test_entity_inclusion_matches_oracle_on_random_instances():
             total = rng.randint(0, 20)
             table[g] = (rng.randint(0, total) if total else 0, total)
         smoothing = rng.choice([0.5, 1.0])
-        ours = inclusion_score([table], smoothing)
+        ours = inclusion_point([table], smoothing)
         oracle = brute_inclusion(table, smoothing)
         if oracle is None:
             assert ours is None
@@ -542,7 +542,7 @@ def test_inclusion_and_word_list_record_aggregation():
         {"male": (1, 2), "female": (0, 1)},
         {"male": (1, 2), "female": (1, 1)},
     ]
-    assert inclusion_score(payloads) == inclusion_score([{"male": (2, 4), "female": (1, 2)}])
+    assert inclusion_point(payloads) == inclusion_point([{"male": (2, 4), "female": (1, 2)}])
     wl_payloads = [
         (Counter({"male": 2, "female": 0}), Counter({"male": 2, "female": 2})),
         (Counter({"male": 0, "female": 2}), Counter({"male": 2, "female": 2})),
@@ -570,7 +570,7 @@ def test_hallucination_bias_range(verdicts):
 )
 @settings(max_examples=100)
 def test_entity_inclusion_nonnegative(table):
-    score = inclusion_score([table])
+    score = inclusion_point([table])
     assert score is None or score >= 0.0
 
 

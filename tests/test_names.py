@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumprobe.jsonio import DataError
 from sumprobe.names import (
     GenderNameTable,
-    NameTableError,
     load_census,
     load_race_names,
     load_topic_tokens,
@@ -45,7 +45,7 @@ def test_load_census_empty_file_errors(tmp_path):
     female = tmp_path / "f.txt"
     male.write_text("")
     female.write_text("MARY 2.629 1\n")
-    with pytest.raises(NameTableError):
+    with pytest.raises(DataError):
         load_census(male, female)
 
 
@@ -54,7 +54,7 @@ def test_load_census_garbled_row_reports_number(tmp_path):
     female = tmp_path / "f.txt"
     male.write_text("JAMES 3.318 1\nBROKEN\n")
     female.write_text("MARY 2.629 1\n")
-    with pytest.raises(NameTableError, match="row 2"):
+    with pytest.raises(DataError, match="row 2"):
         load_census(male, female)
 
 

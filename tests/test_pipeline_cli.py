@@ -6,12 +6,13 @@ import pytest
 from make_demo_data import make_fixture_corpus
 from e2e import (hallucinating_summarizer, identity_summarizer, make_keep_rate_summarizer,
                  stage_run)
+from helpers import holes
 
 from sumprobe.cli import COMMANDS, build_parser, main
 from sumprobe.corpus import write_conll_corpus
-from sumprobe.pipeline import Pipeline, PipelineConfig, StageError
+from sumprobe.jsonio import DataError, StageError
+from sumprobe.pipeline import Pipeline, PipelineConfig
 from sumprobe.report import render_report
-from sumprobe.summaries import SummaryJoinError
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +128,73 @@ def test_data_error_exits_2(tmp_path):
         corpus.write_text(text)
         assert main(["ingest", "--corpus", str(corpus), "--out", str(out)]) == 2, name
         assert not out.exists(), name
+
+
+_BEGIN = "#begin document (x); part 000\n"
+
+
+def _error_case(tmp_path, case):
+    """The argv of one failing command and the file its message names."""
+    root = Path(__file__).resolve().parent.parent
+    corpora = {
+        "six_columns": ("ingest", _BEGIN + "x 0 0 Hello NNP *\n#end document\n"),
+        "open_coreference": ("ingest", _BEGIN + "x 0 0 Hello NNP * (0\n#end document\n"),
+        "no_end_marker": ("ingest", _BEGIN + "x 0 0 Hello NNP * -\n"),
+        "nested_begin": ("build-templates", _BEGIN + _BEGIN),
+    }
+    if case in corpora:
+        command, text = corpora[case]
+        corpus = tmp_path / "corpus.conll"
+        corpus.write_text(text)
+        flag = "--corpus" if command == "ingest" else "--documents"
+        return [command, flag, str(corpus), "--out", str(tmp_path / "out.jsonl")], corpus
+    templates = tmp_path / "templates.jsonl"
+    assert main(["build-templates", "--documents", str(root / "data/toy/corpus.conll"),
+                 "--out", str(templates)]) == 0
+    generate = ["generate", "--templates", str(templates), "--seed", "42", "--variants", "4",
+                "--out", str(tmp_path / "inputs.jsonl"), "--scheme"]
+    if case == "three_race_groups":
+        names = [f"n{i}" for i in range(10)]
+        group = {"first": {"male": names, "female": names}, "last": names}
+        table = tmp_path / "race.json"
+        table.write_text(json.dumps({g: group for g in ("a", "b", "c")}))
+        return [*generate, "race_random_gender", "--race-names", str(table)], table
+    if case == "one_male_name":
+        census = tmp_path / "male.txt"
+        census.write_text("zebulon 1.0 1\n")
+        return [*generate, "gender_local", "--census-male", str(census)], census
+    if case == "they_pronoun":
+        rows = [json.loads(line) for line in templates.read_text().splitlines()]
+        slot = next(s for s in rows[0]["entities"][0]["slots"] if s["category"] == "pronoun")
+        slot["text"] = ["they"]
+        templates.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        return [*generate, "gender_local"], templates
+    assert main([*generate, "gender_local"]) == 0
+    rows = (root / "data/toy/summaries.skewed.jsonl").read_text().splitlines()
+    path = tmp_path / "summaries.skewed.jsonl"
+    path.write_text("\n".join([*rows, rows[0]]) + "\n")
+    return ["align", "--templates", str(templates), "--inputs", str(tmp_path / "inputs.jsonl"),
+            "--out-dir", str(tmp_path), "--summaries", f"skewed={path}"], path
+
+
+@pytest.mark.parametrize("case, code, message", [
+    ("six_columns", 2, "{file}: line 2: expected 7 columns, got 6"),
+    ("open_coreference", 2,
+     "{file}: line 3: document x#0 ends with open coreference bracket(s) for chain(s) 0"),
+    ("no_end_marker", 2, "{file}: document x#0 has no '#end document' marker"),
+    ("nested_begin", 2, "{file}: line 2: nested '#begin document'"),
+    ("three_race_groups", 3, "stage 'generate': race assignment expects exactly two groups"),
+    ("one_male_name", 3, "stage 'generate': need 2 distinct male first names, inventory has 1"),
+    ("they_pronoun", 3, "stage 'generate': cannot map pronoun 'they'"),
+    ("duplicate_summary", 2,
+     "{file}: system 'skewed': duplicate (input, system) summaries: fix_0000#0::00/skewed"),
+])
+def test_error_paths_give_their_exit_code_and_message(tmp_path, capsys, case, code, message):
+    """Each bad input's exit code and the whole stderr line it prints."""
+    argv, path = _error_case(tmp_path, case)
+    capsys.readouterr()
+    assert main(argv) == code
+    assert capsys.readouterr().err == f"error: {message.format(file=path)}\n"
 
 
 def replace_line_3(path, bad_row):
@@ -551,7 +619,7 @@ def test_generate_cli_with_content_words(tmp_path, small_corpus):
         t for t in (build_template(d) for d in small_corpus) if t.gendered_entities()
     )
     target = template.gendered_entities()[0].id
-    claimed = {i for s, e in template.holes() for i in range(s, e + 1)}
+    claimed = {i for s, e in holes(template) for i in range(s, e + 1)}
     spot = next(i for i in range(len(template.tokens)) if i not in claimed)
     cw_path = tmp_path / "cw.jsonl"
     cw_path.write_text(
@@ -1127,7 +1195,7 @@ def test_summary_rows_of_another_system_exit_2(tmp_path, monkeypatch, capsys, co
 
 @pytest.mark.parametrize("error", [
     StageError("summaries", "summary file missing"),
-    SummaryJoinError("summaries reference unknown input ids", ["x::0", "y::1"]),
+    DataError("s.jsonl: system 'b': summaries reference unknown input ids: x::0, y::1"),
 ], ids=["stage_error", "summary_join_error"])
 def test_errors_survive_pickling(error):
     """A pool worker's error reaches the parent pickled; one that fails to

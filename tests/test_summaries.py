@@ -3,9 +3,9 @@ import json
 import pytest
 
 from sumprobe.generate import EntityAssignment, GeneratedInput
+from sumprobe.jsonio import DataError
 from sumprobe.summaries import (
     SummaryEntity,
-    SummaryJoinError,
     build_lexicon,
     detect_entities,
     load_ner_sidecar,
@@ -106,7 +106,7 @@ def test_load_summaries_joins(tmp_path):
 def test_load_summaries_unknown_id(tmp_path):
     path = tmp_path / "s.jsonl"
     write_summaries(path, [{"input_id": "missing", "system": "sys", "summary": "x"}])
-    with pytest.raises(SummaryJoinError, match="missing"):
+    with pytest.raises(DataError, match="missing"):
         load_summaries(path, {"d#0::00": gi()}, system="sys")
 
 
@@ -114,7 +114,7 @@ def test_load_summaries_duplicate(tmp_path):
     path = tmp_path / "s.jsonl"
     row = {"input_id": "d#0::00", "system": "sys", "summary": "x"}
     write_summaries(path, [row, row])
-    with pytest.raises(SummaryJoinError, match="duplicate"):
+    with pytest.raises(DataError, match="duplicate"):
         load_summaries(path, {"d#0::00": gi()}, system="sys")
 
 

@@ -1,5 +1,6 @@
 import json
 
+from helpers import holes
 from make_demo_data import DocBuilder
 
 from sumprobe.templates import (
@@ -180,8 +181,8 @@ def test_name_slots_contain_inferred_names(fixture_templates):
 
 def test_holes_are_disjoint(fixture_templates):
     for template in fixture_templates:
-        holes = template.holes()
-        for (s1, e1), (s2, e2) in zip(holes, holes[1:]):
+        spans = holes(template)
+        for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
             assert e1 < s2
 
 
