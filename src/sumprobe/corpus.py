@@ -1,14 +1,17 @@
-"""Document model and reader for column-annotated news corpora.
+"""Document model and readers for column-annotated news corpora.
 
 The input format is a CoNLL-2012-style column file, documented in
 docs/formats.md. Tokenization, sentence boundaries, named entities and
 coreference chains are taken as given by the annotation file; nothing is
 re-tokenized or re-tagged here.
+
+Each reader checks a document once, as it reads it: a fault is a
+`DataError` naming the file and the line, and a document either returns
+needs no further check.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
@@ -140,7 +143,15 @@ class _DocBuilder:
         _parse_coref_field(coref_field, index, self.path, line_no, self.open_chains,
                            self.mentions)
 
-    def end_sentence(self) -> None:
+    def _dangling(self) -> str:
+        return ", ".join(sorted(c for c, stack in self.open_chains.items() if stack))
+
+    def end_sentence(self, line_no: int) -> None:
+        """A blank line: no mention may span it."""
+        dangling = self._dangling()
+        if dangling:
+            raise _fault(self.path, line_no, f"coreference bracket(s) for chain(s) {dangling} "
+                         "still open at a sentence break")
         if self.tokens and self.tokens[-1].sentence == self.sentence:
             self.sentence += 1
 
@@ -148,10 +159,10 @@ class _DocBuilder:
         if self.open_ne is not None:
             raise _fault(self.path, line_no,
                          f"document {self.id} ends with an open named-entity bracket")
-        dangling = sorted(c for c, stack in self.open_chains.items() if stack)
+        dangling = self._dangling()
         if dangling:
             raise _fault(self.path, line_no, f"document {self.id} ends with open coreference "
-                         f"bracket(s) for chain(s) {', '.join(dangling)}")
+                         f"bracket(s) for chain(s) {dangling}")
         chains: dict[str, list[MentionSpan]] = {}
         for m in sorted(self.mentions):
             chains.setdefault(m.chain, []).append(m)
@@ -166,10 +177,12 @@ class _DocBuilder:
 def parse_conll_corpus(path: str | Path) -> list[AnnotatedDocument]:
     """Parse a column-annotated corpus file into documents.
 
-    A malformed row or an unbalanced annotation bracket is a `DataError`
-    naming `path` and the line.
+    A malformed row, an unbalanced annotation bracket, a mention across a
+    sentence break or a document id seen before is a `DataError` naming
+    `path` and the line.
     """
     docs: list[AnnotatedDocument] = []
+    seen: set[str] = set()
     builder: _DocBuilder | None = None
     for line_no, raw in read_lines(path):
         line = raw.rstrip("\n")
@@ -177,6 +190,9 @@ def parse_conll_corpus(path: str | Path) -> list[AnnotatedDocument]:
             if builder is not None:
                 raise _fault(path, line_no, "nested '#begin document'")
             builder = _start_doc(line, path, line_no)
+            if builder.id in seen:
+                raise _fault(path, line_no, f"document {builder.id} appears twice")
+            seen.add(builder.id)
             continue
         if line.startswith("#end document"):
             if builder is None:
@@ -186,7 +202,7 @@ def parse_conll_corpus(path: str | Path) -> list[AnnotatedDocument]:
             continue
         if not line.strip():
             if builder is not None:
-                builder.end_sentence()
+                builder.end_sentence(line_no)
             continue
         if builder is None:
             raise _fault(path, line_no, "token row outside a document block")
@@ -255,48 +271,6 @@ def write_conll_corpus(docs: Iterable[AnnotatedDocument], out: TextIO) -> None:
         out.write("#end document\n")
 
 
-def validate_document(doc: AnnotatedDocument) -> list[str]:
-    """Invariant check; returns a list of human-readable violations."""
-    problems: list[str] = []
-    n = len(doc.tokens)
-    for i, tok in enumerate(doc.tokens):
-        if tok.index != i:
-            problems.append(f"token {i}: index {tok.index} not contiguous")
-        if i and tok.sentence < doc.tokens[i - 1].sentence:
-            problems.append(f"token {i}: sentence index decreases")
-    if doc.tokens and doc.tokens[0].sentence != 0:
-        problems.append("first token not in sentence 0")
-    sent_of = [t.sentence for t in doc.tokens]
-    for chain, spans in doc.chains.items():
-        if not spans:
-            problems.append(f"chain {chain}: no mentions")
-        for m in spans:
-            if m.chain != chain:
-                problems.append(f"chain {chain}: mention {m} carries chain {m.chain}")
-            if not (0 <= m.start <= m.end < n):
-                problems.append(f"chain {chain}: mention ({m.start},{m.end}) out of range")
-            elif sent_of[m.start] != sent_of[m.end]:
-                problems.append(
-                    f"chain {chain}: mention ({m.start},{m.end}) crosses a sentence boundary"
-                )
-    for e in doc.entities:
-        if not (0 <= e.start <= e.end < n):
-            problems.append(f"entity {e.label} ({e.start},{e.end}) out of range")
-    return problems
-
-
-def check_documents(docs: list[AnnotatedDocument], source: str | Path) -> None:
-    """What `ingest` requires of the documents it writes: every one valid,
-    no id twice. A failure names `source`."""
-    problems = [f"{doc.id}: {problem}" for doc in docs for problem in validate_document(doc)]
-    if problems:
-        raise DataError(f"{source}: invalid documents: " + "; ".join(problems))
-    ids = Counter(d.id for d in docs)
-    twice = sorted(i for i, n in ids.items() if n > 1)
-    if twice:
-        raise DataError(f"{source}: duplicate document ids: {twice}")
-
-
 def to_json(doc: AnnotatedDocument) -> dict:
     return {
         "id": doc.id,
@@ -329,20 +303,34 @@ _DOCUMENT_KEYS = {"id": str, "tokens": list, "sentences": list, "pos": list,
 
 
 def _document_problem(row: dict) -> str | None:
-    """What else keeps `from_json` from building a document out of `row`."""
+    """What else keeps `row` from being a document that `ingest` could have
+    written: `from_json` numbers the tokens and labels the mentions itself."""
     n = len(row["tokens"])
-    if len(row["sentences"]) != n or len(row["pos"]) != n:
+    sentences = row["sentences"]
+    if len(sentences) != n or len(row["pos"]) != n:
         return "tokens, sentences and pos differ in length"
     if not {*map(type, row["tokens"]), *map(type, row["pos"])} <= {str}:
         return "tokens and pos must be strings"
-    if not set(map(type, row["sentences"])) <= {int}:
+    if not set(map(type, sentences)) <= {int}:
         return "sentences must be integers"
+    if sentences and (sentences[0] != 0 or sorted(sentences) != sentences):
+        return "sentences must start at 0 and never decrease"
     for chain, spans in row["chains"].items():
-        if not (isinstance(spans, list) and all(
+        if not (isinstance(spans, list) and spans and all(
                 isinstance(s, list) and len(s) == 2 and type(s[0]) is int and type(s[1]) is int
                 for s in spans)):
-            return f"chain {chain!r} is not a list of [start, end] spans"
-    return bad_entity_span(row)
+            return f"chain {chain!r} is not a non-empty list of [start, end] spans"
+        for start, end in spans:
+            if not 0 <= start <= end < n:
+                return f"chain {chain!r}: mention [{start}, {end}] out of range"
+            if sentences[start] != sentences[end]:
+                return f"chain {chain!r}: mention [{start}, {end}] crosses a sentence break"
+    problem = bad_entity_span(row)
+    if problem is None:
+        for start, end, label in row["entities"]:
+            if not 0 <= start <= end < n:
+                return f"entity [{start}, {end}, {label!r}] out of range"
+    return problem
 
 
 def bad_entity_span(row: dict) -> str | None:
@@ -356,4 +344,14 @@ def bad_entity_span(row: dict) -> str | None:
 
 
 def read_jsonl(path: str | Path) -> Iterator[AnnotatedDocument]:
-    return map(from_json, read_rows(path, _DOCUMENT_KEYS, _document_problem))
+    """The documents of an `ingest` output file; a row `ingest` could not
+    have written, or that repeats an id, is a `DataError` naming its line."""
+    seen: set[str] = set()
+
+    def problem(row: dict) -> str | None:
+        if row["id"] in seen:
+            return f"document {row['id']} appears twice"
+        seen.add(row["id"])
+        return _document_problem(row)
+
+    return map(from_json, read_rows(path, _DOCUMENT_KEYS, problem))

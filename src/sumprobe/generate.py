@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .jsonio import StageError, read_rows, write_rows
+from .jsonio import DataError, StageError, read_rows, write_rows
 from .names import (GENDERED_PRONOUNS, GENDERS, PAIRED_SCHEME_KINDS, PRONOUN_ROLES, SCHEME_KINDS,
                     GenderNameTable, RaceNameTable)
 from .seeding import derive_rng
@@ -34,26 +34,25 @@ class AssignmentScheme:
     kind: str
     intersection: dict[str, str] | None = None  # race group -> gender
     variants_per_original: int = 20
-    alter_last_names: bool = False
+    alter_last_names: bool = False  # read by the gender schemes only
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
-            raise ValueError(f"unknown scheme kind {self.kind!r}")
+            raise DataError(f"unknown scheme kind {self.kind!r}")
         if self.kind == "race_intersectional":
             if not self.intersection:
-                raise ValueError("race_intersectional requires an intersection mapping")
+                raise DataError("race_intersectional requires an intersection mapping")
             bad = [g for g in self.intersection.values() if g not in GENDERS]
             if bad:
-                raise ValueError(f"intersection maps to unknown gender(s) {bad}")
+                raise DataError(f"intersection maps to unknown gender(s) {bad}")
         elif self.intersection is not None:
-            raise ValueError(f"{self.kind} does not take an intersection mapping")
+            raise DataError(f"{self.kind} does not take an intersection mapping")
         if self.variants_per_original < 1:
-            raise ValueError(
+            raise DataError(
                 f"variants_per_original must be at least 1, got {self.variants_per_original}")
         if self.kind in PAIRED_SCHEME_KINDS and self.variants_per_original % 2:
-            raise ValueError(f"{self.kind} pairs variants; variants_per_original must be even")
-        if self.is_race and not self.alter_last_names:
-            raise ValueError("race schemes substitute last names; alter_last_names must be true")
+            raise DataError(f"{self.kind} pairs variants; variants_per_original must be even, "
+                            f"got {self.variants_per_original}")
 
     @property
     def is_race(self) -> bool:
@@ -62,14 +61,7 @@ class AssignmentScheme:
 
 def make_scheme(kind: str, *, variants: int = 20, alter_last_names: bool = False,
                 intersection: dict[str, str] | None = None) -> AssignmentScheme:
-    if kind.startswith("race"):
-        alter_last_names = True
-    return AssignmentScheme(
-        kind=kind,
-        intersection=intersection,
-        variants_per_original=variants,
-        alter_last_names=alter_last_names,
-    )
+    return AssignmentScheme(kind, intersection, variants, alter_last_names)
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,8 @@ def load_race_names(path: str | Path | None = None) -> RaceNameTable:
 
 
 def load_word_lists(path: str | Path | None = None) -> dict[str, list[str]]:
-    """Group-identifier word lists; male/female lists must be disjoint and lowercase."""
+    """Group-identifier word lists; male/female lists must be lowercase,
+    disjoint and of one length, since they pair by position."""
     if path is None:
         path = data_path("word_lists.json")
     lists = read_object(path)
@@ -166,18 +167,19 @@ def load_word_lists(path: str | Path | None = None) -> dict[str, list[str]]:
         if bad:
             raise DataError(f"{path}: word list {group!r} has non-lowercase entries: {bad}")
     if "male" in lists and "female" in lists:
-        overlap = set(lists["male"]) & set(lists["female"])
+        male, female = lists["male"], lists["female"]
+        overlap = set(male) & set(female)
         if overlap:
             raise DataError(f"{path}: male/female word lists overlap: {sorted(overlap)}")
+        if len(male) != len(female):
+            raise DataError(f"{path}: male/female word lists differ in length "
+                            f"({len(male)} and {len(female)}); they pair by position")
     return lists
 
 
 def word_pairs(lists: dict[str, list[str]]) -> list[tuple[str, str]]:
     """(male, female) identifier counterparts, by list position."""
-    male, female = lists["male"], lists["female"]
-    if len(male) != len(female):
-        raise DataError("male/female word lists differ in length; cannot pair")
-    return list(zip(male, female))
+    return list(zip(lists["male"], lists["female"]))
 
 
 def load_topic_tokens(path: str | Path | None = None) -> dict[str, list[str]]:

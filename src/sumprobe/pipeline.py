@@ -4,10 +4,12 @@ classify -> score, with resumable intermediate artifacts.
 Every artifact lives under <out_dir>/<config-hash>/, a hash of the
 parameters and the input file contents other than the summaries, so a
 resumed run can never mix artifacts from different configurations or
-inputs. A finished run ends by writing run.json: the reuse key (the
-package digest, the numpy version and each summary file's sha256) and the
-sha256 of every artifact. A rerun reuses an artifact only when the key it
-was built under still matches and the file still hashes to its recorded
+inputs. Every table is loaded and every input file hashed, the summaries
+too, before that directory is made, so a bad input leaves none behind.
+A finished run ends by writing run.json: the reuse key (the package
+digest, the numpy version and each summary file's sha256) and the sha256
+of every artifact. A rerun reuses an artifact only when the key it was
+built under still matches and the file still hashes to its recorded
 digest; a rerun over unchanged summaries aligns and scores nothing. All
 randomness flows from the single config seed through named derivation;
 nothing reads the clock or the network.
@@ -33,7 +35,7 @@ from . import generate as gen
 from . import measures as ms
 from . import summaries as sm
 from . import templates as tp
-from .jsonio import DataError, StageError, read_object, write_json
+from .jsonio import DataError, read_object, write_json
 from .names import (
     GenderNameTable,
     RaceNameTable,
@@ -124,13 +126,10 @@ class PipelineConfig:
         for key, rule, ok in _CONFIG_RULES:
             if key in data and not ok(data[key]):
                 raise DataError(f"{path}: config key {key!r} must be {rule}, got {data[key]!r}")
-        if data["scheme"] in gen.PAIRED_SCHEME_KINDS and data.get("variants", 20) % 2:
-            raise DataError(f"{path}: config key 'variants' must be even under scheme "
-                            f"{data['scheme']!r}, got {data['variants']!r}")
         config = cls(**data)
         try:
             scheme = config.assignment_scheme()
-        except ValueError as exc:
+        except DataError as exc:
             raise DataError(f"{path}: scheme {config.scheme!r}: {exc}") from exc
         if scheme.alter_last_names and not scheme.is_race and not config.last_name_pool:
             raise DataError(f"{path}: config key 'alter_last_names' is true under scheme "
@@ -138,7 +137,8 @@ class PipelineConfig:
         return config
 
     def assignment_scheme(self) -> gen.AssignmentScheme:
-        """The generation scheme; ValueError when the scheme settings conflict."""
+        """The generation scheme; a `DataError` when the scheme settings
+        conflict, which `from_file` names the config file in."""
         return gen.make_scheme(self.scheme, variants=self.variants,
                                alter_last_names=self.alter_last_names,
                                intersection=self.intersection)
@@ -164,15 +164,6 @@ class PipelineConfig:
         digests = {p: _sha256(p) for p in self.input_paths()}
         canonical = json.dumps([self.payload(), digests], sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-
-    def check_paths(self) -> None:
-        """Every summary file is there and is a file. Every other input
-        fails on its own path when `Pipeline` loads or hashes it."""
-        for system, path in sorted(self.summaries.items()):
-            if not Path(path).exists():
-                raise StageError("summaries", f"summary file for system {system!r} missing: {path}")
-            if Path(path).is_dir():
-                raise DataError(f"summary file for system {system!r} is a directory: {path}")
 
 
 def _sha256(path: str | Path) -> str:
@@ -201,10 +192,9 @@ def package_digest() -> str:
 
 
 def ingest(corpus: str | Path, out: str | Path | None = None) -> list[cp.AnnotatedDocument]:
-    """Parse and check a column corpus; documents sorted by id, written as
-    JSONL to `out` when given."""
+    """Parse a column corpus; documents sorted by id, written as JSONL to
+    `out` when given."""
     docs = cp.parse_conll_corpus(corpus)
-    cp.check_documents(docs, corpus)
     docs.sort(key=lambda d: d.id)
     if out is not None:
         cp.write_jsonl(docs, out)
@@ -278,8 +268,6 @@ def align_system(
 ) -> tuple[list[al.AlignedSummary], Counter]:
     """`system`'s aligned summary records and alignment counts; writes
     alignments.<system>.jsonl under `out_dir`."""
-    if not Path(path).exists():
-        raise StageError("summaries", f"summary file for system {system!r} missing: {path}")
     ner = sm.load_ner_sidecar(ner_sidecar) if ner_sidecar is not None else None
     records = sm.load_summaries(path, context.inputs, system=system,
                                 lexicon=context.lexicon, ner_spans=ner)
@@ -326,7 +314,8 @@ class _SharedScoring:
 class Pipeline:
     def __init__(self, config: PipelineConfig):
         self.config = config
-        config.check_paths()
+        # each system's summary file sha256, which keys the reuse of scores.json
+        self.summaries = {s: _sha256(p) for s, p in sorted(config.summaries.items())}
         self.scheme = config.assignment_scheme()
         self.word_lists = load_word_lists(config.word_lists)
         self.word_sets = ms.word_sets(self.word_lists)
@@ -340,7 +329,8 @@ class Pipeline:
         )
         self.client = (gid.FixtureLookupClient(config.cache or data_path("wiki_cache.json"))
                        if self._classifies() else None)
-        # made once every table has loaded, so a bad table leaves no directory behind
+        # made once every table has loaded and every input is hashed, so a bad
+        # one leaves no directory behind
         self.art_dir = Path(config.out_dir) / config.config_hash()
         self.art_dir.mkdir(parents=True, exist_ok=True)
         # stage results that later stages reuse, computed or read once per run
@@ -401,13 +391,13 @@ class Pipeline:
         return [ALIGNMENTS.format(system),
                 *([VERDICTS.format(system)] if self._classifies() else [])]
 
-    def _scores_intact(self, summaries: dict[str, str]) -> bool:
+    def _scores_intact(self) -> bool:
         """Whether scores.json can be reused: every summary file is the one
         run.json recorded, and scores.json and every system's artifacts
         still hash to their recorded digests."""
-        if self._previous.get("key", {}).get("summaries") != summaries:
+        if self._previous.get("key", {}).get("summaries") != self.summaries:
             return False
-        names = ["scores.json", *(n for s in summaries for n in self._system_artifacts(s))]
+        names = ["scores.json", *(n for s in self.summaries for n in self._system_artifacts(s))]
         return all(map(self._intact, names))
 
     # -- stages ------------------------------------------------------------
@@ -473,22 +463,21 @@ class Pipeline:
         system is rescored. With `jobs > 1` and several systems, forked
         workers compute the blocks, one system each, from the state built
         here once."""
-        summaries = {s: _sha256(p) for s, p in sorted(self.config.summaries.items())}
         for name, stage in (("inputs.jsonl", self.inputs), ("templates.jsonl", self.templates),
                             ("documents.jsonl", self.documents)):
             if not self._intact(name):
                 stage()  # a stage rebuilds what it reads that is not intact
-        if self._scores_intact(summaries):
+        if self._scores_intact():
             report = read_object(self.path("scores.json"), "a scores file")
         else:
-            systems = list(summaries)
+            systems = list(self.summaries)
             report = {"config": self.config.payload(),
                       "systems": dict(zip(systems, self._score_systems(systems)))}
             write_json(self.path("scores.json"), report)
             for name in ["scores.json", *(n for s in systems for n in self._system_artifacts(s))]:
                 self._built(name)
         # last, so that a run cut short writes no manifest for what it changed
-        write_json(self.path(MANIFEST), {"key": {**self._code_key(), "summaries": summaries},
+        write_json(self.path(MANIFEST), {"key": {**self._code_key(), "summaries": self.summaries},
                                          "artifacts": self._digests})
         return report
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +13,10 @@ from sumprobe.corpus import (
     Token,
     from_json,
     parse_conll_corpus,
+    read_jsonl,
     to_json,
-    validate_document,
     write_conll_corpus,
+    write_jsonl,
 )
 from sumprobe.jsonio import DataError
 
@@ -40,7 +43,6 @@ def test_minimal_document(tmp_path):
     assert [t.text for t in doc.tokens] == ["Mr.", "Levin", "spoke", "."]
     assert doc.chains == {"0": [MentionSpan(0, 1, "0")]}
     assert doc.entities == [NamedEntitySpan(1, 1, "PERSON")]
-    assert validate_document(doc) == []
 
 
 def test_empty_file(tmp_path):
@@ -82,26 +84,50 @@ def test_pos_placeholder_roundtrip(tmp_path):
     assert doc.tokens[2].pos == ""
 
 
-def test_validate_flags_cross_sentence_mention():
-    tokens = [Token(0, "a", 0), Token(1, "b", 1)]
-    doc = AnnotatedDocument(
-        "x#0", tokens, {"0": [MentionSpan(0, 1, "0")]}, []
-    )
-    problems = validate_document(doc)
-    assert len(problems) == 1
-    assert "crosses a sentence boundary" in problems[0]
+def test_coref_bracket_open_at_sentence_break_reports_line(tmp_path):
+    bad = MINIMAL.replace("mini 0 1 Levin", "\nmini 0 1 Levin")
+    with pytest.raises(DataError) as err:
+        parse_text(tmp_path, bad)
+    assert str(err.value) == (f"{tmp_path / 'c.conll'}: line 3: coreference bracket(s) for "
+                              "chain(s) 0 still open at a sentence break")
 
 
-def test_validate_flags_out_of_range_entity():
-    doc = AnnotatedDocument("x#0", [Token(0, "a", 0)], {}, [NamedEntitySpan(0, 5, "PERSON")])
-    problems = validate_document(doc)
-    assert len(problems) == 1
-    assert "out of range" in problems[0]
+def test_repeated_document_id_reports_its_second_begin(tmp_path):
+    with pytest.raises(DataError) as err:
+        parse_text(tmp_path, MINIMAL + MINIMAL.replace("part 000", "part 0"))
+    assert str(err.value) == f"{tmp_path / 'c.conll'}: line 7: document mini#0 appears twice"
 
 
-def test_validate_ok_on_fixture_corpus(fixture_corpus):
-    for doc in fixture_corpus:
-        assert validate_document(doc) == []
+# a valid two-sentence document row; each case breaks a copy of it one way
+ROW = {"id": "x#0", "tokens": ["a", "b", "c"], "sentences": [0, 0, 1], "pos": ["", "", ""],
+       "chains": {"0": [[0, 1]]}, "entities": [[1, 1, "PERSON"]]}
+
+
+@pytest.mark.parametrize("change, problem", [
+    ({"entities": [[0, 5, "PERSON"]]}, "entity [0, 5, 'PERSON'] out of range"),
+    ({"entities": [[2, 1, "PERSON"]]}, "entity [2, 1, 'PERSON'] out of range"),
+    ({"chains": {"0": [[0, 3]]}}, "chain '0': mention [0, 3] out of range"),
+    ({"chains": {"0": [[-1, 0]]}}, "chain '0': mention [-1, 0] out of range"),
+    ({"chains": {"0": [[1, 2]]}}, "chain '0': mention [1, 2] crosses a sentence break"),
+    ({"chains": {"0": []}}, "chain '0' is not a non-empty list of [start, end] spans"),
+    ({"sentences": [1, 1, 2]}, "sentences must start at 0 and never decrease"),
+    ({"sentences": [0, 1, 0]}, "sentences must start at 0 and never decrease"),
+    ({"id": "x#0"}, "document x#0 appears twice"),
+], ids=["entity_past_end", "entity_reversed", "mention_past_end", "negative_mention",
+        "cross_sentence_mention", "empty_chain", "first_sentence_1", "sentence_decreases",
+        "id_twice"])
+def test_read_jsonl_reports_bad_document_row(tmp_path, change, problem):
+    path = tmp_path / "docs.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in (ROW, {**ROW, "id": "y#0", **change})))
+    with pytest.raises(DataError) as err:
+        list(read_jsonl(path))
+    assert str(err.value) == f"{path}:2: malformed row: {problem}"
+
+
+def test_jsonl_roundtrip_fixture_corpus(tmp_path, fixture_corpus):
+    path = tmp_path / "docs.jsonl"
+    write_jsonl(fixture_corpus, path)
+    assert list(read_jsonl(path)) == fixture_corpus
 
 
 def test_every_chain_mention_in_mention_set(fixture_corpus):
@@ -179,3 +205,5 @@ def test_conll_roundtrip_property(tmp_path_factory, doc):
     tmp = tmp_path_factory.mktemp("rt")
     again = roundtrip([doc], tmp, "doc.conll")
     assert again == [doc]
+    write_jsonl([doc], tmp / "doc.jsonl")
+    assert list(read_jsonl(tmp / "doc.jsonl")) == [doc]

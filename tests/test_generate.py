@@ -68,7 +68,7 @@ def test_scheme_intersection_required():
     scheme = make_scheme(
         "race_intersectional", intersection={"black": "male", "white": "female"}
     )
-    assert scheme.alter_last_names
+    assert scheme.intersection == {"black": "male", "white": "female"}
 
 
 # --- assignment balance ----------------------------------------------------------

@@ -131,6 +131,14 @@ def test_data_error_exits_2(tmp_path):
 
 
 _BEGIN = "#begin document (x); part 000\n"
+_ONE_TOKEN = _BEGIN + "x 0 0 Hello NNP * -\n#end document\n"
+
+
+def _document_row(**changes):
+    """An ingest JSONL row of a one-token document, with `changes`."""
+    row = {"id": "x#0", "tokens": ["Hello"], "sentences": [0], "pos": ["NNP"],
+           "chains": {"0": [[0, 0]]}, "entities": [], **changes}
+    return json.dumps(row) + "\n"
 
 
 def _error_case(tmp_path, case):
@@ -141,13 +149,24 @@ def _error_case(tmp_path, case):
         "open_coreference": ("ingest", _BEGIN + "x 0 0 Hello NNP * (0\n#end document\n"),
         "no_end_marker": ("ingest", _BEGIN + "x 0 0 Hello NNP * -\n"),
         "nested_begin": ("build-templates", _BEGIN + _BEGIN),
+        "coreference_across_sentences": (
+            "ingest", _BEGIN + "x 0 0 Hello NNP * (0\n\nx 0 0 there RB * 0)\n#end document\n"),
+        "column_id_twice": ("ingest", _ONE_TOKEN + _ONE_TOKEN),
+        "row_chain_out_of_range": ("build-templates", _document_row(chains={"0": [[0, 1]]})),
+        "row_id_twice": ("build-templates", _document_row() * 2),
+        "row_sentences_from_1": ("build-templates", _document_row(sentences=[1])),
+        "row_empty_chain": ("build-templates", _document_row(chains={"0": []})),
     }
     if case in corpora:
         command, text = corpora[case]
-        corpus = tmp_path / "corpus.conll"
+        corpus = tmp_path / ("corpus.conll" if text.startswith("#") else "documents.jsonl")
         corpus.write_text(text)
         flag = "--corpus" if command == "ingest" else "--documents"
         return [command, flag, str(corpus), "--out", str(tmp_path / "out.jsonl")], corpus
+    missing = tmp_path / "missing.jsonl"
+    if case == "run_summary_missing":
+        return ["run", "--config", str(toy_config_with(tmp_path, {"summaries": {
+            "skewed": str(missing)}}))], missing
     templates = tmp_path / "templates.jsonl"
     assert main(["build-templates", "--documents", str(root / "data/toy/corpus.conll"),
                  "--out", str(templates)]) == 0
@@ -163,6 +182,8 @@ def _error_case(tmp_path, case):
         census = tmp_path / "male.txt"
         census.write_text("zebulon 1.0 1\n")
         return [*generate, "gender_local", "--census-male", str(census)], census
+    if case == "odd_global_variants":
+        return [*generate, "gender_global", "--variants", "3"], templates
     if case == "they_pronoun":
         rows = [json.loads(line) for line in templates.read_text().splitlines()]
         slot = next(s for s in rows[0]["entities"][0]["slots"] if s["category"] == "pronoun")
@@ -170,9 +191,11 @@ def _error_case(tmp_path, case):
         templates.write_text("".join(json.dumps(row) + "\n" for row in rows))
         return [*generate, "gender_local"], templates
     assert main([*generate, "gender_local"]) == 0
-    rows = (root / "data/toy/summaries.skewed.jsonl").read_text().splitlines()
-    path = tmp_path / "summaries.skewed.jsonl"
-    path.write_text("\n".join([*rows, rows[0]]) + "\n")
+    path = missing
+    if case == "duplicate_summary":
+        rows = (root / "data/toy/summaries.skewed.jsonl").read_text().splitlines()
+        path = tmp_path / "summaries.skewed.jsonl"
+        path.write_text("\n".join([*rows, rows[0]]) + "\n")
     return ["align", "--templates", str(templates), "--inputs", str(tmp_path / "inputs.jsonl"),
             "--out-dir", str(tmp_path), "--summaries", f"skewed={path}"], path
 
@@ -188,6 +211,19 @@ def _error_case(tmp_path, case):
     ("they_pronoun", 3, "stage 'generate': cannot map pronoun 'they'"),
     ("duplicate_summary", 2,
      "{file}: system 'skewed': duplicate (input, system) summaries: fix_0000#0::00/skewed"),
+    ("coreference_across_sentences", 2,
+     "{file}: line 3: coreference bracket(s) for chain(s) 0 still open at a sentence break"),
+    ("column_id_twice", 2, "{file}: line 4: document x#0 appears twice"),
+    ("row_chain_out_of_range", 2, "{file}:1: malformed row: chain '0': mention [0, 1] out of range"),
+    ("row_id_twice", 2, "{file}:2: malformed row: document x#0 appears twice"),
+    ("row_sentences_from_1", 2,
+     "{file}:1: malformed row: sentences must start at 0 and never decrease"),
+    ("row_empty_chain", 2,
+     "{file}:1: malformed row: chain '0' is not a non-empty list of [start, end] spans"),
+    ("align_summary_missing", 2, "[Errno 2] No such file or directory: '{file}'"),
+    ("run_summary_missing", 2, "[Errno 2] No such file or directory: '{file}'"),
+    ("odd_global_variants", 2,
+     "gender_global pairs variants; variants_per_original must be even, got 3"),
 ])
 def test_error_paths_give_their_exit_code_and_message(tmp_path, capsys, case, code, message):
     """Each bad input's exit code and the whole stderr line it prints."""
@@ -386,12 +422,15 @@ def test_scores_follow_summaries_edited_in_place(tmp_path, small_corpus):
     assert scores != skewed
 
 
-def test_missing_summary_file_is_stage_error(tmp_path, small_corpus):
+def test_missing_summary_file_exits_2_before_any_artifact(tmp_path, small_corpus, capsys):
     config_path = stage_run(tmp_path, small_corpus, replicates=40)
     config = json.loads(config_path.read_text())
-    config["summaries"]["echo"] = str(tmp_path / "nope.jsonl")
+    missing = tmp_path / "nope.jsonl"
+    config["summaries"]["echo"] = str(missing)
     config_path.write_text(json.dumps(config))
-    assert main(["run", "--config", str(config_path)]) == 3
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert not artifact_dir(config_path).exists()
 
 
 def test_cli_stagewise_pipeline(tmp_path, small_corpus):
@@ -888,9 +927,11 @@ def toy_config_with(tmp_path, text):
     ({"summaries": ["x"]}, [], "'summaries' must be an object mapping names to path strings"),
     ({"ner_sidecars": {"skewed": 3}}, [], "'ner_sidecars' must be an object mapping"),
     ({"dense_vectors": "vectors.jsonl"}, [], "'dense_vectors' must be an object mapping"),
-    ({"variants": 3}, [], "'variants' must be even under scheme 'gender_local', got 3"),
-    ({"scheme": "gender_global", "variants": 5}, [], "'variants' must be even under scheme "
-                                                     "'gender_global', got 5"),
+    ({"variants": 3}, [], "scheme 'gender_local': gender_local pairs variants; "
+                          "variants_per_original must be even, got 3"),
+    ({"scheme": "gender_global", "variants": 5}, [], "scheme 'gender_global': gender_global pairs "
+                                                     "variants; variants_per_original must be even, "
+                                                     "got 5"),
     ({"seed": "42"}, [], "'seed' must be an integer, got '42'"),
     ({"seed": 4.2}, [], "'seed' must be an integer, got 4.2"),
     ({"jobs": 0}, [], "'jobs' must be an integer >= 1, got 0"),
@@ -958,10 +999,13 @@ def test_bad_config_exits_2_naming_the_file(tmp_path, capsys, text, flags, probl
     ("race_names", "race_names.json",
      '{"black": {"first": {"male": "abc", "female": ["b"]}, "last": ["c"]}}',
      {"scheme": "race_random_gender"}, "race name group 'black' must be an object"),
+    ("word_lists", "word_lists.json", '{"male": ["he", "him", "his"], "female": ["she", "her"]}',
+     {}, "male/female word lists differ in length (3 and 2); they pair by position"),
 ], ids=["uppercase_word", "invalid_json_word_lists", "list_word_lists", "bad_census_frequency",
         "empty_census", "race_group_without_lasts", "empty_pool", "invalid_json_cache",
         "list_cache", "list_cache_entry", "int_cache_counts", "string_cache_categories",
-        "int_word_list", "int_word", "list_race_group", "string_first_names"])
+        "int_word_list", "int_word", "list_race_group", "string_first_names",
+        "unequal_word_lists"])
 def test_bad_table_exits_2_naming_the_file(tmp_path, capsys, key, name, text, changes, problem):
     """A table that fails to load stops the run before it makes its
     artifact directory, with an error that names the file and what is wrong."""
@@ -972,6 +1016,17 @@ def test_bad_table_exits_2_naming_the_file(tmp_path, capsys, key, name, text, ch
     err = capsys.readouterr().err
     assert f"{table}: " in err and problem in err
     assert not (tmp_path / "out").exists()
+
+
+def test_unequal_word_lists_exit_2_naming_the_file_in_simulate_baselines(tmp_path, capsys):
+    word_lists = tmp_path / "word_lists.json"
+    word_lists.write_text('{"male": ["he", "him", "his"], "female": ["she", "her"]}')
+    out = tmp_path / "sim"
+    assert main(["simulate-baselines", "--corpus", str(synthetic_corpus(tmp_path)), "--seed", "1",
+                 "--word-lists", str(word_lists), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {word_lists}: male/female word lists differ in "
+                                       "length (3 and 2); they pair by position\n")
+    assert not out.with_suffix(".json").exists()
 
 
 def test_bad_cache_exits_2_naming_the_file_in_classify_hallucinations(tmp_path, capsys):
@@ -1005,7 +1060,7 @@ def test_summary_file_that_is_a_directory_exits_2_before_any_artifact(tmp_path, 
     root = Path(__file__).resolve().parent.parent
     summaries = {"faithful": str(root / "data/toy/summaries.faithful.jsonl"), "skewed": str(folder)}
     assert main(["run", "--config", str(toy_config_with(tmp_path, {"summaries": summaries}))]) == 2
-    assert f"summary file for system 'skewed' is a directory: {folder}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{folder}'\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -1055,8 +1110,8 @@ def test_bad_scores_file_exits_2_naming_it(tmp_path, capsys, text, problem):
 @pytest.mark.parametrize("command", ["build-templates", "analyze-input-bias", "simulate-baselines"])
 @pytest.mark.parametrize("case", ["row_without_pos", "chain_out_of_range", "same_id_twice"])
 def test_bad_jsonl_documents_exit_2_naming_the_file(tmp_path, capsys, command, case):
-    """The ingest JSONL that these commands accept gets the checks `ingest`
-    gives a column corpus."""
+    """The ingest JSONL that these commands accept is checked row by row as
+    it is read, as a column corpus is checked line by line."""
     root = Path(__file__).resolve().parent.parent
     docs = tmp_path / "documents.jsonl"
     assert main(["ingest", "--corpus", str(root / "data/toy/corpus.conll"), "--out", str(docs)]) == 0
@@ -1068,10 +1123,10 @@ def test_bad_jsonl_documents_exit_2_naming_the_file(tmp_path, capsys, command, c
     elif case == "chain_out_of_range":
         chain = sorted(first["chains"])[0]
         first["chains"][chain][0] = [0, 10000]
-        problem = f"{docs}: invalid documents: {first['id']}: chain {chain}: mention (0,10000)"
+        problem = f"{docs}:1: malformed row: chain {chain!r}: mention [0, 10000] out of range"
     else:
         rows.append(first)
-        problem = f"{docs}: duplicate document ids: [{first['id']!r}]"
+        problem = f"{docs}:{len(rows)}: malformed row: document {first['id']} appears twice"
     docs.write_text("".join(json.dumps(row) + "\n" for row in rows))
     flag = "--documents" if command == "build-templates" else "--corpus"
     argv = [command, flag, str(docs), "--out", str(tmp_path / "out")]
@@ -1194,7 +1249,7 @@ def test_summary_rows_of_another_system_exit_2(tmp_path, monkeypatch, capsys, co
 
 
 @pytest.mark.parametrize("error", [
-    StageError("summaries", "summary file missing"),
+    StageError("generate", "race assignment expects exactly two groups"),
     DataError("s.jsonl: system 'b': summaries reference unknown input ids: x::0, y::1"),
 ], ids=["stage_error", "summary_join_error"])
 def test_errors_survive_pickling(error):
