@@ -201,12 +201,7 @@ def cmd_simulate_baselines(args) -> int:
 def _pipeline_from_args(args):
     from .pipeline import Pipeline, PipelineConfig
 
-    overrides = {
-        "out_dir": args.out_dir,
-        "seed": args.seed,
-        "jobs": args.jobs,
-    }
-    return Pipeline(PipelineConfig.from_file(args.config, **overrides))
+    return Pipeline(PipelineConfig.from_file(args.config, out_dir=args.out_dir, seed=args.seed))
 
 
 def cmd_score(args) -> int:
@@ -236,8 +231,7 @@ def cmd_run(args) -> int:
 
 _REQUIRED = {"required": True}
 _CENSUS_ARGS = [("--census-male", {}), ("--census-female", {})]
-_PIPELINE_ARGS = [("--config", _REQUIRED), ("--out-dir", {}), ("--seed", {"type": int}),
-                  ("--jobs", {"type": int})]
+_PIPELINE_ARGS = [("--config", _REQUIRED), ("--out-dir", {}), ("--seed", {"type": int})]
 
 # subcommand -> (help, handler, its arguments as (flag, add_argument keywords))
 COMMANDS = {

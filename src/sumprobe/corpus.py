@@ -147,7 +147,9 @@ class _DocBuilder:
         return ", ".join(sorted(c for c, stack in self.open_chains.items() if stack))
 
     def end_sentence(self, line_no: int) -> None:
-        """A blank line: no mention may span it."""
+        """A blank line: no named entity or mention may span it."""
+        if self.open_ne is not None:
+            raise _fault(self.path, line_no, "named-entity bracket still open at a sentence break")
         dangling = self._dangling()
         if dangling:
             raise _fault(self.path, line_no, f"coreference bracket(s) for chain(s) {dangling} "
@@ -177,9 +179,9 @@ class _DocBuilder:
 def parse_conll_corpus(path: str | Path) -> list[AnnotatedDocument]:
     """Parse a column-annotated corpus file into documents.
 
-    A malformed row, an unbalanced annotation bracket, a mention across a
-    sentence break or a document id seen before is a `DataError` naming
-    `path` and the line.
+    A malformed row, an unbalanced annotation bracket, a named entity or a
+    mention across a sentence break or a document id seen before is a
+    `DataError` naming `path` and the line.
     """
     docs: list[AnnotatedDocument] = []
     seen: set[str] = set()
@@ -330,6 +332,8 @@ def _document_problem(row: dict) -> str | None:
         for start, end, label in row["entities"]:
             if not 0 <= start <= end < n:
                 return f"entity [{start}, {end}, {label!r}] out of range"
+            if sentences[start] != sentences[end]:
+                return f"entity [{start}, {end}, {label!r}] crosses a sentence break"
     return problem
 
 

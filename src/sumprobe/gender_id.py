@@ -7,15 +7,12 @@ first-name fallback. Race is deliberately never classified.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 from .jsonio import DataError, read_object, string_list
 from .names import GENDERED_PRONOUNS, GenderNameTable
-
-log = logging.getLogger(__name__)
 
 MALE = "male"
 FEMALE = "female"
@@ -87,12 +84,7 @@ def classify_encyclopedia(
     tokens = list(tokens)
     if len(tokens) < 2:
         return None
-    title = " ".join(tokens)
-    try:
-        page = client.query(title)
-    except Exception as exc:  # degraded lookup must not kill the run
-        log.warning("lookup for %r failed: %s", title, exc)
-        return None
+    page = client.query(" ".join(tokens))
     if page is None or not _person_page(page):
         return None
     male = sum(page.pronoun_counts.get(p, 0) for p in CLASSIFIER_PRONOUNS[MALE])

@@ -21,6 +21,7 @@ import functools
 import hashlib
 import json
 import multiprocessing
+import os
 from collections import Counter
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -79,7 +80,6 @@ _CONFIG_RULES = (
     ("seed", "an integer", _integer()),
     ("variants", "an integer >= 1", _integer(1)),
     ("replicates", "an integer >= 2", _integer(2)),
-    ("jobs", "an integer >= 1", _integer(1)),
     ("alter_last_names", "a boolean", lambda value: type(value) is bool),
     *((key, "a non-empty path string", _path) for key in ("corpus", "out_dir")),
     *((key, "null or a non-empty path string", lambda value: value is None or _path(value))
@@ -111,11 +111,12 @@ class PipelineConfig:
     cache: str | None = None
     ner_sidecars: dict[str, str] = field(default_factory=dict)
     dense_vectors: dict[str, str] = field(default_factory=dict)
-    jobs: int = 1
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "PipelineConfig":
         data = read_object(path, "a config")
+        # old configs and every one perfbench/workload.py writes set "jobs"; they still load
+        data.pop("jobs", None)
         data.update({k: v for k, v in overrides.items() if v is not None})
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
@@ -145,10 +146,9 @@ class PipelineConfig:
 
     def payload(self) -> dict:
         """The experiment-defining parameters: everything except where the
-        outputs land and how many workers produced them."""
+        outputs land."""
         data = asdict(self)
         data.pop("out_dir")
-        data.pop("jobs")
         return data
 
     def input_paths(self) -> list[str]:
@@ -268,9 +268,8 @@ def align_system(
 ) -> tuple[list[al.AlignedSummary], Counter]:
     """`system`'s aligned summary records and alignment counts; writes
     alignments.<system>.jsonl under `out_dir`."""
-    ner = sm.load_ner_sidecar(ner_sidecar) if ner_sidecar is not None else None
     records = sm.load_summaries(path, context.inputs, system=system,
-                                lexicon=context.lexicon, ner_spans=ner)
+                                lexicon=context.lexicon, ner_sidecar=ner_sidecar)
     aligned, counts = al.align_corpus(records, context.entity_index, context.source_tokens)
     al.write_alignments(aligned, Path(out_dir) / ALIGNMENTS.format(system))
     return aligned, counts.get(system, Counter())
@@ -460,9 +459,10 @@ class Pipeline:
         then run.json. A staged artifact that is not intact is rebuilt.
         scores.json is reused when the summaries, scores.json and every
         system's artifacts are those run.json recorded; otherwise every
-        system is rescored. With `jobs > 1` and several systems, forked
-        workers compute the blocks, one system each, from the state built
-        here once."""
+        system is rescored. With several systems and several usable CPUs,
+        forked workers compute the blocks, one system each and at most one
+        per CPU, from the state built here once; the blocks are the same
+        either way."""
         for name, stage in (("inputs.jsonl", self.inputs), ("templates.jsonl", self.templates),
                             ("documents.jsonl", self.documents)):
             if not self._intact(name):
@@ -497,7 +497,7 @@ class Pipeline:
                 if classifies else {}),
             names=names,
         )
-        workers = min(self.config.jobs, len(systems))
+        workers = min(usable_cpus(), len(systems))
         if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
             # fork hands every worker this pipeline and `shared` as they are;
             # only system names and blocks cross the pipes
@@ -614,6 +614,13 @@ class Pipeline:
             [name, count, tag[verdicts[name].gender] if name in verdicts else "u"]
             for name, count in rows
         ]
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, which caps the scoring workers."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # the (pipeline, shared state) a scoring worker inherited from its parent

@@ -100,11 +100,23 @@ def detect_entities(tokens: list[str], lexicon: frozenset[str]) -> list[SummaryE
     return entities
 
 
+def _sidecar_problem(row: dict) -> str | None:
+    """What keeps a sidecar row's spans from being [start, end, label]
+    triples with 0 <= start <= end, or None; the end is checked against
+    the summary once it is read."""
+    problem = bad_entity_span(row)
+    if problem is None:
+        for start, end, label in row["entities"]:
+            if not 0 <= start <= end:
+                return f"entity [{start}, {end}, {label!r}] must have 0 <= start <= end"
+    return problem
+
+
 def load_ner_sidecar(path: str | Path) -> dict[str, list[tuple[int, int, str]]]:
     """Optional externally produced entity spans per input id."""
     return {
         row["input_id"]: [(s, e, label) for s, e, label in row["entities"]]
-        for row in read_rows(path, {"input_id": str, "entities": list}, bad_entity_span)
+        for row in read_rows(path, {"input_id": str, "entities": list}, _sidecar_problem)
     }
 
 
@@ -132,13 +144,17 @@ def load_summaries(
     *,
     system: str,
     lexicon: frozenset[str] | None = None,
-    ner_spans: dict[str, list[tuple[int, int, str]]] | None = None,
+    ner_sidecar: str | Path | None = None,
 ) -> list[SummaryRecord]:
     """Read `system`'s summary JSONL ({input_id, system, summary}, all
     strings) and join each record to its generated input by id. Records come
     in the order of `inputs`, whatever the order of the rows. Rows naming
     another system, unknown ids and duplicate inputs are a `DataError`
-    naming `path`, `system` and the offenders."""
+    naming `path`, `system` and the offenders. A record's person entities
+    come from `ner_sidecar` where it has the input, else from `lexicon`; a
+    sidecar span past the end of its summary is a `DataError` naming the
+    sidecar, `system` and the inputs."""
+    ner_spans = load_ner_sidecar(ner_sidecar) if ner_sidecar is not None else {}
     records: list[SummaryRecord] = []
     strays: list[str] = []
     unknown: list[str] = []
@@ -166,13 +182,17 @@ def load_summaries(
     position = {input_id: i for i, input_id in enumerate(inputs)}
     records.sort(key=lambda rec: position[rec.input_id])
 
+    overlong: list[str] = []
     for rec in records:
-        if ner_spans is not None and rec.input_id in ner_spans:
-            rec.entities = [
-                SummaryEntity(s, e, tuple(rec.tokens[s : e + 1]))
-                for s, e, label in ner_spans[rec.input_id]
-                if label == "PERSON" and 0 <= s <= e < len(rec.tokens)
-            ]
+        if rec.input_id in ner_spans:
+            spans = ner_spans[rec.input_id]
+            if any(e >= len(rec.tokens) for _, e, _ in spans):
+                overlong.append(rec.input_id)
+            rec.entities = [SummaryEntity(s, e, tuple(rec.tokens[s : e + 1]))
+                            for s, e, label in spans if label == "PERSON"]
         elif lexicon is not None:
             rec.entities = detect_entities(rec.tokens, lexicon)
+    if overlong:
+        raise DataError(f"{ner_sidecar}: system {system!r}: entity spans end past their "
+                        "summary: " + ", ".join(sorted(overlong)))
     return records

@@ -50,14 +50,6 @@ def test_equal_pronoun_counts_tie_unknown(client):
     assert verdict == GenderVerdict(UNKNOWN, "encyclopedia")
 
 
-def test_transport_failure_degrades_to_no_page():
-    class Exploding:
-        def query(self, title):
-            raise ConnectionError("boom")
-
-    assert classify_encyclopedia(["Some", "Name"], Exploding()) is None
-
-
 TABLE = GenderNameTable(male={"james": 3.3, "john": 3.2}, female={"melissa": 0.46, "mary": 2.6})
 
 

@@ -8,6 +8,7 @@ from e2e import (hallucinating_summarizer, identity_summarizer, make_keep_rate_s
                  stage_run)
 from helpers import holes
 
+from sumprobe import pipeline
 from sumprobe.cli import COMMANDS, build_parser, main
 from sumprobe.corpus import write_conll_corpus
 from sumprobe.jsonio import DataError, StageError
@@ -156,6 +157,11 @@ def _error_case(tmp_path, case):
         "row_id_twice": ("build-templates", _document_row() * 2),
         "row_sentences_from_1": ("build-templates", _document_row(sentences=[1])),
         "row_empty_chain": ("build-templates", _document_row(chains={"0": []})),
+        "entity_across_sentences": (
+            "ingest", _BEGIN + "x 0 0 Ann NNP (PERSON* -\n\nx 0 0 Lee NNP *) -\n#end document\n"),
+        "row_entity_across_sentences": ("build-templates", _document_row(
+            tokens=["Ann", "Lee"], sentences=[0, 1], pos=["NNP", "NNP"],
+            entities=[[0, 1, "PERSON"]])),
     }
     if case in corpora:
         command, text = corpora[case]
@@ -167,6 +173,16 @@ def _error_case(tmp_path, case):
     if case == "run_summary_missing":
         return ["run", "--config", str(toy_config_with(tmp_path, {"summaries": {
             "skewed": str(missing)}}))], missing
+    # spans over the toy summaries of `skewed`: two end past their summary
+    sidecar = tmp_path / "ner.skewed.jsonl"
+    sidecar.write_text("".join(json.dumps({"input_id": input_id, "entities": spans}) + "\n"
+                               for input_id, spans in [
+                                   ("fix_0001#0::00", [[0, 1, "PERSON"], [3, 40, "PERSON"]]),
+                                   ("fix_0000#0::00", [[0, 1, "PERSON"]]),
+                                   ("fix_0000#0::02", [[0, 40, "DATE"]])]))
+    if case == "run_sidecar_past_summary":
+        return ["run", "--config", str(toy_config_with(tmp_path, {"ner_sidecars": {
+            "skewed": str(sidecar)}}))], sidecar
     templates = tmp_path / "templates.jsonl"
     assert main(["build-templates", "--documents", str(root / "data/toy/corpus.conll"),
                  "--out", str(templates)]) == 0
@@ -192,12 +208,16 @@ def _error_case(tmp_path, case):
         return [*generate, "gender_local"], templates
     assert main([*generate, "gender_local"]) == 0
     path = missing
+    align = ["align", "--templates", str(templates), "--inputs", str(tmp_path / "inputs.jsonl"),
+             "--out-dir", str(tmp_path), "--summaries"]
+    if case == "align_sidecar_past_summary":
+        return [*align, f"skewed={root / 'data/toy/summaries.skewed.jsonl'}",
+                "--ner", f"skewed={sidecar}"], sidecar
     if case == "duplicate_summary":
         rows = (root / "data/toy/summaries.skewed.jsonl").read_text().splitlines()
         path = tmp_path / "summaries.skewed.jsonl"
         path.write_text("\n".join([*rows, rows[0]]) + "\n")
-    return ["align", "--templates", str(templates), "--inputs", str(tmp_path / "inputs.jsonl"),
-            "--out-dir", str(tmp_path), "--summaries", f"skewed={path}"], path
+    return [*align, f"skewed={path}"], path
 
 
 @pytest.mark.parametrize("case, code, message", [
@@ -220,6 +240,12 @@ def _error_case(tmp_path, case):
      "{file}:1: malformed row: sentences must start at 0 and never decrease"),
     ("row_empty_chain", 2,
      "{file}:1: malformed row: chain '0' is not a non-empty list of [start, end] spans"),
+    ("entity_across_sentences", 2,
+     "{file}: line 3: named-entity bracket still open at a sentence break"),
+    ("row_entity_across_sentences", 2,
+     "{file}:1: malformed row: entity [0, 1, 'PERSON'] crosses a sentence break"),
+    *((f"{command}_sidecar_past_summary", 2, "{file}: system 'skewed': entity spans end past "
+       "their summary: fix_0000#0::02, fix_0001#0::00") for command in ("run", "align")),
     ("align_summary_missing", 2, "[Errno 2] No such file or directory: '{file}'"),
     ("run_summary_missing", 2, "[Errno 2] No such file or directory: '{file}'"),
     ("odd_global_variants", 2,
@@ -339,6 +365,8 @@ MALFORMED_ROWS = {
         "missing_key": '{"input_id": "fix_0002#0::00"}',
         "pair_entity": '{"input_id": "fix_0002#0::00", "entities": [[1, 2]]}',
         "string_start": '{"input_id": "fix_0002#0::00", "entities": [["a", 2, "PERSON"]]}',
+        "negative_start": '{"input_id": "fix_0002#0::00", "entities": [[-1, 0, "PERSON"]]}',
+        "end_before_start": '{"input_id": "fix_0002#0::00", "entities": [[2, 1, "PERSON"]]}',
     },
     dense_vectors: {
         "missing_key": '{"input_id": "fix_0002#0::00"}',
@@ -362,7 +390,7 @@ def test_malformed_input_row_exits_2_naming_its_line(
     argv, path = stage(tmp_path, small_corpus)
     replace_line_3(path, bad_row)
     assert main(argv) == 2
-    assert f"{path}:3" in capsys.readouterr().err
+    assert f"{path}:3: malformed row: " in capsys.readouterr().err
 
 
 def test_interrupted_write_leaves_no_artifact(tmp_path, small_corpus, monkeypatch):
@@ -934,9 +962,6 @@ def toy_config_with(tmp_path, text):
                                                      "got 5"),
     ({"seed": "42"}, [], "'seed' must be an integer, got '42'"),
     ({"seed": 4.2}, [], "'seed' must be an integer, got 4.2"),
-    ({"jobs": 0}, [], "'jobs' must be an integer >= 1, got 0"),
-    ({"jobs": True}, [], "'jobs' must be an integer >= 1, got True"),
-    ({}, ["--jobs", "0"], "'jobs' must be an integer >= 1, got 0"),
     ({"scheme": "race_intersectional"}, [], "race_intersectional requires an intersection mapping"),
     ({"intersection": {"black": "male"}}, [], "gender_local does not take an intersection mapping"),
     ({"scheme": "race_intersectional", "intersection": {"black": "robot"}}, [],
@@ -956,8 +981,8 @@ def toy_config_with(tmp_path, text):
     ({"content_words": {}}, [], "'content_words' must be null or a non-empty path string, got {}"),
 ], ids=["not_an_object", "invalid_json", "one_replicate", "no_variants", "string_replicates",
         "unknown_scheme", "list_summaries", "int_ner_path", "string_dense_vectors",
-        "odd_local_variants", "odd_global_variants", "string_seed", "float_seed", "no_jobs",
-        "bool_jobs", "no_jobs_flag", "intersectional_without_intersection",
+        "odd_local_variants", "odd_global_variants", "string_seed", "float_seed",
+        "intersectional_without_intersection",
         "intersection_under_gender_local", "intersection_unknown_gender", "string_intersection",
         "string_alter_last_names", "local_last_names_without_pool",
         "global_last_names_without_pool", "int_corpus", "int_out_dir", "empty_out_dir_flag",
@@ -968,6 +993,26 @@ def test_bad_config_exits_2_naming_the_file(tmp_path, capsys, text, flags, probl
     err = capsys.readouterr().err
     assert f"{config_path}: " in err and problem in err
     assert not (tmp_path / "out").exists()
+
+
+def test_old_jobs_key_changes_no_artifact(tmp_path):
+    """A config still setting "jobs", to anything, runs as one without it:
+    same artifact directory, same bytes."""
+    produced = []
+    for i, changes in enumerate([{}, {"jobs": 2}, {"jobs": "x"}]):
+        out = tmp_path / f"out{i}"
+        config_path = toy_config_with(tmp_path, {**changes, "out_dir": str(out)})
+        assert main(["run", "--config", str(config_path)]) == 0
+        (art,) = out.iterdir()
+        produced.append((art.name, {p.name: p.read_bytes() for p in art.iterdir()}))
+    assert produced[0] == produced[1] == produced[2]
+
+
+def test_jobs_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--config", "data/toy/config.json", "--jobs", "2"])
+    assert err.value.code == 1
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, name, text, changes, problem", [
@@ -1165,9 +1210,9 @@ def test_generate_altering_last_names_without_a_pool_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scheme", ["gender_local", "gender_global", "race_random_gender"])
-def test_every_artifact_is_byte_identical_at_any_jobs(tmp_path, scheme):
-    """Two systems scored serially (--jobs 1) and in forked per-system
-    workers (--jobs 2 and 3) leave the same files with the same bytes,
+def test_every_artifact_is_byte_identical_at_any_jobs(tmp_path, monkeypatch, scheme):
+    """Two systems scored serially (one usable CPU) and in forked per-system
+    workers (two and three) leave the same files with the same bytes,
     alignments and verdicts included."""
     docs = make_fixture_corpus(10, seed=5)
     vectors = {"faithful": lambda gi: [float(len(gi.tokens)), float(len(gi.assignments)), 1.0]}
@@ -1176,13 +1221,13 @@ def test_every_artifact_is_byte_identical_at_any_jobs(tmp_path, scheme):
         summarizers={"faithful": identity_summarizer, "inventive": hallucinating_summarizer},
         dense_vectors=vectors if scheme == "gender_global" else None,
     )
-    produced = {}  # jobs -> {file name: bytes} of the artifact directory
-    for jobs in (1, 2, 3):
-        out = tmp_path / f"jobs{jobs}"
-        assert main(["run", "--config", str(config), "--out-dir", str(out),
-                     "--jobs", str(jobs)]) == 0
+    produced = {}  # usable CPUs -> {file name: bytes} of the artifact directory
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 0
         art = out / artifact_dir(config).name
-        produced[jobs] = {p.name: p.read_bytes() for p in art.iterdir()}
+        produced[cpus] = {p.name: p.read_bytes() for p in art.iterdir()}
     expected = {"alignments.faithful.jsonl", "alignments.inventive.jsonl", "scores.json"}
     if scheme == "gender_local":
         expected |= {"verdicts.faithful.json", "verdicts.inventive.json"}
@@ -1196,7 +1241,8 @@ def test_every_artifact_is_byte_identical_at_any_jobs(tmp_path, scheme):
 
 def test_worker_data_error_exits_2_without_hanging(tmp_path, small_corpus):
     """A summary file of the second system naming an unknown input fails
-    in its scoring worker; the run still exits 2 with the join error."""
+    in its scoring worker, forked whatever the CPUs; the run still exits 2
+    with the join error."""
     import os
     import subprocess
     import sys
@@ -1212,7 +1258,8 @@ def test_worker_data_error_exits_2_without_hanging(tmp_path, small_corpus):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "sumprobe.cli", "run", "--config", str(config), "--jobs", "2"],
+        [sys.executable, "-c", "import sys; from sumprobe import cli, pipeline; "
+         "pipeline.usable_cpus = lambda: 2; sys.exit(cli.main())", "run", "--config", str(config)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 2, proc.stderr
@@ -1319,6 +1366,7 @@ def test_run_computes_each_stage_once(tmp_path, small_corpus, monkeypatch):
     counted(templates, "read_templates")
     counted(generate, "read_inputs")
     counted(summaries, "build_lexicon")
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)  # a forked worker's calls go uncounted
     config = stage_run(
         tmp_path, small_corpus, replicates=20,
         summarizers={"echo": identity_summarizer, "again": identity_summarizer},

@@ -49,7 +49,8 @@ def clean_run(tmp_path, config) -> dict[str, bytes]:
 
 @pytest.fixture
 def scored(monkeypatch):
-    """The systems `Pipeline._score_system` scores, in call order."""
+    """The systems `Pipeline._score_system` scores, in call order; scored in
+    this process, since a forked worker's calls would go unrecorded."""
     calls = []
     original = Pipeline._score_system
 
@@ -58,6 +59,7 @@ def scored(monkeypatch):
         return original(self, system, shared)
 
     monkeypatch.setattr(Pipeline, "_score_system", recorded)
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
     return calls
 
 
@@ -145,22 +147,26 @@ def test_changed_package_digest_recomputes_everything(tmp_path, small_corpus, sc
         n: b for n, b in before.items() if n != "run.json"}
 
 
-def test_reuse_is_byte_identical_at_any_jobs(tmp_path, small_corpus):
-    """Cold and resumed runs at --jobs 1 and 2, in either order, and a
+def test_reuse_is_byte_identical_at_any_jobs(tmp_path, small_corpus, monkeypatch):
+    """Cold and resumed runs on 1 and 2 usable CPUs, in either order, and a
     rerun after one system's summaries changed, leave the same bytes."""
     config, art = staged(tmp_path, small_corpus)
+
+    def run_on(cpus, out):
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+        run(config, "--out-dir", str(out))
+
     produced = []
-    for order in (("1", "2"), ("2", "1")):
-        out = tmp_path / ("jobs" + "".join(order))
-        for jobs in order:
-            run(config, "--out-dir", str(out), "--jobs", jobs)
+    for order in ((1, 2), (2, 1)):
+        out = tmp_path / f"cpus{order[0]}{order[1]}"
+        for cpus in order:
+            run_on(cpus, out)
             produced.append(files(out / art.name))
     assert all(p == produced[0] for p in produced)
     staged(tmp_path, small_corpus, summarizers={
         "echo": make_keep_rate_summarizer({"male": 0.2, "female": 0.8}),
         "inventive": hallucinating_summarizer})
-    for order in (("1", "2"), ("2", "1")):
-        out = tmp_path / ("jobs" + "".join(order))
-        run(config, "--out-dir", str(out), "--jobs", order[1])
-    assert files(tmp_path / "jobs12" / art.name) == files(tmp_path / "jobs21" / art.name)
-    assert files(tmp_path / "jobs12" / art.name) == clean_run(tmp_path, config)
+    for order in ((1, 2), (2, 1)):
+        run_on(order[1], tmp_path / f"cpus{order[0]}{order[1]}")
+    assert files(tmp_path / "cpus12" / art.name) == files(tmp_path / "cpus21" / art.name)
+    assert files(tmp_path / "cpus12" / art.name) == clean_run(tmp_path, config)

@@ -8,7 +8,6 @@ from sumprobe.summaries import (
     SummaryEntity,
     build_lexicon,
     detect_entities,
-    load_ner_sidecar,
     load_summaries,
     tokenize_summary,
 )
@@ -133,9 +132,8 @@ def test_ner_sidecar_overrides_detection(tmp_path):
     npath.write_text(
         json.dumps({"input_id": "d#0::00", "entities": [[1, 2, "PERSON"], [3, 3, "DATE"]]}) + "\n"
     )
-    spans = load_ner_sidecar(npath)
     records = load_summaries(spath, {"d#0::00": gi()}, system="sys", lexicon=frozenset(),
-                             ner_spans=spans)
+                             ner_sidecar=npath)
     assert records[0].entities == [SummaryEntity(1, 2, ("Dana", "Scribe"))]
 
 
