@@ -223,31 +223,34 @@ def hallucination_scores(stats: np.ndarray) -> np.ndarray:
 # --- distinguishability -------------------------------------------------------
 
 
-def neutralize_tokens(
-    tokens: Iterable[str],
+def neutralizer(
     first_names: frozenset[str] | set[str],
     last_names: frozenset[str] | set[str],
-) -> list[str]:
+) -> Callable[[Iterable[str]], list[str]]:
     """Remove surface gender cues before similarity: gendered pronouns map
-    to neutral forms and injected names to shared markers."""
-    out = []
-    for token in tokens:
+    to neutral forms and injected names to shared markers. The neutralizer
+    maps each distinct token once, for as long as it is kept."""
+
+    @functools.cache
+    def neutral(token: str) -> str:
+        """The token's neutral form; "" drops it."""
         t = clean_token(token)
-        if not t:
-            continue
         if t in NEUTRAL_SUBJECT:
-            out.append("they")
-        elif t in NEUTRAL_OBJECT:
-            out.append("them")
-        elif t in NEUTRAL_REFLEXIVE:
-            out.append("themself")
-        elif t in first_names:
-            out.append(FIRST_MARKER)
-        elif t in last_names:
-            out.append(LAST_MARKER)
-        else:
-            out.append(t)
-    return out
+            return "they"
+        if t in NEUTRAL_OBJECT:
+            return "them"
+        if t in NEUTRAL_REFLEXIVE:
+            return "themself"
+        if t in first_names:
+            return FIRST_MARKER
+        if t in last_names:
+            return LAST_MARKER
+        return t
+
+    def neutralize(tokens: Iterable[str]) -> list[str]:
+        return list(filter(None, map(neutral, tokens)))
+
+    return neutralize
 
 
 def cosine_counts(a: Counter, b: Counter) -> float:

@@ -591,11 +591,12 @@ class Pipeline:
         sidecar if it has one, skip the inputs the sidecar lacks."""
         vectors = (sm.load_dense_vectors(self.config.dense_vectors[system])
                    if system in self.config.dense_vectors else None)
+        neutralize = ms.neutralizer(first_names, last_names)
         count_points, dense_points, missing = [], [], []
         for a, gi in zip(aligned, inputs):
             group = gi.assignments[0].gender if gi.assignments else "unknown"
-            neutral = ms.neutralize_tokens(a.record.tokens, first_names, last_names)
-            count_points.append(ms.SummaryPoint(gi.original_id, group, Counter(neutral)))
+            count_points.append(ms.SummaryPoint(gi.original_id, group,
+                                                Counter(neutralize(a.record.tokens))))
             if vectors is None:
                 continue
             if gi.id in vectors:

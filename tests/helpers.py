@@ -3,6 +3,7 @@
 import functools
 
 import numpy as np
+from hypothesis import strategies as st
 
 from sumprobe.corpus import AnnotatedDocument, MentionSpan
 from sumprobe.generate import EntityAssignment
@@ -92,3 +93,21 @@ def distinguishability_point(points):
     """Distinguishability of summary points, every skipped original left out."""
     stats, _ = distinguishability(points)
     return point(distinguishability_scores, list(stats.values()))
+
+
+# --- random summary tokens ---------------------------------------------------------
+
+# names in three casings, every title, gendered pronouns, plain and ALL-CAPS words
+_TOKEN_CORES = ["Melissa", "melissa", "MELISSA", "Levin", "levin", "LEVIN", "Mr.", "mr.", "MR.",
+                "Mrs.", "Ms.", "Mr", "Sir", "sir", "Lady", "LADY", "He", "he", "HER", "hers",
+                "Himself", "they", "The", "the", "NASA", "UN", "said", "O'Neil", "Jean-Paul",
+                "Émile", "x", "X", "1990", ""]
+# edge punctuation, sentence enders among it; around an empty core, a token of
+# punctuation only
+_TOKEN_EDGES = ["", ".", ",", "!", "?", '"', "'", "(", ")", "--", "...", '."', "?!", ":", ")."]
+_cores = (st.sampled_from(_TOKEN_CORES)
+          | st.text(st.characters(blacklist_categories=("Z", "C")), max_size=4))
+_edges = st.sampled_from(_TOKEN_EDGES)
+raw_tokens = st.tuples(_edges, _cores, _edges).map("".join)
+summary_texts = st.lists(raw_tokens, max_size=40).map(" ".join) | st.text(max_size=40)
+lexicons = st.frozensets(st.sampled_from(["melissa", "levin", "nasa", "the", "x", "émile"]))

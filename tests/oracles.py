@@ -1,5 +1,5 @@
-"""Independent oracles of the four measures, which the tests compare the
-package against.
+"""Independent oracles of the four measures and of the per-token work
+beneath them, which the tests compare the package against.
 
 brute_*                      each measure from its definition, over raw
                              summaries, group tables, verdicts or points;
@@ -12,12 +12,20 @@ reference_*                  each measure over a list of per-record payloads,
 pairwise_distinguishability  per-original (n, wins) of the pairwise cosine
                              loop, which the Gram-matrix kernel must equal
                              exactly, ties included
+loop_*                       tokenization, entity detection and
+                             neutralization redoing every token's work at
+                             every occurrence, which the package's
+                             once-per-distinct-token versions must equal
 """
 
 import math
+import string
 from collections import Counter
 
-from sumprobe.measures import cosine_counts, cosine_dense
+from sumprobe.measures import (FIRST_MARKER, LAST_MARKER, NEUTRAL_OBJECT, NEUTRAL_REFLEXIVE,
+                               NEUTRAL_SUBJECT, clean_token, cosine_counts, cosine_dense)
+from sumprobe.summaries import SummaryEntity
+from sumprobe.templates import TITLE_SET
 
 # --- from the definitions ------------------------------------------------------
 
@@ -205,3 +213,69 @@ def pairwise_distinguishability(points):
                 wins += 1
         stats[original] = (len(group_points), wins)
     return stats, diagnostics
+
+
+# --- per-occurrence token work -----------------------------------------------------
+
+_PUNCT = set(string.punctuation)
+_SENTENCE_ENDERS = set(".!?")
+
+
+def loop_tokenize_summary(text):
+    out = []
+    for raw in text.split():
+        if raw[0] not in _PUNCT and raw[-1] not in _PUNCT:
+            out.append(raw)
+            continue
+        tok = raw.lstrip(string.punctuation)
+        if not tok:
+            if _SENTENCE_ENDERS & set(raw):
+                out.append(".")
+            continue
+        trailing = ""
+        while tok and tok[-1] in _PUNCT and tok.lower() not in TITLE_SET:
+            trailing = tok[-1] + trailing
+            tok = tok[:-1]
+        if tok:
+            out.append(tok)
+        if tok.lower() not in TITLE_SET and _SENTENCE_ENDERS & set(trailing):
+            out.append(".")
+    return out
+
+
+def loop_detect_entities(tokens, lexicon):
+    entities = []
+    run_start = None
+    for i, token in enumerate([*tokens, ""]):  # the "" closes a final run
+        if token[:1].isupper():
+            if run_start is None:
+                run_start = i
+        elif run_start is not None:
+            run = tokens[run_start:i]
+            lowered = list(map(str.lower, run))
+            if not (lexicon.isdisjoint(lowered) and TITLE_SET.isdisjoint(lowered)):
+                entities.append(SummaryEntity(run_start, i - 1, tuple(run)))
+            run_start = None
+    return entities
+
+
+def loop_neutralize_tokens(tokens, first_names, last_names):
+    out = []
+    for token in tokens:
+        t = clean_token(token)
+        if not t:
+            continue
+        if t in NEUTRAL_SUBJECT:
+            out.append("they")
+        elif t in NEUTRAL_OBJECT:
+            out.append("them")
+        elif t in NEUTRAL_REFLEXIVE:
+            out.append("themself")
+        elif t in first_names:
+            out.append(FIRST_MARKER)
+        elif t in last_names:
+            out.append(LAST_MARKER)
+        else:
+            out.append(t)
+    return out
+

@@ -9,7 +9,7 @@ import time
 from collections import Counter
 
 import numpy as np
-from e2e import make_keep_rate_summarizer, stage_run
+from e2e import hallucinating_summarizer, identity_summarizer, make_keep_rate_summarizer, stage_run
 from helpers import (distinguishability_point, hallucination_point, identity_assignments,
                      inclusion_point, inclusion_stats_of, point, word_list_point)
 from make_demo_data import make_fixture_corpus
@@ -30,7 +30,7 @@ from sumprobe.measures import (
 )
 from sumprobe.pipeline import Pipeline, PipelineConfig
 from sumprobe.seeding import derive_rng
-from sumprobe.summaries import SummaryRecord, build_lexicon, detect_entities, tokenize_summary
+from sumprobe.summaries import SummaryRecord, build_lexicon, entity_detector, summary_tokenizer
 from sumprobe.templates import build_template
 
 
@@ -185,17 +185,18 @@ def test_criterion_5_induced_bias_detection(census):
     summarize = make_keep_rate_summarizer(keep)
     by_doc = {t.doc_id: t for t in templates}
     records, sources, index = [], {}, {}
+    tokenize = summary_tokenizer()
     for gi in inputs:
         rng = derive_rng(99, "keep", gi.id)
         text = summarize(gi, rng)
-        tokens = tokenize_summary(text)
+        tokens = tokenize(text)
         index[gi.id] = input_entities(by_doc[gi.original_id], gi)
         sources[gi.id] = gi.tokens
         lexicon = frozenset(
             n.lower() for a in gi.assignments for n in (a.first, a.last) if n
         )
         records.append(
-            SummaryRecord(gi.id, "biased", tokens, detect_entities(tokens, lexicon))
+            SummaryRecord(gi.id, "biased", tokens, entity_detector(lexicon)(tokens))
         )
     aligned, _ = align_corpus(records, index, sources)
     stats = inclusion_stats_of(inclusion_rows(aligned, index))
@@ -288,6 +289,7 @@ def test_criterion_8_alignment_precision(census, census_raw, fixture_templates):
     records, sources, index, expected = [], {}, {}, []
     planted = 0
     constructed = 0
+    tokenize = summary_tokenizer()
     for gi in inputs[:200]:
         index[gi.id] = input_entities(by_doc[gi.original_id], gi)
         sources[gi.id] = gi.tokens
@@ -311,7 +313,7 @@ def test_criterion_8_alignment_precision(census, census_raw, fixture_templates):
             planted += 1
             wanted.append(HALLUCINATED)
         text = " ".join(parts)
-        tokens = tokenize_summary(text)
+        tokens = tokenize(text)
         lexicon = build_lexicon(
             [a.first for a in gi.assignments],
             [a.last for a in gi.assignments],
@@ -319,7 +321,7 @@ def test_criterion_8_alignment_precision(census, census_raw, fixture_templates):
             census=census_raw,
         )
         records.append(
-            SummaryRecord(gi.id, "harness", tokens, detect_entities(tokens, lexicon))
+            SummaryRecord(gi.id, "harness", tokens, entity_detector(lexicon)(tokens))
         )
         expected.append(wanted)
     assert len(records) == 200 and planted == 50
@@ -348,8 +350,10 @@ def test_criterion_8_alignment_precision(census, census_raw, fixture_templates):
 
 
 def test_criterion_9_run_determinism(tmp_path, monkeypatch):
+    """Two systems, so that at 2 and 3 usable CPUs forked workers score them."""
     docs = make_fixture_corpus(10, seed=33)
-    config = stage_run(tmp_path, docs, variants=4, replicates=50, seed=13)
+    systems = {"echo": identity_summarizer, "inventive": hallucinating_summarizer}
+    config = stage_run(tmp_path, docs, variants=4, replicates=50, seed=13, summarizers=systems)
     out = [tmp_path / f"run{i}" for i in range(3)]
     for cpus, out_dir in zip((1, 2, 3), out):
         monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
@@ -358,6 +362,8 @@ def test_criterion_9_run_determinism(tmp_path, monkeypatch):
     names = [
         "documents.jsonl", "templates.jsonl", "inputs.jsonl", "scores.json",
         "report.md", "report.csv", "report.json",
+        *(f"{kind}.{system}.{ext}" for system in systems
+          for kind, ext in (("alignments", "jsonl"), ("verdicts", "json"))),
     ]
     for name in names:
         blobs = [(o / hash_dir / name).read_bytes() for o in out]

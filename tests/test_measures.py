@@ -14,7 +14,9 @@ from helpers import (
     hallucination_point,
     inclusion_point,
     inclusion_stats_of,
+    lexicons,
     point,
+    raw_tokens,
     word_list_point,
     word_list_stats_of,
 )
@@ -25,6 +27,7 @@ from oracles import (
     brute_hallucination,
     brute_inclusion,
     brute_word_list,
+    loop_neutralize_tokens,
     pairwise_distinguishability,
     reference_distinguishability,
     reference_hallucination,
@@ -44,7 +47,7 @@ from sumprobe.measures import (
     hallucination_scores,
     hallucination_stats,
     inclusion_scores,
-    neutralize_tokens,
+    neutralizer,
     score_with_ci,
     word_list_scores,
 )
@@ -328,19 +331,30 @@ def test_cosine_counts_bounded(a, b):
 
 def test_neutralize_tokens():
     tokens = ["He", "met", "Melissa", "Levin", "and", "her", "brother", "himself."]
-    out = neutralize_tokens(tokens, {"melissa"}, {"levin"})
+    out = neutralizer({"melissa"}, {"levin"})(tokens)
     assert out == [
         "they", "met", "FIRST_NAME", "LAST_NAME", "and", "them", "brother", "themself",
     ]
     forms = ["he", "him", "his", "himself", "She", "HER", "hers", "herself"]
-    assert neutralize_tokens(forms, set(), set()) == [
+    assert neutralizer(set(), set())(forms) == [
         "they", "them", "them", "themself", "they", "them", "them", "themself"]
+
+
+@given(st.lists(st.lists(raw_tokens, max_size=12), max_size=4), lexicons, lexicons)
+@settings(max_examples=150, deadline=None)
+def test_neutralize_equals_the_per_occurrence_loop(token_lists, first_names, last_names):
+    """Pronouns in any case, names, titles and tokens that clean to nothing,
+    through one neutralizer kept across lists, as the pipeline keeps it."""
+    neutralize = neutralizer(first_names, last_names)
+    for tokens in token_lists:
+        expected = loop_neutralize_tokens(tokens, first_names, last_names)
+        assert neutralize(tokens) == expected
 
 
 def test_neutralize_is_gender_symmetric():
     male = ["He", "thanked", "him", "for", "his", "help", "himself"]
     female = ["She", "thanked", "her", "for", "her", "help", "herself"]
-    assert neutralize_tokens(male, set(), set()) == neutralize_tokens(female, set(), set())
+    assert neutralizer(set(), set())(male) == neutralizer(set(), set())(female)
 
 
 def test_distinguishability_invariant_under_token_renaming():

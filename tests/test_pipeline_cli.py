@@ -367,12 +367,18 @@ MALFORMED_ROWS = {
         "string_start": '{"input_id": "fix_0002#0::00", "entities": [["a", 2, "PERSON"]]}',
         "negative_start": '{"input_id": "fix_0002#0::00", "entities": [[-1, 0, "PERSON"]]}',
         "end_before_start": '{"input_id": "fix_0002#0::00", "entities": [[2, 1, "PERSON"]]}',
+        "repeated_input": '{"input_id": "fix_0000#0::00", "entities": []}',
     },
     dense_vectors: {
         "missing_key": '{"input_id": "fix_0002#0::00"}',
         "mixed_lengths": '{"input_id": "fix_0002#0::00", "vector": [1.0, 2.0]}',
         "string_entry": '{"input_id": "fix_0002#0::00", "vector": ["a"]}',
         "bool_entry": '{"input_id": "fix_0002#0::00", "vector": [true]}',
+        "nan_entry": '{"input_id": "fix_0002#0::00", "vector": [NaN]}',
+        "infinite_entry": '{"input_id": "fix_0002#0::00", "vector": [-Infinity]}',
+        "overflowing_entry": '{"input_id": "fix_0002#0::00", "vector": [1e999]}',
+        "integer_past_float_range": '{"input_id": "fix_0002#0::00", "vector": [1%s]}' % ("0" * 400),
+        "repeated_input": '{"input_id": "fix_0000#0::00", "vector": [1.0]}',
     },
     content_words: {"missing_key": '{"doc_id": "none#0"}'},
     alignments: {"missing_key": '{"status": "hallucinated"}'},
