@@ -156,7 +156,7 @@ def cmd_classify_hallucinations(args) -> int:
 def cmd_analyze_input_bias(args) -> int:
     docs = _load_docs(args.corpus)
     word_lists = load_word_lists(args.word_lists)
-    split = ib.split_by_identifier_majority([d.token_texts() for d in docs], word_lists)
+    split = ib.split_by_identifier_majority([d.tokens for d in docs], word_lists)
     result = ib.fightin_words(
         split["male"], split["female"], pairs=word_pairs(word_lists), alpha=args.alpha
     )

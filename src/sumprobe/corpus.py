@@ -5,6 +5,12 @@ docs/formats.md. Tokenization, sentence boundaries, named entities and
 coreference chains are taken as given by the annotation file; nothing is
 re-tokenized or re-tagged here.
 
+A document holds its tokens as three parallel columns, the way an `ingest`
+JSONL row does: token texts, sentence ids and POS tags, a token's index
+being its position. `from_json` keeps a row's own lists, with no copy and
+no per-token object, and `to_json` and `build_template` hand the columns
+on as they are, so no code may mutate a column once a document holds it.
+
 Each reader checks a document once, as it reads it: a fault is a
 `DataError` naming the file and the line, and a document either returns
 needs no further check.
@@ -20,8 +26,9 @@ from .jsonio import DataError, read_lines, read_rows, write_rows
 
 
 class Token(NamedTuple):
-    """A tuple rather than a dataclass: a corpus is read hundreds of
-    thousands of tokens at a time, and a tuple builds several times faster."""
+    """One token of a document built by hand, the form `AnnotatedDocument`
+    takes as input. It stays for callers that assemble a document token by
+    token; the package itself builds no `Token` and reads columns only."""
 
     index: int
     text: str
@@ -43,15 +50,45 @@ class NamedEntitySpan:
     label: str
 
 
-@dataclass
+@dataclass(init=False)
 class AnnotatedDocument:
+    """A document as three parallel token columns (`tokens` texts,
+    `sentences` ids, `pos` tags; a token's index is its position) plus its
+    coreference chains and named entities.
+
+    `AnnotatedDocument(id, [Token, ...], chains, entities)` splits a hand-built
+    token list into new columns; each token's `index` must be its position.
+    The readers use `from_columns`, which keeps the lists it is given: they
+    may be shared with a JSON row or a template, and are never mutated.
+    """
+
     id: str
-    tokens: list[Token]
+    tokens: list[str]
+    sentences: list[int]
+    pos: list[str]
     chains: dict[str, list[MentionSpan]]
     entities: list[NamedEntitySpan]
 
-    def token_texts(self) -> list[str]:
-        return [t.text for t in self.tokens]
+    def __init__(self, id: str, tokens: Iterable[Token],
+                 chains: dict[str, list[MentionSpan]], entities: list[NamedEntitySpan]):
+        tokens = list(tokens)
+        if [t.index for t in tokens] != list(range(len(tokens))):
+            raise ValueError(f"document {id}: token indices are not their positions")
+        self._fill(id, [t.text for t in tokens], [t.sentence for t in tokens],
+                   [t.pos for t in tokens], chains, entities)
+
+    @classmethod
+    def from_columns(cls, id: str, tokens: list[str], sentences: list[int], pos: list[str],
+                     chains: dict[str, list[MentionSpan]],
+                     entities: list[NamedEntitySpan]) -> AnnotatedDocument:
+        """A document over these very lists, not copies of them."""
+        doc = cls.__new__(cls)
+        doc._fill(id, tokens, sentences, pos, chains, entities)
+        return doc
+
+    def _fill(self, id, tokens, sentences, pos, chains, entities) -> None:
+        self.id, self.tokens, self.sentences, self.pos = id, tokens, sentences, pos
+        self.chains, self.entities = chains, entities
 
     def person_entities(self) -> list[NamedEntitySpan]:
         return [e for e in self.entities if e.label == "PERSON"]
@@ -125,7 +162,9 @@ class _DocBuilder:
     def __init__(self, path: str | Path, doc_name: str, part: str):
         self.path = path
         self.id = f"{doc_name}#{int(part)}"
-        self.tokens: list[Token] = []
+        self.tokens: list[str] = []
+        self.sentences: list[int] = []
+        self.pos: list[str] = []
         self.sentence = 0
         self.open_ne = None
         self.open_chains: dict[str, list[int]] = {}
@@ -135,8 +174,10 @@ class _DocBuilder:
     def add_row(self, columns: list[str], line_no: int) -> None:
         _, _, _, text, pos, ne_field, coref_field = columns
         index = len(self.tokens)
+        self.tokens.append(text)
+        self.sentences.append(self.sentence)
         # "-" is the empty-POS placeholder in the column format
-        self.tokens.append(Token(index, text, self.sentence, "" if pos == "-" else pos))
+        self.pos.append("" if pos == "-" else pos)
         self.open_ne, done = _parse_ne_field(ne_field, index, self.path, line_no, self.open_ne)
         if done is not None:
             self.entities.append(done)
@@ -154,7 +195,7 @@ class _DocBuilder:
         if dangling:
             raise _fault(self.path, line_no, f"coreference bracket(s) for chain(s) {dangling} "
                          "still open at a sentence break")
-        if self.tokens and self.tokens[-1].sentence == self.sentence:
+        if self.sentences and self.sentences[-1] == self.sentence:
             self.sentence += 1
 
     def finish(self, line_no: int) -> AnnotatedDocument:
@@ -168,12 +209,8 @@ class _DocBuilder:
         chains: dict[str, list[MentionSpan]] = {}
         for m in sorted(self.mentions):
             chains.setdefault(m.chain, []).append(m)
-        return AnnotatedDocument(
-            id=self.id,
-            tokens=self.tokens,
-            chains=chains,
-            entities=sorted(self.entities),
-        )
+        return AnnotatedDocument.from_columns(self.id, self.tokens, self.sentences, self.pos,
+                                              chains, sorted(self.entities))
 
 
 def parse_conll_corpus(path: str | Path) -> list[AnnotatedDocument]:
@@ -248,12 +285,11 @@ def write_conll_corpus(docs: Iterable[AnnotatedDocument], out: TextIO) -> None:
                     ends.setdefault(m.end, []).append(chain)
         word = 0
         prev_sentence = 0
-        for tok in doc.tokens:
-            if tok.sentence != prev_sentence:
+        for i, (text, sentence, pos) in enumerate(zip(doc.tokens, doc.sentences, doc.pos)):
+            if sentence != prev_sentence:
                 out.write("\n")
                 word = 0
-                prev_sentence = tok.sentence
-            i = tok.index
+                prev_sentence = sentence
             if i in ne_open:
                 e = ne_open[i]
                 ne = f"({e.label})" if e.end == i else f"({e.label}*"
@@ -267,8 +303,7 @@ def write_conll_corpus(docs: Iterable[AnnotatedDocument], out: TextIO) -> None:
                 + [f"{c})" for c in sorted(ends.get(i, []), key=int)]
             )
             coref = "|".join(parts) if parts else _NO_COREF
-            pos = tok.pos if tok.pos else "-"
-            out.write(f"{name} {int(part)} {word} {tok.text} {pos} {ne} {coref}\n")
+            out.write(f"{name} {int(part)} {word} {text} {pos or '-'} {ne} {coref}\n")
             word += 1
         out.write("#end document\n")
 
@@ -276,23 +311,22 @@ def write_conll_corpus(docs: Iterable[AnnotatedDocument], out: TextIO) -> None:
 def to_json(doc: AnnotatedDocument) -> dict:
     return {
         "id": doc.id,
-        "tokens": [t.text for t in doc.tokens],
-        "sentences": [t.sentence for t in doc.tokens],
-        "pos": [t.pos for t in doc.tokens],
+        "tokens": doc.tokens,
+        "sentences": doc.sentences,
+        "pos": doc.pos,
         "chains": {c: [[m.start, m.end] for m in spans] for c, spans in doc.chains.items()},
         "entities": [[e.start, e.end, e.label] for e in doc.entities],
     }
 
 
 def from_json(data: dict) -> AnnotatedDocument:
-    texts = data["tokens"]
-    tokens = list(map(Token, range(len(texts)), texts, data["sentences"], data["pos"]))
     chains = {
         chain: [MentionSpan(s, e, chain) for s, e in spans]
         for chain, spans in data["chains"].items()
     }
     entities = [NamedEntitySpan(s, e, label) for s, e, label in data["entities"]]
-    return AnnotatedDocument(data["id"], tokens, chains, sorted(entities))
+    return AnnotatedDocument.from_columns(data["id"], data["tokens"], data["sentences"],
+                                          data["pos"], chains, sorted(entities))
 
 
 def write_jsonl(docs: Iterable[AnnotatedDocument], path: str | Path) -> None:
@@ -306,7 +340,7 @@ _DOCUMENT_KEYS = {"id": str, "tokens": list, "sentences": list, "pos": list,
 
 def _document_problem(row: dict) -> str | None:
     """What else keeps `row` from being a document that `ingest` could have
-    written: `from_json` numbers the tokens and labels the mentions itself."""
+    written: `from_json` labels the mentions itself."""
     n = len(row["tokens"])
     sentences = row["sentences"]
     if len(sentences) != n or len(row["pos"]) != n:

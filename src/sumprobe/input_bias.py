@@ -17,13 +17,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, groupby
-from operator import add, attrgetter
+from itertools import accumulate, chain, groupby
+from operator import add
 from typing import Container, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import AnnotatedDocument, Token
+from .corpus import AnnotatedDocument
 from .measures import (NEUTRAL_OBJECT, clean_token, count_identifiers, word_list_scores,
                        word_list_stats, word_sets)
 from .names import load_topic_tokens, load_word_lists
@@ -137,8 +137,9 @@ def classify_topic(
 
 
 def _sentence_tokens(doc: AnnotatedDocument) -> list[list[str]]:
-    return [[t.text for t in sentence]
-            for _, sentence in groupby(doc.tokens, attrgetter("sentence"))]
+    """The document's token texts, one list per run of equal sentence ids."""
+    ends = list(accumulate(len(list(run)) for _, run in groupby(doc.sentences)))
+    return [doc.tokens[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def _column_sums(rows: Sequence[dict[str, int]], groups: Sequence[str]) -> dict[str, int]:
@@ -197,7 +198,7 @@ def simulation_experiment(
     for doc in docs:
         rows = [count_identifiers(sentence, sets) for sentence in _sentence_tokens(doc)]
         counts = _column_sums(rows, groups)
-        label = classify_topic(doc.token_texts(), topics["sport"], topics["family"])
+        label = classify_topic(doc.tokens, topics["sport"], topics["family"])
         c = by_topic.setdefault(label, Counter())
         c["docs"] += 1
         c.update(counts)
@@ -267,7 +268,8 @@ def make_synthetic_corpus(config: SyntheticCorpusConfig, seed: int = 0) -> list[
     for i in range(config.n_docs):
         rng = derive_rng(seed, "synthdoc", i)
         topic = rng.choices(topics, weights=config.topic_shares, k=1)[0]
-        tokens: list[Token] = []
+        tokens: list[str] = []
+        sentences: list[int] = []
         n_sentences = rng.randint(*config.sentences)
         for s in range(n_sentences):
             words: list[str] = []
@@ -285,9 +287,8 @@ def make_synthetic_corpus(config: SyntheticCorpusConfig, seed: int = 0) -> list[
                 words.append(rng.choice(_FILLER))
             rng.shuffle(words)
             words.append(".")
-            for w in words:
-                tokens.append(Token(len(tokens), w, s, ""))
-        docs.append(
-            AnnotatedDocument(id=f"synth_{i:05d}#0", tokens=tokens, chains={}, entities=[])
-        )
+            tokens += words
+            sentences += [s] * len(words)
+        docs.append(AnnotatedDocument.from_columns(f"synth_{i:05d}#0", tokens, sentences,
+                                                   [""] * len(tokens), {}, []))
     return docs

@@ -551,7 +551,7 @@ class Pipeline:
                 inc_records, ms.inclusion_scores, system, "entity_inclusion").as_json()
         else:
             for measure, (points, missing) in self._distinguishability_points(
-                    system, aligned, inputs, *shared.names).items():
+                    system, aligned, inputs, shared.context.inputs, *shared.names).items():
                 stats, skipped = ms.distinguishability(points)
                 diag[measure] = skipped + missing
                 measures[measure] = self._dist_ci(stats, system, measure).as_json()
@@ -583,14 +583,22 @@ class Pipeline:
             replicates=self.config.replicates, seed=seed, axes=("d",),
         )
 
-    def _distinguishability_points(self, system, aligned, inputs, first_names, last_names):
+    def _distinguishability_points(self, system, aligned, inputs, generated, first_names,
+                                   last_names):
         """Per distinguishability measure, `system`'s summary points and the
         inputs left out of them; `inputs[i]` is the input `aligned[i]`
         summarizes. Count points are bags of neutralized words, every name
         assigned to any input marked; dense points, from the system's
-        sidecar if it has one, skip the inputs the sidecar lacks."""
-        vectors = (sm.load_dense_vectors(self.config.dense_vectors[system])
-                   if system in self.config.dense_vectors else None)
+        sidecar if it has one, skip the inputs the sidecar lacks. A sidecar
+        row whose id is not in `generated` is a `DataError`."""
+        vectors = None
+        if system in self.config.dense_vectors:
+            path = self.config.dense_vectors[system]
+            vectors = sm.load_dense_vectors(path)
+            unknown = sorted(vectors.keys() - generated.keys())
+            if unknown:
+                raise DataError(f"{path}: system {system!r}: dense rows reference unknown "
+                                "input ids: " + ", ".join(unknown))
         neutralize = ms.neutralizer(first_names, last_names)
         count_points, dense_points, missing = [], [], []
         for a, gi in zip(aligned, inputs):

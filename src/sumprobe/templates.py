@@ -139,24 +139,23 @@ def _link_person_entities(doc: AnnotatedDocument) -> list[_PersonEntity]:
     return out
 
 
-def _named_tokens(doc: AnnotatedDocument, ne: NamedEntitySpan) -> list:
-    return [
-        t for t in doc.tokens[ne.start : ne.end + 1] if t.text.lower() not in TITLE_SET
-    ]
+def _named_tokens(doc: AnnotatedDocument, ne: NamedEntitySpan) -> list[int]:
+    """The positions of the span's tokens that are not titles."""
+    return [i for i in range(ne.start, ne.end + 1) if doc.tokens[i].lower() not in TITLE_SET]
 
 
 def _infer_from_nes(doc: AnnotatedDocument, nes: Iterable[NamedEntitySpan]):
     """First/last name heuristics over an entity's named-entity spans."""
     diagnostics: list[str] = []
     nes = sorted(nes)
+    tokens = doc.tokens
     immediate_last: str | None = None
     for ne in nes:
         named = _named_tokens(doc, ne)
         if len(named) == 1:
-            tok = named[0]
-            prev = doc.tokens[tok.index - 1] if tok.index > 0 else None
-            if prev is not None and prev.text.lower() in NAME_TITLES:
-                immediate_last = tok.text
+            i = named[0]
+            if i > 0 and tokens[i - 1].lower() in NAME_TITLES:
+                immediate_last = tokens[i]
                 break
 
     last_counts: Counter[str] = Counter()
@@ -169,12 +168,11 @@ def _infer_from_nes(doc: AnnotatedDocument, nes: Iterable[NamedEntitySpan]):
             continue
         if len(named) > 1:
             saw_multi_token = True
-        last_tok = named[-1]
-        last_counts[last_tok.text] += 1
-        earliest.setdefault(last_tok.text, last_tok.index)
-        for tok in named[:-1]:
-            first_counts[tok.text] += 1
-            earliest.setdefault(tok.text, tok.index)
+        last_counts[tokens[named[-1]]] += 1
+        earliest.setdefault(tokens[named[-1]], named[-1])
+        for i in named[:-1]:
+            first_counts[tokens[i]] += 1
+            earliest.setdefault(tokens[i], i)
 
     def best(counts: Counter[str]) -> str | None:
         if not counts:
@@ -206,23 +204,25 @@ def _mention_slots(
     other_names: set[str],
     diagnostics: list[str],
 ) -> list[EntitySlot]:
+    tokens = doc.tokens
     slots: list[EntitySlot] = []
     own = {n for n in (first, last) if n}
 
     def add(start, end, category, title_text=None, pos=""):
         if _overlaps(start, end, ((s.start, s.end) for s in slots)):
             return
-        text = tuple(t.text for t in doc.tokens[start : end + 1])
-        slots.append(EntitySlot(start, end, category, text, title_text, pos))
+        slots.append(EntitySlot(start, end, category, tuple(tokens[start : end + 1]),
+                                title_text, pos))
 
     # outermost mentions first, so a full-name hole wins over a nested name
     for mention in sorted(set(ent.mentions), key=lambda m: (m.start, -m.end)):
-        toks = doc.tokens[mention.start : mention.end + 1]
-        if len(toks) == 1 and toks[0].pos in _PRONOUN_POS:
-            if toks[0].text.lower() in GENDERED_PRONOUNS:
-                add(mention.start, mention.start, SlotCategory.PRONOUN, pos=toks[0].pos)
+        toks = tokens[mention.start : mention.end + 1]
+        pos = doc.pos[mention.start]
+        if len(toks) == 1 and pos in _PRONOUN_POS:
+            if toks[0].lower() in GENDERED_PRONOUNS:
+                add(mention.start, mention.start, SlotCategory.PRONOUN, pos=pos)
             continue
-        foreign = [t.text for t in toks if t.text in other_names and t.text not in own]
+        foreign = [t for t in toks if t in other_names and t not in own]
         if foreign:
             diagnostics.append(
                 f"entity {ent.id}: mention ({mention.start},{mention.end}) mentions "
@@ -231,7 +231,7 @@ def _mention_slots(
             continue
         i = mention.start
         while i <= mention.end:
-            text = doc.tokens[i].text
+            text = tokens[i]
             if text.lower() in TITLE_SET:
                 add(i, i, SlotCategory.TITLE, title_text=text)
             elif (
@@ -239,7 +239,7 @@ def _mention_slots(
                 and text == first
                 and i + 1 <= mention.end
                 and last
-                and doc.tokens[i + 1].text == last
+                and tokens[i + 1] == last
             ):
                 add(i, i + 1, SlotCategory.FULL_NAME)
                 i += 2
@@ -321,7 +321,7 @@ def build_template(
     spans = _admit_content_spans(len(doc.tokens), claimed, content_spans, diagnostics)
     return DocumentTemplate(
         doc_id=doc.id,
-        tokens=doc.token_texts(),
+        tokens=doc.tokens,
         entities=entities,
         content_spans=spans,
         diagnostics=diagnostics,

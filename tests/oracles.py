@@ -16,11 +16,16 @@ loop_*                       tokenization, entity detection and
                              neutralization redoing every token's work at
                              every occurrence, which the package's
                              once-per-distinct-token versions must equal
+token_*                      a document's JSON row and sentences read off a
+                             list of `corpus.Token`s, as the package did
+                             before documents held token columns
 """
 
 import math
 import string
 from collections import Counter
+from itertools import groupby
+from operator import attrgetter
 
 from sumprobe.measures import (FIRST_MARKER, LAST_MARKER, NEUTRAL_OBJECT, NEUTRAL_REFLEXIVE,
                                NEUTRAL_SUBJECT, clean_token, cosine_counts, cosine_dense)
@@ -279,3 +284,22 @@ def loop_neutralize_tokens(tokens, first_names, last_names):
             out.append(t)
     return out
 
+
+# --- documents as per-token objects --------------------------------------------------
+
+
+def token_to_json(doc_id, tokens, chains, entities):
+    """The `ingest` row of a document given as `Token`s, chains and entities."""
+    return {
+        "id": doc_id,
+        "tokens": [t.text for t in tokens],
+        "sentences": [t.sentence for t in tokens],
+        "pos": [t.pos for t in tokens],
+        "chains": {c: [[m.start, m.end] for m in spans] for c, spans in chains.items()},
+        "entities": [[e.start, e.end, e.label] for e in entities],
+    }
+
+
+def token_sentences(tokens):
+    """Each sentence's token texts, from a list of `Token`s."""
+    return [[t.text for t in sentence] for _, sentence in groupby(tokens, attrgetter("sentence"))]

@@ -46,8 +46,7 @@ def test_criterion_1_round_trip_fidelity(fixture_corpus, fixture_templates):
     mismatches = 0
     for doc, template in zip(fixture_corpus, fixture_templates):
         rendered = render(template, identity_assignments(template))
-        original = [t.text for t in doc.tokens]
-        if rendered != original:
+        if rendered != doc.tokens:
             mismatches += 1
     assert mismatches == 0
     passline(1, "identity fill reproduces all 50 fixture documents exactly")

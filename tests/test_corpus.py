@@ -1,11 +1,13 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import mentions
+from oracles import token_sentences, token_to_json
 
+from sumprobe import corpus
 from sumprobe.corpus import (
     AnnotatedDocument,
     MentionSpan,
@@ -18,7 +20,8 @@ from sumprobe.corpus import (
     write_conll_corpus,
     write_jsonl,
 )
-from sumprobe.jsonio import DataError
+from sumprobe.input_bias import _sentence_tokens
+from sumprobe.jsonio import DataError, read_rows
 
 MINIMAL = """#begin document (mini); part 000
 mini 0 0 Mr. NNP * (0
@@ -40,7 +43,9 @@ def test_minimal_document(tmp_path):
     assert len(docs) == 1
     doc = docs[0]
     assert doc.id == "mini#0"
-    assert [t.text for t in doc.tokens] == ["Mr.", "Levin", "spoke", "."]
+    assert doc.tokens == ["Mr.", "Levin", "spoke", "."]
+    assert doc.sentences == [0, 0, 0, 0]
+    assert doc.pos == ["NNP", "NNP", "VBD", "."]
     assert doc.chains == {"0": [MentionSpan(0, 1, "0")]}
     assert doc.entities == [NamedEntitySpan(1, 1, "PERSON")]
 
@@ -81,7 +86,7 @@ def test_missing_end_marker(tmp_path):
 def test_pos_placeholder_roundtrip(tmp_path):
     text = MINIMAL.replace("spoke VBD", "spoke -")
     doc = parse_text(tmp_path, text)[0]
-    assert doc.tokens[2].pos == ""
+    assert doc.pos[2] == ""
 
 
 def test_coref_bracket_open_at_sentence_break_reports_line(tmp_path):
@@ -155,21 +160,24 @@ def test_json_roundtrip(fixture_corpus):
 
 
 @st.composite
-def documents(draw):
-    n_sentences = draw(st.integers(1, 4))
+def hand_built(draw):
+    """(tokens, chains, entities) of a document built token by token, as the
+    benchmark's generator builds one: possibly no tokens at all, sentence ids
+    that may skip numbers, POS tags that may be empty."""
     tokens = []
     sent_bounds = []
-    for s in range(n_sentences):
-        length = draw(st.integers(1, 6))
+    sentence = 0
+    for s in range(draw(st.integers(0, 4))):
+        if s:
+            sentence += draw(st.integers(1, 2))
         start = len(tokens)
-        for _ in range(length):
+        for _ in range(draw(st.integers(1, 6))):
             word = draw(st.sampled_from(["alpha", "Beta", "Gamma", "holt", "Mr.", "."]))
             pos = draw(st.sampled_from(["NN", "NNP", "PRP", ""]))
-            tokens.append(Token(len(tokens), word, s, pos))
+            tokens.append(Token(len(tokens), word, sentence, pos))
         sent_bounds.append((start, len(tokens) - 1))
     chains = {}
-    n_chains = draw(st.integers(0, 3))
-    for c in range(n_chains):
+    for c in range(draw(st.integers(0, 3)) if sent_bounds else 0):
         spans: list[MentionSpan] = []
         for _ in range(draw(st.integers(1, 3))):
             s_lo, s_hi = draw(st.sampled_from(sent_bounds))
@@ -186,7 +194,7 @@ def documents(draw):
                 spans.append(candidate)
         chains[str(c)] = sorted(set(spans))
     entities = []
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, 2)) if sent_bounds else 0):
         s_lo, s_hi = draw(st.sampled_from(sent_bounds))
         a = draw(st.integers(s_lo, s_hi))
         b = draw(st.integers(a, s_hi))
@@ -196,14 +204,55 @@ def documents(draw):
     for e in sorted(set(entities)):
         if all(e.start > k.end or e.end < k.start for k in kept):
             kept.append(e)
-    return AnnotatedDocument("gen_0#0", tokens, chains, kept)
+    return tokens, chains, kept
 
 
-@given(documents())
-@settings(max_examples=60, deadline=None)
-def test_conll_roundtrip_property(tmp_path_factory, doc):
+@given(hand_built())
+@example(([], {}, []))
+@example(([Token(0, "Ann", 0, "NNP"), Token(1, "she", 0, "PRP"), Token(2, ".", 2, "")],
+          {"0": [MentionSpan(0, 0, "0"), MentionSpan(1, 1, "0")]},
+          [NamedEntitySpan(0, 0, "PERSON")]))
+@settings(max_examples=80, deadline=None)
+def test_conll_roundtrip_property(tmp_path_factory, built):
+    """A document built from `Token`s equals, column for column, what the
+    JSONL reader makes of it, and what the column reader makes of it up to
+    the sentence ids, which the column format numbers densely. Its row and
+    its sentences equal the ones read off the `Token`s."""
+    tokens, chains, entities = built
+    doc = AnnotatedDocument("gen_0#0", tokens, chains, entities)
+    assert to_json(doc) == token_to_json(doc.id, tokens, chains, entities)
+    assert _sentence_tokens(doc) == token_sentences(tokens)
     tmp = tmp_path_factory.mktemp("rt")
-    again = roundtrip([doc], tmp, "doc.conll")
-    assert again == [doc]
     write_jsonl([doc], tmp / "doc.jsonl")
     assert list(read_jsonl(tmp / "doc.jsonl")) == [doc]
+    dense = {s: i for i, s in enumerate(dict.fromkeys(doc.sentences))}
+    renumbered = AnnotatedDocument.from_columns(doc.id, doc.tokens,
+                                                [dense[s] for s in doc.sentences], doc.pos,
+                                                chains, entities)
+    assert roundtrip([doc], tmp, "doc.conll") == [renumbered]
+
+
+def test_token_indices_must_be_positions():
+    with pytest.raises(ValueError, match="token indices are not their positions"):
+        AnnotatedDocument("x#0", [Token(1, "a", 0)], {}, [])
+
+
+def test_read_jsonl_keeps_the_rows_own_columns(tmp_path, monkeypatch, fixture_corpus):
+    """A read document holds its row's lists themselves: no copy, and no
+    per-token object, is made while a corpus is read."""
+    path = tmp_path / "docs.jsonl"
+    write_jsonl(fixture_corpus, path)
+    rows = []
+
+    def kept_rows(*args):
+        for row in read_rows(*args):
+            rows.append(row)
+            yield row
+
+    monkeypatch.setattr(corpus, "read_rows", kept_rows)
+    docs = list(read_jsonl(path))
+    assert len(docs) == len(rows) == len(fixture_corpus)
+    for doc, row in zip(docs, rows):
+        assert doc.tokens is row["tokens"]
+        assert doc.sentences is row["sentences"]
+        assert doc.pos is row["pos"]

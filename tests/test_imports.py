@@ -1,5 +1,6 @@
-"""Every import in the package, the scripts and the tests is used, and the
-package raises two error types of its own."""
+"""Every import in the package, the scripts and the tests is used, the
+package raises two error types of its own, and it builds no per-token
+object."""
 
 import ast
 from pathlib import Path
@@ -56,3 +57,29 @@ def test_the_package_has_two_error_types():
     found = [f"{path.name}: {name}" for path in sorted((ROOT / "src/sumprobe").glob("*.py"))
              for name in error_classes(path.read_text(encoding="utf-8"), str(path))]
     assert found == ["jsonio.py: DataError", "jsonio.py: StageError"]
+
+
+def token_builds(source: str, filename: str) -> list[int]:
+    """Lines that call `Token`, bare or qualified, or hand it to a call as a
+    function (as `map(Token, ...)` does); an annotation names it harmlessly."""
+    def is_token(node: ast.AST) -> bool:
+        return ast.unparse(node).split(".")[-1] == "Token"
+
+    tree = ast.parse(source, filename)
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and (is_token(node.func) or any(map(is_token, node.args))))
+
+
+def test_the_check_finds_a_token_build():
+    source = ("t = Token(0, 'a', 0)\nts = list(map(Token, xs))\nu = corpus.Token(0, 'b', 0)\n"
+              "v: list[Token] = []\ndef f(w: Token) -> Token: return w\nTokenizer(1)\n")
+    assert token_builds(source, "<test>") == [1, 2, 3]
+
+
+def test_the_package_builds_no_token():
+    """Documents hold token columns; `corpus.Token` is only the form a caller
+    may build a document from by hand, so a corpus read stays free of
+    per-token objects."""
+    found = [f"{path.name}:{line}" for path in sorted((ROOT / "src/sumprobe").glob("*.py"))
+             for line in token_builds(path.read_text(encoding="utf-8"), str(path))]
+    assert found == []

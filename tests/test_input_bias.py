@@ -1,10 +1,11 @@
+import hashlib
 import math
 import random
 from collections import Counter
 
 import pytest
 
-from sumprobe.corpus import AnnotatedDocument, Token
+from sumprobe.corpus import AnnotatedDocument, Token, write_jsonl
 from sumprobe.input_bias import (
     SyntheticCorpusConfig,
     baseline_summarize,
@@ -243,9 +244,17 @@ def test_synthetic_corpus_shape_and_determinism():
     assert [d.id for d in docs] == [f"synth_{i:05d}#0" for i in range(30)]
     assert docs == again
     for doc in docs:
-        sentences = {t.sentence for t in doc.tokens}
-        assert 6 <= len(sentences) <= 12
-        assert doc.tokens[-1].text == "."
+        assert 6 <= len(set(doc.sentences)) <= 12
+        assert doc.tokens[-1] == "."
+
+
+def test_synthetic_corpus_bytes_are_pinned(tmp_path):
+    """scripts/make_synthetic_corpus.py writes exactly this generator's
+    output; the digest was taken before documents held token columns."""
+    path = tmp_path / "synth.jsonl"
+    write_jsonl(make_synthetic_corpus(SyntheticCorpusConfig(n_docs=20), seed=3), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "3da4b50e8a8790ce4f33751aea8d2d79af54d64ab90589e67648ff4c38fe8d3d")
 
 
 def test_synthetic_corpus_plants_correlation(word_lists):
@@ -254,9 +263,9 @@ def test_synthetic_corpus_plants_correlation(word_lists):
     shares = {}
     for label in ("sport", "family"):
         members = [
-            d.token_texts()
+            d.tokens
             for d in docs
-            if classify_topic(d.token_texts(), topics["sport"], topics["family"]) == label
+            if classify_topic(d.tokens, topics["sport"], topics["family"]) == label
         ]
         counts = Counter()
         for tokens in members:

@@ -919,11 +919,7 @@ def test_summary_row_order_changes_no_artifact(tmp_path, monkeypatch):
 def test_missing_dense_vectors_are_listed_in_input_order(tmp_path, small_corpus):
     """A dense sidecar that lacks some inputs scores the others, and the
     dense diagnostics end with one line per missing input, in input order."""
-    config = stage_run(
-        tmp_path, small_corpus, scheme="gender_global", variants=4, replicates=20,
-        dense_vectors={"echo": lambda gi: [float(len(gi.tokens)), float(len(gi.assignments))]},
-    )
-    vectors = Path(json.loads(config.read_text())["dense_vectors"]["echo"])
+    config, vectors, _ = stage_dense_run(tmp_path, small_corpus)
     lines = vectors.read_text().splitlines()
     kept = [line for i, line in enumerate(lines) if i % 3 != 1]
     vectors.write_text("".join(line + "\n" for line in kept))
@@ -934,6 +930,38 @@ def test_missing_dense_vectors_are_listed_in_input_order(tmp_path, small_corpus)
     dense = scores["systems"]["echo"]["diagnostics"]["distinguishability_dense"]
     assert dense[-len(missing):] == [f"no dense vector for input {i}" for i in missing]
     assert not any(line.startswith("no dense vector") for line in dense[:-len(missing)])
+    assert "distinguishability_dense" in scores["systems"]["echo"]["measures"]
+
+
+def stage_dense_run(tmp_path, small_corpus):
+    """A gender_global run with a dense sidecar for every input; returns the
+    config and the paths of the sidecar and the summaries."""
+    config = stage_run(
+        tmp_path, small_corpus, scheme="gender_global", variants=4, replicates=20,
+        dense_vectors={"echo": lambda gi: [float(len(gi.tokens)), float(len(gi.assignments))]},
+    )
+    data = json.loads(config.read_text())
+    return config, Path(data["dense_vectors"]["echo"]), Path(data["summaries"]["echo"])
+
+
+def test_dense_rows_of_unknown_inputs_exit_2(tmp_path, small_corpus, capsys):
+    """A dense row whose id is no generated input is a data error naming the
+    sidecar, the system and the ids, as a stray NER-sidecar row is."""
+    config, vectors, _ = stage_dense_run(tmp_path, small_corpus)
+    lines = vectors.read_text().splitlines()
+    lines[-1] = json.dumps({"input_id": "nowhere", "vector": [1.0, 2.0]})
+    vectors.write_text("".join(line + "\n" for line in lines))
+    assert main(["run", "--config", str(config)]) == 2
+    assert (f"{vectors}: system 'echo': dense rows reference unknown input ids: nowhere"
+            in capsys.readouterr().err)
+
+
+def test_dense_row_of_an_input_without_summary_loads(tmp_path, small_corpus):
+    config, vectors, summaries = stage_dense_run(tmp_path, small_corpus)
+    lines = summaries.read_text().splitlines(keepends=True)
+    summaries.write_text("".join(lines[:-2]))
+    assert main(["run", "--config", str(config)]) == 0
+    scores = json.loads((artifact_dir(config) / "scores.json").read_text())
     assert "distinguishability_dense" in scores["systems"]["echo"]["measures"]
 
 
