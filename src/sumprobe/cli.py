@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 stage failure.
 
-A command imports the pipeline, generation, template, alignment, summary and
-gender modules only if it runs them, so the input-bias commands and `report`
-start without them.
+A command imports the pipeline, generation, template, alignment, summary,
+gender, measure and input-bias modules only if it runs them. numpy loads
+only where a command computes with it: importing the CLI, `report`, and a
+`run` or `score` rerun that reuses scores.json start without it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import sys
 from pathlib import Path
 
 from . import corpus as cp
-from . import input_bias as ib
 from .jsonio import DataError, StageError, read_rows, write_json, write_text
 from .names import (
     SCHEME_KINDS,
@@ -154,6 +154,8 @@ def cmd_classify_hallucinations(args) -> int:
 
 
 def cmd_analyze_input_bias(args) -> int:
+    from . import input_bias as ib
+
     docs = _load_docs(args.corpus)
     word_lists = load_word_lists(args.word_lists)
     split = ib.split_by_identifier_majority([d.tokens for d in docs], word_lists)
@@ -180,6 +182,8 @@ def cmd_analyze_input_bias(args) -> int:
 
 
 def cmd_simulate_baselines(args) -> int:
+    from . import input_bias as ib
+
     docs = _load_docs(args.corpus)
     word_lists = load_word_lists(args.word_lists)
     result = ib.simulation_experiment(docs, word_lists, seed=args.seed)

@@ -427,10 +427,24 @@ def bootstrap(
         values = score_fn(_resampled_sums(records, axis, replicates, seed))
     else:
         values = _payload_list_replicates(records, score_fn, axis, replicates, seed)
-    if np.all(np.isnan(values)):
+    kept = np.sort(values[~np.isnan(values)])
+    if not len(kept):
         return (math.nan, math.nan)
-    lo, hi = np.nanpercentile(values, [2.5, 97.5])
-    return (float(lo), float(hi))
+    return (_linear_percentile(kept, 2.5), _linear_percentile(kept, 97.5))
+
+
+def _linear_percentile(ordered: np.ndarray, q: float) -> float:
+    """The `q`th percentile of the ascending, NaN-free `ordered` by
+    `np.nanpercentile`'s default linear method, float for float, without
+    the `numpy.ma` import its first call in a process costs: the value at
+    index q/100 * (n - 1), between its two order statistics as numpy's
+    `_lerp` interpolates."""
+    index = (len(ordered) - 1) * (q / 100)
+    below = math.floor(index)
+    t = index - below
+    a = float(ordered[below])
+    b = float(ordered[min(below + 1, len(ordered) - 1)])
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
 
 
 def _payload_list_replicates(records, score_fn, axis, replicates, seed) -> np.ndarray:

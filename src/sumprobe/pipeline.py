@@ -13,28 +13,28 @@ built under still matches and the file still hashes to its recorded
 digest; a rerun over unchanged summaries aligns and scores nothing. All
 randomness flows from the single config seed through named derivation;
 nothing reads the clock or the network.
+
+numpy and the summary, alignment and measure modules are imported by the
+functions that compute with them, so constructing a `Pipeline` and a rerun
+that reuses scores.json start without them.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import importlib.util
 import json
 import multiprocessing
 import os
 from collections import Counter
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
-
-from . import alignment as al
 from . import corpus as cp
 from . import gender_id as gid
 from . import generate as gen
-from . import measures as ms
-from . import summaries as sm
 from . import templates as tp
 from .jsonio import DataError, read_object, write_json
 from .names import (
@@ -48,6 +48,10 @@ from .names import (
     resolve_ambiguous,
 )
 from .seeding import derive_seed
+
+if TYPE_CHECKING:
+    from . import alignment as al
+    from . import measures as ms
 
 # written last by every finished `Pipeline.score`: the reuse key and each artifact's sha256
 MANIFEST = "run.json"
@@ -187,6 +191,24 @@ def package_digest() -> str:
     return digest.hexdigest()
 
 
+def numpy_version() -> str:
+    """numpy's `__version__`, read by running the `version.py` that numpy's
+    own `__init__` takes it from, so the reuse key imports no numpy. numpy
+    is imported only when that file does not run on its own (numpy 1.24's
+    imports from its package)."""
+    try:
+        package = importlib.util.find_spec("numpy").submodule_search_locations[0]
+        source = Path(package, "version.py")
+        namespace: dict = {}
+        exec(compile(source.read_bytes(), str(source), "exec"), namespace)
+        return namespace["__version__"]
+    except (ImportError, OSError, AttributeError, KeyError):
+        # a relative import in the file raises KeyError: its globals name no package
+        import numpy
+
+        return numpy.__version__
+
+
 # --- stages: one function each, called by `Pipeline` and by the CLI subcommands;
 # each returns the stage's outputs and writes its artifact
 
@@ -226,7 +248,7 @@ def generate_inputs(
     return produced
 
 
-AlignedBySystem = dict[str, tuple[list[al.AlignedSummary], Counter]]
+AlignedBySystem = "dict[str, tuple[list[al.AlignedSummary], Counter]]"
 
 
 @dataclass(frozen=True)
@@ -247,6 +269,9 @@ def alignment_context(
 ) -> AlignmentContext:
     """The alignment set-up that all systems share; every name of the raw
     `census` table joins the detection lexicon."""
+    from . import alignment as al
+    from . import summaries as sm
+
     by_doc = {t.doc_id: t for t in templates}
     return AlignmentContext(
         inputs={g.id: g for g in inputs},
@@ -268,6 +293,9 @@ def align_system(
 ) -> tuple[list[al.AlignedSummary], Counter]:
     """`system`'s aligned summary records and alignment counts; writes
     alignments.<system>.jsonl under `out_dir`."""
+    from . import alignment as al
+    from . import summaries as sm
+
     records = sm.load_summaries(path, context.inputs, system=system,
                                 lexicon=context.lexicon, ner_sidecar=ner_sidecar)
     aligned, counts = al.align_corpus(records, context.entity_index, context.source_tokens)
@@ -306,6 +334,7 @@ class _SharedScoring:
     """What every system's scoring reads, built once per `Pipeline.score`."""
 
     context: AlignmentContext
+    word_sets: dict[str, frozenset[str]]  # the word lists as sets, for `ms.count_identifiers`
     input_ident_counts: dict[str, dict[str, int]]  # word-list identifiers per input, where classified
     names: tuple[set[str], set[str]] | None  # first and last names assigned (gender_global)
 
@@ -317,7 +346,6 @@ class Pipeline:
         self.summaries = {s: _sha256(p) for s, p in sorted(config.summaries.items())}
         self.scheme = config.assignment_scheme()
         self.word_lists = load_word_lists(config.word_lists)
-        self.word_sets = ms.word_sets(self.word_lists)
         self._census_raw = load_census(config.census_male, config.census_female)
         self.census = resolve_ambiguous(self._census_raw)
         self.race_table = (
@@ -346,7 +374,7 @@ class Pipeline:
     @staticmethod
     def _code_key() -> dict[str, str]:
         """The parts of the reuse key that every artifact shares."""
-        return {"package": package_digest(), "numpy": np.__version__}
+        return {"package": package_digest(), "numpy": numpy_version()}
 
     @functools.cached_property
     def _previous(self) -> dict:
@@ -483,6 +511,8 @@ class Pipeline:
 
     def _score_systems(self, systems: list[str]) -> list[dict]:
         """The scores.json blocks of `systems`, from shared state built once."""
+        from . import measures as ms
+
         inputs = self.inputs()
         classifies = self._classifies()
         names = None
@@ -490,10 +520,12 @@ class Pipeline:
             assignments = [a for gi in inputs for a in gi.assignments]
             names = ({a.first.lower() for a in assignments if a.first},
                      {a.last.lower() for a in assignments if a.last})
+        word_sets = ms.word_sets(self.word_lists)
         shared = _SharedScoring(
             context=alignment_context(self.templates(), inputs, self._census_raw),
+            word_sets=word_sets,
             input_ident_counts=(
-                {gi.id: ms.count_identifiers(gi.tokens, self.word_sets) for gi in inputs}
+                {gi.id: ms.count_identifiers(gi.tokens, word_sets) for gi in inputs}
                 if classifies else {}),
             names=names,
         )
@@ -512,6 +544,11 @@ class Pipeline:
         hallucinations classified, every measure with its CIs. Writes
         alignments.<system>.jsonl, and verdicts.<system>.json where the
         scheme classifies."""
+        import numpy as np
+
+        from . import alignment as al
+        from . import measures as ms
+
         aligned, counts = self.alignments(system, shared.context)
         inputs = [shared.context.inputs[a.record.input_id] for a in aligned]
         hallucinated_keys = [[entity_key(e.tokens) for e in a.hallucinated()] for a in aligned]
@@ -529,7 +566,7 @@ class Pipeline:
             verdicts = self.classify_hallucinations({system: (aligned, counts)})[system]
             groups = sorted(self.word_lists)
             wl_records = records(
-                ms.word_list_stats(ms.count_identifiers(a.record.tokens, self.word_sets),
+                ms.word_list_stats(ms.count_identifiers(a.record.tokens, shared.word_sets),
                                    shared.input_ident_counts[gi.id], groups)
                 for a, gi in zip(aligned, inputs))
             for measure, reference in (("word_list_inclusion", "adjusted"),
@@ -569,12 +606,18 @@ class Pipeline:
         }
 
     def _ci(self, records, fn, system, measure) -> ms.ScoreWithCI:
+        from . import measures as ms
+
         seed = derive_seed(self.config.seed, "ci", system, measure)
         return ms.score_with_ci(
             records, fn, replicates=self.config.replicates, seed=seed, axes=("d", "s")
         )
 
     def _dist_ci(self, stats, system, measure) -> ms.ScoreWithCI:
+        import numpy as np
+
+        from . import measures as ms
+
         records = [ms.BootstrapRecord(original, 0, np.array(payload, dtype=np.int64))
                    for original, payload in stats.items()]
         seed = derive_seed(self.config.seed, "ci", system, measure)
@@ -591,6 +634,9 @@ class Pipeline:
         assigned to any input marked; dense points, from the system's
         sidecar if it has one, skip the inputs the sidecar lacks. A sidecar
         row whose id is not in `generated` is a `DataError`."""
+        from . import measures as ms
+        from . import summaries as sm
+
         vectors = None
         if system in self.config.dense_vectors:
             path = self.config.dense_vectors[system]

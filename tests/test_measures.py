@@ -542,6 +542,23 @@ def test_bootstrap_all_no_data_is_nan():
     assert math.isnan(lo) and math.isnan(hi)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.floats(allow_nan=False), st.sampled_from([0.0, 0.5, 1.0])),
+                min_size=2, max_size=300))
+def test_bootstrap_interval_is_numpys_nanpercentile(scores):
+    """Replicate scores in draw order (None: no score) end as the interval
+    `np.nanpercentile(values, [2.5, 97.5])` gives: equal floats, or NaN where
+    numpy's interpolation meets infinities."""
+    values = np.array([math.nan if v is None else v for v in scores])
+    replicate_scores = iter(scores)
+    interval = bootstrap([BootstrapRecord("a", 0, None)], lambda p: next(replicate_scores),
+                         "d", replicates=len(scores), seed=0)
+    with np.errstate(invalid="ignore"):
+        expected = ((math.nan, math.nan) if np.all(np.isnan(values))
+                    else np.nanpercentile(values, [2.5, 97.5]))
+    np.testing.assert_array_equal(interval, expected)
+
+
 def test_score_with_ci_shape():
     records = _mean_records({"a": [1.0, 3.0], "b": [2.0, 2.0]})
     result = score_with_ci(records, _mean, replicates=100, seed=4)

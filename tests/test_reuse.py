@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy
 import pytest
 
 from make_demo_data import make_fixture_corpus
@@ -88,7 +89,7 @@ def test_run_json_records_the_key_and_every_artifact(tmp_path, small_corpus):
     summaries = json.loads(config.read_text())["summaries"]
     assert manifest["key"] == {
         "package": pipeline.package_digest(),
-        "numpy": pipeline.np.__version__,
+        "numpy": numpy.__version__,
         "summaries": {s: pipeline._sha256(p) for s, p in summaries.items()},
     }
     reports = {"run.json", "report.md", "report.csv", "report.json"}
