@@ -110,14 +110,15 @@ def align(
 def align_corpus(
     summaries: Iterable[SummaryRecord],
     entity_index: dict[str, list[InputEntity]],
-    source_tokens: dict[str, list[str]],
+    inputs: dict[str, GeneratedInput],
 ) -> tuple[list[AlignedSummary], dict[str, Counter]]:
-    """Align every record; returns per-system diagnostic counts in the
-    shape of the alignment-validation table."""
+    """Align every record against its input's entity table and tokens;
+    returns per-system diagnostic counts in the shape of the
+    alignment-validation table."""
     aligned: list[AlignedSummary] = []
     counts: dict[str, Counter] = {}
     for record in summaries:
-        entities, sources = entity_index[record.input_id], source_tokens[record.input_id]
+        entities, sources = entity_index[record.input_id], inputs[record.input_id].tokens
         res = AlignedSummary(record, [align(se, entities, sources) for se in record.entities])
         aligned.append(res)
         c = counts.setdefault(record.system, Counter())

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
-from .jsonio import DataError, read_lines, read_rows, write_rows
+from .jsonio import DataError, once_each, read_lines, read_rows, write_rows
 
 
 class Token(NamedTuple):
@@ -384,12 +384,5 @@ def bad_entity_span(row: dict) -> str | None:
 def read_jsonl(path: str | Path) -> Iterator[AnnotatedDocument]:
     """The documents of an `ingest` output file; a row `ingest` could not
     have written, or that repeats an id, is a `DataError` naming its line."""
-    seen: set[str] = set()
-
-    def problem(row: dict) -> str | None:
-        if row["id"] in seen:
-            return f"document {row['id']} appears twice"
-        seen.add(row["id"])
-        return _document_problem(row)
-
-    return map(from_json, read_rows(path, _DOCUMENT_KEYS, problem))
+    return map(from_json, read_rows(path, _DOCUMENT_KEYS,
+                                    once_each("id", "document", _document_problem)))

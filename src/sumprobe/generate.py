@@ -110,9 +110,9 @@ _PRONOUN_ROLE = {form: role for role, forms in PRONOUN_ROLES.items() if role != 
 def map_pronoun(form: str, pos: str, gender: str) -> str:
     low = form.lower()
     if low not in GENDERED_PRONOUNS:
-        raise StageError("generate", f"cannot map pronoun {form!r}")
+        raise StageError(f"stage 'generate': cannot map pronoun {form!r}")
     if gender not in GENDERS:
-        raise StageError("generate", f"cannot render gender {gender!r}")
+        raise StageError(f"stage 'generate': cannot render gender {gender!r}")
     if pos == "PRP$" and low in PRONOUN_ROLES["determiner"]:
         role = "determiner"
     else:
@@ -128,7 +128,7 @@ def map_title(title_text: str, gender: str, preferred_female: str | None) -> str
         return preferred_female or "Ms."
     if low in TITLE_SET:
         return "Sir" if gender == "male" else "Lady"
-    raise StageError("generate", f"cannot map title {title_text!r}")
+    raise StageError(f"stage 'generate': cannot map title {title_text!r}")
 
 
 def _display_name(name: str) -> str:
@@ -178,7 +178,7 @@ def render(
             variant = span.female
         else:
             if span.neutral is None:
-                raise StageError("generate", f"content span ({span.start},{span.end}) "
+                raise StageError(f"stage 'generate': content span ({span.start},{span.end}) "
                                  "needs a neutral variant")
             variant = span.neutral
         pieces.append((span.start, span.end, variant.split()))
@@ -192,7 +192,7 @@ def render(
 def _sample_distinct(rng, pool: Iterable[str], k: int, what: str) -> list[str]:
     items = sorted(pool)
     if len(items) < k:
-        raise StageError("generate", f"need {k} distinct {what}, inventory has {len(items)}")
+        raise StageError(f"stage 'generate': need {k} distinct {what}, inventory has {len(items)}")
     return rng.sample(items, k)
 
 
@@ -215,7 +215,7 @@ def _last_names_for(
     if not scheme.alter_last_names:
         return [e.last for e in ents]
     if pool is None:
-        raise StageError("generate", "alter_last_names requires a last-name pool")
+        raise StageError("stage 'generate': alter_last_names requires a last-name pool")
     return [_display_name(n) for n in _sample_distinct(rng, pool, len(ents), "last names")]
 
 
@@ -284,7 +284,7 @@ def assign_race(
     ents = template.gendered_entities()
     groups = sorted(race_table.groups)
     if len(groups) != 2:
-        raise StageError("generate", "race assignment expects exactly two groups")
+        raise StageError("stage 'generate': race assignment expects exactly two groups")
     flags = _gender_split(len(ents), rng)  # True -> first group
     used_first: set[str] = set()
     used_last: dict[str, set[str]] = {g: set() for g in groups}
@@ -331,6 +331,15 @@ def race_capacity_ok(template: DocumentTemplate, scheme: AssignmentScheme,
     return True
 
 
+def check_intersection(scheme: AssignmentScheme, race_table: RaceNameTable | None) -> None:
+    """A `race_intersectional` scheme's intersection must map exactly the
+    race table's groups; a `DataError` names both lists otherwise. Other
+    schemes need no race table."""
+    if scheme.kind == "race_intersectional" and set(scheme.intersection) != set(race_table.groups):
+        raise DataError(f"intersection maps race group(s) {sorted(scheme.intersection)}, "
+                        f"but the race table has {sorted(race_table.groups)}")
+
+
 def _variant_assignments(template, scheme, seed, census, race_table, last_name_pool):
     """Each variant's (pair id, entity assignments), in variant order: a
     gender_local pair draws both members from one rng, any other variant
@@ -367,7 +376,8 @@ def generate_corpus(
     """
     table, what = (race_table, "race") if scheme.is_race else (census, "census")
     if table is None:
-        raise StageError("generate", f"{scheme.kind} needs a {what} name table")
+        raise StageError(f"stage 'generate': {scheme.kind} needs a {what} name table")
+    check_intersection(scheme, race_table)
     out: list[GeneratedInput] = []
     provenance = f"master={master_seed}"
     for template in sorted(templates, key=lambda t: t.doc_id):

@@ -3,18 +3,21 @@
 Every line-oriented input (JSONL, the column corpus, the text name tables)
 is read through `read_lines`, so a line that is not UTF-8 is a `DataError`
 naming `path:line`. Every JSONL row is read through `read_rows`, so a bad
-row is always reported as a `DataError` naming `path:line`; every file that
-holds one JSON object (a config, a table, a cache, a scores file) is read
-through `read_object`, so a bad one, or one that is not UTF-8, is a
+row is always reported as a `DataError` naming `path:line`; a reader whose
+rows are keyed by an id rejects a repeated one through `once_each`. Every
+file that holds one JSON object (a config, a table, a cache, a scores file)
+is read through `read_object`, so a bad one, or one that is not UTF-8, is a
 `DataError` naming the file. Every file is written through `_atomic_open`:
 to a temporary file beside the target, then moved into place with
 `os.replace`, so an interrupted write never leaves a partial file.
 `write_text` and `write_json` skip a file that already holds the bytes they
-would write.
+would write. `json_text` is the one text of a JSON file, so a report
+rendered as JSON equals the scores file it was read from.
 
 `DataError` (exit 2) and `StageError` (exit 3) are the package's only error
-types, raised where the fault is found. They live here, with no dependency,
-so that the CLI maps them to exit codes without importing the pipeline.
+types, raised where the fault is found; each holds just its message. They
+live here, with no dependency, so that the CLI maps them to exit codes
+without importing the pipeline.
 """
 
 from __future__ import annotations
@@ -32,15 +35,6 @@ class DataError(ValueError):
 
 class StageError(RuntimeError):
     """A pipeline stage failed; maps to exit code 3."""
-
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"stage {stage!r}: {message}")
-        self.stage = stage
-        self.message = message
-
-    def __reduce__(self):
-        # rebuilt from its fields, so it survives the trip back from a pool worker
-        return type(self), (self.stage, self.message)
 
 
 def read_rows(
@@ -65,6 +59,21 @@ def read_rows(
         if problem:
             raise DataError(f"{path}:{lineno}: malformed row: {problem}")
         yield row
+
+
+def once_each(key: str, what: str,
+              check: Callable[[dict], str | None]) -> Callable[[dict], str | None]:
+    """`check` for `read_rows`, plus: a row whose `key` repeats an earlier
+    row's is malformed, named as the `what` that appears twice."""
+    seen: set[str] = set()
+
+    def problem(row: dict) -> str | None:
+        if row[key] in seen:
+            return f"{what} {row[key]} appears twice"
+        seen.add(row[key])
+        return check(row)
+
+    return problem
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -138,8 +147,13 @@ def write_rows(path: str | Path, rows: Iterable[dict]) -> None:
         fh.writelines(_ROW_ENCODER.encode(row) + "\n" for row in rows)
 
 
+def json_text(data) -> str:
+    """The text of a JSON file as `write_json` writes it."""
+    return json.dumps(data, sort_keys=True, indent=1) + "\n"
+
+
 def write_json(path: str | Path, data) -> None:
-    write_text(path, json.dumps(data, sort_keys=True, indent=1) + "\n")
+    write_text(path, json_text(data))
 
 
 def write_text(path: str | Path, text: str) -> None:

@@ -32,6 +32,8 @@ the multinomial-weights form of the nonparametric bootstrap (Efron &
 Tibshirani 1993, ch. 6). Integer sums are exact, and the scorers do the
 float operations of the dict definitions in tests/oracles.py in the same
 order, so the intervals are bit for bit those of the payload-list loop.
+`score_with_ci` returns the point score and the intervals as the measure's
+entry in scores.json.
 
 Kept only because the benchmark binds them by name, until ROADMAP item 1:
 the payload-list path of `bootstrap` and `score_with_ci`, with
@@ -64,27 +66,6 @@ NEUTRAL_REFLEXIVE = set(PRONOUN_ROLES["reflexive"])
 
 FIRST_MARKER = "FIRST_NAME"
 LAST_MARKER = "LAST_NAME"
-
-
-@dataclass(frozen=True)
-class ScoreWithCI:
-    point: float | None
-    ci_d: tuple[float, float] | None
-    ci_s: tuple[float, float] | None
-    replicates: int
-    n: int
-
-    def as_json(self) -> dict:
-        def pair(ci):
-            return None if ci is None else [ci[0], ci[1]]
-
-        return {
-            "point": self.point,
-            "ci_d": pair(self.ci_d),
-            "ci_s": pair(self.ci_s),
-            "replicates": self.replicates,
-            "n": self.n,
-        }
 
 
 # --- distributions -----------------------------------------------------------
@@ -534,7 +515,10 @@ def score_with_ci(
     replicates: int = 1000,
     seed: int = 0,
     axes: Sequence[str] = ("d", "s"),
-) -> ScoreWithCI:
+) -> dict:
+    """The measure's scores.json entry: its point score, a [lo, hi] interval
+    per axis in `axes` (None for the others), and the replicates and records
+    it was scored from."""
     if not records:
         point = None
     elif _has_stats(records):
@@ -542,6 +526,7 @@ def score_with_ci(
         point = _scalar(score_fn(total))
     else:
         point = score_fn([r.payload for r in records])
-    ci_d = bootstrap(records, score_fn, "d", replicates, seed) if "d" in axes else None
-    ci_s = bootstrap(records, score_fn, "s", replicates, seed) if "s" in axes else None
-    return ScoreWithCI(point=point, ci_d=ci_d, ci_s=ci_s, replicates=replicates, n=len(records))
+    ci = {axis: list(bootstrap(records, score_fn, axis, replicates, seed))
+          if axis in axes else None for axis in ("d", "s")}
+    return {"point": point, "ci_d": ci["d"], "ci_s": ci["s"], "replicates": replicates,
+            "n": len(records)}

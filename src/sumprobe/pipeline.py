@@ -15,8 +15,9 @@ randomness flows from the single config seed through named derivation;
 nothing reads the clock or the network.
 
 numpy and the summary, alignment and measure modules are imported by the
-functions that compute with them, so constructing a `Pipeline` and a rerun
-that reuses scores.json start without them.
+functions that compute with them, and `multiprocessing` where the scoring
+pool starts, so constructing a `Pipeline` and a rerun that reuses
+scores.json start without them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import functools
 import hashlib
 import importlib.util
 import json
-import multiprocessing
 import os
 from collections import Counter
 from dataclasses import dataclass, field, asdict
@@ -254,12 +254,10 @@ AlignedBySystem = "dict[str, tuple[list[al.AlignedSummary], Counter]]"
 @dataclass(frozen=True)
 class AlignmentContext:
     """What every system's summaries are aligned against: the generated
-    inputs by id, each input's entity table and source tokens, and the
-    detection lexicon."""
+    inputs by id, each input's entity table, and the detection lexicon."""
 
     inputs: dict[str, gen.GeneratedInput]
     entity_index: dict[str, list[al.InputEntity]]
-    source_tokens: dict[str, list[str]]
     lexicon: frozenset[str]
 
 
@@ -276,7 +274,6 @@ def alignment_context(
     return AlignmentContext(
         inputs={g.id: g for g in inputs},
         entity_index={g.id: al.input_entities(by_doc[g.original_id], g) for g in inputs},
-        source_tokens={g.id: g.tokens for g in inputs},
         lexicon=sm.build_lexicon(
             [a.first for g in inputs for a in g.assignments],
             [a.last for g in inputs for a in g.assignments],
@@ -298,7 +295,7 @@ def align_system(
 
     records = sm.load_summaries(path, context.inputs, system=system,
                                 lexicon=context.lexicon, ner_sidecar=ner_sidecar)
-    aligned, counts = al.align_corpus(records, context.entity_index, context.source_tokens)
+    aligned, counts = al.align_corpus(records, context.entity_index, context.inputs)
     al.write_alignments(aligned, Path(out_dir) / ALIGNMENTS.format(system))
     return aligned, counts.get(system, Counter())
 
@@ -351,6 +348,7 @@ class Pipeline:
         self.race_table = (
             load_race_names(config.race_names) if self.scheme.is_race else None
         )
+        gen.check_intersection(self.scheme, self.race_table)
         self.last_pool = (
             load_last_name_pool(config.last_name_pool) if config.last_name_pool else None
         )
@@ -511,6 +509,8 @@ class Pipeline:
 
     def _score_systems(self, systems: list[str]) -> list[dict]:
         """The scores.json blocks of `systems`, from shared state built once."""
+        import multiprocessing
+
         from . import measures as ms
 
         inputs = self.inputs()
@@ -573,25 +573,25 @@ class Pipeline:
                                        ("word_list_inclusion_uniform", "uniform")):
                 measures[measure] = self._ci(
                     wl_records, functools.partial(ms.word_list_scores, reference=reference),
-                    system, measure).as_json()
+                    system, measure)
             hal_records = records(
                 ms.hallucination_stats(Counter(verdicts[key].gender for key in keys))
                 for keys in hallucinated_keys)
             measures["hallucination_bias"] = self._ci(
-                hal_records, ms.hallucination_scores, system, "hallucination_bias").as_json()
+                hal_records, ms.hallucination_scores, system, "hallucination_bias")
 
         if self.scheme.kind != "gender_global":
             rows = al.inclusion_rows(aligned, shared.context.entity_index)
             inc_groups = sorted({g for r in rows for g in r})
             inc_records = records(ms.inclusion_stats(r, inc_groups) for r in rows)
             measures["entity_inclusion"] = self._ci(
-                inc_records, ms.inclusion_scores, system, "entity_inclusion").as_json()
+                inc_records, ms.inclusion_scores, system, "entity_inclusion")
         else:
             for measure, (points, missing) in self._distinguishability_points(
                     system, aligned, inputs, shared.context.inputs, *shared.names).items():
                 stats, skipped = ms.distinguishability(points)
                 diag[measure] = skipped + missing
-                measures[measure] = self._dist_ci(stats, system, measure).as_json()
+                measures[measure] = self._dist_ci(stats, system, measure)
 
         hallucinated = Counter(key for keys in hallucinated_keys for key in keys)
         counts["gender_classified_hallucinations"] = sum(
@@ -605,26 +605,24 @@ class Pipeline:
             "diagnostics": diag,
         }
 
-    def _ci(self, records, fn, system, measure) -> ms.ScoreWithCI:
+    def _ci(self, records, fn, system, measure, axes=("d", "s")) -> dict:
+        """`measure`'s scores.json entry for `system`."""
         from . import measures as ms
 
         seed = derive_seed(self.config.seed, "ci", system, measure)
-        return ms.score_with_ci(
-            records, fn, replicates=self.config.replicates, seed=seed, axes=("d", "s")
-        )
+        return ms.score_with_ci(records, fn, replicates=self.config.replicates, seed=seed,
+                                axes=axes)
 
-    def _dist_ci(self, stats, system, measure) -> ms.ScoreWithCI:
+    def _dist_ci(self, stats, system, measure) -> dict:
+        """A distinguishability measure's entry, from its per-original (n,
+        wins); only originals are resampled."""
         import numpy as np
 
         from . import measures as ms
 
         records = [ms.BootstrapRecord(original, 0, np.array(payload, dtype=np.int64))
                    for original, payload in stats.items()]
-        seed = derive_seed(self.config.seed, "ci", system, measure)
-        return ms.score_with_ci(
-            records, ms.distinguishability_scores,
-            replicates=self.config.replicates, seed=seed, axes=("d",),
-        )
+        return self._ci(records, ms.distinguishability_scores, system, measure, axes=("d",))
 
     def _distinguishability_points(self, system, aligned, inputs, generated, first_names,
                                    last_names):

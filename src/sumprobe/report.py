@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from pathlib import Path
 
-from .jsonio import DataError, read_object, shape_problem
+from .jsonio import DataError, json_text, read_object, shape_problem
 
 MEASURE_ORDER = (
     "word_list_inclusion",
@@ -63,8 +62,8 @@ def _entry_problem(block: dict) -> str | None:
 
 
 def _readable_entry(entry) -> bool:
-    """Whether `entry` is a measure entry as `ScoreWithCI.as_json` writes it;
-    a CI may also be absent."""
+    """Whether `entry` is a measure entry as `measures.score_with_ci`
+    returns it; a CI may also be absent."""
     return (isinstance(entry, dict) and "point" in entry and _number(entry["point"])
             and type(entry.get("n")) is int
             and all(_interval(entry.get(key)) for key in ("ci_s", "ci_d")))
@@ -164,7 +163,7 @@ def render_csv(report: dict) -> str:
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=1) + "\n"
+    return json_text(report)
 
 
 RENDERERS = {"markdown": render_markdown, "md": render_markdown,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import bad_entity_span
 from .generate import GeneratedInput
-from .jsonio import DataError, read_rows
+from .jsonio import DataError, once_each, read_rows
 from .names import GenderNameTable
 from .templates import TITLE_SET
 
@@ -144,25 +144,12 @@ def _sidecar_problem(row: dict) -> str | None:
     return problem
 
 
-def _once_per_input(check: Callable[[dict], str | None]) -> Callable[[dict], str | None]:
-    """`check`, plus: a row repeating an earlier row's input id is malformed."""
-    seen: set[str] = set()
-
-    def problem(row: dict) -> str | None:
-        if row["input_id"] in seen:
-            return f"input {row['input_id']} appears twice"
-        seen.add(row["input_id"])
-        return check(row)
-
-    return problem
-
-
 def load_ner_sidecar(path: str | Path) -> dict[str, list[tuple[int, int, str]]]:
     """Optional externally produced entity spans per input id, one row per id."""
     return {
         row["input_id"]: [(s, e, label) for s, e, label in row["entities"]]
         for row in read_rows(path, {"input_id": str, "entities": list},
-                             _once_per_input(_sidecar_problem))
+                             once_each("input_id", "input", _sidecar_problem))
     }
 
 
@@ -188,7 +175,7 @@ def load_dense_vectors(path: str | Path) -> dict[str, np.ndarray]:
 
     return {row["input_id"]: np.asarray(row["vector"], dtype=float)
             for row in read_rows(path, {"input_id": str, "vector": list},
-                                 _once_per_input(problem))}
+                                 once_each("input_id", "input", problem))}
 
 
 def load_summaries(

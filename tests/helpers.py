@@ -56,7 +56,7 @@ def point(scores, rows):
     """The point estimate the pipeline gives a record set with these
     statistics rows; None for no score (no records, or a NaN score)."""
     records = [BootstrapRecord("o", 0, np.array(row, dtype=np.int64)) for row in rows]
-    return score_with_ci(records, scores, axes=()).point
+    return score_with_ci(records, scores, axes=())["point"]
 
 
 def word_list_stats_of(payloads):

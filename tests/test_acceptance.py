@@ -183,21 +183,21 @@ def test_criterion_5_induced_bias_detection(census):
     keep = {"male": 0.8, "female": 0.4}
     summarize = make_keep_rate_summarizer(keep)
     by_doc = {t.doc_id: t for t in templates}
-    records, sources, index = [], {}, {}
+    records, generated, index = [], {}, {}
     tokenize = summary_tokenizer()
     for gi in inputs:
         rng = derive_rng(99, "keep", gi.id)
         text = summarize(gi, rng)
         tokens = tokenize(text)
         index[gi.id] = input_entities(by_doc[gi.original_id], gi)
-        sources[gi.id] = gi.tokens
+        generated[gi.id] = gi
         lexicon = frozenset(
             n.lower() for a in gi.assignments for n in (a.first, a.last) if n
         )
         records.append(
             SummaryRecord(gi.id, "biased", tokens, entity_detector(lexicon)(tokens))
         )
-    aligned, _ = align_corpus(records, index, sources)
+    aligned, _ = align_corpus(records, index, generated)
     stats = inclusion_stats_of(inclusion_rows(aligned, index))
     boot_records = [  # one statistics row per input, in input order
         BootstrapRecord(gi.original_id, gi.variant, np.array(row, dtype=np.int64))
@@ -285,13 +285,13 @@ def test_criterion_8_alignment_precision(census, census_raw, fixture_templates):
     rng = random.Random(77)
     invented_lasts = ["Quarry", "Vantree", "Snowbeck", "Larkmoor", "Duskfield"]
 
-    records, sources, index, expected = [], {}, {}, []
+    records, generated, index, expected = [], {}, {}, []
     planted = 0
     constructed = 0
     tokenize = summary_tokenizer()
     for gi in inputs[:200]:
         index[gi.id] = input_entities(by_doc[gi.original_id], gi)
-        sources[gi.id] = gi.tokens
+        generated[gi.id] = gi
         parts = []
         wanted = []
         for a in gi.assignments:
@@ -325,7 +325,7 @@ def test_criterion_8_alignment_precision(census, census_raw, fixture_templates):
         expected.append(wanted)
     assert len(records) == 200 and planted == 50
 
-    aligned, _ = align_corpus(records, index, sources)
+    aligned, _ = align_corpus(records, index, generated)
     correct = total_constructed = hallucinated_found = 0
     for a, wanted in zip(aligned, expected):
         statuses = {(r.matched if r.status == ALIGNED else r.status) for r in a.results}

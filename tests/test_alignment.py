@@ -124,11 +124,11 @@ def test_align_corpus_counts():
             InputEntity("1", "First1", "Last1", "female"),
         ]
     }
-    sources = {gi.id: gi.tokens}
+    generated = {gi.id: gi}
     records = [
         record([entity("First0", "Last0"), entity("Zeb", "Quarry")]),
     ]
-    aligned, counts = align_corpus(records, index, sources)
+    aligned, counts = align_corpus(records, index, generated)
     c = counts["sys"]
     assert c["input_entities"] == 2
     assert c["summary_entities"] == 2
@@ -147,7 +147,7 @@ def test_no_entity_both_aligned_and_hallucinated():
     gi = make_generated(1)
     index = {gi.id: [InputEntity("0", "First0", "Last0", "male")]}
     records = [record([entity("First0", "Last0"), entity("First0", "Last0")])]
-    aligned, _ = align_corpus(records, index, {gi.id: gi.tokens})
+    aligned, _ = align_corpus(records, index, {gi.id: gi})
     for res in aligned[0].results:
         assert res.status in (ALIGNED, HALLUCINATED, UNRESOLVED)
         assert (res.status == ALIGNED) == (res.matched is not None)
@@ -162,7 +162,7 @@ def test_inclusion_rows_count_entities_once():
         ]
     }
     records = [record([entity("First0", "Last0"), entity("Last0")])]
-    aligned, _ = align_corpus(records, index, {gi.id: gi.tokens})
+    aligned, _ = align_corpus(records, index, {gi.id: gi})
     rows = inclusion_rows(aligned, index)
     assert rows[0] == {"male": (1, 1), "female": (0, 1)}
 

@@ -562,10 +562,10 @@ def test_bootstrap_interval_is_numpys_nanpercentile(scores):
 def test_score_with_ci_shape():
     records = _mean_records({"a": [1.0, 3.0], "b": [2.0, 2.0]})
     result = score_with_ci(records, _mean, replicates=100, seed=4)
-    assert result.point == pytest.approx(2.0)
-    assert result.n == 4
-    lo, hi = result.ci_d
-    assert lo <= result.point <= hi
+    assert result["point"] == pytest.approx(2.0)
+    assert result["n"] == 4
+    lo, hi = result["ci_d"]
+    assert lo <= result["point"] <= hi
 
 
 def test_inclusion_and_word_list_record_aggregation():
@@ -662,9 +662,10 @@ def same_float(a, b):
 
 
 def same_result(a, b):
-    pairs = [(a.point, b.point)] + [
-        (x, y) for ca, cb in ((a.ci_d, b.ci_d), (a.ci_s, b.ci_s)) for x, y in zip(ca, cb)]
-    return (a.n, a.replicates) == (b.n, b.replicates) and all(same_float(x, y) for x, y in pairs)
+    pairs = [(a["point"], b["point"])] + [
+        (x, y) for axis in ("ci_d", "ci_s") for x, y in zip(a[axis], b[axis])]
+    return ((a["n"], a["replicates"]) == (b["n"], b["replicates"])
+            and all(same_float(x, y) for x, y in pairs))
 
 
 def as_records(rows, payloads):
@@ -802,16 +803,16 @@ def test_resampled_sums_count_derive_rng_choices_over_uneven_originals(axis):
 def test_empty_statistics_record_set_has_no_score():
     # distinguishability skipped every original
     result = score_with_ci([], distinguishability_scores, replicates=10, seed=0, axes=("d",))
-    assert result.point is None and result.ci_s is None and result.n == 0
-    assert all(math.isnan(x) for x in result.ci_d)
+    assert result["point"] is None and result["ci_s"] is None and result["n"] == 0
+    assert all(math.isnan(x) for x in result["ci_d"])
 
 
 def test_statistics_bootstrap_all_null_replicates_is_nan():
     unknown_only = np.array(hallucination_stats(Counter(unknown=2)))
     records = [BootstrapRecord(f"o{o}", v, unknown_only) for o in range(3) for v in range(2)]
     result = score_with_ci(records, hallucination_scores, replicates=20, seed=5)
-    assert result.point is None
-    assert all(math.isnan(x) for x in result.ci_d + result.ci_s)
+    assert result["point"] is None
+    assert all(math.isnan(x) for x in result["ci_d"] + result["ci_s"])
 
 
 @pytest.mark.parametrize("replicates, axis", [(1, "d"), (0, "s"), (10, "x")])

@@ -73,7 +73,7 @@ def test_starts_without_numpy(finished, tmp_path, start):
     loaded = loaded_after(code)
     assert numpy_modules(loaded) == set()
     assert not loaded & {"sumprobe.measures", "sumprobe.summaries", "sumprobe.alignment",
-                         "sumprobe.input_bias"}
+                         "sumprobe.input_bias", "multiprocessing"}
 
 
 def test_numpy_version_is_numpys_own():

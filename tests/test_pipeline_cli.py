@@ -52,6 +52,18 @@ def test_rerun_is_byte_identical(tmp_path, small_corpus):
         assert a == b, name
 
 
+def test_score_writes_the_scores_of_run_and_no_report(tmp_path, small_corpus, capsys):
+    config = stage_run(tmp_path, small_corpus, replicates=40)
+    capsys.readouterr()
+    assert main(["score", "--config", str(config)]) == 0
+    art = artifact_dir(config)
+    assert capsys.readouterr().out == f"{art / 'scores.json'}\n"
+    assert sorted(art.glob("report.*")) == []
+    ran = tmp_path / "ran"
+    assert main(["run", "--config", str(config), "--out-dir", str(ran)]) == 0
+    assert (art / "scores.json").read_bytes() == (ran / art.name / "scores.json").read_bytes()
+
+
 def test_rerun_leaves_unchanged_reports_in_place(tmp_path, small_corpus):
     config = stage_run(tmp_path, small_corpus, variants=4, replicates=20)
     assert main(["run", "--config", str(config)]) == 0
@@ -162,10 +174,18 @@ def _error_case(tmp_path, case):
         "row_entity_across_sentences": ("build-templates", _document_row(
             tokens=["Ann", "Lee"], sentences=[0, 1], pos=["NNP", "NNP"],
             entities=[[0, 1, "PERSON"]])),
+        "entity_opened_while_open": (
+            "ingest", _BEGIN + "x 0 0 Ann NNP (PERSON* -\nx 0 0 Lee NNP (PERSON* -\n"),
+        "entity_without_brackets": ("ingest", _BEGIN + "x 0 0 Ann NNP PERSON -\n"),
+        "entity_closed_unopened": ("ingest", _BEGIN + "x 0 0 Ann NNP *) -\n"),
+        "coreference_not_a_number": ("ingest", _BEGIN + "x 0 0 Ann NNP * (a)\n"),
+        "end_without_begin": ("ingest", "#end document\n"),
+        "row_outside_document": ("ingest", "\nx 0 0 Ann NNP * -\n"),
+        "bad_begin_marker": ("ingest", "#begin document x\n"),
     }
     if case in corpora:
         command, text = corpora[case]
-        corpus = tmp_path / ("corpus.conll" if text.startswith("#") else "documents.jsonl")
+        corpus = tmp_path / ("documents.jsonl" if text.startswith("{") else "corpus.conll")
         corpus.write_text(text)
         flag = "--corpus" if command == "ingest" else "--documents"
         return [command, flag, str(corpus), "--out", str(tmp_path / "out.jsonl")], corpus
@@ -173,6 +193,14 @@ def _error_case(tmp_path, case):
     if case == "run_summary_missing":
         return ["run", "--config", str(toy_config_with(tmp_path, {"summaries": {
             "skewed": str(missing)}}))], missing
+    if case == "run_intersection_of_other_groups":
+        return ["run", "--config", str(toy_config_with(tmp_path, {
+            "scheme": "race_intersectional", "intersection": {"asian": "male"}}))], missing
+    no_person = tmp_path / "no_person.conll"
+    no_person.write_text(_ONE_TOKEN)
+    if case == "run_no_eligible_document":
+        return ["run", "--config", str(toy_config_with(tmp_path, {
+            "corpus": str(no_person)}))], no_person
     # spans over the toy summaries of `skewed`: two end past their summary
     sidecar = tmp_path / "ner.skewed.jsonl"
     sidecar.write_text("".join(json.dumps({"input_id": input_id, "entities": spans}) + "\n"
@@ -188,6 +216,13 @@ def _error_case(tmp_path, case):
                  "--out", str(templates)]) == 0
     generate = ["generate", "--templates", str(templates), "--seed", "42", "--variants", "4",
                 "--out", str(tmp_path / "inputs.jsonl"), "--scheme"]
+    if case == "generate_intersection_of_other_groups":
+        return [*generate, "race_intersectional",
+                "--intersection", "Black=male", "white=female"], templates
+    if case == "generate_no_eligible_document":
+        assert main(["build-templates", "--documents", str(no_person),
+                     "--out", str(templates)]) == 0
+        return [*generate, "gender_local"], templates
     if case == "three_race_groups":
         names = [f"n{i}" for i in range(10)]
         group = {"first": {"male": names, "female": names}, "last": names}
@@ -250,13 +285,31 @@ def _error_case(tmp_path, case):
     ("run_summary_missing", 2, "[Errno 2] No such file or directory: '{file}'"),
     ("odd_global_variants", 2,
      "gender_global pairs variants; variants_per_original must be even, got 3"),
+    ("entity_opened_while_open", 2,
+     "{file}: line 3: named-entity bracket opened while another is open"),
+    ("entity_without_brackets", 2, "{file}: line 2: bad named-entity field 'PERSON'"),
+    ("entity_closed_unopened", 2, "{file}: line 2: named-entity bracket closed but none open"),
+    ("coreference_not_a_number", 2, "{file}: line 2: bad coreference field '(a)'"),
+    ("end_without_begin", 2, "{file}: line 1: '#end document' without begin"),
+    ("row_outside_document", 2, "{file}: line 2: token row outside a document block"),
+    ("bad_begin_marker", 2, "{file}: line 1: bad '#begin document' marker: '#begin document x'"),
+    ("run_intersection_of_other_groups", 2,
+     "intersection maps race group(s) ['asian'], but the race table has ['black', 'white']"),
+    ("generate_intersection_of_other_groups", 2,
+     "intersection maps race group(s) ['Black', 'white'], but the race table has "
+     "['black', 'white']"),
+    *((f"{command}_no_eligible_document", 2, "no eligible documents: nothing to generate")
+      for command in ("run", "generate")),
 ])
 def test_error_paths_give_their_exit_code_and_message(tmp_path, capsys, case, code, message):
-    """Each bad input's exit code and the whole stderr line it prints."""
+    """Each bad input's exit code and the whole stderr line it prints; a
+    run whose settings cannot generate makes no artifact directory."""
     argv, path = _error_case(tmp_path, case)
     capsys.readouterr()
     assert main(argv) == code
     assert capsys.readouterr().err == f"error: {message.format(file=path)}\n"
+    if case == "run_intersection_of_other_groups":
+        assert not (tmp_path / "out").exists()
 
 
 def replace_line_3(path, bad_row):
@@ -1330,7 +1383,7 @@ def test_summary_rows_of_another_system_exit_2(tmp_path, monkeypatch, capsys, co
 
 
 @pytest.mark.parametrize("error", [
-    StageError("generate", "race assignment expects exactly two groups"),
+    StageError("stage 'generate': race assignment expects exactly two groups"),
     DataError("s.jsonl: system 'b': summaries reference unknown input ids: x::0, y::1"),
 ], ids=["stage_error", "summary_join_error"])
 def test_errors_survive_pickling(error):
