@@ -3,20 +3,24 @@
 Exit codes: 0 success, 1 usage error, 2 data error, 3 stage failure.
 
 A command imports the pipeline, generation, template, alignment, summary,
-gender, measure and input-bias modules only if it runs them. numpy loads
-only where a command computes with it: importing the CLI, `report`, and a
-`run` or `score` rerun that reuses scores.json start without it.
+gender, measure and input-bias modules only if it runs them. Importing the
+CLI, `report`, `analyze-input-bias`, and a `run` or `score` rerun that
+reuses scores.json start without numpy; `simulate-baselines` loads it to
+score, as a `run` or `score` that scores does.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from importlib import import_module
 from pathlib import Path
 
 from . import corpus as cp
 from .jsonio import DataError, StageError, read_rows, write_json, write_text
 from .names import (
+    GENDERS,
     SCHEME_KINDS,
     load_census,
     load_last_name_pool,
@@ -64,6 +68,27 @@ def _load_docs(path: str) -> list[cp.AnnotatedDocument]:
 
 def _census(args):
     return load_census(args.census_male, args.census_female)
+
+
+def _gendered_word_lists(path: str | None) -> dict[str, list[str]]:
+    """The word lists of the input-bias commands, which read a male and a
+    female list: the split, the contrast's pairs and the sexist baseline."""
+    lists = load_word_lists(path)
+    for gender in GENDERS:
+        if gender not in lists:
+            raise DataError(f"{path}: no {gender!r} word list")
+    return lists
+
+
+def _alpha(text: str) -> float:
+    """A Dirichlet prior count: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+    return value
 
 
 # --- commands -----------------------------------------------------------------
@@ -156,8 +181,8 @@ def cmd_classify_hallucinations(args) -> int:
 def cmd_analyze_input_bias(args) -> int:
     from . import input_bias as ib
 
+    word_lists = _gendered_word_lists(args.word_lists)
     docs = _load_docs(args.corpus)
-    word_lists = load_word_lists(args.word_lists)
     split = ib.split_by_identifier_majority([d.tokens for d in docs], word_lists)
     result = ib.fightin_words(
         split["male"], split["female"], pairs=word_pairs(word_lists), alpha=args.alpha
@@ -184,8 +209,12 @@ def cmd_analyze_input_bias(args) -> int:
 def cmd_simulate_baselines(args) -> int:
     from . import input_bias as ib
 
+    word_lists = _gendered_word_lists(args.word_lists)
+    # the simulation scores with `measures` and numpy. Imported where it
+    # scores, after the corpus is read, they raised a 1500-document run's
+    # peak RSS from 46.9 to 48.2 MB; imported first, they leave it at 46.9
+    import_module(".measures", __package__)
     docs = _load_docs(args.corpus)
-    word_lists = load_word_lists(args.word_lists)
     result = ib.simulation_experiment(docs, word_lists, seed=args.seed)
     out = Path(args.out)
     write_json(out.with_suffix(".json"), result)
@@ -274,7 +303,7 @@ COMMANDS = {
         ("--corpus", _REQUIRED),
         ("--out", {"required": True, "help": "output prefix (.json/.csv)"}),
         ("--word-lists", {}),
-        ("--alpha", {"type": float, "default": 0.01}),
+        ("--alpha", {"type": _alpha, "default": 0.01}),
     ]),
     "simulate-baselines": ("score the four baseline summarizers", cmd_simulate_baselines, [
         ("--corpus", _REQUIRED),

@@ -189,11 +189,12 @@ def render(
 # --- assignment --------------------------------------------------------------
 
 
-def _sample_distinct(rng, pool: Iterable[str], k: int, what: str) -> list[str]:
-    items = sorted(pool)
-    if len(items) < k:
-        raise StageError(f"stage 'generate': need {k} distinct {what}, inventory has {len(items)}")
-    return rng.sample(items, k)
+def _sample_distinct(rng, pool: Sequence[str], k: int, what: str) -> list[str]:
+    """`k` names drawn from `pool`, which is sorted, so that a draw depends
+    on the pool's names and not on the order they were read in."""
+    if len(pool) < k:
+        raise StageError(f"stage 'generate': need {k} distinct {what}, inventory has {len(pool)}")
+    return rng.sample(pool, k)
 
 
 def _gender_split(n: int, rng) -> list[bool]:
@@ -212,6 +213,8 @@ def _last_names_for(
     rng,
     pool: Sequence[str] | None,
 ) -> list[str | None]:
+    """Each entity's last name: its own, or one drawn from `pool`, which is
+    sorted, as `generate_corpus` passes it."""
     if not scheme.alter_last_names:
         return [e.last for e in ents]
     if pool is None:
@@ -234,8 +237,8 @@ def assign_gender_pair(
     ents = template.gendered_entities()
     n = len(ents)
     male_flags = _gender_split(n, rng)
-    male_names = _sample_distinct(rng, census.male, n, "male first names")
-    female_names = _sample_distinct(rng, census.female, n, "female first names")
+    male_names = _sample_distinct(rng, census.names("male"), n, "male first names")
+    female_names = _sample_distinct(rng, census.names("female"), n, "female first names")
     lasts = _last_names_for(ents, scheme, rng, last_name_pool)
 
     def build(invert: bool) -> list[EntityAssignment]:
@@ -295,10 +298,10 @@ def assign_race(
             gender = scheme.intersection[group]
         else:
             gender = rng.choice(GENDERS)
-        first_pool = [n for n in race_table.first_names(group, gender) if n not in used_first]
+        first_pool = sorted(n for n in race_table.first_names(group, gender) if n not in used_first)
         first = _sample_distinct(rng, first_pool, 1, f"{group}/{gender} first names")[0]
         used_first.add(first)
-        last_pool = [n for n in race_table.last_names(group) if n not in used_last[group]]
+        last_pool = sorted(n for n in race_table.last_names(group) if n not in used_last[group])
         last = _sample_distinct(rng, last_pool, 1, f"{group} last names")[0]
         used_last[group].add(last)
         out.append(
@@ -378,6 +381,8 @@ def generate_corpus(
     if table is None:
         raise StageError(f"stage 'generate': {scheme.kind} needs a {what} name table")
     check_intersection(scheme, race_table)
+    if last_name_pool is not None:
+        last_name_pool = sorted(last_name_pool)
     out: list[GeneratedInput] = []
     provenance = f"master={master_seed}"
     for template in sorted(templates, key=lambda t: t.doc_id):

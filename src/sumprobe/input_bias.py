@@ -6,28 +6,28 @@ deliberately simple extractive baselines, and a synthetic topic/gender
 correlated corpus generator that makes the simulation reproducible
 without licensed news data.
 
-The simulation counts each document's identifiers once per sentence. The
-sentences partition the document and every baseline summary is whole
-sentences, so the document's counts and each summary's counts are sums of
-those per-sentence rows.
+The simulation cleans each document's tokens once, and one pass over them
+finds every identifier and topic keyword: each sentence's identifier
+counts and the document's topic label come from those alone. Every
+baseline summary is whole sentences, so a summary's counts are the sum of
+its sentences' rows. numpy loads only where the simulation scores, so the
+split and the contrast run without it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, groupby
-from operator import add
-from typing import Container, Iterable, Sequence
-
-import numpy as np
+from itertools import accumulate, chain, compress, groupby
+from operator import itemgetter
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .corpus import AnnotatedDocument
-from .measures import (NEUTRAL_OBJECT, clean_token, count_identifiers, word_list_scores,
-                       word_list_stats, word_sets)
 from .names import load_topic_tokens, load_word_lists
 from .seeding import derive_rng
+from .words import NEUTRAL_OBJECT, clean_token, count_identifiers, word_sets
 
 # POS-ambiguous pronouns excluded from the lexical contrast
 IGNORED_PRONOUNS = NEUTRAL_OBJECT
@@ -125,25 +125,45 @@ def fightin_words(
 # --- topic heuristic and baselines --------------------------------------------
 
 
-def classify_topic(
-    tokens: Iterable[str], sport: Container[str], family: Container[str]
-) -> str:
-    counts = count_identifiers(tokens, {"sport": sport, "family": family})
-    if counts["sport"] > counts["family"]:
-        return "sport"
-    if counts["family"] > counts["sport"]:
-        return "family"
-    return "unknown"
+def _sentence_ends(sentences: Sequence[int]) -> list[int]:
+    """The end of each run of equal sentence ids: sentence k of a document
+    is its tokens from the end of run k - 1 up to the end of run k."""
+    return list(accumulate(len(list(run)) for _, run in groupby(sentences)))
 
 
-def _sentence_tokens(doc: AnnotatedDocument) -> list[list[str]]:
-    """The document's token texts, one list per run of equal sentence ids."""
-    ends = list(accumulate(len(list(run)) for _, run in groupby(doc.sentences)))
-    return [doc.tokens[start:end] for start, end in zip([0, *ends], ends)]
+WordIndex = dict[str, tuple[tuple[str, ...], int]]
 
 
-def _column_sums(rows: Sequence[dict[str, int]], groups: Sequence[str]) -> dict[str, int]:
-    return {g: sum(row[g] for row in rows) for g in groups}
+def word_index(groups: Mapping[str, Collection[str]], sport: Collection[str],
+               family: Collection[str]) -> WordIndex:
+    """Each identifier and topic keyword -> the groups whose word list holds
+    it, and its topic vote: 1 for a sport keyword, -1 for a family one, 0
+    for both or neither."""
+    return {word: (tuple(g for g, words in groups.items() if word in words),
+                   (word in sport) - (word in family))
+            for word in {*chain.from_iterable(groups.values()), *sport, *family}}
+
+
+def document_counts(
+    doc: AnnotatedDocument, index: WordIndex, groups: Iterable[str]
+) -> tuple[list[dict[str, int]], str]:
+    """Each sentence's identifier count per group, as `count_identifiers`
+    gives it, and the document's topic label: "sport" or "family" where that
+    keyword list has more whole-token occurrences than the other, else
+    "unknown". One pass over the cleaned tokens finds every indexed word,
+    and both come from those words alone."""
+    cleaned = list(map(clean_token, doc.tokens))
+    ends = _sentence_ends(doc.sentences)
+    zero = dict.fromkeys(groups, 0)
+    rows = [zero.copy() for _ in ends]
+    lead = 0
+    for i in compress(range(len(cleaned)), map(index.__contains__, cleaned)):
+        found, vote = index[cleaned[i]]
+        lead += vote
+        row = rows[bisect_right(ends, i)]
+        for group in found:
+            row[group] += 1
+    return rows, "sport" if lead > 0 else "family" if lead < 0 else "unknown"
 
 
 def baseline_summarize(
@@ -153,8 +173,8 @@ def baseline_summarize(
     label: str,
 ) -> list[int]:
     """Sentence indices (document order) selected by one baseline, given the
-    `count_identifiers` of each of a document's sentences; `label` is the
-    document's `classify_topic`."""
+    identifier counts of each of a document's sentences and the document's
+    topic label, both as `document_counts` gives them."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown baseline {algorithm!r}")
     n = len(sentence_counts)
@@ -184,31 +204,28 @@ def simulation_experiment(
     """Word-list inclusion of each baseline under uniform and adjusted
     (input-distribution) references, plus corpus composition stats.
 
-    Each document's identifiers are counted once per sentence. The
-    document's counts are the column sums of those rows, a summary's the sum
-    of its picked rows, and the sexist baseline ranks sentences by the same
-    rows. Each baseline is scored from one `word_list_stats` row, the sum of
-    its documents' (summary, input) counts."""
-    topics = word_sets(load_topic_tokens())
-    sets = word_sets(word_lists)
+    Each document's sentence rows and topic label come from
+    `document_counts`, and the sexist baseline ranks sentences by those
+    rows. A summary's counts are the sum of its picked rows. Every baseline
+    summarizes every document, so each one's `word_list_stats` row, summed
+    over the documents, is its summaries' counts then the corpus's."""
+    topics = load_topic_tokens()
+    index = word_index(word_sets(word_lists), topics["sport"], topics["family"])
     groups = sorted(word_lists)
-    # per baseline, the running sum of its documents' word_list_stats rows
-    totals = {algorithm: [0] * (2 * len(groups)) for algorithm in ALGORITHMS}
+    summaries = {algorithm: dict.fromkeys(groups, 0) for algorithm in ALGORITHMS}
     by_topic: dict[str, Counter] = {}
     for doc in docs:
-        rows = [count_identifiers(sentence, sets) for sentence in _sentence_tokens(doc)]
-        counts = _column_sums(rows, groups)
-        label = classify_topic(doc.tokens, topics["sport"], topics["family"])
+        rows, label = document_counts(doc, index, groups)
         c = by_topic.setdefault(label, Counter())
         c["docs"] += 1
-        c.update(counts)
+        c.update({g: sum(map(itemgetter(g), rows)) for g in groups})
         for algorithm in ALGORITHMS:
             # lead draws nothing, so it gets no rng
             rng = None if algorithm == "lead" else derive_rng(seed, "baseline", algorithm, doc.id)
-            picked = baseline_summarize(rows, algorithm, rng, label)
-            summary = _column_sums([rows[i] for i in picked], groups)
-            row = word_list_stats(summary, counts, groups)
-            totals[algorithm] = list(map(add, totals[algorithm], row))
+            summary = summaries[algorithm]
+            for i in baseline_summarize(rows, algorithm, rng, label):
+                for g, n in rows[i].items():
+                    summary[g] += n
     stats: dict[str, dict] = {}
     for label, c in sorted(by_topic.items()):
         idents = c["male"] + c["female"]
@@ -217,7 +234,13 @@ def simulation_experiment(
             "female_share": (c["female"] / idents) if idents else None,
         }
 
-    summed = np.array([totals[algorithm] for algorithm in ALGORITHMS], dtype=np.int64)
+    import numpy as np
+
+    from .measures import word_list_scores, word_list_stats
+
+    corpus = {g: sum(c[g] for c in by_topic.values()) for g in groups}
+    summed = np.array([word_list_stats(summaries[algorithm], corpus, groups)
+                       for algorithm in ALGORITHMS], dtype=np.int64)
     scores: dict[str, dict] = {algorithm: {} for algorithm in ALGORITHMS}
     for reference in ("uniform", "adjusted"):
         for algorithm, value in zip(ALGORITHMS, word_list_scores(summed, reference).tolist()):

@@ -40,7 +40,10 @@ the payload-list path of `bootstrap` and `score_with_ci`, with
 `_payload_list_replicates`, `BootstrapRecord.variant`, `inclusion_score`
 with `_summed` and `_scalar`, `cosine_counts` and `cosine_dense` (the
 pipeline calls none of these); `bootstrap`'s `score_fn` and `axis` parameter
-names; and the module-level `derive_rng` and `count_identifiers`.
+names; and the module-level `derive_rng` and `count_identifiers`. The counter
+lives in the numpy-free `words`; it is bound here by assignment, and the
+pipeline calls it as `measures.count_identifiers`, so that the benchmark's
+patch of this name sees every pipeline count.
 """
 
 from __future__ import annotations
@@ -48,21 +51,18 @@ from __future__ import annotations
 import functools
 import math
 import random
-import string
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat, starmap
-from typing import Callable, Container, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .names import PRONOUN_ROLES
+from . import words
 from .seeding import derive_rng, seed_stream
+from .words import NEUTRAL_OBJECT, NEUTRAL_REFLEXIVE, NEUTRAL_SUBJECT, clean_token
 
-NEUTRAL_SUBJECT = set(PRONOUN_ROLES["subject"])
-NEUTRAL_OBJECT = {*PRONOUN_ROLES["object"], *PRONOUN_ROLES["determiner"],
-                  *PRONOUN_ROLES["possessive"]}
-NEUTRAL_REFLEXIVE = set(PRONOUN_ROLES["reflexive"])
+count_identifiers = words.count_identifiers  # see the module docstring
 
 FIRST_MARKER = "FIRST_NAME"
 LAST_MARKER = "LAST_NAME"
@@ -105,26 +105,6 @@ def _summed(rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
 def _scalar(scores: np.ndarray) -> float | None:
     value = float(scores[0])
     return None if math.isnan(value) else value
-
-
-@functools.lru_cache(maxsize=1 << 14)
-def clean_token(token: str) -> str:
-    """Edge punctuation stripped, lowercased. Cached: a corpus repeats a
-    small vocabulary, and a cache hit runs no Python code."""
-    return token.strip(string.punctuation).lower()
-
-
-def word_sets(word_lists: Mapping[str, Iterable[str]]) -> dict[str, frozenset[str]]:
-    """Each group's words as a set: built once, then passed to every
-    `count_identifiers` call."""
-    return {group: frozenset(words) for group, words in word_lists.items()}
-
-
-def count_identifiers(tokens: Iterable[str], groups: Mapping[str, Container[str]]) -> dict[str, int]:
-    """Whole-token identifier occurrences per group, case-insensitive;
-    `groups` maps each group to its lowercase words, best as `word_sets`."""
-    cleaned = list(map(clean_token, tokens))
-    return {group: sum(map(words.__contains__, cleaned)) for group, words in groups.items()}
 
 
 def word_list_stats(summary_counts: dict[str, int], input_counts: dict[str, int],

@@ -12,6 +12,7 @@ Bundled data (under sumprobe/data/):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -50,12 +51,14 @@ class GenderNameTable:
     male: dict[str, float]
     female: dict[str, float]
 
-    def names(self, gender: str) -> dict[str, float]:
-        if gender == "male":
-            return self.male
-        if gender == "female":
-            return self.female
-        raise KeyError(gender)
+    @functools.cached_property
+    def _sorted(self) -> dict[str, tuple[str, ...]]:
+        return {"male": tuple(sorted(self.male)), "female": tuple(sorted(self.female))}
+
+    def names(self, gender: str) -> tuple[str, ...]:
+        """The gender's names in sorted order, sorted once per table: the
+        pool that generation draws first names from."""
+        return self._sorted[gender]
 
 
 @dataclass(frozen=True)

@@ -512,6 +512,7 @@ class Pipeline:
         import multiprocessing
 
         from . import measures as ms
+        from . import words
 
         inputs = self.inputs()
         classifies = self._classifies()
@@ -520,7 +521,7 @@ class Pipeline:
             assignments = [a for gi in inputs for a in gi.assignments]
             names = ({a.first.lower() for a in assignments if a.first},
                      {a.last.lower() for a in assignments if a.last})
-        word_sets = ms.word_sets(self.word_lists)
+        word_sets = words.word_sets(self.word_lists)
         shared = _SharedScoring(
             context=alignment_context(self.templates(), inputs, self._census_raw),
             word_sets=word_sets,

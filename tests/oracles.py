@@ -19,6 +19,9 @@ loop_*                       tokenization, entity detection and
 token_*                      a document's JSON row and sentences read off a
                              list of `corpus.Token`s, as the package did
                              before documents held token columns
+classify_topic               a document's topic label counted over its whole
+                             token list, as the simulation did before one
+                             pass gave each sentence's counts and the label
 """
 
 import math
@@ -27,10 +30,11 @@ from collections import Counter
 from itertools import groupby
 from operator import attrgetter
 
-from sumprobe.measures import (FIRST_MARKER, LAST_MARKER, NEUTRAL_OBJECT, NEUTRAL_REFLEXIVE,
-                               NEUTRAL_SUBJECT, clean_token, cosine_counts, cosine_dense)
+from sumprobe.measures import FIRST_MARKER, LAST_MARKER, cosine_counts, cosine_dense
 from sumprobe.summaries import SummaryEntity
 from sumprobe.templates import TITLE_SET
+from sumprobe.words import (NEUTRAL_OBJECT, NEUTRAL_REFLEXIVE, NEUTRAL_SUBJECT, clean_token,
+                            count_identifiers)
 
 # --- from the definitions ------------------------------------------------------
 
@@ -303,3 +307,14 @@ def token_to_json(doc_id, tokens, chains, entities):
 def token_sentences(tokens):
     """Each sentence's token texts, from a list of `Token`s."""
     return [[t.text for t in sentence] for _, sentence in groupby(tokens, attrgetter("sentence"))]
+
+
+def classify_topic(tokens, sport, family):
+    """"sport" or "family" where that keyword list has more whole-token
+    occurrences in `tokens` than the other, else "unknown"."""
+    counts = count_identifiers(tokens, {"sport": sport, "family": family})
+    if counts["sport"] > counts["family"]:
+        return "sport"
+    if counts["family"] > counts["sport"]:
+        return "family"
+    return "unknown"

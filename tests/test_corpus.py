@@ -20,7 +20,7 @@ from sumprobe.corpus import (
     write_conll_corpus,
     write_jsonl,
 )
-from sumprobe.input_bias import _sentence_tokens
+from sumprobe.input_bias import _sentence_ends
 from sumprobe.jsonio import DataError, read_rows
 
 MINIMAL = """#begin document (mini); part 000
@@ -221,7 +221,8 @@ def test_conll_roundtrip_property(tmp_path_factory, built):
     tokens, chains, entities = built
     doc = AnnotatedDocument("gen_0#0", tokens, chains, entities)
     assert to_json(doc) == token_to_json(doc.id, tokens, chains, entities)
-    assert _sentence_tokens(doc) == token_sentences(tokens)
+    ends = _sentence_ends(doc.sentences)
+    assert [doc.tokens[start:end] for start, end in zip([0, *ends], ends)] == token_sentences(tokens)
     tmp = tmp_path_factory.mktemp("rt")
     write_jsonl([doc], tmp / "doc.jsonl")
     assert list(read_jsonl(tmp / "doc.jsonl")) == [doc]

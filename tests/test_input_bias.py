@@ -2,24 +2,30 @@ import hashlib
 import math
 import random
 from collections import Counter
+from itertools import accumulate
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import classify_topic, token_sentences
 
 from sumprobe.corpus import AnnotatedDocument, Token, write_jsonl
 from sumprobe.input_bias import (
     SyntheticCorpusConfig,
     baseline_summarize,
-    classify_topic,
+    document_counts,
     fightin_words,
     make_synthetic_corpus,
     simulation_experiment,
     split_by_identifier_majority,
+    word_index,
 )
-from sumprobe.measures import count_identifiers
 from sumprobe.names import load_topic_tokens
 from sumprobe.seeding import derive_rng
+from sumprobe.words import count_identifiers, word_sets
 
 WL = {"male": ["he", "him", "man"], "female": ["she", "her", "woman"]}
+TOPICS = load_topic_tokens()
 
 
 # --- split ---------------------------------------------------------------------
@@ -119,42 +125,85 @@ SPORT = ["league", "season", "club", "game", "win", "team", "shot"]
 FAMILY = ["family", "husband", "wife", "father", "mother", "children", "boys", "girls", "baby"]
 
 
+def sentence_tokens(sentences, ids=None):
+    """These sentences' words as `Token`s; sentence k gets id `ids[k]`, by
+    default k."""
+    ids = range(len(sentences)) if ids is None else ids
+    words = [(s, w) for s, sentence in zip(ids, sentences) for w in sentence]
+    return [Token(i, w, s, "") for i, (s, w) in enumerate(words)]
+
+
+def doc_with_sentences(sentences, doc_id="bl_0#0"):
+    return AnnotatedDocument(doc_id, sentence_tokens(sentences), {}, [])
+
+
+def counts_and_topic(tokens, word_lists=WL, sport=SPORT, family=FAMILY):
+    """The per-sentence rows and topic label the simulation computes for a
+    document of these `Token`s."""
+    groups = word_sets(word_lists)
+    doc = AnnotatedDocument("bl_0#0", tokens, {}, [])
+    return document_counts(doc, word_index(groups, sport, family), groups)
+
+
+def topic(words):
+    return counts_and_topic(sentence_tokens([words]))[1]
+
+
 def test_topic_majority():
-    assert classify_topic(["game", "team", "win", "family"], SPORT, FAMILY) == "sport"
-    assert classify_topic(["family", "baby"], SPORT, FAMILY) == "family"
+    assert topic(["game", "team", "win", "family"]) == "sport"
+    assert topic(["family", "baby"]) == "family"
 
 
 def test_topic_ties_unknown():
-    assert classify_topic(["plan"], SPORT, FAMILY) == "unknown"
-    assert classify_topic(["game", "family"], SPORT, FAMILY) == "unknown"
-    assert classify_topic(["game", "game", "family", "baby"], SPORT, FAMILY) == "unknown"
+    assert topic(["plan"]) == "unknown"
+    assert topic(["game", "family"]) == "unknown"
+    assert topic(["game", "game", "family", "baby"]) == "unknown"
 
 
 def test_topic_depends_only_on_token_multiset():
-    a = classify_topic(["game", "plan", "team"], SPORT, FAMILY)
-    b = classify_topic(["team", "game", "plan"], SPORT, FAMILY)
+    a = topic(["game", "plan", "team"])
+    b = topic(["team", "game", "plan"])
     assert a == b == "sport"
+
+
+# identifiers, topic keywords and filler, bare, upper-case and with edge
+# punctuation; "father" is a male identifier, a family keyword and, like
+# "man", in the third group; "shot" is a keyword of both topics
+THREE_GROUPS = {**WL, "person": ["man", "father", "person"]}
+WORDS = ["he", "She", "him", "man", "woman", "her", "father", "person", "game", "team", "shot",
+         "family", "baby", "plan", "vote", ""]
+TOKENS = st.builds(lambda word, case, edges: edges[0] + case(word) + edges[1],
+                   st.sampled_from(WORDS), st.sampled_from([str, str.upper, str.title]),
+                   st.sampled_from([("", ""), ("", ","), ("'", "'"), ("(", ")."), ("", "-")]))
+
+
+@given(st.lists(st.lists(TOKENS, min_size=1, max_size=8), max_size=6),
+       st.lists(st.integers(0, 2), min_size=6, max_size=6))
+@example([], [0] * 6)
+@example([["plan"], ["vote"]], [0] * 6)
+@example([["game", "family"], ["he"], ["she"]], [0, 1, 1, 0, 0, 0])
+@settings(max_examples=200, deadline=None)
+def test_document_counts_are_each_sentences_counts_and_the_topic_rule(sentences, gaps):
+    """Each row is `count_identifiers` over its sentence and the label is
+    the whole-document topic rule, whatever the groups and keywords share.
+    Sentence ids may skip; sentences with equal neighbouring ids merge."""
+    tokens = sentence_tokens(sentences, list(accumulate(gaps[: len(sentences)])))
+    family = [*FAMILY, "shot"]
+    rows, label = counts_and_topic(tokens, THREE_GROUPS, SPORT, family)
+    groups = word_sets(THREE_GROUPS)
+    assert rows == [count_identifiers(sentence, groups) for sentence in token_sentences(tokens)]
+    assert label == classify_topic([t.text for t in tokens], SPORT, family)
 
 
 # --- baselines -----------------------------------------------------------------------
 
 
-def doc_with_sentences(sentences, doc_id="bl_0#0"):
-    tokens = []
-    for s, words in enumerate(sentences):
-        for w in words:
-            tokens.append(Token(len(tokens), w, s, ""))
-    return AnnotatedDocument(doc_id, tokens, {}, [])
-
-
-TOPICS = load_topic_tokens()
-
-
 def summarize(sentences, algorithm, rng):
-    """One baseline's selection, given the topic label `simulation_experiment`
-    computes for the document."""
-    label = classify_topic([w for s in sentences for w in s], TOPICS["sport"], TOPICS["family"])
-    return baseline_summarize([count_identifiers(s, WL) for s in sentences], algorithm, rng, label)
+    """One baseline's selection, given the rows and topic label
+    `simulation_experiment` computes for the document."""
+    rows, label = counts_and_topic(sentence_tokens(sentences), sport=TOPICS["sport"],
+                                   family=TOPICS["family"])
+    return baseline_summarize(rows, algorithm, rng, label)
 
 
 def test_lead_takes_first_three():
@@ -269,8 +318,6 @@ def test_synthetic_corpus_plants_correlation(word_lists):
         ]
         counts = Counter()
         for tokens in members:
-            from sumprobe.measures import count_identifiers
-
             counts.update(count_identifiers(tokens, word_lists))
         shares[label] = counts["male"] / (counts["male"] + counts["female"])
     assert shares["sport"] > 0.7

@@ -1,6 +1,7 @@
 """numpy loads only in code that computes with it: importing the CLI,
-building a `Pipeline`, `report`, and a rerun that reuses scores.json start
-without it, and run.json still records numpy's version."""
+building a `Pipeline`, `report`, `analyze-input-bias`, and a rerun that
+reuses scores.json start without it, and run.json still records numpy's
+version."""
 
 import importlib.util
 import json
@@ -18,6 +19,8 @@ from e2e import stage_run
 
 from sumprobe import pipeline
 from sumprobe.cli import main
+from sumprobe.corpus import write_jsonl
+from sumprobe.input_bias import SyntheticCorpusConfig, make_synthetic_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 # runs its first argument as Python code, then prints the loaded module names
@@ -47,6 +50,14 @@ def finished(tmp_path_factory):
     return config, scores
 
 
+@pytest.fixture(scope="module")
+def synthetic(tmp_path_factory):
+    """A small synthetic corpus for the input-bias commands."""
+    path = tmp_path_factory.mktemp("synthetic") / "synth.jsonl"
+    write_jsonl(make_synthetic_corpus(SyntheticCorpusConfig(n_docs=20), seed=3), path)
+    return path
+
+
 def test_a_cold_run_loads_numpy_and_not_numpy_ma(finished, tmp_path):
     """The check sees numpy where a command computes with it; the bootstrap
     interval loads no more of numpy than importing it does."""
@@ -66,14 +77,26 @@ def test_a_cold_run_loads_numpy_and_not_numpy_ma(finished, tmp_path):
     "from sumprobe.cli import main\nassert main(['score', '--config', {config!r}]) == 0",
     "from sumprobe.cli import main\n"
     "assert main(['report', '--scores', {scores!r}, '--out', {out!r}]) == 0",
-], ids=["import-cli", "pipeline", "rerun", "rescore", "report"])
-def test_starts_without_numpy(finished, tmp_path, start):
+    "from sumprobe.cli import main\n"
+    "assert main(['analyze-input-bias', '--corpus', {corpus!r}, '--out', {out!r}]) == 0",
+], ids=["import-cli", "pipeline", "rerun", "rescore", "report", "analyze-input-bias"])
+def test_starts_without_numpy(finished, synthetic, tmp_path, start):
     config, scores = finished
-    code = start.format(config=str(config), scores=str(scores), out=str(tmp_path / "r.md"))
+    code = start.format(config=str(config), scores=str(scores), corpus=str(synthetic),
+                        out=str(tmp_path / "r.md"))
     loaded = loaded_after(code)
     assert numpy_modules(loaded) == set()
     assert not loaded & {"sumprobe.measures", "sumprobe.summaries", "sumprobe.alignment",
-                         "sumprobe.input_bias", "multiprocessing"}
+                         "multiprocessing"}
+    assert ("sumprobe.input_bias" in loaded) == ("input-bias" in start)
+
+
+def test_simulate_baselines_loads_numpy(synthetic, tmp_path):
+    """The simulation scores with numpy, so the check above can see it."""
+    loaded = loaded_after("from sumprobe.cli import main\n"
+                          f"assert main(['simulate-baselines', '--corpus', {str(synthetic)!r}, "
+                          f"'--seed', '1', '--out', {str(tmp_path / 'sim')!r}]) == 0")
+    assert {"numpy", "sumprobe.measures"} <= loaded
 
 
 def test_numpy_version_is_numpys_own():

@@ -190,6 +190,17 @@ def _error_case(tmp_path, case):
         flag = "--corpus" if command == "ingest" else "--documents"
         return [command, flag, str(corpus), "--out", str(tmp_path / "out.jsonl")], corpus
     missing = tmp_path / "missing.jsonl"
+    # word lists without one of the gender lists, given with a corpus that
+    # does not exist: the lists are checked before the corpus is read
+    lists = {"analyze_without_male_list": ({"a": ["x"], "b": ["y"]}, ["analyze-input-bias"]),
+             "simulate_without_female_list": ({"male": ["he"], "b": ["y"]},
+                                              ["simulate-baselines", "--seed", "1"])}
+    if case in lists:
+        table, command = lists[case]
+        word_lists = tmp_path / "word_lists.json"
+        word_lists.write_text(json.dumps(table))
+        return [*command, "--corpus", str(missing), "--word-lists", str(word_lists),
+                "--out", str(tmp_path / "out")], word_lists
     if case == "run_summary_missing":
         return ["run", "--config", str(toy_config_with(tmp_path, {"summaries": {
             "skewed": str(missing)}}))], missing
@@ -300,6 +311,8 @@ def _error_case(tmp_path, case):
      "['black', 'white']"),
     *((f"{command}_no_eligible_document", 2, "no eligible documents: nothing to generate")
       for command in ("run", "generate")),
+    ("analyze_without_male_list", 2, "{file}: no 'male' word list"),
+    ("simulate_without_female_list", 2, "{file}: no 'female' word list"),
 ])
 def test_error_paths_give_their_exit_code_and_message(tmp_path, capsys, case, code, message):
     """Each bad input's exit code and the whole stderr line it prints; a
@@ -665,6 +678,19 @@ def test_missing_output_directory_exits_2_naming_the_output(tmp_path, capsys, co
     assert f"{tmp_path / 'nodir' / name}: cannot write: directory {tmp_path / 'nodir'}" in err
     assert ".tmp" not in err
     assert not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1", "nan", "inf", "x"])
+def test_alpha_must_be_a_finite_number_above_0(tmp_path, capsys, alpha):
+    """A prior count of 0 or less has no log-odds, and nan or inf would
+    write nan z-scores: each is a usage error, and nothing is written."""
+    argv = input_bias_argvs(synthetic_corpus(tmp_path), tmp_path)[0]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--alpha", alpha])
+    assert err.value.code == 1
+    assert (f"argument --alpha: must be a finite number above 0, got {alpha!r}"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["synth.jsonl"]
 
 
 @pytest.mark.parametrize("first", [b"", b"\xff"], ids=["second_row", "first_byte"])

@@ -150,7 +150,8 @@ def commands(tmp: Path, files: dict[str, Path]) -> list[list[str]]:
           for fmt in ("markdown", "csv", "json")),
         ["script", str(ROOT / "scripts/make_synthetic_corpus.py"), "--out", str(synthetic),
          "--n-docs", "40"],
-        ["analyze-input-bias", "--corpus", str(synthetic), "--out", str(stages / "fw")],
+        ["analyze-input-bias", "--corpus", str(synthetic), "--out", str(stages / "fw"),
+         "--alpha", "0.02"],
         ["simulate-baselines", "--corpus", str(synthetic), "--seed", "1",
          "--out", str(stages / "sim")],
         ["script", str(ROOT / "scripts/make_demo_data.py"), "--dir", str(tmp / "demo"),
