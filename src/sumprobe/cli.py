@@ -2,11 +2,13 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 stage failure.
 
-A command imports the pipeline, generation, template, alignment, summary,
-gender, measure and input-bias modules only if it runs them. Importing the
-CLI, `report`, `analyze-input-bias`, and a `run` or `score` rerun that
-reuses scores.json start without numpy; `simulate-baselines` loads it to
-score, as a `run` or `score` that scores does.
+A command imports the pipeline, corpus, template, generation, alignment,
+summary, gender, measure and input-bias modules only if it runs them.
+Importing the CLI, `report`, `analyze-input-bias`, `align`,
+`classify-hallucinations`, and a `run` or `score` rerun that reuses
+scores.json start without numpy; `simulate-baselines` loads it to score,
+as a `run` or `score` that scores does. Importing the CLI, `report`, and
+such a rerun also load no corpus, template or generation module.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import math
 import sys
 from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import corpus as cp
 from .jsonio import DataError, StageError, read_rows, write_json, write_text
 from .names import (
     GENDERS,
@@ -26,10 +28,14 @@ from .names import (
     load_last_name_pool,
     load_race_names,
     load_word_lists,
+    make_scheme,
     resolve_ambiguous,
     word_pairs,
 )
 from .report import read_scores, render_report
+
+if TYPE_CHECKING:
+    from . import corpus as cp
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -57,6 +63,8 @@ def _pairs_arg(values: list[str], what: str) -> dict[str, str]:
 def _load_docs(path: str) -> list[cp.AnnotatedDocument]:
     """A raw column corpus, sorted as `ingest` sorts it, or the ingest JSONL
     output in file order; either reader checks each document it reads."""
+    from . import corpus as cp
+
     with open(path, "rb") as fh:
         head = fh.read(1)
     if head == b"#":
@@ -112,13 +120,12 @@ def cmd_build_templates(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    from . import generate as gen
     from . import templates as tp
     from .pipeline import generate_inputs
 
-    scheme = gen.make_scheme(args.scheme, variants=args.variants,
-                             alter_last_names=args.alter_last_names,
-                             intersection=_pairs_arg(args.intersection, "--intersection") or None)
+    scheme = make_scheme(args.scheme, variants=args.variants,
+                         alter_last_names=args.alter_last_names,
+                         intersection=_pairs_arg(args.intersection, "--intersection") or None)
     if scheme.alter_last_names and not scheme.is_race and not args.last_names:
         raise DataError(f"scheme {args.scheme!r}: --alter-last-names needs --last-names")
     inputs = generate_inputs(

@@ -13,6 +13,7 @@ Supported assignment schemes:
 
 Race schemes always substitute last names; gender schemes keep original
 last names unless alter_last_names is set (which requires a last-name pool).
+A scheme is an `AssignmentScheme` from names.py.
 """
 
 from __future__ import annotations
@@ -21,47 +22,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .jsonio import DataError, StageError, read_rows, write_rows
-from .names import (GENDERED_PRONOUNS, GENDERS, PAIRED_SCHEME_KINDS, PRONOUN_ROLES, SCHEME_KINDS,
-                    GenderNameTable, RaceNameTable)
+from . import names
+from .jsonio import StageError, read_rows, write_rows
+from .names import (GENDERED_PRONOUNS, GENDERS, PRONOUN_ROLES, AssignmentScheme, GenderNameTable,
+                    RaceNameTable, check_intersection)
 from .seeding import derive_rng
 from .templates import (NAME_TITLES, TITLE_SET, DocumentTemplate, EntityTemplate, SlotCategory,
                         splice)
 
-
-@dataclass(frozen=True)
-class AssignmentScheme:
-    kind: str
-    intersection: dict[str, str] | None = None  # race group -> gender
-    variants_per_original: int = 20
-    alter_last_names: bool = False  # read by the gender schemes only
-
-    def __post_init__(self):
-        if self.kind not in SCHEME_KINDS:
-            raise DataError(f"unknown scheme kind {self.kind!r}")
-        if self.kind == "race_intersectional":
-            if not self.intersection:
-                raise DataError("race_intersectional requires an intersection mapping")
-            bad = [g for g in self.intersection.values() if g not in GENDERS]
-            if bad:
-                raise DataError(f"intersection maps to unknown gender(s) {bad}")
-        elif self.intersection is not None:
-            raise DataError(f"{self.kind} does not take an intersection mapping")
-        if self.variants_per_original < 1:
-            raise DataError(
-                f"variants_per_original must be at least 1, got {self.variants_per_original}")
-        if self.kind in PAIRED_SCHEME_KINDS and self.variants_per_original % 2:
-            raise DataError(f"{self.kind} pairs variants; variants_per_original must be even, "
-                            f"got {self.variants_per_original}")
-
-    @property
-    def is_race(self) -> bool:
-        return self.kind.startswith("race")
-
-
-def make_scheme(kind: str, *, variants: int = 20, alter_last_names: bool = False,
-                intersection: dict[str, str] | None = None) -> AssignmentScheme:
-    return AssignmentScheme(kind, intersection, variants, alter_last_names)
+# the scheme lives in names.py, which config checks read without loading this
+# module; bound here because callers build a scheme and a corpus from one import
+make_scheme = names.make_scheme
 
 
 @dataclass(frozen=True)
@@ -332,15 +303,6 @@ def race_capacity_ok(template: DocumentTemplate, scheme: AssignmentScheme,
             if len(race_table.first_names(group, gender)) < worst:
                 return False
     return True
-
-
-def check_intersection(scheme: AssignmentScheme, race_table: RaceNameTable | None) -> None:
-    """A `race_intersectional` scheme's intersection must map exactly the
-    race table's groups; a `DataError` names both lists otherwise. Other
-    schemes need no race table."""
-    if scheme.kind == "race_intersectional" and set(scheme.intersection) != set(race_table.groups):
-        raise DataError(f"intersection maps race group(s) {sorted(scheme.intersection)}, "
-                        f"but the race table has {sorted(race_table.groups)}")
 
 
 def _variant_assignments(template, scheme, seed, census, race_table, last_name_pool):

@@ -74,9 +74,13 @@ class FightinWordsResult:
 def _contrast_tokens(
     docs: Iterable[Sequence[str]], marker: dict[str, str]
 ) -> tuple[Counter, int]:
-    cleaned = Counter(map(clean_token, chain.from_iterable(docs)))
+    """Cleaned-token counts of `docs`, paired identifiers under their marker.
+    Raw tokens are counted first and each distinct one cleaned once, so a
+    contrast of the documents `split_by_identifier_majority` cleaned to
+    count identifiers cleans no occurrence a second time."""
     counts: Counter = Counter()
-    for t, n in cleaned.items():
+    for raw, n in Counter(chain.from_iterable(docs)).items():
+        t = clean_token(raw)
         if t and t not in IGNORED_PRONOUNS:
             counts[marker.get(t, t)] += n
     return counts, sum(counts.values())

@@ -1,4 +1,6 @@
-"""Demographic name dictionaries and identifier word lists.
+"""Demographic name dictionaries, identifier word lists and the generation
+schemes. The schemes live here, not in generate.py, so that the CLI parser,
+a config check and building a `Pipeline` load no generation code.
 
 Bundled data (under sumprobe/data/):
   census_{male,female}.txt  sample of the most frequent US first names with
@@ -20,7 +22,7 @@ from pathlib import Path
 from .jsonio import DataError, read_lines, read_object, string_list
 
 
-# the generation schemes, here because the CLI parser reads them without importing generate.py
+# the generation schemes
 SCHEME_KINDS = (
     "gender_local",
     "gender_global",
@@ -44,6 +46,50 @@ PRONOUN_ROLES = {
 # pronoun surface form -> gender it marks
 GENDERED_PRONOUNS = {forms[i]: gender for i, gender in enumerate(GENDERS)
                      for forms in PRONOUN_ROLES.values()}
+
+
+@dataclass(frozen=True)
+class AssignmentScheme:
+    kind: str
+    intersection: dict[str, str] | None = None  # race group -> gender
+    variants_per_original: int = 20
+    alter_last_names: bool = False  # read by the gender schemes only
+
+    def __post_init__(self):
+        if self.kind not in SCHEME_KINDS:
+            raise DataError(f"unknown scheme kind {self.kind!r}")
+        if self.kind == "race_intersectional":
+            if not self.intersection:
+                raise DataError("race_intersectional requires an intersection mapping")
+            bad = [g for g in self.intersection.values() if g not in GENDERS]
+            if bad:
+                raise DataError(f"intersection maps to unknown gender(s) {bad}")
+        elif self.intersection is not None:
+            raise DataError(f"{self.kind} does not take an intersection mapping")
+        if self.variants_per_original < 1:
+            raise DataError(
+                f"variants_per_original must be at least 1, got {self.variants_per_original}")
+        if self.kind in PAIRED_SCHEME_KINDS and self.variants_per_original % 2:
+            raise DataError(f"{self.kind} pairs variants; variants_per_original must be even, "
+                            f"got {self.variants_per_original}")
+
+    @property
+    def is_race(self) -> bool:
+        return self.kind.startswith("race")
+
+
+def make_scheme(kind: str, *, variants: int = 20, alter_last_names: bool = False,
+                intersection: dict[str, str] | None = None) -> AssignmentScheme:
+    return AssignmentScheme(kind, intersection, variants, alter_last_names)
+
+
+def check_intersection(scheme: AssignmentScheme, race_table: RaceNameTable | None) -> None:
+    """A `race_intersectional` scheme's intersection must map exactly the
+    race table's groups; a `DataError` names both lists otherwise. Other
+    schemes need no race table."""
+    if scheme.kind == "race_intersectional" and set(scheme.intersection) != set(race_table.groups):
+        raise DataError(f"intersection maps race group(s) {sorted(scheme.intersection)}, "
+                        f"but the race table has {sorted(race_table.groups)}")
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,13 @@ digest; a rerun over unchanged summaries aligns and scores nothing. All
 randomness flows from the single config seed through named derivation;
 nothing reads the clock or the network.
 
-numpy and the summary, alignment and measure modules are imported by the
-functions that compute with them, and `multiprocessing` where the scoring
-pool starts, so constructing a `Pipeline` and a rerun that reuses
-scores.json start without them.
+Each module a stage runs is imported by the functions that run it: the
+corpus, template and generation modules by the stages that build or read
+their artifacts, numpy and the summary, alignment and measure modules by
+those that score, `gender_id` where a classifying scheme builds its
+client, and `multiprocessing` where the scoring pool starts. Constructing
+a `Pipeline` and a rerun that reuses scores.json load none of them but
+`gender_id`, and that only under `gender_local`.
 """
 
 from __future__ import annotations
@@ -32,26 +35,30 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from . import corpus as cp
-from . import gender_id as gid
-from . import generate as gen
-from . import templates as tp
 from .jsonio import DataError, read_object, write_json
 from .names import (
+    SCHEME_KINDS,
+    AssignmentScheme,
     GenderNameTable,
     RaceNameTable,
+    check_intersection,
     data_path,
     load_census,
     load_last_name_pool,
     load_race_names,
     load_word_lists,
+    make_scheme,
     resolve_ambiguous,
 )
 from .seeding import derive_seed
 
 if TYPE_CHECKING:
     from . import alignment as al
+    from . import corpus as cp
+    from . import gender_id as gid
+    from . import generate as gen
     from . import measures as ms
+    from . import templates as tp
 
 # written last by every finished `Pipeline.score`: the reuse key and each artifact's sha256
 MANIFEST = "run.json"
@@ -80,7 +87,7 @@ _OPTIONAL_PATH_KEYS = ("word_lists", "census_male", "census_female", "race_names
 # (config key, what its value must be, the check); a key the file leaves out
 # takes its default, which passes
 _CONFIG_RULES = (
-    ("scheme", "one of " + ", ".join(gen.SCHEME_KINDS), lambda value: value in gen.SCHEME_KINDS),
+    ("scheme", "one of " + ", ".join(SCHEME_KINDS), lambda value: value in SCHEME_KINDS),
     ("seed", "an integer", _integer()),
     ("variants", "an integer >= 1", _integer(1)),
     ("replicates", "an integer >= 2", _integer(2)),
@@ -141,12 +148,12 @@ class PipelineConfig:
                             f"{scheme.kind!r}, which then needs 'last_name_pool'")
         return config
 
-    def assignment_scheme(self) -> gen.AssignmentScheme:
+    def assignment_scheme(self) -> AssignmentScheme:
         """The generation scheme; a `DataError` when the scheme settings
         conflict, which `from_file` names the config file in."""
-        return gen.make_scheme(self.scheme, variants=self.variants,
-                               alter_last_names=self.alter_last_names,
-                               intersection=self.intersection)
+        return make_scheme(self.scheme, variants=self.variants,
+                           alter_last_names=self.alter_last_names,
+                           intersection=self.intersection)
 
     def payload(self) -> dict:
         """The experiment-defining parameters: everything except where the
@@ -216,6 +223,8 @@ def numpy_version() -> str:
 def ingest(corpus: str | Path, out: str | Path | None = None) -> list[cp.AnnotatedDocument]:
     """Parse a column corpus; documents sorted by id, written as JSONL to
     `out` when given."""
+    from . import corpus as cp
+
     docs = cp.parse_conll_corpus(corpus)
     docs.sort(key=lambda d: d.id)
     if out is not None:
@@ -227,6 +236,8 @@ def build_templates(
     documents: list[cp.AnnotatedDocument], content_words: str | Path | None, out: str | Path
 ) -> list[tp.DocumentTemplate]:
     """One template per document, with its spans from the content-word file."""
+    from . import templates as tp
+
     content = tp.load_content_words(content_words) if content_words else {}
     templates = [tp.build_template(d, content.get(d.id, ())) for d in documents]
     tp.write_templates(templates, out)
@@ -234,11 +245,13 @@ def build_templates(
 
 
 def generate_inputs(
-    templates: list[tp.DocumentTemplate], scheme: gen.AssignmentScheme, seed: int, *,
+    templates: list[tp.DocumentTemplate], scheme: AssignmentScheme, seed: int, *,
     census: GenderNameTable | None, race_table: RaceNameTable | None,
     last_pool: list[str] | None, out: str | Path,
 ) -> list[gen.GeneratedInput]:
     """Every variant of every eligible template."""
+    from . import generate as gen
+
     produced = gen.generate_corpus(
         templates, scheme, seed, census=census, race_table=race_table, last_name_pool=last_pool
     )
@@ -311,6 +324,8 @@ def classify_entities(
 ) -> dict[str, gid.GenderVerdict]:
     """Gender verdict per distinct hallucinated entity, keyed by its lowercased
     surface form; writes the verdict rows to `out`."""
+    from . import gender_id as gid
+
     counts: Counter[str] = Counter()
     verdicts: dict[str, gid.GenderVerdict] = {}
     for tokens in entity_tokens:
@@ -348,12 +363,15 @@ class Pipeline:
         self.race_table = (
             load_race_names(config.race_names) if self.scheme.is_race else None
         )
-        gen.check_intersection(self.scheme, self.race_table)
+        check_intersection(self.scheme, self.race_table)
         self.last_pool = (
             load_last_name_pool(config.last_name_pool) if config.last_name_pool else None
         )
-        self.client = (gid.FixtureLookupClient(config.cache or data_path("wiki_cache.json"))
-                       if self._classifies() else None)
+        self.client = None
+        if self._classifies():
+            from . import gender_id as gid
+
+            self.client = gid.FixtureLookupClient(config.cache or data_path("wiki_cache.json"))
         # made once every table has loaded and every input is hashed, so a bad
         # one leaves no directory behind
         self.art_dir = Path(config.out_dir) / config.config_hash()
@@ -428,12 +446,16 @@ class Pipeline:
     # -- stages ------------------------------------------------------------
 
     def documents(self) -> list[cp.AnnotatedDocument]:
+        from . import corpus as cp
+
         return self._reuse(
             "documents.jsonl", cp.read_jsonl, lambda out: ingest(self.config.corpus, out)
         )
 
     def templates(self) -> list[tp.DocumentTemplate]:
         if self._templates is None:
+            from . import templates as tp
+
             self._templates = self._reuse(
                 "templates.jsonl",
                 tp.read_templates,
@@ -443,6 +465,8 @@ class Pipeline:
 
     def inputs(self) -> list[gen.GeneratedInput]:
         if self._inputs is None:
+            from . import generate as gen
+
             self._inputs = self._reuse(
                 "inputs.jsonl",
                 gen.read_inputs,

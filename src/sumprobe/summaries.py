@@ -8,6 +8,9 @@ A tokenizer and a detector each do their per-token work once per distinct
 token for as long as they are kept, and `load_summaries` keeps one of each
 for its call. Equal tokens of all the records that one call loads are one
 shared `str` object; the memos go when the call returns.
+
+numpy loads only where `load_dense_vectors` builds the vectors, so that
+`align` and `classify-hallucinations` start without it.
 """
 
 from __future__ import annotations
@@ -17,15 +20,16 @@ import math
 import string
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .corpus import bad_entity_span
 from .generate import GeneratedInput
 from .jsonio import DataError, once_each, read_rows
 from .names import GenderNameTable
 from .templates import TITLE_SET
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _PUNCT = set(string.punctuation)
 
@@ -172,6 +176,8 @@ def load_dense_vectors(path: str | Path) -> dict[str, np.ndarray]:
         if len(vector) != length:
             return f"vector has {len(vector)} entries, the first row's has {length}"
         return None
+
+    import numpy as np
 
     return {row["input_id"]: np.asarray(row["vector"], dtype=float)
             for row in read_rows(path, {"input_id": str, "vector": list},

@@ -83,6 +83,20 @@ def test_fightin_words_matches_direct_formula():
         assert result.zscores[word] == pytest.approx(expected, abs=1e-9)
 
 
+def test_fightin_words_counts_each_form_of_a_token_as_that_token():
+    """Case and edge-punctuation forms count as their cleaned token; a form
+    that cleans to nothing, or to an ignored pronoun, counts as nothing."""
+    raw_a = [["Game", "game.", "win", "Plan,", "He"], ["GAME", "city", "vote", ".", "Him,"]]
+    raw_b = [["family", "Baby", "plan", "she."], ["Vote", "city,", "baby", "Her"]]
+
+    def cleaned(docs):
+        return [[t.lower().strip(".,") for t in tokens] for tokens in docs]
+
+    pairs = [("he", "she")]
+    assert (fightin_words(raw_a, raw_b, pairs=pairs).zscores
+            == fightin_words(cleaned(raw_a), cleaned(raw_b), pairs=pairs).zscores)
+
+
 def test_fightin_words_one_sided_token_direction():
     result = fightin_words(TOY_A, TOY_B, pairs=[])
     assert result.zscores["game"] > 0

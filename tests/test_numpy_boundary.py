@@ -1,7 +1,10 @@
 """numpy loads only in code that computes with it: importing the CLI,
-building a `Pipeline`, `report`, `analyze-input-bias`, and a rerun that
-reuses scores.json start without it, and run.json still records numpy's
-version."""
+building a `Pipeline`, `report`, `analyze-input-bias`, `align`,
+`classify-hallucinations`, and a rerun that reuses scores.json start
+without it, and run.json still records numpy's version. Each start loads
+exactly the package modules it runs: importing the CLI, building a
+`Pipeline`, `report` and a rerun load no corpus, template or generation
+module, and `gender_id` only where the scheme classifies."""
 
 import importlib.util
 import json
@@ -21,8 +24,15 @@ from sumprobe import pipeline
 from sumprobe.cli import main
 from sumprobe.corpus import write_jsonl
 from sumprobe.input_bias import SyntheticCorpusConfig, make_synthetic_corpus
+from sumprobe.names import data_path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the package modules, and `multiprocessing`, that a start loads only if it runs them
+CHECKED = {"sumprobe.corpus", "sumprobe.templates", "sumprobe.generate", "sumprobe.gender_id",
+           "sumprobe.summaries", "sumprobe.alignment", "sumprobe.measures",
+           "sumprobe.input_bias", "multiprocessing"}
+GENERATION = {"sumprobe.corpus", "sumprobe.templates", "sumprobe.generate"}
+ALIGNMENT = {*GENERATION, "sumprobe.summaries", "sumprobe.alignment"}
 # runs its first argument as Python code, then prints the loaded module names
 SCRIPT = "import json, sys\nexec(sys.argv[1])\nprint(json.dumps(sorted(sys.modules)))\n"
 
@@ -51,6 +61,16 @@ def finished(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def finished_global(tmp_path_factory):
+    """A `gender_global` config whose run has finished: it classifies nothing."""
+    tmp = tmp_path_factory.mktemp("boundary_global")
+    config = stage_run(tmp, make_fixture_corpus(6, seed=21), scheme="gender_global",
+                       replicates=20)
+    assert main(["run", "--config", str(config)]) == 0
+    return config
+
+
+@pytest.fixture(scope="module")
 def synthetic(tmp_path_factory):
     """A small synthetic corpus for the input-bias commands."""
     path = tmp_path_factory.mktemp("synthetic") / "synth.jsonl"
@@ -59,36 +79,60 @@ def synthetic(tmp_path_factory):
 
 
 def test_a_cold_run_loads_numpy_and_not_numpy_ma(finished, tmp_path):
-    """The check sees numpy where a command computes with it; the bootstrap
-    interval loads no more of numpy than importing it does."""
+    """The check sees numpy and every stage's module where a command runs
+    them; the bootstrap interval loads no more of numpy than importing it
+    does."""
     config, _ = finished
     loaded = loaded_after("from sumprobe.cli import main\n"
                           f"assert main(['run', '--config', {str(config)!r}, "
                           f"'--out-dir', {str(tmp_path)!r}]) == 0")
     assert "numpy" in loaded
+    assert {*ALIGNMENT, "sumprobe.gender_id", "sumprobe.measures"} <= loaded
     assert numpy_modules(loaded) - numpy_modules(loaded_after("import numpy")) == set()
 
 
-@pytest.mark.parametrize("start", [
-    "import sumprobe.cli",
-    "from sumprobe.pipeline import Pipeline, PipelineConfig\n"
-    "Pipeline(PipelineConfig.from_file({config!r}))",
-    "from sumprobe.cli import main\nassert main(['run', '--config', {config!r}]) == 0",
-    "from sumprobe.cli import main\nassert main(['score', '--config', {config!r}]) == 0",
-    "from sumprobe.cli import main\n"
-    "assert main(['report', '--scores', {scores!r}, '--out', {out!r}]) == 0",
-    "from sumprobe.cli import main\n"
-    "assert main(['analyze-input-bias', '--corpus', {corpus!r}, '--out', {out!r}]) == 0",
-], ids=["import-cli", "pipeline", "rerun", "rescore", "report", "analyze-input-bias"])
-def test_starts_without_numpy(finished, synthetic, tmp_path, start):
+PIPELINE = "from sumprobe.pipeline import Pipeline, PipelineConfig\n"
+CLI = "from sumprobe.cli import main\n"
+
+
+# id -> (the code a fresh interpreter runs, the modules of CHECKED it loads)
+STARTS = {
+    "import-cli": ("import sumprobe.cli", set()),
+    "pipeline": (PIPELINE + "Pipeline(PipelineConfig.from_file({config!r}))",
+                 {"sumprobe.gender_id"}),
+    "rerun": (CLI + "assert main(['run', '--config', {config!r}]) == 0", {"sumprobe.gender_id"}),
+    "rescore": (CLI + "assert main(['score', '--config', {config!r}]) == 0",
+                {"sumprobe.gender_id"}),
+    "pipeline-global": (PIPELINE + "Pipeline(PipelineConfig.from_file({global_config!r}))",
+                        set()),
+    "rerun-global": (CLI + "assert main(['run', '--config', {global_config!r}]) == 0", set()),
+    "report": (CLI + "assert main(['report', '--scores', {scores!r}, '--out', {out!r}]) == 0",
+               set()),
+    "analyze-input-bias": (
+        CLI + "assert main(['analyze-input-bias', '--corpus', {corpus!r}, '--out', {out!r}]) == 0",
+        {"sumprobe.input_bias", "sumprobe.corpus"}),
+    "align": (CLI + "assert main(['align', '--templates', {templates!r}, '--inputs', {inputs!r}, "
+              "'--summaries', {summaries!r}, '--out-dir', {out_dir!r}]) == 0", ALIGNMENT),
+    "classify-hallucinations": (
+        CLI + "assert main(['classify-hallucinations', '--alignments', {alignments!r}, "
+        "'--cache', {cache!r}, '--out', {out!r}]) == 0", {*ALIGNMENT, "sumprobe.gender_id"}),
+}
+
+
+@pytest.mark.parametrize("case", STARTS)
+def test_starts_without_numpy(finished, finished_global, synthetic, tmp_path, case):
     config, scores = finished
-    code = start.format(config=str(config), scores=str(scores), corpus=str(synthetic),
-                        out=str(tmp_path / "r.md"))
+    art = scores.parent
+    start, expected = STARTS[case]
+    code = start.format(
+        config=str(config), global_config=str(finished_global), scores=str(scores),
+        corpus=str(synthetic), out=str(tmp_path / "r.md"), out_dir=str(tmp_path),
+        templates=str(art / "templates.jsonl"), inputs=str(art / "inputs.jsonl"),
+        summaries="echo=" + json.loads(config.read_text())["summaries"]["echo"],
+        alignments=str(art / "alignments.echo.jsonl"), cache=str(data_path("wiki_cache.json")))
     loaded = loaded_after(code)
     assert numpy_modules(loaded) == set()
-    assert not loaded & {"sumprobe.measures", "sumprobe.summaries", "sumprobe.alignment",
-                         "multiprocessing"}
-    assert ("sumprobe.input_bias" in loaded) == ("input-bias" in start)
+    assert loaded & CHECKED == expected
 
 
 def test_simulate_baselines_loads_numpy(synthetic, tmp_path):
