@@ -104,69 +104,25 @@ def _fault(path: str | Path, line_no: int, problem: str) -> DataError:
     return DataError(f"{path}: line {line_no}: {problem}")
 
 
-def _parse_ne_field(field_text: str, index: int, path: str | Path, line_no: int,
-                    open_ne: list | None):
-    """Returns (new_open_ne, completed_span_or_None)."""
-    text = field_text
-    completed = None
-    if text.startswith("("):
-        if open_ne is not None:
-            raise _fault(path, line_no, "named-entity bracket opened while another is open")
-        if text.endswith(")"):
-            label = text[1:-1].rstrip("*")
-            completed = NamedEntitySpan(index, index, label)
-        elif text.endswith("*"):
-            open_ne = [text[1:-1], index]
-        else:
-            raise _fault(path, line_no, f"bad named-entity field {text!r}")
-    elif text == _NO_NE:
-        pass
-    elif text == "*)":
-        if open_ne is None:
-            raise _fault(path, line_no, "named-entity bracket closed but none open")
-        completed = NamedEntitySpan(open_ne[1], index, open_ne[0])
-        open_ne = None
-    else:
-        raise _fault(path, line_no, f"bad named-entity field {text!r}")
-    return open_ne, completed
-
-
-def _parse_coref_field(
-    field_text: str,
-    index: int,
-    path: str | Path,
-    line_no: int,
-    open_chains: dict[str, list[int]],
-    mentions: list[MentionSpan],
-) -> None:
-    if field_text == _NO_COREF:
-        return
-    for part in field_text.split("|"):
-        opens = part.startswith("(")
-        closes = part.endswith(")")
-        chain = part.strip("()")
-        if not chain or not chain.isdigit() or not (opens or closes):
-            raise _fault(path, line_no, f"bad coreference field {field_text!r}")
-        if opens and closes:
-            mentions.append(MentionSpan(index, index, chain))
-        elif opens:
-            open_chains.setdefault(chain, []).append(index)
-        else:
-            stack = open_chains.get(chain)
-            if not stack:
-                raise _fault(path, line_no, f"coreference chain {chain} closed but never opened")
-            mentions.append(MentionSpan(stack.pop(), index, chain))
-
-
 class _DocBuilder:
-    def __init__(self, path: str | Path, doc_name: str, part: str):
+    """The document that a `#begin document` marker opens, built row by row;
+    a fault in a row is a `DataError` naming `path` and the row's line."""
+
+    def __init__(self, marker: str, path: str | Path, line_no: int):
+        # "#begin document (name); part 012"
+        try:
+            head, part_text = marker.split(";")
+            name = head[head.index("(") + 1 : head.rindex(")")]
+            part = int(part_text.split()[-1])
+        except (ValueError, IndexError):
+            raise _fault(path, line_no, f"bad '#begin document' marker: {marker!r}")
         self.path = path
-        self.id = f"{doc_name}#{int(part)}"
+        self.id = f"{name}#{part}"
         self.tokens: list[str] = []
         self.sentences: list[int] = []
         self.pos: list[str] = []
         self.sentence = 0
-        self.open_ne = None
+        self.open_ne: tuple[str, int] | None = None  # (label, start)
         self.open_chains: dict[str, list[int]] = {}
         self.mentions: list[MentionSpan] = []
         self.entities: list[NamedEntitySpan] = []
@@ -178,11 +134,47 @@ class _DocBuilder:
         self.sentences.append(self.sentence)
         # "-" is the empty-POS placeholder in the column format
         self.pos.append("" if pos == "-" else pos)
-        self.open_ne, done = _parse_ne_field(ne_field, index, self.path, line_no, self.open_ne)
-        if done is not None:
-            self.entities.append(done)
-        _parse_coref_field(coref_field, index, self.path, line_no, self.open_chains,
-                           self.mentions)
+        self._add_ne(ne_field, index, line_no)
+        if coref_field != _NO_COREF:
+            self._add_coref(coref_field, index, line_no)
+
+    def _add_ne(self, field_text: str, index: int, line_no: int) -> None:
+        if field_text.startswith("("):
+            if self.open_ne is not None:
+                raise _fault(self.path, line_no,
+                             "named-entity bracket opened while another is open")
+            if field_text.endswith(")"):
+                self.entities.append(NamedEntitySpan(index, index, field_text[1:-1].rstrip("*")))
+            elif field_text.endswith("*"):
+                self.open_ne = (field_text[1:-1], index)
+            else:
+                raise _fault(self.path, line_no, f"bad named-entity field {field_text!r}")
+        elif field_text == "*)":
+            if self.open_ne is None:
+                raise _fault(self.path, line_no, "named-entity bracket closed but none open")
+            label, start = self.open_ne
+            self.entities.append(NamedEntitySpan(start, index, label))
+            self.open_ne = None
+        elif field_text != _NO_NE:
+            raise _fault(self.path, line_no, f"bad named-entity field {field_text!r}")
+
+    def _add_coref(self, field_text: str, index: int, line_no: int) -> None:
+        for part in field_text.split("|"):
+            opens = part.startswith("(")
+            closes = part.endswith(")")
+            chain = part.strip("()")
+            if not chain or not chain.isdigit() or not (opens or closes):
+                raise _fault(self.path, line_no, f"bad coreference field {field_text!r}")
+            if opens and closes:
+                self.mentions.append(MentionSpan(index, index, chain))
+            elif opens:
+                self.open_chains.setdefault(chain, []).append(index)
+            else:
+                stack = self.open_chains.get(chain)
+                if not stack:
+                    raise _fault(self.path, line_no,
+                                 f"coreference chain {chain} closed but never opened")
+                self.mentions.append(MentionSpan(stack.pop(), index, chain))
 
     def _dangling(self) -> str:
         return ", ".join(sorted(c for c, stack in self.open_chains.items() if stack))
@@ -228,7 +220,7 @@ def parse_conll_corpus(path: str | Path) -> list[AnnotatedDocument]:
         if line.startswith("#begin document"):
             if builder is not None:
                 raise _fault(path, line_no, "nested '#begin document'")
-            builder = _start_doc(line, path, line_no)
+            builder = _DocBuilder(line, path, line_no)
             if builder.id in seen:
                 raise _fault(path, line_no, f"document {builder.id} appears twice")
             seen.add(builder.id)
@@ -252,18 +244,6 @@ def parse_conll_corpus(path: str | Path) -> list[AnnotatedDocument]:
     if builder is not None:
         raise DataError(f"{path}: document {builder.id} has no '#end document' marker")
     return docs
-
-
-def _start_doc(line: str, path: str | Path, line_no: int) -> _DocBuilder:
-    # "#begin document (name); part 012"
-    try:
-        head, part_text = line.split(";")
-        name = head[head.index("(") + 1 : head.rindex(")")]
-        part = part_text.split()[-1]
-        int(part)
-    except (ValueError, IndexError):
-        raise _fault(path, line_no, f"bad '#begin document' marker: {line!r}")
-    return _DocBuilder(path, name, part)
 
 
 def write_conll_corpus(docs: Iterable[AnnotatedDocument], out: TextIO) -> None:

@@ -147,11 +147,10 @@ def _named_tokens(doc: AnnotatedDocument, ne: NamedEntitySpan) -> list[int]:
 def _infer_from_nes(doc: AnnotatedDocument, nes: Iterable[NamedEntitySpan]):
     """First/last name heuristics over an entity's named-entity spans."""
     diagnostics: list[str] = []
-    nes = sorted(nes)
     tokens = doc.tokens
+    spans = [_named_tokens(doc, ne) for ne in sorted(nes)]
     immediate_last: str | None = None
-    for ne in nes:
-        named = _named_tokens(doc, ne)
+    for named in spans:
         if len(named) == 1:
             i = named[0]
             if i > 0 and tokens[i - 1].lower() in NAME_TITLES:
@@ -162,8 +161,7 @@ def _infer_from_nes(doc: AnnotatedDocument, nes: Iterable[NamedEntitySpan]):
     first_counts: Counter[str] = Counter()
     earliest: dict[str, int] = {}
     saw_multi_token = False
-    for ne in nes:
-        named = _named_tokens(doc, ne)
+    for named in spans:
         if not named:
             continue
         if len(named) > 1:
@@ -201,9 +199,12 @@ def _mention_slots(
     ent: _PersonEntity,
     first: str | None,
     last: str | None,
-    other_names: set[str],
+    doc_names: set[str],
     diagnostics: list[str],
 ) -> list[EntitySlot]:
+    """The entity's slots. `doc_names` holds the names of every entity in the
+    document: a mention holding one that is not the entity's own is left
+    untouched."""
     tokens = doc.tokens
     slots: list[EntitySlot] = []
     own = {n for n in (first, last) if n}
@@ -222,7 +223,7 @@ def _mention_slots(
             if toks[0].lower() in GENDERED_PRONOUNS:
                 add(mention.start, mention.start, SlotCategory.PRONOUN, pos=pos)
             continue
-        foreign = [t for t in toks if t in other_names and t not in own]
+        foreign = [t for t in toks if t in doc_names and t not in own]
         if foreign:
             diagnostics.append(
                 f"entity {ent.id}: mention ({mention.start},{mention.end}) mentions "
@@ -284,18 +285,12 @@ def build_template(
         names[ent.id] = (first, last)
         diagnostics.extend(f"entity {ent.id}: {d}" for d in diag)
 
+    doc_names = {n for pair in names.values() for n in pair if n}
     entities: list[EntityTemplate] = []
     claimed: list[tuple[int, int]] = []
     for ent in people:
         first, last = names[ent.id]
-        other_names = {
-            n
-            for other_id, (f, l) in names.items()
-            if other_id != ent.id
-            for n in (f, l)
-            if n
-        }
-        slots = _mention_slots(doc, ent, first, last, other_names, diagnostics)
+        slots = _mention_slots(doc, ent, first, last, doc_names, diagnostics)
         kept: list[EntitySlot] = []
         for s in slots:
             if not _overlaps(s.start, s.end, claimed):
