@@ -23,7 +23,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from . import names
-from .jsonio import StageError, read_rows, write_rows
+from .jsonio import (OPTIONAL_STR, StageError, fields_problem, items_problem, read_rows,
+                     string_list, write_rows)
 from .names import (GENDERED_PRONOUNS, GENDERS, PRONOUN_ROLES, AssignmentScheme, GenderNameTable,
                     RaceNameTable, check_intersection)
 from .seeding import derive_rng
@@ -386,5 +387,24 @@ def write_inputs(inputs: Iterable[GeneratedInput], path: str | Path) -> None:
     write_rows(path, map(input_to_json, inputs))
 
 
+# each key of an input row and of its assignments, and the type of its value
+_INPUT_KEYS = {"id": str, "original_id": str, "variant": int, "pair_id": OPTIONAL_STR,
+               "assignments": list, "tokens": list, "seed": str, "text": str}
+_ASSIGNMENT_KEYS = {"entity": str, "group": str, "gender": str, "first": str,
+                    "last": OPTIONAL_STR}
+
+
+def _input_problem(row: dict) -> str | None:
+    """What keeps `row` from being an input that `input_from_json` builds."""
+    problem = fields_problem(row, _INPUT_KEYS)
+    if problem:
+        return problem
+    if not string_list(row["tokens"]):
+        return "tokens must be a list of strings"
+    return items_problem(row["assignments"], _ASSIGNMENT_KEYS, "assignment")
+
+
 def read_inputs(path: str | Path) -> Iterator[GeneratedInput]:
-    return map(input_from_json, read_rows(path))
+    """The inputs of a `generate` output file; a row it could not have
+    written is a `DataError` naming its line."""
+    return map(input_from_json, read_rows(path, check=_input_problem))

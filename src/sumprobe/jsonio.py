@@ -37,6 +37,10 @@ class StageError(RuntimeError):
     """A pipeline stage failed; maps to exit code 3."""
 
 
+# the type, for `shape_problem`, of a value that is a string or null
+OPTIONAL_STR = (str, type(None))
+
+
 def read_rows(
     path: str | Path,
     required: Mapping[str, type] = {},
@@ -113,6 +117,25 @@ def shape_problem(row, required: Mapping[str, type]) -> str | None:
         return "missing " + ", ".join(missing)
     wrong = [k for k, kind in required.items() if not isinstance(row[k], kind)]
     return "wrong type of " + ", ".join(wrong) if wrong else None
+
+
+def fields_problem(obj, fields: Mapping[str, type]) -> str | None:
+    """`shape_problem`, and also a key that `fields` does not name: for an
+    object whose keys become the keyword arguments of a dataclass."""
+    problem = shape_problem(obj, fields)
+    unknown = not problem and sorted(obj.keys() - fields.keys())
+    return "unknown " + ", ".join(unknown) if unknown else problem
+
+
+def items_problem(items: list, fields: Mapping[str, type], what: str,
+                  check: Callable[[dict], str | None] = lambda item: None) -> str | None:
+    """The `fields_problem` of the first of `items` that has one, or what
+    `check` finds wrong with it, named as `what` and the item's position."""
+    for i, item in enumerate(items):
+        problem = fields_problem(item, fields) or check(item)
+        if problem:
+            return f"{what} {i}: {problem}"
+    return None
 
 
 def string_list(value) -> bool:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .corpus import AnnotatedDocument, MentionSpan, NamedEntitySpan
-from .jsonio import read_rows, write_rows
+from .jsonio import OPTIONAL_STR, fields_problem, items_problem, read_rows, string_list, write_rows
 from .names import GENDERED_PRONOUNS
 
 TITLES = ("Mr.", "Mrs.", "Ms.", "Sir", "Lady")
@@ -384,8 +384,55 @@ def write_templates(templates: Iterable[DocumentTemplate], path: str | Path) -> 
     write_rows(path, map(template_to_json, templates))
 
 
+# each key of a template row and of the objects it nests, and the type of its value
+_TEMPLATE_KEYS = {"doc_id": str, "tokens": list, "entities": list, "content_spans": list,
+                  "diagnostics": list}
+_ENTITY_KEYS = {"id": str, "first": OPTIONAL_STR, "last": OPTIONAL_STR, "slots": list,
+                "gendered": bool, "original_gender": OPTIONAL_STR}
+_SLOT_KEYS = {"start": int, "end": int, "category": str, "text": list,
+              "title_text": OPTIONAL_STR, "pos": str}
+_SPAN_KEYS = {"start": int, "end": int, "entities": list, "male": str, "female": str,
+              "neutral": OPTIONAL_STR}
+_CATEGORIES = {c.value for c in SlotCategory}
+
+
+def _template_problem(row: dict) -> str | None:
+    """What keeps `row` from being a template that `template_from_json`
+    builds and `render` fills."""
+    problem = fields_problem(row, _TEMPLATE_KEYS)
+    if problem:
+        return problem
+    if not (string_list(row["tokens"]) and string_list(row["diagnostics"])):
+        return "tokens and diagnostics must be lists of strings"
+    return (items_problem(row["entities"], _ENTITY_KEYS, "entity", lambda entity: items_problem(
+                entity["slots"], _SLOT_KEYS, "slot", _slot_problem))
+            or items_problem(row["content_spans"], _SPAN_KEYS, "content span", _span_problem))
+
+
+def _slot_problem(slot: dict) -> str | None:
+    if slot["category"] not in _CATEGORIES:
+        return f"unknown category {slot['category']!r}"
+    if not (slot["text"] and string_list(slot["text"])):
+        return "text must be a non-empty list of strings"
+    if slot["category"] == SlotCategory.TITLE and slot["title_text"] is None:
+        return "a title slot needs its title_text"
+    return None
+
+
+def _span_problem(span: dict) -> str | None:
+    """What keeps a content span's `entities` from naming entity ids, and
+    its `neutral`, which a content-word row may omit, from being a variant."""
+    if not string_list(span["entities"]):
+        return "entities must be a list of strings"
+    if not isinstance(span.get("neutral"), OPTIONAL_STR):
+        return "neutral must be null or a string"
+    return None
+
+
 def read_templates(path: str | Path) -> Iterator[DocumentTemplate]:
-    return map(template_from_json, read_rows(path))
+    """The templates of a `build-templates` output file; a row it could not
+    have written is a `DataError` naming its line."""
+    return map(template_from_json, read_rows(path, check=_template_problem))
 
 
 _CONTENT_WORD_KEYS = {"doc_id": str, "start": int, "end": int, "entities": list,
@@ -395,7 +442,7 @@ _CONTENT_WORD_KEYS = {"doc_id": str, "start": int, "end": int, "entities": list,
 def load_content_words(path: str | Path) -> dict[str, list[ContentWordSpan]]:
     """Side annotations: JSONL rows keyed by doc_id (see docs/formats.md)."""
     by_doc: dict[str, list[ContentWordSpan]] = {}
-    for row in read_rows(path, _CONTENT_WORD_KEYS):
+    for row in read_rows(path, _CONTENT_WORD_KEYS, _span_problem):
         span = ContentWordSpan(
             start=row["start"],
             end=row["end"],

@@ -26,7 +26,7 @@ from sumprobe.generate import (
 from sumprobe.jsonio import StageError
 from sumprobe.names import load_race_names
 from sumprobe.seeding import derive_rng
-from sumprobe.templates import ContentWordSpan, build_template
+from sumprobe.templates import ContentWordSpan, SlotCategory, build_template
 
 
 def template_with_entities(n, kinds=None):
@@ -212,6 +212,22 @@ def test_render_figure_case():
     assert out[6:8] == ["Melissa", "Levin"]
 
 
+def test_first_name_alone_becomes_a_first_name_slot_and_renders_the_assigned_name():
+    b = DocBuilder("firstonly")
+    b.add_sentence(
+        ["Edmund", "Ashford", "spoke", "."],
+        ["NNP", "NNP", "VBD", "."],
+        mentions=[(0, 1, "0")],
+        nes=[(0, 1, "PERSON")],
+    )
+    b.add_sentence(["Edmund", "smiled", "."], ["NNP", "VBD", "."], mentions=[(0, 0, "0")])
+    template = build_template(b.build())
+    (ent,) = template.entities
+    assert (SlotCategory.FIRST_NAME, 4) in [(s.category, s.start) for s in ent.slots]
+    out = render(template, [EntityAssignment("0", "female", "female", "Harriet", "Ashford")])
+    assert out == ["Harriet", "Ashford", "spoke", ".", "Harriet", "smiled", "."]
+
+
 def test_render_identity_reproduces_original(fixture_templates):
     for template in fixture_templates:
         assert render(template, identity_assignments(template)) == template.tokens
@@ -259,6 +275,16 @@ def test_no_wrong_gender_pronoun_survives(census, fixture_templates):
                 rendered = gi.tokens[slot.start].lower()
                 forbidden = female_forms if genders[ent.id] == "male" else male_forms
                 assert rendered not in forbidden
+
+
+def test_content_word_of_an_unassigned_entity():
+    """An entity left out of the assignment keeps its original gender; one
+    the template does not hold leaves the span's text as it is."""
+    template = template_with_entities(2)
+    template.content_spans += [ContentWordSpan(2, 2, ("1",), "chairman", "chairwoman", None),
+                               ContentWordSpan(5, 5, ("9",), "chairman", "chairwoman", None)]
+    out = render(template, [EntityAssignment("0", "female", "female", "Harriet", "Ashford")])
+    assert (out[2], out[5]) == ("chairman", "kept")
 
 
 # --- corpus generation -------------------------------------------------------------
@@ -357,6 +383,23 @@ def test_race_insufficient_inventory_drops_original():
     scheme = make_scheme("race_random_gender", variants=2)
     assert not race_capacity_ok(template, scheme, tiny)
     assert generate_corpus([template], scheme, 1, race_table=tiny) == []
+
+
+@pytest.mark.parametrize("scheme", [
+    make_scheme("race_random_gender"),
+    make_scheme("race_intersectional", intersection={"black": "male", "white": "female"}),
+], ids=["random_gender", "intersectional"])
+@pytest.mark.parametrize("lasts, firsts, ok", [
+    (2, 2, True), (1, 2, False), (2, 1, False),
+], ids=["enough", "one_last_name", "one_first_name"])
+def test_race_capacity_needs_half_the_entities_in_last_and_first_names(scheme, lasts, firsts, ok):
+    """Four entities: a group may get two, all of one gender."""
+    from sumprobe.names import RaceNameTable
+
+    groups = {g: {"first": {gender: [f"{g}_{gender}{i}" for i in range(firsts)]
+                            for gender in ("male", "female")},
+                  "last": [f"{g}_last{i}" for i in range(lasts)]} for g in ("black", "white")}
+    assert race_capacity_ok(template_with_entities(4), scheme, RaceNameTable(groups=groups)) is ok
 
 
 def test_alter_last_names_needs_pool(census):

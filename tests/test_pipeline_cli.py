@@ -182,6 +182,10 @@ def _error_case(tmp_path, case):
         "end_without_begin": ("ingest", "#end document\n"),
         "row_outside_document": ("ingest", "\nx 0 0 Ann NNP * -\n"),
         "bad_begin_marker": ("ingest", "#begin document x\n"),
+        "entity_without_close": ("ingest", _BEGIN + "x 0 0 Ann NNP (PERSON -\n"),
+        "row_columns_of_two_lengths": ("build-templates", _document_row(pos=["NNP", "NN"])),
+        "row_integer_token": ("build-templates", _document_row(tokens=[5])),
+        "row_float_sentence": ("build-templates", _document_row(sentences=[0.0])),
     }
     if case in corpora:
         command, text = corpora[case]
@@ -246,16 +250,24 @@ def _error_case(tmp_path, case):
         return [*generate, "gender_local", "--census-male", str(census)], census
     if case == "odd_global_variants":
         return [*generate, "gender_global", "--variants", "3"], templates
-    if case == "they_pronoun":
+    if case in ("they_pronoun", "span_without_neutral"):
         rows = [json.loads(line) for line in templates.read_text().splitlines()]
-        slot = next(s for s in rows[0]["entities"][0]["slots"] if s["category"] == "pronoun")
-        slot["text"] = ["they"]
+        if case == "they_pronoun":
+            slot = next(s for s in rows[0]["entities"][0]["slots"] if s["category"] == "pronoun")
+            slot["text"] = ["they"]
+        else:
+            # entities 0 and 1 of the first toy document, to which gender_local
+            # gives two genders; token 2 is in no slot
+            rows[0]["content_spans"] = [{"start": 2, "end": 2, "entities": ["0", "1"],
+                                         "male": "x", "female": "y", "neutral": None}]
         templates.write_text("".join(json.dumps(row) + "\n" for row in rows))
         return [*generate, "gender_local"], templates
     assert main([*generate, "gender_local"]) == 0
     path = missing
     align = ["align", "--templates", str(templates), "--inputs", str(tmp_path / "inputs.jsonl"),
              "--out-dir", str(tmp_path), "--summaries"]
+    if case == "summaries_without_equals":
+        return [*align, "x"], path
     if case == "align_sidecar_past_summary":
         return [*align, f"skewed={root / 'data/toy/summaries.skewed.jsonl'}",
                 "--ner", f"skewed={sidecar}"], sidecar
@@ -313,6 +325,13 @@ def _error_case(tmp_path, case):
       for command in ("run", "generate")),
     ("analyze_without_male_list", 2, "{file}: no 'male' word list"),
     ("simulate_without_female_list", 2, "{file}: no 'female' word list"),
+    ("entity_without_close", 2, "{file}: line 2: bad named-entity field '(PERSON'"),
+    ("row_columns_of_two_lengths", 2,
+     "{file}:1: malformed row: tokens, sentences and pos differ in length"),
+    ("row_integer_token", 2, "{file}:1: malformed row: tokens and pos must be strings"),
+    ("row_float_sentence", 2, "{file}:1: malformed row: sentences must be integers"),
+    ("summaries_without_equals", 2, "--summaries must look like name=value, got 'x'"),
+    ("span_without_neutral", 3, "stage 'generate': content span (2,2) needs a neutral variant"),
 ])
 def test_error_paths_give_their_exit_code_and_message(tmp_path, capsys, case, code, message):
     """Each bad input's exit code and the whole stderr line it prints; a
@@ -446,7 +465,13 @@ MALFORMED_ROWS = {
         "integer_past_float_range": '{"input_id": "fix_0002#0::00", "vector": [1%s]}' % ("0" * 400),
         "repeated_input": '{"input_id": "fix_0000#0::00", "vector": [1.0]}',
     },
-    content_words: {"missing_key": '{"doc_id": "none#0"}'},
+    content_words: {
+        "missing_key": '{"doc_id": "none#0"}',
+        "number_neutral": '{"doc_id": "none#0", "start": 0, "end": 0, "entities": ["0"], '
+                          '"male": "chairman", "female": "chairwoman", "neutral": 5}',
+        "integer_entity": '{"doc_id": "none#0", "start": 0, "end": 0, "entities": [0], '
+                          '"male": "chairman", "female": "chairwoman"}',
+    },
     alignments: {"missing_key": '{"status": "hallucinated"}'},
 }
 
@@ -463,6 +488,56 @@ def test_malformed_input_row_exits_2_naming_its_line(
     replace_line_3(path, bad_row)
     assert main(argv) == 2
     assert f"{path}:3: malformed row: " in capsys.readouterr().err
+
+
+ARTIFACT_ROW_PROBLEMS = {
+    ("templates", "missing_key"): "missing tokens, entities, content_spans, diagnostics",
+    ("templates", "wrong_type"): "entity 0: slot 0: wrong type of start",
+    ("templates", "unknown_key"): "unknown zzz",
+    ("inputs", "missing_key"): "missing original_id, variant, pair_id, assignments, tokens, seed, "
+                               "text",
+    ("inputs", "wrong_type"): "assignment 0: wrong type of last",
+    ("inputs", "unknown_key"): "unknown zzz",
+}
+
+
+@pytest.mark.parametrize("command, name", [
+    ("generate", "templates"), ("align", "templates"), ("align", "inputs")])
+@pytest.mark.parametrize("case", ["missing_key", "wrong_type", "unknown_key"])
+def test_malformed_template_or_input_row_exits_2_naming_its_line(
+    tmp_path, capsys, command, name, case
+):
+    """A templates or inputs file that its stage could not have written
+    stops generate and align before they write anything."""
+    root = Path(__file__).resolve().parent.parent
+    templates, inputs, out = (tmp_path / "templates.jsonl", tmp_path / "inputs.jsonl",
+                              tmp_path / "out")
+    assert main(["build-templates", "--documents", str(root / "data/toy/corpus.conll"),
+                 "--out", str(templates)]) == 0
+    generate = ["generate", "--templates", str(templates), "--scheme", "gender_local",
+                "--seed", "1", "--variants", "2", "--out"]
+    assert main([*generate, str(inputs)]) == 0
+    path = tmp_path / f"{name}.jsonl"
+    row = json.loads(path.read_text().splitlines()[0])
+    if case == "missing_key":
+        row = {"doc_id": "x"} if name == "templates" else {"id": "x"}
+    elif case == "unknown_key":
+        row["zzz"] = 1
+    elif name == "templates":
+        row["entities"][0]["slots"][0]["start"] = "0"
+    else:
+        row["assignments"][0]["last"] = 5
+    path.write_text(json.dumps(row) + "\n")
+    capsys.readouterr()
+    if command == "generate":
+        argv = [*generate, str(out)]
+    else:
+        argv = ["align", "--templates", str(templates), "--inputs", str(inputs), "--out-dir",
+                str(out), "--summaries", f"faithful={root / 'data/toy/summaries.faithful.jsonl'}"]
+    assert main(argv) == 2
+    problem = ARTIFACT_ROW_PROBLEMS[name, case]
+    assert capsys.readouterr().err == f"error: {path}:1: malformed row: {problem}\n"
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_interrupted_write_leaves_no_artifact(tmp_path, small_corpus, monkeypatch):
@@ -1092,6 +1167,9 @@ def toy_config_with(tmp_path, text):
     ({"cache": ["x"]}, [], "'cache' must be null or a non-empty path string, got ['x']"),
     ({"cache": ""}, [], "'cache' must be null or a non-empty path string, got ''"),
     ({"content_words": {}}, [], "'content_words' must be null or a non-empty path string, got {}"),
+    ({"bogus": 1}, [], "unknown config key(s): ['bogus']"),
+    ('{"corpus": "x.conll", "scheme": "gender_local", "seed": 1}', [],
+     "config missing required key(s): ['out_dir']"),
 ], ids=["not_an_object", "invalid_json", "one_replicate", "no_variants", "string_replicates",
         "unknown_scheme", "list_summaries", "int_ner_path", "string_dense_vectors",
         "odd_local_variants", "odd_global_variants", "string_seed", "float_seed",
@@ -1099,7 +1177,8 @@ def toy_config_with(tmp_path, text):
         "intersection_under_gender_local", "intersection_unknown_gender", "string_intersection",
         "string_alter_last_names", "local_last_names_without_pool",
         "global_last_names_without_pool", "int_corpus", "int_out_dir", "empty_out_dir_flag",
-        "bool_word_lists", "list_cache", "empty_cache", "object_content_words"])
+        "bool_word_lists", "list_cache", "empty_cache", "object_content_words", "unknown_key",
+        "no_out_dir"])
 def test_bad_config_exits_2_naming_the_file(tmp_path, capsys, text, flags, problem):
     config_path = toy_config_with(tmp_path, text)
     assert main(["run", "--config", str(config_path), *flags]) == 2
@@ -1159,11 +1238,18 @@ def test_jobs_flag_is_a_usage_error(capsys):
      {"scheme": "race_random_gender"}, "race name group 'black' must be an object"),
     ("word_lists", "word_lists.json", '{"male": ["he", "him", "his"], "female": ["she", "her"]}',
      {}, "male/female word lists differ in length (3 and 2); they pair by position"),
+    ("census_male", "census_male.txt", "james 0 1\n", {}, "row 1: frequency must be > 0"),
+    ("race_names", "race_names.json",
+     '{"black": {"first": {"male": [], "female": ["b"]}, "last": ["c"]}}',
+     {"scheme": "race_random_gender"}, "race name group 'black' has no male first names"),
+    ("word_lists", "word_lists.json", '{"male": ["he", "it"], "female": ["she", "it"]}', {},
+     "male/female word lists overlap: ['it']"),
 ], ids=["uppercase_word", "invalid_json_word_lists", "list_word_lists", "bad_census_frequency",
         "empty_census", "race_group_without_lasts", "empty_pool", "invalid_json_cache",
         "list_cache", "list_cache_entry", "int_cache_counts", "string_cache_categories",
         "int_word_list", "int_word", "list_race_group", "string_first_names",
-        "unequal_word_lists"])
+        "unequal_word_lists", "zero_census_frequency", "race_group_without_males",
+        "overlapping_word_lists"])
 def test_bad_table_exits_2_naming_the_file(tmp_path, capsys, key, name, text, changes, problem):
     """A table that fails to load stops the run before it makes its
     artifact directory, with an error that names the file and what is wrong."""

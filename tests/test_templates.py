@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from helpers import holes
 from make_demo_data import DocBuilder
 
@@ -230,6 +231,44 @@ def test_content_span_overlapping_slot_dropped():
     span = ContentWordSpan(0, 0, ("0",), "x", "y", None)
     template = build_template(doc, [span])
     assert template.content_spans == []
+
+
+@pytest.mark.parametrize("title_first, expected", [(True, "male"), (False, "female")])
+def test_mixed_gender_evidence_is_reported_and_a_tie_takes_the_earliest_vote(title_first, expected):
+    b = DocBuilder("mixed")
+    titled = (["Mr.", "Levin", "spoke", "."], ["NNP", "NNP", "VBD", "."], [(0, 1, "0")],
+              [(1, 1, "PERSON")])
+    pronoun = (["She", "smiled", "."], ["PRP", "VBD", "."], [(0, 0, "0")], [])
+    for words, pos, mentions, nes in (titled, pronoun) if title_first else (pronoun, titled):
+        b.add_sentence(words, pos, mentions=mentions, nes=nes)
+    template = build_template(b.build())
+    assert template.entities[0].original_gender == expected
+    assert "entity 0: mixed gender evidence {" in "".join(template.diagnostics)
+
+
+def test_slot_overlapping_an_earlier_entitys_slot_is_dropped():
+    b = DocBuilder("shared")
+    b.add_sentence(
+        ["Edmund", "Ashford", "met", "Rupert", "Brackley", "."],
+        ["NNP", "NNP", "VBD", "NNP", "NNP", "."],
+        mentions=[(0, 1, "0"), (3, 4, "1")],
+        nes=[(0, 1, "PERSON"), (3, 4, "PERSON")],
+    )
+    # one pronoun mention in both chains: the earlier entity keeps its slot
+    b.add_sentence(["He", "left", "."], ["PRP", "VBD", "."], mentions=[(0, 0, "0"), (0, 0, "1")])
+    template = build_template(b.build())
+    first, second = template.entities
+    assert (SlotCategory.PRONOUN, 6) in [(s.category, s.start) for s in first.slots]
+    assert all(s.start != 6 for s in second.slots)
+    assert "entity 1: slot (6,6) overlaps an earlier entity's slot; dropped" in template.diagnostics
+
+
+def test_content_span_out_of_range_dropped():
+    doc = doc_obama()
+    span = ContentWordSpan(len(doc.tokens), len(doc.tokens), ("0",), "x", "y", None)
+    template = build_template(doc, [span])
+    assert template.content_spans == []
+    assert template.diagnostics[-1] == "content span (7,7) out of range; dropped"
 
 
 def test_content_words_loader(tmp_path):
