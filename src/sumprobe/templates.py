@@ -404,12 +404,24 @@ def _template_problem(row: dict) -> str | None:
         return problem
     if not (string_list(row["tokens"]) and string_list(row["diagnostics"])):
         return "tokens and diagnostics must be lists of strings"
-    return (items_problem(row["entities"], _ENTITY_KEYS, "entity", lambda entity: items_problem(
-                entity["slots"], _SLOT_KEYS, "slot", _slot_problem))
-            or items_problem(row["content_spans"], _SPAN_KEYS, "content span", _span_problem))
+    problem = (items_problem(row["entities"], _ENTITY_KEYS, "entity", _entity_problem)
+               or items_problem(row["content_spans"], _SPAN_KEYS, "content span", _span_problem))
+    if problem:
+        return problem
+    slots = [s for entity in row["entities"] for s in entity["slots"]]
+    for what, spans in (("slot", slots), ("content span", row["content_spans"])):
+        for span in spans:
+            if not 0 <= span["start"] <= span["end"] < len(row["tokens"]):
+                return f"{what} [{span['start']}, {span['end']}] out of range"
+    return None
+
+
+def _entity_problem(entity: dict) -> str | None:
+    return items_problem(entity["slots"], _SLOT_KEYS, "slot", _slot_problem)
 
 
 def _slot_problem(slot: dict) -> str | None:
+    """What keeps a slot from being one that `render` can fill."""
     if slot["category"] not in _CATEGORIES:
         return f"unknown category {slot['category']!r}"
     if not (slot["text"] and string_list(slot["text"])):

@@ -250,11 +250,14 @@ def _error_case(tmp_path, case):
         return [*generate, "gender_local", "--census-male", str(census)], census
     if case == "odd_global_variants":
         return [*generate, "gender_global", "--variants", "3"], templates
-    if case in ("they_pronoun", "span_without_neutral"):
+    if case in ("they_pronoun", "span_without_neutral", "slot_out_of_range"):
         rows = [json.loads(line) for line in templates.read_text().splitlines()]
         if case == "they_pronoun":
             slot = next(s for s in rows[0]["entities"][0]["slots"] if s["category"] == "pronoun")
             slot["text"] = ["they"]
+        elif case == "slot_out_of_range":
+            slot = rows[0]["entities"][0]["slots"][0]
+            slot["start"] = slot["end"] = len(rows[0]["tokens"])
         else:
             # entities 0 and 1 of the first toy document, to which gender_local
             # gives two genders; token 2 is in no slot
@@ -332,6 +335,7 @@ def _error_case(tmp_path, case):
     ("row_float_sentence", 2, "{file}:1: malformed row: sentences must be integers"),
     ("summaries_without_equals", 2, "--summaries must look like name=value, got 'x'"),
     ("span_without_neutral", 3, "stage 'generate': content span (2,2) needs a neutral variant"),
+    ("slot_out_of_range", 2, "{file}:1: malformed row: slot [29, 29] out of range"),
 ])
 def test_error_paths_give_their_exit_code_and_message(tmp_path, capsys, case, code, message):
     """Each bad input's exit code and the whole stderr line it prints; a
