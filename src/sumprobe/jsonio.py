@@ -122,6 +122,9 @@ def shape_problem(row, required: Mapping[str, type]) -> str | None:
 def fields_problem(obj, fields: Mapping[str, type]) -> str | None:
     """`shape_problem`, and also a key that `fields` does not name: for an
     object whose keys become the keyword arguments of a dataclass."""
+    if (isinstance(obj, dict) and obj.keys() == fields.keys()
+            and all(map(isinstance, map(obj.__getitem__, fields), fields.values()))):
+        return None  # the usual case, without building the lists of what is wrong
     problem = shape_problem(obj, fields)
     unknown = not problem and sorted(obj.keys() - fields.keys())
     return "unknown " + ", ".join(unknown) if unknown else problem
@@ -139,7 +142,8 @@ def items_problem(items: list, fields: Mapping[str, type], what: str,
 
 
 def string_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+    """Whether `value` is a list of JSON strings."""
+    return isinstance(value, list) and set(map(type, value)) <= {str}
 
 
 @contextmanager
