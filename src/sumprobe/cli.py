@@ -147,11 +147,15 @@ def cmd_align(args) -> int:
     from . import templates as tp
     from .pipeline import ALIGNMENTS, align_system, alignment_context
 
+    templates = list(tp.read_templates(args.templates))
+    inputs = list(gen.read_inputs(args.inputs))
+    unknown = sorted({g.original_id for g in inputs} - {t.doc_id for t in templates})
+    if unknown:
+        raise DataError(f"{args.inputs}: inputs of originals that {args.templates} holds no "
+                        f"template of: {', '.join(unknown)}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    context = alignment_context(
-        list(tp.read_templates(args.templates)), list(gen.read_inputs(args.inputs)), _census(args)
-    )
+    context = alignment_context(templates, inputs, _census(args))
     ner_sidecars = _pairs_arg(args.ner, "--ner")
     for system, path in sorted(_pairs_arg(args.summaries, "--summaries").items()):
         _, c = align_system(

@@ -271,6 +271,11 @@ def _error_case(tmp_path, case):
              "--out-dir", str(tmp_path), "--summaries"]
     if case == "summaries_without_equals":
         return [*align, "x"], path
+    if case == "inputs_of_other_templates":
+        rows = templates.read_text().splitlines()
+        templates.write_text("\n".join(rows[1:]) + "\n")
+        return [*align, f"faithful={root / 'data/toy/summaries.faithful.jsonl'}"], (
+            tmp_path / "inputs.jsonl")
     if case == "align_sidecar_past_summary":
         return [*align, f"skewed={root / 'data/toy/summaries.skewed.jsonl'}",
                 "--ner", f"skewed={sidecar}"], sidecar
@@ -336,6 +341,8 @@ def _error_case(tmp_path, case):
     ("summaries_without_equals", 2, "--summaries must look like name=value, got 'x'"),
     ("span_without_neutral", 3, "stage 'generate': content span (2,2) needs a neutral variant"),
     ("slot_out_of_range", 2, "{file}:1: malformed row: slot [29, 29] out of range"),
+    ("inputs_of_other_templates", 2, "{file}: inputs of originals that {templates} holds no "
+                                     "template of: fix_0000#0"),
 ])
 def test_error_paths_give_their_exit_code_and_message(tmp_path, capsys, case, code, message):
     """Each bad input's exit code and the whole stderr line it prints; a
@@ -343,7 +350,8 @@ def test_error_paths_give_their_exit_code_and_message(tmp_path, capsys, case, co
     argv, path = _error_case(tmp_path, case)
     capsys.readouterr()
     assert main(argv) == code
-    assert capsys.readouterr().err == f"error: {message.format(file=path)}\n"
+    assert capsys.readouterr().err == (
+        f"error: {message.format(file=path, templates=tmp_path / 'templates.jsonl')}\n")
     if case == "run_intersection_of_other_groups":
         assert not (tmp_path / "out").exists()
 
@@ -541,7 +549,7 @@ def test_malformed_template_or_input_row_exits_2_naming_its_line(
     assert main(argv) == 2
     problem = ARTIFACT_ROW_PROBLEMS[name, case]
     assert capsys.readouterr().err == f"error: {path}:1: malformed row: {problem}\n"
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_interrupted_write_leaves_no_artifact(tmp_path, small_corpus, monkeypatch):
