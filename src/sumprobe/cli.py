@@ -4,11 +4,12 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 stage failure.
 
 A command imports the pipeline, corpus, template, generation, alignment,
 summary, gender, measure and input-bias modules only if it runs them.
-Importing the CLI, `report`, `analyze-input-bias`, `align`,
-`classify-hallucinations`, and a `run` or `score` rerun that reuses
-scores.json start without numpy; `simulate-baselines` loads it to score,
-as a `run` or `score` that scores does. Importing the CLI, `report`, and
-such a rerun also load no corpus, template or generation module.
+Importing the CLI, `report`, `analyze-input-bias`, `simulate-baselines`,
+`align`, `classify-hallucinations`, and a `run` or `score` rerun that reuses
+scores.json start without numpy; a `run` or `score` that scores loads it.
+Importing the CLI, `report`, and such a rerun also load no corpus, template
+or generation module. A corpus read keeps one `str` per distinct token text
+and POS tag.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -221,10 +221,6 @@ def cmd_simulate_baselines(args) -> int:
     from . import input_bias as ib
 
     word_lists = _gendered_word_lists(args.word_lists)
-    # the simulation scores with `measures` and numpy. Imported where it
-    # scores, after the corpus is read, they raised a 1500-document run's
-    # peak RSS from 46.9 to 48.2 MB; imported first, they leave it at 46.9
-    import_module(".measures", __package__)
     docs = _load_docs(args.corpus)
     result = ib.simulation_experiment(docs, word_lists, seed=args.seed)
     out = Path(args.out)

@@ -10,6 +10,9 @@ JSONL row does: token texts, sentence ids and POS tags, a token's index
 being its position. `from_json` keeps a row's own lists, with no copy and
 no per-token object, and `to_json` and `build_template` hand the columns
 on as they are, so no code may mutate a column once a document holds it.
+A corpus repeats a small vocabulary, so each reader keeps one `str` per
+distinct token text and POS tag while a read runs: a repeated token costs a
+list slot, not a string of its own.
 
 Each reader checks a document once, as it reads it: a fault is a
 `DataError` naming the file and the line, and a document either returns
@@ -108,7 +111,7 @@ class _DocBuilder:
     """The document that a `#begin document` marker opens, built row by row;
     a fault in a row is a `DataError` naming `path` and the row's line."""
 
-    def __init__(self, marker: str, path: str | Path, line_no: int):
+    def __init__(self, marker: str, path: str | Path, line_no: int, shared: dict[str, str]):
         # "#begin document (name); part 012"
         try:
             head, part_text = marker.split(";")
@@ -117,6 +120,7 @@ class _DocBuilder:
         except (ValueError, IndexError):
             raise _fault(path, line_no, f"bad '#begin document' marker: {marker!r}")
         self.path = path
+        self.shared = shared  # the read's one str per distinct token text and POS tag
         self.id = f"{name}#{part}"
         self.tokens: list[str] = []
         self.sentences: list[int] = []
@@ -130,10 +134,10 @@ class _DocBuilder:
     def add_row(self, columns: list[str], line_no: int) -> None:
         _, _, _, text, pos, ne_field, coref_field = columns
         index = len(self.tokens)
-        self.tokens.append(text)
+        self.tokens.append(self.shared.setdefault(text, text))
         self.sentences.append(self.sentence)
         # "-" is the empty-POS placeholder in the column format
-        self.pos.append("" if pos == "-" else pos)
+        self.pos.append("" if pos == "-" else self.shared.setdefault(pos, pos))
         self._add_ne(ne_field, index, line_no)
         if coref_field != _NO_COREF:
             self._add_coref(coref_field, index, line_no)
@@ -210,17 +214,19 @@ def parse_conll_corpus(path: str | Path) -> list[AnnotatedDocument]:
 
     A malformed row, an unbalanced annotation bracket, a named entity or a
     mention across a sentence break or a document id seen before is a
-    `DataError` naming `path` and the line.
+    `DataError` naming `path` and the line. Equal token texts, and equal POS
+    tags, are one `str` across the documents read.
     """
     docs: list[AnnotatedDocument] = []
     seen: set[str] = set()
+    shared: dict[str, str] = {}
     builder: _DocBuilder | None = None
     for line_no, raw in read_lines(path):
         line = raw.rstrip("\n")
         if line.startswith("#begin document"):
             if builder is not None:
                 raise _fault(path, line_no, "nested '#begin document'")
-            builder = _DocBuilder(line, path, line_no)
+            builder = _DocBuilder(line, path, line_no, shared)
             if builder.id in seen:
                 raise _fault(path, line_no, f"document {builder.id} appears twice")
             seen.add(builder.id)
@@ -363,6 +369,12 @@ def bad_entity_span(row: dict) -> str | None:
 
 def read_jsonl(path: str | Path) -> Iterator[AnnotatedDocument]:
     """The documents of an `ingest` output file; a row `ingest` could not
-    have written, or that repeats an id, is a `DataError` naming its line."""
-    return map(from_json, read_rows(path, _DOCUMENT_KEYS,
-                                    once_each("id", "document", _document_problem)))
+    have written, or that repeats an id, is a `DataError` naming its line.
+    Equal token texts, and equal POS tags, are one `str` across the
+    documents read: each row's columns are swapped to them in place, so a
+    document still holds its row's own lists."""
+    shared: dict[str, str] = {}
+    for row in read_rows(path, _DOCUMENT_KEYS, once_each("id", "document", _document_problem)):
+        for column in row["tokens"], row["pos"]:
+            column[:] = map(shared.setdefault, column, column)
+        yield from_json(row)

@@ -10,8 +10,9 @@ The simulation cleans each document's tokens once, and one pass over them
 finds every identifier and topic keyword: each sentence's identifier
 counts and the document's topic label come from those alone. Every
 baseline summary is whole sentences, so a summary's counts are the sum of
-its sentences' rows. numpy loads only where the simulation scores, so the
-split and the contrast run without it.
+its sentences' rows, and each baseline's score is that of one summed
+statistics row, which `words.word_list_score` computes without numpy: no
+part of this module loads numpy or `measures`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from typing import Collection, Iterable, Mapping, Sequence
 from .corpus import AnnotatedDocument
 from .names import load_topic_tokens, load_word_lists
 from .seeding import derive_rng
-from .words import NEUTRAL_OBJECT, clean_token, count_identifiers, word_sets
+from .words import (NEUTRAL_OBJECT, clean_token, count_identifiers, word_list_score,
+                    word_list_stats, word_sets)
 
 # POS-ambiguous pronouns excluded from the lexical contrast
 IGNORED_PRONOUNS = NEUTRAL_OBJECT
@@ -212,7 +214,8 @@ def simulation_experiment(
     `document_counts`, and the sexist baseline ranks sentences by those
     rows. A summary's counts are the sum of its picked rows. Every baseline
     summarizes every document, so each one's `word_list_stats` row, summed
-    over the documents, is its summaries' counts then the corpus's."""
+    over the documents, is its summaries' counts then the corpus's, and
+    `word_list_score` scores that one row."""
     topics = load_topic_tokens()
     index = word_index(word_sets(word_lists), topics["sport"], topics["family"])
     groups = sorted(word_lists)
@@ -238,17 +241,12 @@ def simulation_experiment(
             "female_share": (c["female"] / idents) if idents else None,
         }
 
-    import numpy as np
-
-    from .measures import word_list_scores, word_list_stats
-
     corpus = {g: sum(c[g] for c in by_topic.values()) for g in groups}
-    summed = np.array([word_list_stats(summaries[algorithm], corpus, groups)
-                       for algorithm in ALGORITHMS], dtype=np.int64)
-    scores: dict[str, dict] = {algorithm: {} for algorithm in ALGORITHMS}
-    for reference in ("uniform", "adjusted"):
-        for algorithm, value in zip(ALGORITHMS, word_list_scores(summed, reference).tolist()):
-            scores[algorithm][reference] = None if math.isnan(value) else value
+    scores: dict[str, dict] = {}
+    for algorithm in ALGORITHMS:
+        summed = word_list_stats(summaries[algorithm], corpus, groups)
+        scores[algorithm] = {reference: word_list_score(summed, reference)
+                             for reference in ("uniform", "adjusted")}
     return {"stats": stats, "scores": scores}
 
 

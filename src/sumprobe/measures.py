@@ -43,7 +43,10 @@ pipeline calls none of these); `bootstrap`'s `score_fn` and `axis` parameter
 names; and the module-level `derive_rng` and `count_identifiers`. The counter
 lives in the numpy-free `words`; it is bound here by assignment, and the
 pipeline calls it as `measures.count_identifiers`, so that the benchmark's
-patch of this name sees every pipeline count.
+patch of this name sees every pipeline count. `word_list_stats` also
+lives in `words` and is bound here the same way. Beside it is
+`word_list_score`, which scores one row as `word_list_scores` does, without
+numpy, for `simulate-baselines`.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from .seeding import derive_rng, seed_stream
 from .words import NEUTRAL_OBJECT, NEUTRAL_REFLEXIVE, NEUTRAL_SUBJECT, clean_token
 
 count_identifiers = words.count_identifiers  # see the module docstring
+word_list_stats = words.word_list_stats
 
 FIRST_MARKER = "FIRST_NAME"
 LAST_MARKER = "LAST_NAME"
@@ -107,18 +111,11 @@ def _scalar(scores: np.ndarray) -> float | None:
     return None if math.isnan(value) else value
 
 
-def word_list_stats(summary_counts: dict[str, int], input_counts: dict[str, int],
-                    groups: Sequence[str]) -> list[int]:
-    """A record's word-list statistics: its summary's then its input's
-    identifier count per group, `groups` in sorted order."""
-    return ([summary_counts.get(g, 0) for g in groups]
-            + [input_counts.get(g, 0) for g in groups])
-
-
 def word_list_scores(stats: np.ndarray, reference: str = "adjusted") -> np.ndarray:
     """Per row of summed `word_list_stats`; with the adjusted reference, p_ref
     comes from the same row, so bootstrap resamples move both distributions
-    together."""
+    together. `words.word_list_score` scores one row the same way without
+    numpy."""
     groups = stats.shape[1] // 2
     if reference == "uniform":
         return _tvd_from_uniform(stats[:, :groups])

@@ -1,15 +1,18 @@
 """Identifier words: token cleaning, word-list sets, per-group identifier
-counts and the pronoun forms the neutral rewrites replace.
+counts, word-list statistics and the pronoun forms the neutral rewrites
+replace.
 
-Free of numpy, so that `analyze-input-bias`, which only counts words, starts
-without it; `measures` and `input_bias` take these from here.
+Free of numpy, so that neither input-bias command loads it:
+`analyze-input-bias` only counts words, and `simulate-baselines` scores its
+four baselines with `word_list_score`, one summed statistics row at a time.
+`measures` and `input_bias` take these from here.
 """
 
 from __future__ import annotations
 
 import functools
 import string
-from typing import Container, Iterable, Mapping
+from typing import Container, Iterable, Mapping, Sequence
 
 from .names import PRONOUN_ROLES
 
@@ -37,3 +40,35 @@ def count_identifiers(tokens: Iterable[str], groups: Mapping[str, Container[str]
     `groups` maps each group to its lowercase words, best as `word_sets`."""
     cleaned = list(map(clean_token, tokens))
     return {group: sum(map(words.__contains__, cleaned)) for group, words in groups.items()}
+
+
+def word_list_stats(summary_counts: dict[str, int], input_counts: dict[str, int],
+                    groups: Sequence[str]) -> list[int]:
+    """A record's word-list statistics: its summary's then its input's
+    identifier count per group, `groups` in sorted order."""
+    return ([summary_counts.get(g, 0) for g in groups]
+            + [input_counts.get(g, 0) for g in groups])
+
+
+def word_list_score(stats: Sequence[int], reference: str = "adjusted") -> float | None:
+    """`measures.word_list_scores` of one row of summed `word_list_stats`,
+    None where that gives NaN: the same float operations in the same order,
+    so the same bits, without numpy."""
+    groups = len(stats) // 2
+    observed = _distribution(stats[:groups])
+    if reference == "uniform":
+        expected = [1.0 / groups] * groups
+    else:
+        expected = _distribution(stats[groups:])
+    if observed is None or expected is None:
+        return None
+    acc = 0.0
+    for p, q in zip(observed, expected):
+        acc = acc + abs(p - q)
+    return 0.5 * acc
+
+
+def _distribution(counts: Sequence[int]) -> list[float] | None:
+    """Each count over their total, or None if the total is 0."""
+    total = sum(counts)
+    return [c / total for c in counts] if total > 0 else None

@@ -257,3 +257,21 @@ def test_read_jsonl_keeps_the_rows_own_columns(tmp_path, monkeypatch, fixture_co
         assert doc.tokens is row["tokens"]
         assert doc.sentences is row["sentences"]
         assert doc.pos is row["pos"]
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".conll"])
+def test_a_read_keeps_one_str_per_distinct_token_and_pos_tag(tmp_path, fixture_corpus, suffix):
+    """Equal token texts, and equal POS tags, are one object across the
+    documents either reader returns; the JSONL reader swaps them into each
+    row's own lists, which test_read_jsonl_keeps_the_rows_own_columns checks
+    the documents still hold."""
+    if suffix == ".jsonl":
+        path = tmp_path / "docs.jsonl"
+        write_jsonl(fixture_corpus, path)
+        docs = list(read_jsonl(path))
+    else:
+        docs = roundtrip(fixture_corpus, tmp_path, "docs.conll")
+    assert docs == fixture_corpus
+    for column in ("tokens", "pos"):
+        values = [value for doc in docs for value in getattr(doc, column)]
+        assert len(set(map(id, values))) == len(set(values)) < len(values)

@@ -52,6 +52,7 @@ from sumprobe.measures import (
     word_list_scores,
 )
 from sumprobe.seeding import derive_rng, derive_seed, seed_stream
+from sumprobe.words import word_list_score
 
 WL = {"male": ["he", "him", "man"], "female": ["she", "her", "woman"]}
 
@@ -101,6 +102,30 @@ def test_tvd_independent_of_hash_seed():
                              capture_output=True, text=True, check=True)
         outputs.add(run.stdout)
     assert len(outputs) == 1
+
+
+# rows of summed word-list statistics, two or three groups, many zero totals
+word_list_rows = st.integers(2, 3).flatmap(lambda groups: st.lists(
+    st.lists(st.one_of(st.integers(0, 3), st.integers(0, 1 << 40)),
+             min_size=2 * groups, max_size=2 * groups),
+    min_size=1, max_size=6))
+
+
+@given(word_list_rows)
+@example([[0, 0, 0, 0], [0, 0, 1, 2], [1, 2, 0, 0], [3, 1, 1, 3]])
+@example([[0, 0, 0, 0, 0, 0], [0, 5, 1, 0, 0, 0], [3, 1, 1, 7, 2, 1]])
+@settings(max_examples=200)
+def test_word_list_score_is_each_row_of_word_list_scores(rows):
+    """The numpy-free scorer of one row gives the vectorized score of that
+    row bit for bit, and None where that score is NaN."""
+    stats = np.array(rows, dtype=np.int64)
+    for reference in ("uniform", "adjusted"):
+        for row, expected in zip(rows, word_list_scores(stats, reference).tolist()):
+            score = word_list_score(row, reference)
+            if math.isnan(expected):
+                assert score is None
+            else:
+                assert score.hex() == expected.hex()
 
 
 def test_word_list_zero_when_ref_equals_obs():

@@ -1,10 +1,11 @@
 """numpy loads only in code that computes with it: importing the CLI,
-building a `Pipeline`, `report`, `analyze-input-bias`, `align`,
-`classify-hallucinations`, and a rerun that reuses scores.json start
-without it, and run.json still records numpy's version. Each start loads
-exactly the package modules it runs: importing the CLI, building a
-`Pipeline`, `report` and a rerun load no corpus, template or generation
-module, and `gender_id` only where the scheme classifies."""
+building a `Pipeline`, `report`, `analyze-input-bias`,
+`simulate-baselines`, `align`, `classify-hallucinations`, and a rerun that
+reuses scores.json start without it, and run.json still records numpy's
+version. Each start loads exactly the package modules it runs: importing
+the CLI, building a `Pipeline`, `report` and a rerun load no corpus,
+template or generation module, and `gender_id` only where the scheme
+classifies."""
 
 import importlib.util
 import json
@@ -111,6 +112,9 @@ STARTS = {
     "analyze-input-bias": (
         CLI + "assert main(['analyze-input-bias', '--corpus', {corpus!r}, '--out', {out!r}]) == 0",
         {"sumprobe.input_bias", "sumprobe.corpus"}),
+    "simulate-baselines": (
+        CLI + "assert main(['simulate-baselines', '--corpus', {corpus!r}, '--seed', '1', "
+        "'--out', {out!r}]) == 0", {"sumprobe.input_bias", "sumprobe.corpus"}),
     "align": (CLI + "assert main(['align', '--templates', {templates!r}, '--inputs', {inputs!r}, "
               "'--summaries', {summaries!r}, '--out-dir', {out_dir!r}]) == 0", ALIGNMENT),
     "classify-hallucinations": (
@@ -133,14 +137,6 @@ def test_starts_without_numpy(finished, finished_global, synthetic, tmp_path, ca
     loaded = loaded_after(code)
     assert numpy_modules(loaded) == set()
     assert loaded & CHECKED == expected
-
-
-def test_simulate_baselines_loads_numpy(synthetic, tmp_path):
-    """The simulation scores with numpy, so the check above can see it."""
-    loaded = loaded_after("from sumprobe.cli import main\n"
-                          f"assert main(['simulate-baselines', '--corpus', {str(synthetic)!r}, "
-                          f"'--seed', '1', '--out', {str(tmp_path / 'sim')!r}]) == 0")
-    assert {"numpy", "sumprobe.measures"} <= loaded
 
 
 def test_numpy_version_is_numpys_own():
