@@ -62,12 +62,14 @@ def _pairs_arg(values: list[str], what: str) -> dict[str, str]:
 
 def _load_docs(path: str) -> list[cp.AnnotatedDocument]:
     """A raw column corpus, sorted as `ingest` sorts it, or the ingest JSONL
-    output in file order; either reader checks each document it reads."""
+    output in file order, told apart by the first non-blank line: a column
+    corpus opens with `#begin document`. Either reader checks each document
+    it reads."""
     from . import corpus as cp
 
     with open(path, "rb") as fh:
-        head = fh.read(1)
-    if head == b"#":
+        head = next((line for line in fh if line.strip()), b"")
+    if head.startswith(b"#"):
         from .pipeline import ingest
 
         return ingest(path)

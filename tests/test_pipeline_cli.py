@@ -1393,6 +1393,28 @@ def test_bad_jsonl_documents_exit_2_naming_the_file(tmp_path, capsys, command, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["build-templates", "analyze-input-bias", "simulate-baselines"])
+def test_a_column_corpus_may_open_with_blank_lines(tmp_path, command):
+    """These commands tell a column corpus from ingest JSONL by its first
+    non-blank line, so leading blank lines, which `ingest` skips, change
+    no output."""
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "data/toy/corpus.conll").read_text(encoding="utf-8")
+    outputs = []
+    for name, corpus_text in (("plain", text), ("blank", "\n \n" + text)):
+        corpus = tmp_path / f"{name}.conll"
+        corpus.write_text(corpus_text, encoding="utf-8")
+        out_dir = tmp_path / name
+        out_dir.mkdir()
+        flag = "--documents" if command == "build-templates" else "--corpus"
+        argv = [command, flag, str(corpus), "--out", str(out_dir / "out")]
+        if command == "simulate-baselines":
+            argv += ["--seed", "1"]
+        assert main(argv) == 0
+        outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    assert outputs[0] and outputs[1] == outputs[0]
+
+
 def test_generate_with_odd_variants_exits_2(tmp_path, capsys):
     argv = ["generate", "--templates", str(tmp_path / "templates.jsonl"), "--scheme",
             "gender_global", "--seed", "1", "--variants", "3", "--out", str(tmp_path / "inputs.jsonl")]
