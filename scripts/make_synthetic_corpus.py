@@ -23,9 +23,15 @@ def main() -> None:
     parser.add_argument("--family-share", type=float, default=0.4)
     args = parser.parse_args()
 
-    neutral_share = 1.0 - args.sport_share - args.family_share
-    if neutral_share < 0:
+    for name in ("sport_male_rate", "family_male_rate", "neutral_male_rate",
+                 "sport_share", "family_share"):
+        value = getattr(args, name)
+        if not 0 <= value <= 1:
+            parser.error(f"--{name.replace('_', '-')} must lie in [0, 1], got {value}")
+    if args.sport_share + args.family_share > 1:
         parser.error("topic shares exceed 1")
+    # 1.0 - 0.8 - 0.2 is -5.6e-17: a rounding residue, not a negative share
+    neutral_share = max(0.0, 1.0 - args.sport_share - args.family_share)
     config = SyntheticCorpusConfig(
         n_docs=args.n_docs,
         topic_shares=(args.sport_share, args.family_share, neutral_share),
