@@ -254,21 +254,22 @@ def _mention_slots(
 
 
 def _original_gender(slots: list[EntitySlot], diagnostics: list[str], entity_id: str) -> str | None:
-    votes: list[tuple[int, str]] = []
+    """The gender most of the entity's pronoun and title slots vote for; on
+    a tie, the earliest vote's, as `slots` are in start order and
+    `most_common` keeps first-seen order among equal counts."""
+    votes: list[str] = []
     for s in slots:
         if s.category is SlotCategory.PRONOUN:
-            votes.append((s.start, GENDERED_PRONOUNS[s.text[0].lower()]))
+            votes.append(GENDERED_PRONOUNS[s.text[0].lower()])
         elif s.category is SlotCategory.TITLE:
-            votes.append((s.start, "male" if s.title_text.lower() in MALE_TITLES else "female"))
+            votes.append("male" if s.title_text.lower() in MALE_TITLES else "female")
     if not votes:
         return None
-    counts = Counter(g for _, g in votes)
+    counts = Counter(votes)
     if len(counts) > 1:
         diagnostics.append(
             f"entity {entity_id}: mixed gender evidence {dict(counts)}"
         )
-        if counts["male"] == counts["female"]:
-            return min(votes)[1]
     return counts.most_common(1)[0][0]
 
 
