@@ -12,17 +12,19 @@ from sumprobe.input_bias import SyntheticCorpusConfig, make_synthetic_corpus
 
 
 def main() -> None:
+    default = SyntheticCorpusConfig()
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--n-docs", type=int, default=5000)
+    parser.add_argument("--n-docs", type=int, default=default.n_docs)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--sport-male-rate", type=float, default=0.85)
-    parser.add_argument("--family-male-rate", type=float, default=0.3)
-    parser.add_argument("--neutral-male-rate", type=float, default=0.5)
-    parser.add_argument("--sport-share", type=float, default=0.4)
-    parser.add_argument("--family-share", type=float, default=0.4)
+    for topic, rate in default.male_rate.items():  # sport, family, neutral
+        parser.add_argument(f"--{topic}-male-rate", type=float, default=rate)
+    parser.add_argument("--sport-share", type=float, default=default.topic_shares[0])
+    parser.add_argument("--family-share", type=float, default=default.topic_shares[1])
     args = parser.parse_args()
 
+    if args.n_docs < 1:
+        parser.error(f"--n-docs must be at least 1, got {args.n_docs}")
     for name in ("sport_male_rate", "family_male_rate", "neutral_male_rate",
                  "sport_share", "family_share"):
         value = getattr(args, name)
@@ -35,11 +37,7 @@ def main() -> None:
     config = SyntheticCorpusConfig(
         n_docs=args.n_docs,
         topic_shares=(args.sport_share, args.family_share, neutral_share),
-        male_rate={
-            "sport": args.sport_male_rate,
-            "family": args.family_male_rate,
-            "neutral": args.neutral_male_rate,
-        },
+        male_rate={topic: getattr(args, f"{topic}_male_rate") for topic in default.male_rate},
     )
     docs = make_synthetic_corpus(config, seed=args.seed)
     write_jsonl(docs, args.out)

@@ -204,8 +204,8 @@ def cmd_analyze_input_bias(args) -> int:
         "documents": len(docs),
         "male_majority_docs": result.docs_a,
         "female_majority_docs": result.docs_b,
-        "male_associated": [[t, round(z, 4)] for t, z in result.top("a", 25)],
-        "female_associated": [[t, round(z, 4)] for t, z in result.top("b", 25)],
+        "male_associated": [[t, round(z, 4)] for t, z in result.top("a")],
+        "female_associated": [[t, round(z, 4)] for t, z in result.top("b")],
     }
     out = Path(args.out)
     write_json(out.with_suffix(".json"), summary)
@@ -243,7 +243,7 @@ def cmd_simulate_baselines(args) -> int:
 def _pipeline_from_args(args):
     from .pipeline import Pipeline, PipelineConfig
 
-    return Pipeline(PipelineConfig.from_file(args.config, out_dir=args.out_dir, seed=args.seed))
+    return Pipeline(PipelineConfig.from_file(args.config, out_dir=args.out_dir))
 
 
 def cmd_score(args) -> int:
@@ -273,7 +273,7 @@ def cmd_run(args) -> int:
 
 _REQUIRED = {"required": True}
 _CENSUS_ARGS = [("--census-male", {}), ("--census-female", {})]
-_PIPELINE_ARGS = [("--config", _REQUIRED), ("--out-dir", {}), ("--seed", {"type": int})]
+_PIPELINE_ARGS = [("--config", _REQUIRED), ("--out-dir", {})]
 
 # subcommand -> (help, handler, its arguments as (flag, add_argument keywords))
 COMMANDS = {
@@ -324,7 +324,7 @@ COMMANDS = {
     "run": ("run the pipeline and render reports", cmd_run, _PIPELINE_ARGS),
     "report": ("render a scores.json file", cmd_report, [
         ("--scores", _REQUIRED),
-        ("--format", {"default": "markdown", "choices": ["markdown", "md", "csv", "json"]}),
+        ("--format", {"default": "markdown", "choices": ["markdown", "csv", "json"]}),
         ("--out", _REQUIRED),
     ]),
 }

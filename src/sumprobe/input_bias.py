@@ -64,13 +64,14 @@ class FightinWordsResult:
     docs_a: int
     docs_b: int
 
-    def top(self, direction: str, k: int = 10) -> list[tuple[str, float]]:
+    def top(self, direction: str) -> list[tuple[str, float]]:
+        """The 25 tokens most associated with corpus `direction` ("a" or "b")."""
         reverse = direction == "a"
         items = sorted(
             self.zscores.items(),
             key=lambda kv: (-kv[1], kv[0]) if reverse else (kv[1], kv[0]),
         )
-        return [(t, z if reverse else -z) for t, z in items[:k]]
+        return [(t, z if reverse else -z) for t, z in items[:25]]
 
 
 def _contrast_tokens(
@@ -269,14 +270,13 @@ class SyntheticCorpusConfig:
     male_rate: dict[str, float] = field(
         default_factory=lambda: {"sport": 0.85, "family": 0.3, "neutral": 0.5}
     )
-    sentences: tuple[int, int] = (6, 12)
-    sentence_length: tuple[int, int] = (8, 14)
-    topic_token_prob: float = 0.6
-    identifier_prob: float = 0.5
 
 
 def make_synthetic_corpus(config: SyntheticCorpusConfig, seed: int = 0) -> list[AnnotatedDocument]:
-    """Documents with a planted topic/identifier-gender correlation.
+    """Documents with a planted topic/identifier-gender correlation: 6 to 12
+    sentences of 8 to 14 words and a period each. A sport or family
+    document's sentence holds 1 or 2 of its topic's keywords with
+    probability 0.6, and any sentence 1 or 2 identifiers with probability 0.5.
 
     Identifier tokens are drawn from the word lists minus any overlap with
     the topic keyword lists, so planted topic signal and planted gender
@@ -295,18 +295,13 @@ def make_synthetic_corpus(config: SyntheticCorpusConfig, seed: int = 0) -> list[
         topic = rng.choices(topics, weights=config.topic_shares, k=1)[0]
         tokens: list[str] = []
         sentences: list[int] = []
-        n_sentences = rng.randint(*config.sentences)
-        for s in range(n_sentences):
+        for s in range(rng.randint(6, 12)):
             words: list[str] = []
-            length = rng.randint(*config.sentence_length)
-            if topic != "neutral" and rng.random() < config.topic_token_prob:
-                words.extend(
-                    rng.choices(topic_tokens[topic], k=rng.randint(1, 2))
-                )
-            if rng.random() < config.identifier_prob:
-                gender = (
-                    "male" if rng.random() < config.male_rate[topic] else "female"
-                )
+            length = rng.randint(8, 14)
+            if topic != "neutral" and rng.random() < 0.6:
+                words.extend(rng.choices(topic_tokens[topic], k=rng.randint(1, 2)))
+            if rng.random() < 0.5:
+                gender = "male" if rng.random() < config.male_rate[topic] else "female"
                 words.extend(rng.choices(ident_pool[gender], k=rng.randint(1, 2)))
             while len(words) < length:
                 words.append(rng.choice(_FILLER))

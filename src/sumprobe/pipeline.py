@@ -124,11 +124,13 @@ class PipelineConfig:
     dense_vectors: dict[str, str] = field(default_factory=dict)
 
     @classmethod
-    def from_file(cls, path: str | Path, **overrides) -> "PipelineConfig":
+    def from_file(cls, path: str | Path, out_dir: str | None = None) -> "PipelineConfig":
+        """The config that `path` holds, its `out_dir` replaced by `out_dir` when given."""
         data = read_object(path, "a config")
         # old configs and every one perfbench/workload.py writes set "jobs"; they still load
         data.pop("jobs", None)
-        data.update({k: v for k, v in overrides.items() if v is not None})
+        if out_dir is not None:
+            data["out_dir"] = out_dir
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise DataError(f"{path}: unknown config key(s): {sorted(unknown)}")
@@ -660,14 +662,8 @@ class Pipeline:
         from . import measures as ms
         from . import summaries as sm
 
-        vectors = None
-        if system in self.config.dense_vectors:
-            path = self.config.dense_vectors[system]
-            vectors = sm.load_dense_vectors(path)
-            unknown = sorted(vectors.keys() - generated.keys())
-            if unknown:
-                raise DataError(f"{path}: system {system!r}: dense rows reference unknown "
-                                "input ids: " + ", ".join(unknown))
+        path = self.config.dense_vectors.get(system)
+        vectors = None if path is None else sm.load_dense_vectors(path, generated, system)
         neutralize = ms.neutralizer(first_names, last_names)
         count_points, dense_points, missing = [], [], []
         for a, gi in zip(aligned, inputs):
@@ -685,8 +681,9 @@ class Pipeline:
             points["distinguishability_dense"] = (dense_points, missing)
         return points
 
-    def _hallucination_top(self, hallucinated: Counter, verdicts, k: int = 10):
-        rows = sorted(hallucinated.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+    def _hallucination_top(self, hallucinated: Counter, verdicts):
+        """The 10 most frequent hallucinated entities, each with its gender tag."""
+        rows = sorted(hallucinated.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
         tag = {"male": "m", "female": "f", "unknown": "u"}
         return [
             [name, count, tag[verdicts[name].gender] if name in verdicts else "u"]

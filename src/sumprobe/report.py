@@ -166,8 +166,7 @@ def render_json(report: dict) -> str:
     return json_text(report)
 
 
-RENDERERS = {"markdown": render_markdown, "md": render_markdown,
-             "csv": render_csv, "json": render_json}
+RENDERERS = {"markdown": render_markdown, "csv": render_csv, "json": render_json}
 
 
 def render_report(report: dict, fmt: str) -> str:

@@ -148,17 +148,31 @@ def _sidecar_problem(row: dict) -> str | None:
     return problem
 
 
-def load_ner_sidecar(path: str | Path) -> dict[str, list[tuple[int, int, str]]]:
-    """Optional externally produced entity spans per input id, one row per id."""
-    return {
-        row["input_id"]: [(s, e, label) for s, e, label in row["entities"]]
-        for row in read_rows(path, {"input_id": str, "entities": list},
-                             once_each("input_id", "input", _sidecar_problem))
-    }
+def _by_input(path: str | Path, kind: str, column: str, problem, value,
+              inputs: dict[str, GeneratedInput], system: str) -> dict:
+    """`value` of each row's `column` by the row's input id, one row per id;
+    an id that is not in `inputs` is a `DataError` naming the file, `system`
+    and the ids."""
+    rows = {row["input_id"]: value(row[column])
+            for row in read_rows(path, {"input_id": str, column: list},
+                                 once_each("input_id", "input", problem))}
+    unknown = sorted(rows.keys() - inputs.keys())
+    if unknown:
+        raise DataError(f"{path}: system {system!r}: {kind} rows reference unknown input ids: "
+                        + ", ".join(unknown))
+    return rows
 
 
-def load_dense_vectors(path: str | Path) -> dict[str, np.ndarray]:
-    """A system's dense vector per input id, one row per id; every entry a
+def load_ner_sidecar(path: str | Path, inputs: dict[str, GeneratedInput],
+                     system: str) -> dict[str, list[tuple[int, int, str]]]:
+    """`system`'s externally produced entity spans per input id of `inputs`."""
+    return _by_input(path, "sidecar", "entities", _sidecar_problem,
+                     lambda spans: list(map(tuple, spans)), inputs, system)
+
+
+def load_dense_vectors(path: str | Path, inputs: dict[str, GeneratedInput],
+                       system: str) -> dict[str, np.ndarray]:
+    """`system`'s dense vector per input id of `inputs`; every entry a
     finite real number, every vector as long as the first row's."""
     first: dict[str, int] = {}  # the first row's length
 
@@ -179,9 +193,8 @@ def load_dense_vectors(path: str | Path) -> dict[str, np.ndarray]:
 
     import numpy as np
 
-    return {row["input_id"]: np.asarray(row["vector"], dtype=float)
-            for row in read_rows(path, {"input_id": str, "vector": list},
-                                 once_each("input_id", "input", problem))}
+    return _by_input(path, "dense", "vector", problem,
+                     lambda vector: np.asarray(vector, dtype=float), inputs, system)
 
 
 def load_summaries(
@@ -189,7 +202,7 @@ def load_summaries(
     inputs: dict[str, GeneratedInput],
     *,
     system: str,
-    lexicon: frozenset[str] | None = None,
+    lexicon: frozenset[str],
     ner_sidecar: str | Path | None = None,
 ) -> list[SummaryRecord]:
     """Read `system`'s summary JSONL ({input_id, system, summary}, all
@@ -201,11 +214,7 @@ def load_summaries(
     sidecar row for an id that is not in `inputs`, or a sidecar span past the
     end of its summary, is a `DataError` naming the sidecar, `system` and
     the inputs. Equal tokens of all the records are one shared object."""
-    ner_spans = load_ner_sidecar(ner_sidecar) if ner_sidecar is not None else {}
-    unjoined = [input_id for input_id in ner_spans if input_id not in inputs]
-    if unjoined:
-        raise DataError(f"{ner_sidecar}: system {system!r}: sidecar rows reference unknown "
-                        "input ids: " + ", ".join(sorted(unjoined)))
+    ner_spans = load_ner_sidecar(ner_sidecar, inputs, system) if ner_sidecar is not None else {}
     records: list[SummaryRecord] = []
     strays: list[str] = []
     unknown: list[str] = []
@@ -235,7 +244,7 @@ def load_summaries(
     records.sort(key=lambda rec: position[rec.input_id])
 
     overlong: list[str] = []
-    detect = entity_detector(lexicon) if lexicon is not None else None
+    detect = entity_detector(lexicon)
     for rec in records:
         if rec.input_id in ner_spans:
             spans = ner_spans[rec.input_id]
@@ -243,7 +252,7 @@ def load_summaries(
                 overlong.append(rec.input_id)
             rec.entities = [SummaryEntity(s, e, tuple(rec.tokens[s : e + 1]))
                             for s, e, label in spans if label == "PERSON"]
-        elif detect is not None:
+        else:
             rec.entities = detect(rec.tokens)
     if overlong:
         raise DataError(f"{ner_sidecar}: system {system!r}: entity spans end past their "

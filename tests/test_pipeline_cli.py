@@ -1212,11 +1212,22 @@ def test_old_jobs_key_changes_no_artifact(tmp_path):
     assert produced[0] == produced[1] == produced[2]
 
 
-def test_jobs_flag_is_a_usage_error(capsys):
+@pytest.mark.parametrize("argv, error", [
+    (["run", "--config", "data/toy/config.json", "--jobs", "2"],
+     "unrecognized arguments: --jobs 2"),
+    (["run", "--config", "data/toy/config.json", "--seed", "3"],
+     "unrecognized arguments: --seed 3"),
+    (["score", "--config", "data/toy/config.json", "--seed", "3"],
+     "unrecognized arguments: --seed 3"),
+    (["report", "--scores", "scores.json", "--out", "report.md", "--format", "md"],
+     "argument --format: invalid choice: 'md'"),
+], ids=["run_jobs", "run_seed", "score_seed", "report_format_md"])
+def test_removed_setting_is_a_usage_error(capsys, argv, error):
+    """The seed is the config's alone, and markdown has one spelling."""
     with pytest.raises(SystemExit) as err:
-        main(["run", "--config", "data/toy/config.json", "--jobs", "2"])
+        main(argv)
     assert err.value.code == 1
-    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert f": error: {error}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, name, text, changes, problem", [

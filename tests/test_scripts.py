@@ -56,6 +56,8 @@ def test_make_synthetic_corpus_takes_topic_shares_that_sum_to_1(tmp_path, sport,
     (["--family-male-rate", "2"], "--family-male-rate must lie in [0, 1], got 2.0"),
     (["--neutral-male-rate", "nan"], "--neutral-male-rate must lie in [0, 1], got nan"),
     (["--sport-share", "0.7", "--family-share", "0.4"], "topic shares exceed 1"),
+    (["--n-docs", "0"], "--n-docs must be at least 1, got 0"),
+    (["--n-docs", "-5"], "--n-docs must be at least 1, got -5"),
 ])
 def test_make_synthetic_corpus_rejects_shares_and_rates_outside_0_1(tmp_path, args, error):
     out_path = tmp_path / "synth.jsonl"

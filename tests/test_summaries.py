@@ -110,7 +110,7 @@ def test_load_summaries_unknown_id(tmp_path):
     path = tmp_path / "s.jsonl"
     write_summaries(path, [{"input_id": "missing", "system": "sys", "summary": "x"}])
     with pytest.raises(DataError, match="missing"):
-        load_summaries(path, {"d#0::00": gi()}, system="sys")
+        load_summaries(path, {"d#0::00": gi()}, system="sys", lexicon=frozenset())
 
 
 def test_load_summaries_duplicate(tmp_path):
@@ -118,7 +118,7 @@ def test_load_summaries_duplicate(tmp_path):
     row = {"input_id": "d#0::00", "system": "sys", "summary": "x"}
     write_summaries(path, [row, row])
     with pytest.raises(DataError, match="duplicate"):
-        load_summaries(path, {"d#0::00": gi()}, system="sys")
+        load_summaries(path, {"d#0::00": gi()}, system="sys", lexicon=frozenset())
 
 
 def test_empty_summary_is_valid(tmp_path):
@@ -148,7 +148,8 @@ def test_sidecar_repeating_an_input_is_a_malformed_row(tmp_path):
     write_summaries(npath, [{"input_id": "d#0::00", "entities": [[0, 1, "PERSON"]]},
                             {"input_id": "d#0::00", "entities": []}])
     with pytest.raises(DataError, match=f"^{npath}:2: malformed row: input d#0::00 appears twice$"):
-        load_summaries(spath, {"d#0::00": gi()}, system="sys", ner_sidecar=npath)
+        load_summaries(spath, {"d#0::00": gi()}, system="sys", lexicon=frozenset(),
+                       ner_sidecar=npath)
 
 
 def test_sidecar_rows_of_unknown_inputs_are_a_data_error(tmp_path):
