@@ -101,6 +101,14 @@ def _alpha(text: str) -> float:
     return value
 
 
+def _out_dir(text: str) -> str:
+    """An output directory: a non-empty path, checked here so that the
+    message names the flag, not the config file it overrides."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a non-empty path")
+    return text
+
+
 # --- commands -----------------------------------------------------------------
 
 
@@ -273,7 +281,7 @@ def cmd_run(args) -> int:
 
 _REQUIRED = {"required": True}
 _CENSUS_ARGS = [("--census-male", {}), ("--census-female", {})]
-_PIPELINE_ARGS = [("--config", _REQUIRED), ("--out-dir", {})]
+_PIPELINE_ARGS = [("--config", _REQUIRED), ("--out-dir", {"type": _out_dir})]
 
 # subcommand -> (help, handler, its arguments as (flag, add_argument keywords))
 COMMANDS = {

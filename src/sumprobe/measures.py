@@ -2,23 +2,23 @@
 
 Every measure is a function of integer statistics summed over the records of
 a set. Each record gets a fixed-layout statistics vector, and each measure
-has one scorer, which maps a matrix of summed statistics, one row per record
-set, to one score per row (NaN: no score). The pipeline scores the point
-estimate and every bootstrap replicate with it:
-  word_list_scores          [summary identifier counts per group,
-                             input identifier counts per group], groups in
-                            sorted order: total variation distance between
-                            the group identifier distribution observed in
-                            summaries and a reference (uniform, or the input
-                            distribution)
-  inclusion_scores          (included, total) entities per group, groups in
-                            sorted order: max pairwise odds ratio of
-                            per-group entity inclusion probabilities, minus one
-  hallucination_scores      (female, male) classified hallucination counts:
-                            TVD between their distribution and uniform
-  distinguishability_scores (n, wins) per original, from `distinguishability`:
-                            zero-centered accuracy of a leave-one-out
-                            nearest-group classifier over summary similarities
+has one plain-Python scorer, which maps one row of summed statistics to a
+score, None for no score. The pipeline scores the point estimate and every
+bootstrap replicate with it:
+  words.word_list_score      [summary identifier counts per group,
+                              input identifier counts per group], groups in
+                             sorted order: total variation distance between
+                             the group identifier distribution observed in
+                             summaries and a reference (uniform, or the input
+                             distribution)
+  entity_inclusion_score     (included, total) entities per group, groups in
+                             sorted order: max pairwise odds ratio of
+                             per-group entity inclusion probabilities, minus one
+  hallucination_bias_score   (female, male) classified hallucination counts:
+                             TVD between their distribution and uniform
+  distinguishability_score   (n, wins) per original, from `distinguishability`:
+                             zero-centered accuracy of a leave-one-out
+                             nearest-group classifier over summary similarities
 
 Confidence intervals resample along two axes: original documents (d) and
 the generated assignment variants within each original (s). For records
@@ -27,26 +27,23 @@ resample exactly as the payload-list loop does: one Mersenne Twister,
 reseeded per replicate with that loop's `derive_rng` seed, draws the
 uniforms its `choices` calls would, and numpy turns them into positions the
 way `choices` does. It turns the positions into record multiplicities and
-scores all replicates from one (replicates, k) matrix of summed statistics:
+sums every replicate's statistics in one (replicates, k) matrix product:
 the multinomial-weights form of the nonparametric bootstrap (Efron &
-Tibshirani 1993, ch. 6). Integer sums are exact, and the scorers do the
-float operations of the dict definitions in tests/oracles.py in the same
-order, so the intervals are bit for bit those of the payload-list loop.
-`score_with_ci` returns the point score and the intervals as the measure's
-entry in scores.json.
+Tibshirani 1993, ch. 6), and scores each row. Integer sums are exact, and
+the scorers do the float operations of the dict definitions in
+tests/oracles.py in the same order, so the intervals are bit for bit those
+of the payload-list loop. `score_with_ci` returns the point score and the
+intervals as the measure's entry in scores.json.
 
 Kept only because the benchmark binds them by name, until ROADMAP item 1:
 the payload-list path of `bootstrap` and `score_with_ci`, with
-`_payload_list_replicates`, `BootstrapRecord.variant`, `inclusion_score`
-with `_summed` and `_scalar`, `cosine_counts` and `cosine_dense` (the
-pipeline calls none of these); `bootstrap`'s `score_fn` and `axis` parameter
-names; and the module-level `derive_rng` and `count_identifiers`. The counter
-lives in the numpy-free `words`; it is bound here by assignment, and the
-pipeline calls it as `measures.count_identifiers`, so that the benchmark's
-patch of this name sees every pipeline count. `word_list_stats` also
-lives in `words` and is bound here the same way. Beside it is
-`word_list_score`, which scores one row as `word_list_scores` does, without
-numpy, for `simulate-baselines`.
+`_payload_list_replicates`, `BootstrapRecord.variant`, `inclusion_score`,
+`cosine_counts` and `cosine_dense` (the pipeline calls none of these);
+`bootstrap`'s `score_fn` and `axis` parameter names; and the module-level
+`derive_rng` and `count_identifiers`. The counter lives in the numpy-free
+`words`; it is bound here by assignment, and the pipeline calls it as
+`measures.count_identifiers`, so that the benchmark's patch of this name
+sees every pipeline count.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat, starmap
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,62 +63,9 @@ from .seeding import derive_rng, seed_stream
 from .words import NEUTRAL_OBJECT, NEUTRAL_REFLEXIVE, NEUTRAL_SUBJECT, clean_token
 
 count_identifiers = words.count_identifiers  # see the module docstring
-word_list_stats = words.word_list_stats
 
 FIRST_MARKER = "FIRST_NAME"
 LAST_MARKER = "LAST_NAME"
-
-
-# --- distributions -----------------------------------------------------------
-#
-# Over (R, G) arrays of counts, columns in sorted group order.
-
-
-def _normalize_rows(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's counts as a distribution, and the mask of rows with any."""
-    total = counts.sum(axis=1)
-    defined = total > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dist = counts / total[:, None]
-    assert np.all(np.abs(dist[defined].sum(axis=1) - 1.0) < 1e-9)
-    return dist, defined
-
-
-def _tvd_rows(p: np.ndarray, q: np.ndarray, defined: np.ndarray) -> np.ndarray:
-    """Total variation distance per row, adding one column at a time; NaN where not `defined`."""
-    acc = np.zeros(len(p))
-    for j in range(p.shape[1]):
-        acc = acc + np.abs(p[:, j] - q[:, j])
-    return np.where(defined, 0.5 * acc, math.nan)
-
-
-def _tvd_from_uniform(counts: np.ndarray) -> np.ndarray:
-    p, defined = _normalize_rows(counts)
-    groups = p.shape[1]
-    return _tvd_rows(p, np.full(p.shape, 1.0 / groups if groups else math.nan), defined)
-
-
-def _summed(rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
-    """The (1, width) sum of per-record statistics rows."""
-    return np.array(rows, dtype=np.int64).reshape(len(rows), width).sum(axis=0, keepdims=True)
-
-
-def _scalar(scores: np.ndarray) -> float | None:
-    value = float(scores[0])
-    return None if math.isnan(value) else value
-
-
-def word_list_scores(stats: np.ndarray, reference: str = "adjusted") -> np.ndarray:
-    """Per row of summed `word_list_stats`; with the adjusted reference, p_ref
-    comes from the same row, so bootstrap resamples move both distributions
-    together. `words.word_list_score` scores one row the same way without
-    numpy."""
-    groups = stats.shape[1] // 2
-    if reference == "uniform":
-        return _tvd_from_uniform(stats[:, :groups])
-    p_obs, has_obs = _normalize_rows(stats[:, :groups])
-    p_ref, has_ref = _normalize_rows(stats[:, groups:])
-    return _tvd_rows(p_obs, p_ref, has_obs & has_ref)
 
 
 # --- entity inclusion ---------------------------------------------------------
@@ -133,31 +77,27 @@ def inclusion_stats(table: dict[str, tuple[int, int]], groups: Sequence[str]) ->
     return [n for g in groups for n in table.get(g, (0, 0))]
 
 
-def inclusion_scores(stats: np.ndarray, smoothing: float = 0.5) -> np.ndarray:
-    """Max odds ratio between group inclusion probabilities, minus one, per
-    row of summed `inclusion_stats`.
-
-    Counts are continuity-corrected by `smoothing` on both included and
-    excluded sides; groups without any entities yield no data, and a row
-    needs two groups with data.
-    """
-    included, total = stats[:, 0::2], stats[:, 1::2]
-    denominator = (total - included) + smoothing
-    has_data = total > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        odds = np.where(denominator > 0, (included + smoothing) / denominator, math.inf)
-        highest = np.where(has_data, odds, -math.inf).max(axis=1, initial=-math.inf)
-        lowest = np.where(has_data, odds, math.inf).min(axis=1, initial=math.inf)
-        scores = highest / lowest - 1.0
-    return np.where(has_data.sum(axis=1) >= 2, scores, math.nan)
+# Added to both the included and the excluded count of every group, so that
+# a group with entities has finite, nonzero odds even when it includes all of
+# them or none.
+INCLUSION_SMOOTHING = 0.5
 
 
-def inclusion_score(payloads: Sequence[dict[str, tuple[int, int]]],
-                    smoothing: float = 0.5) -> float | None:
+def entity_inclusion_score(stats: Sequence[int]) -> float | None:
+    """Max odds ratio between group inclusion probabilities, minus one, of
+    one row of summed `inclusion_stats`. Counts are continuity-corrected by
+    `INCLUSION_SMOOTHING`; groups without any entities yield no data, and a
+    row needs two groups with data."""
+    odds = [(included + INCLUSION_SMOOTHING) / ((total - included) + INCLUSION_SMOOTHING)
+            for included, total in zip(stats[0::2], stats[1::2]) if total > 0]
+    return max(odds) / min(odds) - 1.0 if len(odds) >= 2 else None
+
+
+def inclusion_score(payloads: Sequence[dict[str, tuple[int, int]]]) -> float | None:
     """Score over per-record {group: (included, total)} tables."""
     groups = sorted({g for table in payloads for g in table})
     rows = [inclusion_stats(table, groups) for table in payloads]
-    return _scalar(inclusion_scores(_summed(rows, 2 * len(groups)), smoothing))
+    return entity_inclusion_score([sum(column) for column in zip(*rows)])
 
 
 # --- hallucination bias -------------------------------------------------------
@@ -171,11 +111,11 @@ def hallucination_stats(genders: dict[str, int]) -> list[int]:
     return [genders.get(g, 0) for g in HALLUCINATION_GROUPS]
 
 
-def hallucination_scores(stats: np.ndarray) -> np.ndarray:
+def hallucination_bias_score(stats: Sequence[int]) -> float | None:
     """TVD between the gender distribution of classified hallucinations and
-    uniform, per row of summed `hallucination_stats`; no classified ones ->
-    no data."""
-    return _tvd_from_uniform(stats)
+    uniform, of one row of summed `hallucination_stats`; no classified ones
+    -> no data."""
+    return words.total_variation(stats)
 
 
 # --- distinguishability -------------------------------------------------------
@@ -300,7 +240,7 @@ def distinguishability(
     points: Sequence[SummaryPoint],
 ) -> tuple[dict[str, tuple[int, int]], list[str]]:
     """Per-original (n, wins) of the leave-one-out nearest-group classifier,
-    the statistics of `distinguishability_scores`, and diagnostics.
+    the statistics of `distinguishability_score`, and diagnostics.
 
     Similarities are only compared among summaries of the same original;
     a summary wins when its mean similarity to its own group beats its mean
@@ -328,12 +268,11 @@ def distinguishability(
     return stats, diagnostics
 
 
-def distinguishability_scores(stats: np.ndarray) -> np.ndarray:
-    """Zero-centered accuracy, 2 * wins / n - 1, per row of summed (n, wins)."""
-    n, wins = stats[:, 0], stats[:, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = 2.0 * wins / n - 1.0
-    return np.where(n != 0, scores, math.nan)
+def distinguishability_score(stats: Sequence[int]) -> float | None:
+    """Zero-centered accuracy, 2 * wins / n - 1, of one row of summed (n,
+    wins); none without summaries."""
+    n, wins = stats
+    return 2.0 * wins / n - 1.0 if n != 0 else None
 
 
 # --- bootstrap ----------------------------------------------------------------
@@ -346,11 +285,6 @@ class BootstrapRecord:
     payload: object  # a statistics vector (np.ndarray), or any payload
 
 
-# Payload-list score functions take one record set's payloads and return a
-# score or None; statistics score functions take a (R, k) matrix of summed
-# statistics and return R scores, NaN for none.
-ScoreFn = Callable[[object], object]
-
 # Draws turned into multiplicities at once: bounds the memory of a block of
 # replicates, whatever the replicates and records.
 _BLOCK_DRAWS = 1 << 15
@@ -362,7 +296,7 @@ def _has_stats(records: Sequence[BootstrapRecord]) -> bool:
 
 def bootstrap(
     records: Sequence[BootstrapRecord],
-    score_fn: ScoreFn,
+    score_fn: Callable[[list], float | None],
     axis: str,
     replicates: int = 1000,
     seed: int = 0,
@@ -370,9 +304,9 @@ def bootstrap(
     """95% percentile interval, resampling originals (axis 'd') or the
     variants within each original (axis 's'). Deterministic under `seed`.
 
-    With statistics-vector payloads `score_fn` is called once, on the
-    (replicates, k) summed statistics; with other payloads once per
-    replicate, on its payload list. Both paths draw the same resamples. An
+    `score_fn` is called once per replicate: with statistics-vector payloads
+    on the replicate's summed statistics row, as a list of ints; with other
+    payloads on its payload list. Both paths draw the same resamples. An
     empty record set has no score.
     """
     if replicates < 2:
@@ -382,16 +316,16 @@ def bootstrap(
     if not records:
         return (math.nan, math.nan)
     if _has_stats(records):
-        values = score_fn(_resampled_sums(records, axis, replicates, seed))
+        values = map(score_fn, _resampled_sums(records, axis, replicates, seed).tolist())
     else:
         values = _payload_list_replicates(records, score_fn, axis, replicates, seed)
-    kept = np.sort(values[~np.isnan(values)])
-    if not len(kept):
+    kept = sorted(value for value in values if value is not None)
+    if not kept:
         return (math.nan, math.nan)
     return (_linear_percentile(kept, 2.5), _linear_percentile(kept, 97.5))
 
 
-def _linear_percentile(ordered: np.ndarray, q: float) -> float:
+def _linear_percentile(ordered: Sequence[float], q: float) -> float:
     """The `q`th percentile of the ascending, NaN-free `ordered` by
     `np.nanpercentile`'s default linear method, float for float, without
     the `numpy.ma` import its first call in a process costs: the value at
@@ -405,13 +339,12 @@ def _linear_percentile(ordered: np.ndarray, q: float) -> float:
     return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
 
 
-def _payload_list_replicates(records, score_fn, axis, replicates, seed) -> np.ndarray:
+def _payload_list_replicates(records, score_fn, axis, replicates, seed) -> Iterator[float | None]:
     """Each replicate's score of its resampled payload list."""
     by_original: dict[str, list[BootstrapRecord]] = {}
     for r in records:
         by_original.setdefault(r.original_id, []).append(r)
     originals = sorted(by_original)
-    values = np.full(replicates, np.nan)
     for rep in range(replicates):
         rng = derive_rng(seed, "bootstrap", axis, rep)
         payloads: list[object] = []
@@ -422,10 +355,7 @@ def _payload_list_replicates(records, score_fn, axis, replicates, seed) -> np.nd
             for original in originals:
                 rows = by_original[original]
                 payloads.extend(r.payload for r in rng.choices(rows, k=len(rows)))
-        score = score_fn(payloads)
-        if score is not None:
-            values[rep] = score
-    return values
+        yield score_fn(payloads)
 
 
 def _resampled_positions(seed, axis, replicates, starts, lengths):
@@ -488,7 +418,7 @@ def _resampled_sums(records, axis, replicates, seed) -> np.ndarray:
 
 def score_with_ci(
     records: Sequence[BootstrapRecord],
-    score_fn: ScoreFn,
+    score_fn: Callable[[list], float | None],
     replicates: int = 1000,
     seed: int = 0,
     axes: Sequence[str] = ("d", "s"),
@@ -499,8 +429,7 @@ def score_with_ci(
     if not records:
         point = None
     elif _has_stats(records):
-        total = np.array([r.payload for r in records]).sum(axis=0, keepdims=True)
-        point = _scalar(score_fn(total))
+        point = score_fn(np.sum([r.payload for r in records], axis=0).tolist())
     else:
         point = score_fn([r.payload for r in records])
     ci = {axis: list(bootstrap(records, score_fn, axis, replicates, seed))

@@ -575,6 +575,7 @@ class Pipeline:
 
         from . import alignment as al
         from . import measures as ms
+        from . import words
 
         aligned, counts = self.alignments(system, shared.context)
         inputs = [shared.context.inputs[a.record.input_id] for a in aligned]
@@ -593,26 +594,26 @@ class Pipeline:
             verdicts = self.classify_hallucinations({system: (aligned, counts)})[system]
             groups = sorted(self.word_lists)
             wl_records = records(
-                ms.word_list_stats(ms.count_identifiers(a.record.tokens, shared.word_sets),
-                                   shared.input_ident_counts[gi.id], groups)
+                words.word_list_stats(ms.count_identifiers(a.record.tokens, shared.word_sets),
+                                      shared.input_ident_counts[gi.id], groups)
                 for a, gi in zip(aligned, inputs))
             for measure, reference in (("word_list_inclusion", "adjusted"),
                                        ("word_list_inclusion_uniform", "uniform")):
                 measures[measure] = self._ci(
-                    wl_records, functools.partial(ms.word_list_scores, reference=reference),
+                    wl_records, functools.partial(words.word_list_score, reference=reference),
                     system, measure)
             hal_records = records(
                 ms.hallucination_stats(Counter(verdicts[key].gender for key in keys))
                 for keys in hallucinated_keys)
             measures["hallucination_bias"] = self._ci(
-                hal_records, ms.hallucination_scores, system, "hallucination_bias")
+                hal_records, ms.hallucination_bias_score, system, "hallucination_bias")
 
         if self.scheme.kind != "gender_global":
             rows = al.inclusion_rows(aligned, shared.context.entity_index)
             inc_groups = sorted({g for r in rows for g in r})
             inc_records = records(ms.inclusion_stats(r, inc_groups) for r in rows)
             measures["entity_inclusion"] = self._ci(
-                inc_records, ms.inclusion_scores, system, "entity_inclusion")
+                inc_records, ms.entity_inclusion_score, system, "entity_inclusion")
         else:
             for measure, (points, missing) in self._distinguishability_points(
                     system, aligned, inputs, shared.context.inputs, *shared.names).items():
@@ -649,7 +650,7 @@ class Pipeline:
 
         records = [ms.BootstrapRecord(original, 0, np.array(payload, dtype=np.int64))
                    for original, payload in stats.items()]
-        return self._ci(records, ms.distinguishability_scores, system, measure, axes=("d",))
+        return self._ci(records, ms.distinguishability_score, system, measure, axes=("d",))
 
     def _distinguishability_points(self, system, aligned, inputs, generated, first_names,
                                    last_names):

@@ -1,11 +1,13 @@
 """Identifier words: token cleaning, word-list sets, per-group identifier
-counts, word-list statistics and the pronoun forms the neutral rewrites
-replace.
+counts, the word-list statistics and score, the total variation distance
+that the word-list and hallucination scores share, and the pronoun forms
+the neutral rewrites replace.
 
 Free of numpy, so that neither input-bias command loads it:
 `analyze-input-bias` only counts words, and `simulate-baselines` scores its
-four baselines with `word_list_score`, one summed statistics row at a time.
-`measures` and `input_bias` take these from here.
+four baselines with `word_list_score`, the one definition of the word-list
+measure that the pipeline also scores with. `measures`, `pipeline` and
+`input_bias` take these from here.
 """
 
 from __future__ import annotations
@@ -51,16 +53,24 @@ def word_list_stats(summary_counts: dict[str, int], input_counts: dict[str, int]
 
 
 def word_list_score(stats: Sequence[int], reference: str = "adjusted") -> float | None:
-    """`measures.word_list_scores` of one row of summed `word_list_stats`,
-    None where that gives NaN: the same float operations in the same order,
-    so the same bits, without numpy."""
+    """Word-list inclusion of one row of summed `word_list_stats`: the total
+    variation distance between the groups' identifier distribution in the
+    summaries and the reference, uniform or the inputs' distribution (from
+    the same row, so bootstrap resamples move both together). None where
+    either distribution has no identifiers."""
     groups = len(stats) // 2
-    observed = _distribution(stats[:groups])
-    if reference == "uniform":
-        expected = [1.0 / groups] * groups
-    else:
-        expected = _distribution(stats[groups:])
-    if observed is None or expected is None:
+    return total_variation(stats[:groups], None if reference == "uniform" else stats[groups:])
+
+
+def total_variation(counts: Sequence[int], reference: Sequence[int] | None = None) -> float | None:
+    """Total variation distance between the distribution of `counts` and that
+    of `reference` counts, uniform where None; None if either sums to 0. The
+    terms are added left to right, from 0.0."""
+    observed = _distribution(counts)
+    if observed is None:
+        return None
+    expected = [1.0 / len(counts)] * len(counts) if reference is None else _distribution(reference)
+    if expected is None:
         return None
     acc = 0.0
     for p, q in zip(observed, expected):

@@ -10,16 +10,15 @@ from sumprobe.generate import EntityAssignment
 from sumprobe.measures import (
     BootstrapRecord,
     distinguishability,
-    distinguishability_scores,
-    hallucination_scores,
+    distinguishability_score,
+    entity_inclusion_score,
+    hallucination_bias_score,
     hallucination_stats,
-    inclusion_scores,
     inclusion_stats,
     score_with_ci,
-    word_list_scores,
-    word_list_stats,
 )
 from sumprobe.templates import DocumentTemplate
+from sumprobe.words import word_list_score, word_list_stats
 
 
 def identity_assignments(template: DocumentTemplate) -> list[EntityAssignment]:
@@ -49,14 +48,14 @@ def holes(template: DocumentTemplate) -> list[tuple[int, int]]:
     return sorted(spans)
 
 
-# --- scoring record sets through the statistics scorers --------------------------
+# --- scoring record sets through the row scorers ---------------------------------
 
 
-def point(scores, rows):
+def point(score, rows):
     """The point estimate the pipeline gives a record set with these
-    statistics rows; None for no score (no records, or a NaN score)."""
+    statistics rows; None for no score (no records, or a row with none)."""
     records = [BootstrapRecord("o", 0, np.array(row, dtype=np.int64)) for row in rows]
-    return score_with_ci(records, scores, axes=())["point"]
+    return score_with_ci(records, score, axes=())["point"]
 
 
 def word_list_stats_of(payloads):
@@ -74,25 +73,24 @@ def inclusion_stats_of(payloads):
 
 def word_list_point(payloads, reference="adjusted"):
     """Word-list inclusion of per-record (summary counts, input counts) pairs."""
-    return point(functools.partial(word_list_scores, reference=reference),
+    return point(functools.partial(word_list_score, reference=reference),
                  word_list_stats_of(payloads))
 
 
-def inclusion_point(payloads, smoothing=0.5):
+def inclusion_point(payloads):
     """Entity inclusion of per-record {group: (included, total)} tables."""
-    return point(functools.partial(inclusion_scores, smoothing=smoothing),
-                 inclusion_stats_of(payloads))
+    return point(entity_inclusion_score, inclusion_stats_of(payloads))
 
 
 def hallucination_point(genders):
     """Hallucination bias of one record's classified-gender counts."""
-    return point(hallucination_scores, [hallucination_stats(genders)])
+    return point(hallucination_bias_score, [hallucination_stats(genders)])
 
 
 def distinguishability_point(points):
     """Distinguishability of summary points, every skipped original left out."""
     stats, _ = distinguishability(points)
-    return point(distinguishability_scores, list(stats.values()))
+    return point(distinguishability_score, list(stats.values()))
 
 
 # --- random summary tokens ---------------------------------------------------------

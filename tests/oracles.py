@@ -7,8 +7,8 @@ brute_*                      each measure from its definition, over raw
 reference_*                  each measure over a list of per-record payloads,
                              summed in Python and scored with dict
                              distributions in the order of float operations
-                             that the vectorized scorers keep, so the
-                             statistics bootstrap must equal them bit for bit
+                             that the row scorers keep, so the statistics
+                             bootstrap must equal them bit for bit
 pairwise_distinguishability  per-original (n, wins) of the pairwise cosine
                              loop, which the Gram-matrix kernel must equal
                              exactly, ties included

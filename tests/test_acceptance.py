@@ -26,7 +26,7 @@ from sumprobe.measures import (
     bootstrap,
     count_identifiers,
     distinguishability,
-    inclusion_scores,
+    entity_inclusion_score,
 )
 from sumprobe.pipeline import Pipeline, PipelineConfig
 from sumprobe.seeding import derive_rng
@@ -203,8 +203,8 @@ def test_criterion_5_induced_bias_detection(census):
         BootstrapRecord(gi.original_id, gi.variant, np.array(row, dtype=np.int64))
         for gi, row in zip(inputs, stats)
     ]
-    score = point(inclusion_scores, stats)
-    lo, hi = bootstrap(boot_records, inclusion_scores, "d", replicates=1000, seed=12)
+    score = point(entity_inclusion_score, stats)
+    lo, hi = bootstrap(boot_records, entity_inclusion_score, "d", replicates=1000, seed=12)
     elapsed = time.monotonic() - start
 
     analytic = (keep["male"] / (1 - keep["male"])) / (keep["female"] / (1 - keep["female"])) - 1

@@ -43,13 +43,12 @@ from sumprobe.measures import (
     cosine_dense,
     count_identifiers,
     distinguishability,
-    distinguishability_scores,
-    hallucination_scores,
+    distinguishability_score,
+    entity_inclusion_score,
+    hallucination_bias_score,
     hallucination_stats,
-    inclusion_scores,
     neutralizer,
     score_with_ci,
-    word_list_scores,
 )
 from sumprobe.seeding import derive_rng, derive_seed, seed_stream
 from sumprobe.words import word_list_score
@@ -67,11 +66,11 @@ def summary_payloads(summaries):
 
 def test_tvd_identical():
     # summary and input identifier counts 1:1
-    assert word_list_scores(np.array([[1, 1, 1, 1]]), "adjusted")[0] == 0.0
+    assert word_list_score([1, 1, 1, 1], "adjusted") == 0.0
 
 
 def test_tvd_point_mass_vs_uniform():
-    assert hallucination_scores(np.array([[1, 0]]))[0] == pytest.approx(0.5)
+    assert hallucination_bias_score([1, 0]) == pytest.approx(0.5)
 
 
 def test_tvd_independent_of_hash_seed():
@@ -81,17 +80,16 @@ def test_tvd_independent_of_hash_seed():
     # count_identifiers returns its counts
     code = (
         "import random\n"
-        "import numpy as np\n"
-        "from sumprobe.measures import count_identifiers, word_list_scores, word_list_stats\n"
+        "from sumprobe.words import count_identifiers, word_list_score, word_list_stats\n"
         "vocab = [g + str(k) for g in 'abc' for k in range(3)]\n"
         "lists = {g: {w for w in vocab if w[0] == g} for g in set('abc')}\n"
         "rng = random.Random(0)\n"
         "for _ in range(30):\n"
         "    rows = [word_list_stats(*(count_identifiers(rng.choices(vocab, k=9), lists)\n"
         "                              for _ in 'si'), sorted(lists)) for _ in range(3)]\n"
-        "    stats = np.array(rows).sum(axis=0, keepdims=True)\n"
+        "    stats = [sum(column) for column in zip(*rows)]\n"
         "    for ref in ('adjusted', 'uniform'):\n"
-        "        print(repr(float(word_list_scores(stats, ref)[0])))\n"
+        "        print(repr(word_list_score(stats, ref)))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = set()
@@ -102,30 +100,6 @@ def test_tvd_independent_of_hash_seed():
                              capture_output=True, text=True, check=True)
         outputs.add(run.stdout)
     assert len(outputs) == 1
-
-
-# rows of summed word-list statistics, two or three groups, many zero totals
-word_list_rows = st.integers(2, 3).flatmap(lambda groups: st.lists(
-    st.lists(st.one_of(st.integers(0, 3), st.integers(0, 1 << 40)),
-             min_size=2 * groups, max_size=2 * groups),
-    min_size=1, max_size=6))
-
-
-@given(word_list_rows)
-@example([[0, 0, 0, 0], [0, 0, 1, 2], [1, 2, 0, 0], [3, 1, 1, 3]])
-@example([[0, 0, 0, 0, 0, 0], [0, 5, 1, 0, 0, 0], [3, 1, 1, 7, 2, 1]])
-@settings(max_examples=200)
-def test_word_list_score_is_each_row_of_word_list_scores(rows):
-    """The numpy-free scorer of one row gives the vectorized score of that
-    row bit for bit, and None where that score is NaN."""
-    stats = np.array(rows, dtype=np.int64)
-    for reference in ("uniform", "adjusted"):
-        for row, expected in zip(rows, word_list_scores(stats, reference).tolist()):
-            score = word_list_score(row, reference)
-            if math.isnan(expected):
-                assert score is None
-            else:
-                assert score.hex() == expected.hex()
 
 
 def test_word_list_zero_when_ref_equals_obs():
@@ -157,9 +131,10 @@ def test_entity_inclusion_equal_probabilities_zero():
     assert inclusion_point([{"male": (5, 10), "female": (5, 10)}]) == pytest.approx(0.0)
 
 
-def test_entity_inclusion_hand_computed_unsmoothed():
-    score = inclusion_point([{"male": (8, 10), "female": (5, 10)}], smoothing=0.0)
-    assert score == pytest.approx(3.0)
+def test_entity_inclusion_hand_computed():
+    # odds (8 + 0.5) / (2 + 0.5) = 3.4 against (5 + 0.5) / (5 + 0.5) = 1
+    score = inclusion_point([{"male": (8, 10), "female": (5, 10)}])
+    assert score == pytest.approx(2.4)
 
 
 def test_entity_inclusion_zero_total_group_is_no_data():
@@ -236,9 +211,8 @@ def test_entity_inclusion_matches_oracle_on_random_instances():
         for g in ("male", "female", "other")[: rng.randint(2, 3)]:
             total = rng.randint(0, 20)
             table[g] = (rng.randint(0, total) if total else 0, total)
-        smoothing = rng.choice([0.5, 1.0])
-        ours = inclusion_point([table], smoothing)
-        oracle = brute_inclusion(table, smoothing)
+        ours = inclusion_point([table])
+        oracle = brute_inclusion(table)
         if oracle is None:
             assert ours is None
         else:
@@ -296,7 +270,7 @@ def _separated_points(n_orig=5, per_group=4):
 
 def test_distinguishability_separated_is_one():
     stats, diag = distinguishability(_separated_points())
-    assert point(distinguishability_scores, list(stats.values())) == 1.0
+    assert point(distinguishability_score, list(stats.values())) == 1.0
     assert diag == []
 
 
@@ -314,7 +288,7 @@ def test_distinguishability_skips_small_originals():
         SummaryPoint("o0", "female", Counter({"b": 1})),
     ]
     stats, diag = distinguishability(points)
-    assert point(distinguishability_scores, list(stats.values())) is None
+    assert point(distinguishability_score, list(stats.values())) is None
     assert len(diag) == 1
 
 
@@ -632,8 +606,9 @@ def test_entity_inclusion_nonnegative(table):
 
 # --- statistics-vector bootstrap ---------------------------------------------------
 #
-# The vectorized path must reproduce the payload-list references bit for bit,
-# which is what keeps scores.json byte-identical.
+# Each row scorer over the summed statistics of each resample must reproduce
+# the payload-list references bit for bit, which is what keeps scores.json
+# byte-identical.
 
 
 def group_counts(groups, high):
@@ -646,29 +621,29 @@ def group_counts(groups, high):
 WORD_LIST_PAYLOAD = st.sampled_from([("female", "male"), ("a", "b", "c")]).map(
     lambda groups: st.tuples(group_counts(groups, 3), group_counts(groups, 4)))
 # name: (strategy of a record set's payload strategy, statistics of the
-#        payloads, statistics scorer, payload-list reference)
+#        payloads, row scorer, payload-list reference)
 MEASURES = {
     "word_list_adjusted": (
-        WORD_LIST_PAYLOAD, word_list_stats_of, lambda t: word_list_scores(t, "adjusted"),
+        WORD_LIST_PAYLOAD, word_list_stats_of, lambda row: word_list_score(row, "adjusted"),
         lambda p: reference_word_list(p, "adjusted")),
     "word_list_uniform": (
-        WORD_LIST_PAYLOAD, word_list_stats_of, lambda t: word_list_scores(t, "uniform"),
+        WORD_LIST_PAYLOAD, word_list_stats_of, lambda row: word_list_score(row, "uniform"),
         lambda p: reference_word_list(p, "uniform")),
     "inclusion": (
         # groups missing from a record, and groups with no entities at all
         st.just(st.dictionaries(
             st.sampled_from(["female", "male", "other"]),
             st.integers(0, 3).flatmap(lambda tot: st.tuples(st.integers(0, tot), st.just(tot))))),
-        inclusion_stats_of, inclusion_scores, reference_inclusion),
+        inclusion_stats_of, entity_inclusion_score, reference_inclusion),
     "hallucination": (
         st.just(st.dictionaries(st.sampled_from(["female", "male", "unknown"]),
                                 st.integers(0, 2)).map(Counter)),
         lambda payloads: [hallucination_stats(genders) for genders in payloads],
-        hallucination_scores, reference_hallucination),
+        hallucination_bias_score, reference_hallucination),
     "distinguishability": (
         st.just(st.integers(0, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n)))),
         lambda payloads: [list(p) for p in payloads],
-        distinguishability_scores, reference_distinguishability),
+        distinguishability_score, reference_distinguishability),
 }
 
 
@@ -725,7 +700,7 @@ def test_statistics_bootstrap_in_small_weight_blocks(monkeypatch):
     stats_records = as_records(rows, [np.array(s) for s in inclusion_stats_of(payloads)])
     expected = score_with_ci(as_records(rows, payloads), reference_inclusion, 50, 8)
     monkeypatch.setattr(measures, "_BLOCK_DRAWS", 7)
-    assert same_result(score_with_ci(stats_records, inclusion_scores, 50, 8), expected)
+    assert same_result(score_with_ci(stats_records, entity_inclusion_score, 50, 8), expected)
 
 
 # --- bulk bootstrap draws ----------------------------------------------------------
@@ -827,7 +802,7 @@ def test_resampled_sums_count_derive_rng_choices_over_uneven_originals(axis):
 
 def test_empty_statistics_record_set_has_no_score():
     # distinguishability skipped every original
-    result = score_with_ci([], distinguishability_scores, replicates=10, seed=0, axes=("d",))
+    result = score_with_ci([], distinguishability_score, replicates=10, seed=0, axes=("d",))
     assert result["point"] is None and result["ci_s"] is None and result["n"] == 0
     assert all(math.isnan(x) for x in result["ci_d"])
 
@@ -835,7 +810,7 @@ def test_empty_statistics_record_set_has_no_score():
 def test_statistics_bootstrap_all_null_replicates_is_nan():
     unknown_only = np.array(hallucination_stats(Counter(unknown=2)))
     records = [BootstrapRecord(f"o{o}", v, unknown_only) for o in range(3) for v in range(2)]
-    result = score_with_ci(records, hallucination_scores, replicates=20, seed=5)
+    result = score_with_ci(records, hallucination_bias_score, replicates=20, seed=5)
     assert result["point"] is None
     assert all(math.isnan(x) for x in result["ci_d"] + result["ci_s"])
 
@@ -844,4 +819,4 @@ def test_statistics_bootstrap_all_null_replicates_is_nan():
 def test_statistics_bootstrap_rejects_bad_arguments(replicates, axis):
     records = [BootstrapRecord("a", 0, np.array([4, 2]))]
     with pytest.raises(ValueError):
-        bootstrap(records, distinguishability_scores, axis, replicates=replicates)
+        bootstrap(records, distinguishability_score, axis, replicates=replicates)

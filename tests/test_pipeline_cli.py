@@ -1145,42 +1145,42 @@ def toy_config_with(tmp_path, text):
     return config_path
 
 
-@pytest.mark.parametrize("text, flags, problem", [
-    ("[1, 2]", [], "must be a JSON object, got list"),
-    ('{"corpus": "x.conll"\n"scheme": "gender_local"}', [], "Expecting ',' delimiter: line 2"),
-    ({"replicates": 1}, [], "'replicates' must be an integer >= 2, got 1"),
-    ({"variants": 0}, [], "'variants' must be an integer >= 1, got 0"),
-    ({"replicates": "500"}, [], "'replicates' must be an integer >= 2, got '500'"),
-    ({"scheme": "bogus"}, [], "'scheme' must be one of gender_local, gender_global, "),
-    ({"summaries": ["x"]}, [], "'summaries' must be an object mapping names to path strings"),
-    ({"ner_sidecars": {"skewed": 3}}, [], "'ner_sidecars' must be an object mapping"),
-    ({"dense_vectors": "vectors.jsonl"}, [], "'dense_vectors' must be an object mapping"),
-    ({"variants": 3}, [], "scheme 'gender_local': gender_local pairs variants; "
-                          "variants_per_original must be even, got 3"),
-    ({"scheme": "gender_global", "variants": 5}, [], "scheme 'gender_global': gender_global pairs "
-                                                     "variants; variants_per_original must be even, "
-                                                     "got 5"),
-    ({"seed": "42"}, [], "'seed' must be an integer, got '42'"),
-    ({"seed": 4.2}, [], "'seed' must be an integer, got 4.2"),
-    ({"scheme": "race_intersectional"}, [], "race_intersectional requires an intersection mapping"),
-    ({"intersection": {"black": "male"}}, [], "gender_local does not take an intersection mapping"),
-    ({"scheme": "race_intersectional", "intersection": {"black": "robot"}}, [],
+@pytest.mark.parametrize("text, problem", [
+    ("[1, 2]", "must be a JSON object, got list"),
+    ('{"corpus": "x.conll"\n"scheme": "gender_local"}', "Expecting ',' delimiter: line 2"),
+    ({"replicates": 1}, "'replicates' must be an integer >= 2, got 1"),
+    ({"variants": 0}, "'variants' must be an integer >= 1, got 0"),
+    ({"replicates": "500"}, "'replicates' must be an integer >= 2, got '500'"),
+    ({"scheme": "bogus"}, "'scheme' must be one of gender_local, gender_global, "),
+    ({"summaries": ["x"]}, "'summaries' must be an object mapping names to path strings"),
+    ({"ner_sidecars": {"skewed": 3}}, "'ner_sidecars' must be an object mapping"),
+    ({"dense_vectors": "vectors.jsonl"}, "'dense_vectors' must be an object mapping"),
+    ({"variants": 3}, "scheme 'gender_local': gender_local pairs variants; "
+                      "variants_per_original must be even, got 3"),
+    ({"scheme": "gender_global", "variants": 5}, "scheme 'gender_global': gender_global pairs "
+                                                 "variants; variants_per_original must be even, "
+                                                 "got 5"),
+    ({"seed": "42"}, "'seed' must be an integer, got '42'"),
+    ({"seed": 4.2}, "'seed' must be an integer, got 4.2"),
+    ({"scheme": "race_intersectional"}, "race_intersectional requires an intersection mapping"),
+    ({"intersection": {"black": "male"}}, "gender_local does not take an intersection mapping"),
+    ({"scheme": "race_intersectional", "intersection": {"black": "robot"}},
      "intersection maps to unknown gender(s) ['robot']"),
-    ({"intersection": "x"}, [], "'intersection' must be null or an object mapping race groups"),
-    ({"alter_last_names": "no"}, [], "'alter_last_names' must be a boolean, got 'no'"),
-    ({"alter_last_names": True}, [], "'alter_last_names' is true under scheme 'gender_local', "
-                                     "which then needs 'last_name_pool'"),
-    ({"scheme": "gender_global", "alter_last_names": True}, [],
+    ({"intersection": "x"}, "'intersection' must be null or an object mapping race groups"),
+    ({"alter_last_names": "no"}, "'alter_last_names' must be a boolean, got 'no'"),
+    ({"alter_last_names": True}, "'alter_last_names' is true under scheme 'gender_local', "
+                                 "which then needs 'last_name_pool'"),
+    ({"scheme": "gender_global", "alter_last_names": True},
      "'alter_last_names' is true under scheme 'gender_global', which then needs 'last_name_pool'"),
-    ({"corpus": 5}, [], "'corpus' must be a non-empty path string, got 5"),
-    ({"out_dir": 3}, [], "'out_dir' must be a non-empty path string, got 3"),
-    ({}, ["--out-dir", ""], "'out_dir' must be a non-empty path string, got ''"),
-    ({"word_lists": True}, [], "'word_lists' must be null or a non-empty path string, got True"),
-    ({"cache": ["x"]}, [], "'cache' must be null or a non-empty path string, got ['x']"),
-    ({"cache": ""}, [], "'cache' must be null or a non-empty path string, got ''"),
-    ({"content_words": {}}, [], "'content_words' must be null or a non-empty path string, got {}"),
-    ({"bogus": 1}, [], "unknown config key(s): ['bogus']"),
-    ('{"corpus": "x.conll", "scheme": "gender_local", "seed": 1}', [],
+    ({"corpus": 5}, "'corpus' must be a non-empty path string, got 5"),
+    ({"out_dir": 3}, "'out_dir' must be a non-empty path string, got 3"),
+    ({"out_dir": ""}, "'out_dir' must be a non-empty path string, got ''"),
+    ({"word_lists": True}, "'word_lists' must be null or a non-empty path string, got True"),
+    ({"cache": ["x"]}, "'cache' must be null or a non-empty path string, got ['x']"),
+    ({"cache": ""}, "'cache' must be null or a non-empty path string, got ''"),
+    ({"content_words": {}}, "'content_words' must be null or a non-empty path string, got {}"),
+    ({"bogus": 1}, "unknown config key(s): ['bogus']"),
+    ('{"corpus": "x.conll", "scheme": "gender_local", "seed": 1}',
      "config missing required key(s): ['out_dir']"),
 ], ids=["not_an_object", "invalid_json", "one_replicate", "no_variants", "string_replicates",
         "unknown_scheme", "list_summaries", "int_ner_path", "string_dense_vectors",
@@ -1188,12 +1188,12 @@ def toy_config_with(tmp_path, text):
         "intersectional_without_intersection",
         "intersection_under_gender_local", "intersection_unknown_gender", "string_intersection",
         "string_alter_last_names", "local_last_names_without_pool",
-        "global_last_names_without_pool", "int_corpus", "int_out_dir", "empty_out_dir_flag",
+        "global_last_names_without_pool", "int_corpus", "int_out_dir", "empty_out_dir",
         "bool_word_lists", "list_cache", "empty_cache", "object_content_words", "unknown_key",
         "no_out_dir"])
-def test_bad_config_exits_2_naming_the_file(tmp_path, capsys, text, flags, problem):
+def test_bad_config_exits_2_naming_the_file(tmp_path, capsys, text, problem):
     config_path = toy_config_with(tmp_path, text)
-    assert main(["run", "--config", str(config_path), *flags]) == 2
+    assert main(["run", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert f"{config_path}: " in err and problem in err
     assert not (tmp_path / "out").exists()
@@ -1228,6 +1228,20 @@ def test_removed_setting_is_a_usage_error(capsys, argv, error):
         main(argv)
     assert err.value.code == 1
     assert f": error: {error}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "score"])
+def test_empty_out_dir_flag_is_a_usage_error(tmp_path, capsys, command):
+    """An empty --out-dir is the flag's error, not the config file's, and
+    nothing is written."""
+    config_path = toy_config_with(tmp_path, {})
+    with pytest.raises(SystemExit) as err:
+        main([command, "--config", str(config_path), "--out-dir", ""])
+    assert err.value.code == 1
+    message = capsys.readouterr().err
+    assert ": error: argument --out-dir: must be a non-empty path" in message
+    assert str(config_path) not in message
+    assert list(tmp_path.iterdir()) == [config_path]
 
 
 @pytest.mark.parametrize("key, name, text, changes, problem", [

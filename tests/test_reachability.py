@@ -25,7 +25,6 @@ _WORKER = "runs in a forked scoring worker, where this profiler does not look"
 # module.qualified name -> why no command here enters it
 UNREACHED = {
     "measures.inclusion_score": _BENCHMARK,
-    "measures._summed": _BENCHMARK,
     "measures.cosine_counts": _BENCHMARK,
     "measures.cosine_dense": _BENCHMARK,
     "measures._payload_list_replicates": _BENCHMARK,
