@@ -38,7 +38,6 @@ class AlignmentResult:
     entity: SummaryEntity
     status: str
     matched: str | None
-    reason: str
 
 
 @dataclass
@@ -70,7 +69,6 @@ def align(
     source_tokens: Iterable[str],
 ) -> AlignmentResult:
     tokens_lower = [t.lower() for t in summary_entity.tokens]
-    surface = " ".join(summary_entity.tokens)
     matches: list[tuple[int, int, InputEntity]] = []
     for position, ie in enumerate(entities):
         if not ie.last or ie.last.lower() not in tokens_lower:
@@ -81,30 +79,12 @@ def align(
             corroborated = 0 if (first_lower and first_lower in tokens_lower) else 1
             matches.append((corroborated, position, ie))
     if matches:
-        _, _, best = min(matches, key=lambda m: (m[0], m[1]))
-        return AlignmentResult(
-            summary_entity,
-            ALIGNED,
-            best.id,
-            f"{surface!r} contains last name {best.last!r}; remaining tokens are "
-            "the assigned first name or titles",
-        )
+        # positions are unique, so the comparison never reaches the entities
+        return AlignmentResult(summary_entity, ALIGNED, min(matches)[2].id)
     source_lower = {t.lower() for t in source_tokens}
-    missing = [t for t in tokens_lower if t not in source_lower]
-    if missing:
-        return AlignmentResult(
-            summary_entity,
-            HALLUCINATED,
-            None,
-            f"{surface!r} matches no input entity and token(s) {missing} do not "
-            "occur in the source",
-        )
-    return AlignmentResult(
-        summary_entity,
-        UNRESOLVED,
-        None,
-        f"{surface!r} matches no input entity but every token occurs in the source",
-    )
+    if any(t not in source_lower for t in tokens_lower):
+        return AlignmentResult(summary_entity, HALLUCINATED, None)
+    return AlignmentResult(summary_entity, UNRESOLVED, None)
 
 
 def align_corpus(
@@ -163,7 +143,6 @@ def write_alignments(aligned: Iterable[AlignedSummary], path: str | Path) -> Non
             "end": r.entity.end,
             "status": r.status,
             "matched_entity": r.matched,
-            "reason": r.reason,
         }
         for a in aligned
         for r in a.results

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .jsonio import DataError, StageError, read_rows, write_json, write_text
+from .jsonio import DataError, StageError, read_rows, string_list, write_json, write_text
 from .names import (
     GENDERS,
     SCHEME_KINDS,
@@ -56,6 +56,8 @@ def _pairs_arg(values: list[str], what: str) -> dict[str, str]:
         if "=" not in item:
             raise DataError(f"{what} must look like name=value, got {item!r}")
         key, _, value = item.partition("=")
+        if key in out:
+            raise DataError(f"{what} names {key!r} twice")
         out[key] = value
     return out
 
@@ -102,8 +104,9 @@ def _alpha(text: str) -> float:
 
 
 def _out_dir(text: str) -> str:
-    """An output directory: a non-empty path, checked here so that the
-    message names the flag, not the config file it overrides."""
+    """An output directory: a non-empty path, not the current directory
+    that `Path("")` means, checked here so that the message names the flag,
+    not a config file that the flag overrides."""
     if not text:
         raise argparse.ArgumentTypeError("must be a non-empty path")
     return text
@@ -157,6 +160,8 @@ def cmd_align(args) -> int:
     from . import templates as tp
     from .pipeline import ALIGNMENTS, align_system, alignment_context
 
+    summaries = _pairs_arg(args.summaries, "--summaries")
+    ner_sidecars = _pairs_arg(args.ner, "--ner")
     templates = list(tp.read_templates(args.templates))
     inputs = list(gen.read_inputs(args.inputs))
     unknown = sorted({g.original_id for g in inputs} - {t.doc_id for t in templates})
@@ -166,8 +171,7 @@ def cmd_align(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     context = alignment_context(templates, inputs, _census(args))
-    ner_sidecars = _pairs_arg(args.ner, "--ner")
-    for system, path in sorted(_pairs_arg(args.summaries, "--summaries").items()):
+    for system, path in sorted(summaries.items()):
         _, c = align_system(
             context, system, path, ner_sidecar=ner_sidecars.get(system), out_dir=out_dir
         )
@@ -184,10 +188,19 @@ def cmd_classify_hallucinations(args) -> int:
     from . import gender_id as gid
     from .pipeline import classify_entities
 
+    def problem(row: dict) -> str | None:
+        """What keeps `row` from holding a `status` and `entity_tokens` that
+        `align` writes; its other keys are not read."""
+        if row["status"] not in (al.ALIGNED, al.HALLUCINATED, al.UNRESOLVED):
+            return f"unknown status {row['status']!r}"
+        if not (row["entity_tokens"] and string_list(row["entity_tokens"])):
+            return "entity_tokens must be a non-empty list of strings"
+        return None
+
     verdicts = classify_entities(
         (
             row["entity_tokens"]
-            for row in read_rows(args.alignments, {"status": str, "entity_tokens": list})
+            for row in read_rows(args.alignments, {"status": str, "entity_tokens": list}, problem)
             if row["status"] == al.HALLUCINATED
         ),
         gid.FixtureLookupClient(args.cache),
@@ -308,7 +321,7 @@ COMMANDS = {
         ("--inputs", _REQUIRED),
         ("--summaries", {"nargs": "+", "required": True, "metavar": "SYSTEM=PATH"}),
         ("--ner", {"nargs": "*", "metavar": "SYSTEM=PATH"}),
-        ("--out-dir", _REQUIRED),
+        ("--out-dir", {"required": True, "type": _out_dir}),
         *_CENSUS_ARGS,
     ]),
     "classify-hallucinations": (

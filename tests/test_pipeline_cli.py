@@ -271,6 +271,9 @@ def _error_case(tmp_path, case):
              "--out-dir", str(tmp_path), "--summaries"]
     if case == "summaries_without_equals":
         return [*align, "x"], path
+    if case == "summaries_twice":
+        return [*align, f"skewed={missing}",
+                f"skewed={root / 'data/toy/summaries.skewed.jsonl'}"], path
     if case == "inputs_of_other_templates":
         rows = templates.read_text().splitlines()
         templates.write_text("\n".join(rows[1:]) + "\n")
@@ -339,6 +342,7 @@ def _error_case(tmp_path, case):
     ("row_integer_token", 2, "{file}:1: malformed row: tokens and pos must be strings"),
     ("row_float_sentence", 2, "{file}:1: malformed row: sentences must be integers"),
     ("summaries_without_equals", 2, "--summaries must look like name=value, got 'x'"),
+    ("summaries_twice", 2, "--summaries names 'skewed' twice"),
     ("span_without_neutral", 3, "stage 'generate': content span (2,2) needs a neutral variant"),
     ("slot_out_of_range", 2, "{file}:1: malformed row: slot [29, 29] out of range"),
     ("inputs_of_other_templates", 2, "{file}: inputs of originals that {templates} holds no "
@@ -484,7 +488,12 @@ MALFORMED_ROWS = {
         "integer_entity": '{"doc_id": "none#0", "start": 0, "end": 0, "entities": [0], '
                           '"male": "chairman", "female": "chairwoman"}',
     },
-    alignments: {"missing_key": '{"status": "hallucinated"}'},
+    alignments: {
+        "missing_key": '{"status": "hallucinated"}',
+        "integer_token": '{"status": "hallucinated", "entity_tokens": ["Boris", 7]}',
+        "no_tokens": '{"status": "hallucinated", "entity_tokens": []}',
+        "unknown_status": '{"status": "invented", "entity_tokens": ["Boris", "Yeltsin"]}',
+    },
 }
 
 
@@ -1230,18 +1239,31 @@ def test_removed_setting_is_a_usage_error(capsys, argv, error):
     assert f": error: {error}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["run", "score"])
-def test_empty_out_dir_flag_is_a_usage_error(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["run", "score", "align"])
+def test_empty_out_dir_flag_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
     """An empty --out-dir is the flag's error, not the config file's, and
-    nothing is written."""
+    nothing is written, in the current directory either."""
+    root = Path(__file__).resolve().parent.parent
     config_path = toy_config_with(tmp_path, {})
+    argv = [command, "--config", str(config_path)]
+    if command == "align":
+        templates, inputs = tmp_path / "templates.jsonl", tmp_path / "inputs.jsonl"
+        assert main(["build-templates", "--documents", str(root / "data/toy/corpus.conll"),
+                     "--out", str(templates)]) == 0
+        assert main(["generate", "--templates", str(templates), "--scheme", "gender_local",
+                     "--seed", "42", "--variants", "4", "--out", str(inputs)]) == 0
+        argv = ["align", "--templates", str(templates), "--inputs", str(inputs),
+                "--summaries", f"skewed={root / 'data/toy/summaries.skewed.jsonl'}"]
+    before = sorted(tmp_path.iterdir())
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
     with pytest.raises(SystemExit) as err:
-        main([command, "--config", str(config_path), "--out-dir", ""])
+        main([*argv, "--out-dir", ""])
     assert err.value.code == 1
     message = capsys.readouterr().err
     assert ": error: argument --out-dir: must be a non-empty path" in message
     assert str(config_path) not in message
-    assert list(tmp_path.iterdir()) == [config_path]
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("key, name, text, changes, problem", [
@@ -1601,6 +1623,24 @@ def test_stagewise_cli_matches_run_artifacts(tmp_path, monkeypatch):
                  "alignments.faithful.jsonl", "alignments.skewed.jsonl",
                  "verdicts.skewed.json"):
         assert (stages / name).read_bytes() == (art / name).read_bytes(), name
+
+
+def test_alignment_rows_hold_the_status_and_its_match(tmp_path):
+    """Each row of the toy run's alignment files holds the entity, its
+    status and the input entity it aligned to, which is null exactly when
+    the status is not `aligned`."""
+    config_path = toy_config_with(tmp_path, {})
+    assert main(["run", "--config", str(config_path)]) == 0
+    art = artifact_dir(config_path)
+    keys = {"input_id", "system", "entity_tokens", "start", "end", "status", "matched_entity"}
+    for system in ("faithful", "skewed"):
+        text = (art / f"alignments.{system}.jsonl").read_text()
+        rows = [json.loads(line) for line in text.splitlines()]
+        assert rows
+        for row in rows:
+            assert row.keys() == keys
+            assert row["system"] == system
+            assert (row["matched_entity"] is not None) == (row["status"] == "aligned")
 
 
 def test_run_computes_each_stage_once(tmp_path, small_corpus, monkeypatch):
